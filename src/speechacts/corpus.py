@@ -9,6 +9,7 @@ interleave conversations; ordering within a conversation is by turn_index.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -178,8 +179,8 @@ def _parse_record(line: str, source: str, line_no: int, catalog: LabelCatalog) -
     if speaker not in SPEAKERS:
         raise TranscriptError(f"unknown speaker {speaker!r}", source, line_no)
     ts = obj["timestamp_s"]
-    if isinstance(ts, bool) or not isinstance(ts, (int, float)) or ts < 0:
-        raise TranscriptError("timestamp_s must be a number >= 0", source, line_no)
+    if isinstance(ts, bool) or not isinstance(ts, (int, float)) or not math.isfinite(ts) or ts < 0:
+        raise TranscriptError("timestamp_s must be a finite number >= 0", source, line_no)
     text = obj["text"]
     if not isinstance(text, str):
         raise TranscriptError("text must be a string", source, line_no)

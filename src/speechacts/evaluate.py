@@ -9,6 +9,7 @@ fractional.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -48,7 +49,7 @@ def _repair_assignment(
     label_sets: Sequence[frozenset[str]],
     n_folds: int,
     all_labels: list[str],
-) -> None:
+) -> list[StratificationViolation]:
     """Nudge the greedy assignment until every per-label fold count (and
     every fold size) sits within one of its proportional share, where a
     sequence of single-example moves and pair swaps can manage it.
@@ -57,57 +58,82 @@ def _repair_assignment(
     share when labels co-occur. Phase one hill-climbs a quadratic imbalance
     potential with single moves (its gradient never plateaus, so it spreads
     counts maximally evenly); phase two chases any remaining out-of-band
-    counts directly, allowing swaps. Deterministic; mutates ``assignment``.
+    counts directly, allowing swaps.
+
+    The search runs over groups: the examples of one fold that share a
+    label set. A move's or a swap's score depends only on the label sets
+    and the count tables, so every member of a group scores the same, and
+    only each group's smallest id is tried. Candidates are visited in id
+    order and must beat the best so far strictly, so this picks the very
+    move a scan over every example would. Deterministic; mutates
+    ``assignment``; returns the counts still out of band.
     """
     n = len(label_sets)
     share = {name: sum(1 for ls in label_sets if name in ls) / n_folds for name in all_labels}
     size_share = n / n_folds
     counts = {name: [0] * n_folds for name in all_labels}
     sizes = [0] * n_folds
-    for i, fold in assignment.items():
+    # a label set is kept in its own iteration order: the per-label terms of
+    # a score are summed in that order, so equal keys give equal floats
+    keys = [tuple(ls) for ls in label_sets]
+    groups: dict[tuple[tuple[str, ...], int], list[int]] = {}  # sorted member ids
+    for i in range(n):
+        fold = assignment[i]
         sizes[fold] += 1
-        for name in label_sets[i]:
+        for name in keys[i]:
             counts[name][fold] += 1
+        groups.setdefault((keys[i], fold), []).append(i)
 
-    def quad_move_delta(i: int, src: int, dst: int) -> float:
-        # change in sum of squared deviations when example i moves src -> dst
+    def quad_move_delta(names: tuple[str, ...], src: int, dst: int) -> float:
+        # change in sum of squared deviations when an example moves src -> dst
         delta = (sizes[src] - 1 - size_share) ** 2 - (sizes[src] - size_share) ** 2
         delta += (sizes[dst] + 1 - size_share) ** 2 - (sizes[dst] - size_share) ** 2
-        for name in label_sets[i]:
+        for name in names:
             s = share[name]
             delta += (counts[name][src] - 1 - s) ** 2 - (counts[name][src] - s) ** 2
             delta += (counts[name][dst] + 1 - s) ** 2 - (counts[name][dst] - s) ** 2
         return delta
 
-    def hinge_move_delta(i: int, src: int, dst: int) -> float:
+    def hinge_move_delta(names: tuple[str, ...], src: int, dst: int) -> float:
         def ex(v, t):
             return max(0.0, abs(v - t) - 1.0)
 
         delta = ex(sizes[src] - 1, size_share) - ex(sizes[src], size_share)
         delta += ex(sizes[dst] + 1, size_share) - ex(sizes[dst], size_share)
-        for name in label_sets[i]:
+        for name in names:
             s = share[name]
             delta += ex(counts[name][src] - 1, s) - ex(counts[name][src], s)
             delta += ex(counts[name][dst] + 1, s) - ex(counts[name][dst], s)
         return delta
 
-    def apply_move(i: int, src: int, dst: int) -> None:
-        assignment[i] = dst
+    def shift(names: tuple[str, ...], src: int, dst: int) -> None:
         sizes[src] -= 1
         sizes[dst] += 1
-        for name in label_sets[i]:
+        for name in names:
             counts[name][src] -= 1
             counts[name][dst] += 1
+
+    def apply_move(i: int, src: int, dst: int) -> None:
+        assignment[i] = dst
+        shift(keys[i], src, dst)
+        members = groups[(keys[i], src)]
+        members.remove(i)
+        if not members:
+            del groups[(keys[i], src)]
+        bisect.insort(groups.setdefault((keys[i], dst), []), i)
+
+    def representatives() -> list[tuple[int, tuple[str, ...], int]]:
+        # (smallest id, label set, fold) per group, by smallest id
+        return sorted((members[0], names, fold) for (names, fold), members in groups.items())
 
     # phase 1: quadratic potential, best-improvement single moves
     for _ in range(8 * n + 100):
         best = None
-        for i in range(n):
-            src = assignment[i]
+        for i, names, src in representatives():
             for dst in range(n_folds):
                 if dst == src:
                     continue
-                delta = quad_move_delta(i, src, dst)
+                delta = quad_move_delta(names, src, dst)
                 if delta < -1e-9 and (best is None or delta < best[0] - 1e-12):
                     best = (delta, i, src, dst)
         if best is None:
@@ -126,16 +152,16 @@ def _repair_assignment(
     for _ in range(4 * n + 100):
         if not violating_pairs():
             break
+        reps = representatives()
         best = None  # (hinge_delta, quad_delta, kind, payload)
-        for i in range(n):
-            src = assignment[i]
+        for i, names, src in reps:
             for dst in range(n_folds):
                 if dst == src:
                     continue
-                h = hinge_move_delta(i, src, dst)
+                h = hinge_move_delta(names, src, dst)
                 if h > -1e-9:
                     continue
-                q = quad_move_delta(i, src, dst)
+                q = quad_move_delta(names, src, dst)
                 key = (h, q)
                 if best is None or key < (best[0], best[1]):
                     best = (h, q, "move", (i, src, dst))
@@ -144,25 +170,17 @@ def _repair_assignment(
             # the excess) and trade back an unlabeled one, keeping sizes fixed
             for name, f in violating_pairs():
                 over = counts[name][f] - share[name] > 1 + 1e-9
-                pool = [
-                    i for i in range(n)
-                    if (assignment[i] == f) == over and name in label_sets[i]
-                ]
-                partners = [
-                    j for j in range(n)
-                    if (assignment[j] == f) != over and name not in label_sets[j]
-                ]
-                for i in pool:
-                    for j in partners:
-                        a, b = assignment[i], assignment[j]
-                        if a == b:
-                            continue
-                        h = hinge_move_delta(i, a, b)
-                        q = quad_move_delta(i, a, b)
-                        apply_move(i, a, b)
-                        h += hinge_move_delta(j, b, a)
-                        q += quad_move_delta(j, b, a)
-                        apply_move(i, b, a)
+                # pool and partners sit on opposite sides of fold f: a != b
+                pool = [r for r in reps if (r[2] == f) == over and name in r[1]]
+                partners = [r for r in reps if (r[2] == f) != over and name not in r[1]]
+                for i, names_i, a in pool:
+                    for j, names_j, b in partners:
+                        h = hinge_move_delta(names_i, a, b)
+                        q = quad_move_delta(names_i, a, b)
+                        shift(names_i, a, b)
+                        h += hinge_move_delta(names_j, b, a)
+                        q += quad_move_delta(names_j, b, a)
+                        shift(names_i, b, a)
                         if h < -1e-9:
                             key = (h, q)
                             if best is None or key < (best[0], best[1]):
@@ -177,6 +195,11 @@ def _repair_assignment(
             apply_move(i, a, b)
             apply_move(j, b, a)
 
+    return [
+        StratificationViolation(f, name, counts[name][f], share[name])
+        for name, f in violating_pairs()
+    ]
+
 
 def stratified_kfold(
     label_sets: Sequence[frozenset[str]], n_folds: int = 5, seed: int = 0
@@ -187,10 +210,13 @@ def stratified_kfold(
     positives and deals its examples to the fold that still wants that label
     most (ties: most remaining capacity, then lowest fold id); examples with
     no labels are dealt by remaining capacity. A deterministic repair pass
-    then moves single examples until every label's per-fold positive count
-    is within one of its proportional share wherever it can manage; whatever
-    remains is reported as a violation. The seed only shuffles the order
-    examples are visited in.
+    then moves single examples, or swaps pairs, until every label's per-fold
+    positive count is within one of its proportional share wherever it can
+    manage; whatever remains is reported as a violation. The repair searches
+    over (label set, fold) groups rather than examples, so its cost per step
+    grows with the number of distinct label sets, not with the dataset; it
+    still picks the same examples a per-example search would. The seed only
+    shuffles the order examples are visited in.
     """
     n = len(label_sets)
     if n_folds < 2:
@@ -241,15 +267,7 @@ def stratified_kfold(
             fold = max(range(n_folds), key=lambda f: (capacity[f], -f))
             place(i, fold)
 
-    _repair_assignment(assignment, label_sets, n_folds, all_labels)
-
-    violations = []
-    for name in all_labels:
-        share = totals[name] / n_folds
-        for fold in range(n_folds):
-            got = sum(1 for i, f in assignment.items() if f == fold and name in label_sets[i])
-            if abs(got - share) > 1 + 1e-9:
-                violations.append(StratificationViolation(fold, name, got, share))
+    violations = _repair_assignment(assignment, label_sets, n_folds, all_labels)
     return FoldPlan(n_folds=n_folds, assignment=assignment, seed=seed, violations=violations)
 
 
@@ -361,7 +379,8 @@ def cross_validate(
     the test split is predicted untouched. With config.tune set, each fold
     grid-searches hyperparameters on its own training split first (nested
     cross-validation). Per-fold rows are averaged per label and then
-    combined support-weighted.
+    combined support-weighted. Each stratification violation of the fold
+    plan is reported as a RuntimeWarning.
     """
     from dataclasses import replace
 
@@ -369,6 +388,13 @@ def cross_validate(
 
     examples = list(examples)
     plan = stratified_kfold([ex.labels for ex in examples], config.n_folds, config.seed)
+    for v in plan.violations:
+        warnings.warn(
+            f"fold {v.fold}: label {v.label!r} has {v.positives} positives, "
+            f"more than 1 away from its share of {v.ideal_share:.2f}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     fold_rows: list[list[MetricsRow]] = []
     for fold in range(config.n_folds):
         train, test, vocabulary, scaling, X_train, X_test = featurize_fold(

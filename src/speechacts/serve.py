@@ -13,6 +13,7 @@ same request stream therefore reproduces batch predictions exactly.
 from __future__ import annotations
 
 import json
+import math
 import socketserver
 import threading
 from dataclasses import dataclass, field
@@ -54,8 +55,9 @@ class ServeEngine:
             return {"error": "conversation_id must be a non-empty string"}
         if speaker not in SPEAKERS:
             return {"error": f"unknown speaker {speaker!r}"}
-        if isinstance(ts, bool) or not isinstance(ts, (int, float)) or ts < 0:
-            return {"error": "timestamp_s must be a number >= 0"}
+        if (isinstance(ts, bool) or not isinstance(ts, (int, float))
+                or not math.isfinite(ts) or ts < 0):
+            return {"error": "timestamp_s must be a finite number >= 0"}
         if not isinstance(text, str):
             return {"error": "text must be a string"}
 
@@ -105,13 +107,22 @@ def serve_stdio(engine: ServeEngine, stdin: IO[str], stdout: IO[str]) -> int:
 
 
 class _LineHandler(socketserver.StreamRequestHandler):
+    # each response is one small write; with Nagle on, a response waits for
+    # the client's ACK of the previous one, which lock-steps the connection
+    disable_nagle_algorithm = True
+
     def handle(self):
         engine: ServeEngine = self.server.engine  # type: ignore[attr-defined]
         for raw in self.rfile:
-            line = raw.decode("utf-8")
-            if not line.strip():
-                continue
-            self.wfile.write((engine.handle_line(line) + "\n").encode("utf-8"))
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                response = json.dumps({"error": "request is not valid UTF-8"})
+            else:
+                if not line.strip():
+                    continue
+                response = engine.handle_line(line)
+            self.wfile.write((response + "\n").encode("utf-8"))
             self.wfile.flush()
 
 

@@ -108,6 +108,12 @@ class TestParse:
         with pytest.raises(TranscriptError, match="timestamp"):
             parse_transcripts(stream, catalog_ab)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_timestamp_rejected(self, catalog_ab, bad):
+        stream = io.StringIO(record_line("c1", 0, "participant", bad, "x", ["a"]))
+        with pytest.raises(TranscriptError, match="timestamp"):
+            parse_transcripts(stream, catalog_ab)
+
     def test_missing_key_rejected(self, catalog_ab):
         rec = json.loads(record_line("c1", 0, "participant", 0.0, "x", ["a"]))
         del rec["text"]

@@ -1,4 +1,8 @@
+import functools
+import hashlib
+import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from speechacts.evaluate import (
     stratified_kfold,
     weighted_average,
 )
+from speechacts.synth import SynthSpec, synth_catalog, synth_corpus
 
 from conftest import make_conversation
 
@@ -97,6 +102,60 @@ class TestStratifiedKFold:
     def test_too_small_dataset(self):
         with pytest.raises(ValueError):
             stratified_kfold([frozenset({"a"})] * 3, 5, seed=0)
+
+
+# no 5-fold split holds every label within 1 of its share: the four "ac"
+# examples cover at most four folds, so the fifth takes its "a" from an "ab"
+# and its "c" from a "bc", and then holds 2 of "b" against a share of 0.8
+UNBALANCEABLE = [frozenset("ab")] * 2 + [frozenset("ac")] * 4 + [frozenset("bc")] * 2
+
+
+@functools.cache
+def reference_label_sets(turns_per_label):
+    spec = SynthSpec(n_labels=6, signal=0.6, seed=1, turns_per_label=turns_per_label)
+    return tuple(ex.labels for ex in modeling_examples(synth_corpus(spec), synth_catalog(spec)))
+
+
+class TestStratificationRegression:
+    # fold assignments of the per-example repair search this repair replaced
+    @pytest.mark.parametrize(
+        "turns_per_label, seed, digest",
+        [
+            (200, 0, "ec580d04f076d3975e812e0cf45795b8287aa95ca7af2412a9859eafe6e12318"),
+            (200, 2, "b93b75a953eaeb49c143725d34a97fc8128e4b9766c0901bcac7210c35ee56ed"),
+            (200, 4, "39d59ce8d3380e7bfd5b7b7b58af9c24428cf2b2dcb2929a708f8e137a693341"),
+            (200, 7, "7671b7b99258bf549b97ef8886f26faab435220bae5bfae845609cd5498741ad"),
+            (400, 0, "8802e0124ef3b89842fed3de077b5498afdd649a66d1ebec8183cc334b595fa1"),
+        ],
+    )
+    def test_golden_assignment(self, turns_per_label, seed, digest):
+        label_sets = reference_label_sets(turns_per_label)
+        plan = stratified_kfold(label_sets, 5, seed=seed)
+        folds = [plan.assignment[i] for i in range(len(label_sets))]
+        assert hashlib.sha256(json.dumps(folds).encode()).hexdigest() == digest
+
+    def test_scale(self):
+        label_sets = reference_label_sets(1000)
+        start = time.perf_counter()
+        plan = stratified_kfold(label_sets, 5, seed=0)
+        elapsed = time.perf_counter() - start
+        assert len(label_sets) == 6000
+        assert elapsed < 5.0
+        assert sorted(plan.assignment) == list(range(6000))
+        assert set(plan.assignment.values()) == set(range(5))
+        assert deviation_oracle(label_sets, plan) <= 1 + 1e-9
+        assert plan.violations == []
+
+    def test_unbalanceable_violations_reported(self):
+        plan = stratified_kfold(UNBALANCEABLE, 5, seed=0)
+        assert plan.violations
+        for v in plan.violations:
+            got = sum(
+                1 for i, f in plan.assignment.items()
+                if f == v.fold and v.label in UNBALANCEABLE[i]
+            )
+            assert v.positives == got
+            assert abs(got - v.ideal_share) > 1
 
 
 def confusion_oracle(gold, predicted, name):
@@ -272,6 +331,23 @@ class TestCrossValidate:
         words = X_test[:, : len(vocabulary)]
         assert np.isin(words, [0.0, 1.0]).all()
         assert X_test.shape[0] == len(test)
+
+    def test_violations_warned(self):
+        rows = [
+            ("participant", 2.0 * i, f"{''.join(sorted(ls))}word common{i % 3}", sorted(ls))
+            for i, ls in enumerate(UNBALANCEABLE)
+        ]
+        catalog = LabelCatalog(labels=("a", "b", "c"))
+        examples = modeling_examples([make_conversation("c1", rows)], catalog)
+        config = RunConfig(seed=0, n_folds=5)
+        plan = stratified_kfold([ex.labels for ex in examples], 5, seed=0)
+        with pytest.warns(RuntimeWarning) as record:
+            cross_validate(examples, catalog, config)
+        messages = [str(w.message) for w in record if "positives" in str(w.message)]
+        assert len(messages) == len(plan.violations) > 0
+        for v, message in zip(plan.violations, messages):
+            assert f"fold {v.fold}: label {v.label!r} has {v.positives} positives" in message
+            assert f"{v.ideal_share:.2f}" in message
 
     def test_determinism(self):
         examples, catalog = separable_corpus(n_per_label=8)

@@ -29,6 +29,13 @@ def request_line(cid, speaker, ts, text):
     )
 
 
+def strict_loads(line):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(line, parse_constant=reject)
+
+
 class TestEngine:
     def test_first_request_valid_response(self, model):
         engine = ServeEngine(model)
@@ -76,6 +83,17 @@ class TestEngine:
         expect = predict_labels(model, vectorize(conv, 1, model.vocabulary, model.scaling,
                                                  model.slen_scope))
         got = json.loads(engine.handle_line(request_line("s1", "participant", 14.0, "act1kw1 more")))
+        assert got["probabilities"] == pytest.approx(expect.probabilities)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_timestamp_rejected_session_unchanged(self, model, bad):
+        engine = ServeEngine(model)
+        err = strict_loads(engine.handle_line(request_line("s1", "participant", bad, "act0kw0")))
+        assert "timestamp_s" in err["error"]
+        got = strict_loads(engine.handle_line(request_line("s1", "participant", 5.0, "act1kw1")))
+        conv = make_conversation("s1", [("participant", 5.0, "act1kw1", [])])
+        expect = predict_labels(model, vectorize(conv, 0, model.vocabulary, model.scaling,
+                                                 model.slen_scope))
         assert got["probabilities"] == pytest.approx(expect.probabilities)
 
     def test_sessions_isolated(self, model):
@@ -156,6 +174,29 @@ class TestTcp:
             responses = [json.loads(line) for line in data.decode().strip().split("\n")]
             assert len(responses) == 2
             assert all("labels" in r for r in responses)
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+
+    def test_bad_utf8_line_answered_connection_kept(self, model):
+        server = ServeServer(("127.0.0.1", 0), ServeEngine(model))
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            with socket.create_connection(server.server_address) as sock:
+                valid = request_line("u1", "participant", 0.0, "act0kw0 words")
+                sock.sendall(b"\xff\xfe not utf-8\n" + valid.encode("utf-8") + b"\n")
+                sock.shutdown(socket.SHUT_WR)
+                data = b""
+                while True:
+                    chunk = sock.recv(4096)
+                    if not chunk:
+                        break
+                    data += chunk
+            responses = [strict_loads(line) for line in data.decode().strip().split("\n")]
+            assert responses[0] == {"error": "request is not valid UTF-8"}
+            assert len(responses) == 2 and "labels" in responses[1]
         finally:
             server.shutdown()
             server.server_close()
