@@ -17,7 +17,7 @@ from typing import IO, Sequence, Union
 import numpy as np
 
 from .balance import DenseExample, derive_seed, smote_balance
-from .config import Hyperparams, RunConfig
+from .config import Hyperparams, RunConfig, hyperparams_from_dict
 from .corpus import LabelCatalog, ModelingExample, catalog_from_dict
 from .featurize import (
     N_SHALLOW,
@@ -27,7 +27,7 @@ from .featurize import (
     Vocabulary,
 )
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 class ModelFormatError(ValueError):
@@ -85,6 +85,12 @@ class BinaryClassifier:
     bias: float
     hyperparams: Hyperparams
     label: str = ""
+    # fit diagnostics: Newton steps taken, training loss and gradient 2-norm
+    # at the returned point, and whether that norm reached the tolerance
+    iterations: int = 0
+    final_loss: float = 0.0
+    grad_norm: float = 0.0
+    converged: bool = False
 
     def decision(self, dense: np.ndarray) -> float:
         if dense.shape[0] != self.weights.shape[0]:
@@ -94,6 +100,58 @@ class BinaryClassifier:
         return float(self.weights @ dense + self.bias)
 
 
+# Truncated-Newton constants. Conjugate gradient stops once its residual is
+# within min(0.5, sqrt(|g|)) * |g| (superlinear local convergence) or after
+# _CG_MAX_STEPS products; the line search accepts the first step 1, 1/2, 1/4,
+# ... that meets the Armijo condition with slope fraction _ARMIJO_SLOPE.
+_CG_FORCING_CAP = 0.5
+_CG_MAX_STEPS = 200
+_ARMIJO_SLOPE = 1e-4
+_ARMIJO_HALVINGS = 30
+
+
+def _hessian_product(
+    X: np.ndarray, curvature: np.ndarray, v_w: np.ndarray, v_b: float, C: float, fit_bias: bool
+) -> tuple[np.ndarray, float]:
+    """Hessian of the training loss times the direction (v_w, v_b).
+
+    The Hessian is X~' D X~ / n + diag(1, ..., 1, 0) / (C n) over the design
+    matrix X~ = [X, 1] with the per-example curvature D = p (1 - p); the bias
+    row is dropped (returned as 0) when the bias is not fit.
+    """
+    n = X.shape[0]
+    scaled = curvature * (X @ v_w + v_b)
+    h_w = (X.T @ scaled) / n + v_w / (C * n)
+    h_b = float(scaled.sum()) / n if fit_bias else 0.0
+    return h_w, h_b
+
+
+def _newton_direction(
+    X: np.ndarray, curvature: np.ndarray, grad_w: np.ndarray, grad_b: float, grad_norm: float,
+    C: float, fit_bias: bool,
+) -> tuple[np.ndarray, float]:
+    """Approximately solve H d = -g by conjugate gradient, starting at d = 0."""
+    d_w, d_b = np.zeros_like(grad_w), 0.0
+    r_w, r_b = -grad_w, -grad_b
+    p_w, p_b = r_w.copy(), r_b
+    rr = float(r_w @ r_w) + r_b * r_b
+    stop = min(_CG_FORCING_CAP, np.sqrt(grad_norm)) * grad_norm
+    for _ in range(_CG_MAX_STEPS):
+        if np.sqrt(rr) <= stop:
+            break
+        h_w, h_b = _hessian_product(X, curvature, p_w, p_b, C, fit_bias)
+        curve = float(p_w @ h_w) + p_b * h_b
+        if curve <= 0.0:  # no curvature left to exploit in floating point
+            break
+        alpha = rr / curve
+        d_w, d_b = d_w + alpha * p_w, d_b + alpha * p_b
+        r_w, r_b = r_w - alpha * h_w, r_b - alpha * h_b
+        rr_next = float(r_w @ r_w) + r_b * r_b
+        p_w, p_b = r_w + (rr_next / rr) * p_w, r_b + (rr_next / rr) * p_b
+        rr = rr_next
+    return d_w, d_b
+
+
 def fit_binary_with_trace(
     X: np.ndarray,
     y: np.ndarray,
@@ -101,37 +159,54 @@ def fit_binary_with_trace(
     seed: int = 0,
     label: str = "",
 ) -> tuple[BinaryClassifier, list[float]]:
-    """Like :func:`fit_binary`, also returning the accepted loss trajectory."""
-    del seed  # nothing stochastic in the full-batch path
+    """Like :func:`fit_binary`, also returning the loss at the start and
+    after each Newton step."""
+    del seed  # the fit is deterministic
     y = np.asarray(y, dtype=np.float64)
     present = set(np.unique(y).tolist())
     if not present.issuperset({0.0, 1.0}):
         raise ValueError(f"both target values required, got {sorted(present)}")
 
+    C, fit_bias = hyperparams.C, hyperparams.fit_bias
     w = np.zeros(X.shape[1], dtype=np.float64)
     b = 0.0
-    loss, grad_w, grad_b = loss_and_gradient(w, b, X, y, hyperparams.C)
+    loss, grad_w, grad_b = loss_and_gradient(w, b, X, y, C)
     losses = [loss]
-    for _ in range(hyperparams.max_iterations):
-        step = hyperparams.learning_rate
+    iterations = 0
+    while True:
+        if not fit_bias:
+            grad_b = 0.0
+        grad_norm = float(np.sqrt(grad_w @ grad_w + grad_b * grad_b))
+        if grad_norm <= hyperparams.tolerance or iterations == hyperparams.max_iterations:
+            break
+        p = sigmoid(X @ w + b)
+        d_w, d_b = _newton_direction(X, p * (1.0 - p), grad_w, grad_b, grad_norm, C, fit_bias)
+        slope = float(grad_w @ d_w) + grad_b * d_b
+        step = 1.0
         accepted = None
-        for _ in range(21):  # initial step plus up to 20 halvings
-            w_try = w - step * grad_w
-            b_try = b - step * grad_b if hyperparams.fit_bias else b
-            trial = loss_and_gradient(w_try, b_try, X, y, hyperparams.C)
-            if trial[0] <= loss:
+        for _ in range(_ARMIJO_HALVINGS + 1):
+            w_try, b_try = w + step * d_w, b + step * d_b
+            trial = loss_and_gradient(w_try, b_try, X, y, C)
+            if trial[0] <= loss + _ARMIJO_SLOPE * step * slope:
                 accepted = (w_try, b_try, trial)
                 break
             step *= 0.5
-        if accepted is None:
+        if accepted is None:  # no decrease left that floating point can see
             break
-        w, b, (new_loss, grad_w, grad_b) = accepted[0], accepted[1], accepted[2]
-        decrease = loss - new_loss
-        loss = new_loss
+        w, b, (loss, grad_w, grad_b) = accepted
         losses.append(loss)
-        if decrease < hyperparams.tolerance:
-            break
-    return BinaryClassifier(weights=w, bias=b, hyperparams=hyperparams, label=label), losses
+        iterations += 1
+    classifier = BinaryClassifier(
+        weights=w,
+        bias=b,
+        hyperparams=hyperparams,
+        label=label,
+        iterations=iterations,
+        final_loss=loss,
+        grad_norm=grad_norm,
+        converged=grad_norm <= hyperparams.tolerance,
+    )
+    return classifier, losses
 
 
 def fit_binary(
@@ -141,13 +216,14 @@ def fit_binary(
     seed: int = 0,
     label: str = "",
 ) -> BinaryClassifier:
-    """Full-batch gradient descent from zero weights with step halving.
+    """Minimize the L2-regularized log loss by truncated Newton from zero weights.
 
-    Each iteration retries with a halved step (at most 20 times) whenever the
-    trial point would increase the training loss, so the loss trajectory is
-    non-increasing. Stops at max_iterations or when an accepted step improves
-    the loss by less than the tolerance. Deterministic; the seed is recorded
-    for provenance only.
+    Each Newton direction is solved by conjugate gradient on Hessian-vector
+    products, and a backtracking Armijo line search makes the loss decrease
+    at every step. The fit stops when the gradient 2-norm over the fitted
+    parameters (the weights, plus the bias when it is fit) is at most the
+    tolerance, or after max_iterations Newton steps; the classifier records
+    which. Deterministic; the seed is unused.
     """
     return fit_binary_with_trace(X, y, hyperparams, seed, label)[0]
 
@@ -358,6 +434,10 @@ def _payload(model: MultiLabelModel) -> dict:
                 "weights": clf.weights.tolist(),
                 "bias": clf.bias,
                 "hyperparams": clf.hyperparams.as_dict(),
+                "iterations": clf.iterations,
+                "final_loss": clf.final_loss,
+                "grad_norm": clf.grad_norm,
+                "converged": clf.converged,
             }
             for name, clf in model.classifiers.items()
         },
@@ -413,7 +493,7 @@ def model_from_document(text: str) -> MultiLabelModel:
         config = RunConfig(
             **{
                 **payload["config"],
-                "hyperparams": Hyperparams(**payload["config"]["hyperparams"]),
+                "hyperparams": hyperparams_from_dict(payload["config"]["hyperparams"]),
             }
         )
         width = len(vocabulary) + N_SHALLOW
@@ -427,8 +507,12 @@ def model_from_document(text: str) -> MultiLabelModel:
             classifiers[name] = BinaryClassifier(
                 weights=weights,
                 bias=float(blob["bias"]),
-                hyperparams=Hyperparams(**blob["hyperparams"]),
+                hyperparams=hyperparams_from_dict(blob["hyperparams"]),
                 label=name,
+                iterations=int(blob["iterations"]),
+                final_loss=float(blob["final_loss"]),
+                grad_norm=float(blob["grad_norm"]),
+                converged=bool(blob["converged"]),
             )
         skipped = [SkippedLabel(s["label"], s["reason"]) for s in payload["skipped"]]
         return MultiLabelModel(

@@ -116,11 +116,11 @@ def stats(ctx, transcripts):
         catalog = _load_catalog(ctx)
         conversations = _read_corpus(ctx, transcripts, catalog)
         result = corpus_mod.corpus_stats(conversations, catalog)
+        config = _config_echo(ctx, _effective_config(ctx))
     except _QUALITY_ERRORS as exc:
         _fail(1, str(exc))
     except OSError as exc:
         _fail(2, str(exc))
-    config = _config_echo(ctx, _effective_config(ctx))
     if ctx.obj["format"] == reports.MACHINE:
         click.echo(reports.stats_machine(result, config), nl=False)
     else:
@@ -186,6 +186,11 @@ def train(ctx, transcripts, model_path, tune, smote_k, threshold, slen_scope):
         _fail(2, str(exc))
     for skip in model.skipped:
         click.echo(f"warning: skipped label {skip.label}: {skip.reason}", err=True)
+    for name, clf in model.classifiers.items():
+        if not clf.converged:
+            click.echo(f"warning: label {name} did not converge: gradient norm "
+                       f"{clf.grad_norm:.3g} > tolerance {clf.hyperparams.tolerance:g} "
+                       f"after {clf.iterations} Newton steps", err=True)
     document = model_to_document(model)
     try:
         directory = os.path.dirname(os.path.abspath(model_path))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Union
@@ -21,43 +22,58 @@ class Hyperparams:
     """Settings for one regularized logistic-regression fit."""
 
     C: float = 1.0  # inverse regularization strength
-    learning_rate: float = 0.1
-    max_iterations: int = 1000
-    tolerance: float = 1e-6
+    max_iterations: int = 1000  # cap on Newton steps
+    tolerance: float = 1e-6  # stop once the gradient 2-norm is at most this
     fit_bias: bool = True
 
     def __post_init__(self):
-        for name in ("C", "learning_rate", "max_iterations", "tolerance"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("C", "tolerance"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, int):
+            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
+        if self.max_iterations <= 0:
+            raise ValueError("max_iterations must be positive")
+        if not isinstance(self.fit_bias, bool):
+            raise ValueError(f"fit_bias must be true or false, got {self.fit_bias!r}")
 
     def as_dict(self) -> dict:
         return {
             "C": self.C,
-            "learning_rate": self.learning_rate,
             "max_iterations": self.max_iterations,
             "tolerance": self.tolerance,
             "fit_bias": self.fit_bias,
         }
 
 
+def hyperparams_from_dict(obj: dict) -> Hyperparams:
+    if not isinstance(obj, dict):
+        raise ValueError("hyperparams must be a JSON object")
+    unknown = set(obj) - set(Hyperparams.__dataclass_fields__)
+    if unknown:
+        raise ValueError(f"unknown hyperparameter keys: {sorted(unknown)}")
+    return Hyperparams(**obj)
+
+
 DEFAULT_GRID = {
     "C": [0.01, 0.1, 1.0, 10.0],
-    "learning_rate": [0.1, 0.5],
     "fit_bias": [True, False],
 }
 
 
 def expand_grid(grid: dict, base: Hyperparams = Hyperparams()) -> list[Hyperparams]:
     """Cartesian product of a {field: [values]} grid, in grid order."""
-    if not grid:
-        raise ValueError("empty tuning grid")
+    if not isinstance(grid, dict) or not grid:
+        raise ValueError("tuning grid must be a non-empty JSON object")
     names = list(grid.keys())
     for name in names:
         if name not in Hyperparams.__dataclass_fields__:
             raise ValueError(f"unknown hyperparameter {name!r}")
-        if not grid[name]:
-            raise ValueError(f"no values for hyperparameter {name!r}")
+        if not isinstance(grid[name], list) or not grid[name]:
+            raise ValueError(f"hyperparameter {name!r} needs a non-empty list of values")
     points = []
     for combo in itertools.product(*(grid[name] for name in names)):
         points.append(replace(base, **dict(zip(names, combo))))
@@ -88,6 +104,7 @@ class RunConfig:
             raise ValueError("threshold must lie in (0, 1)")
         if self.slen_scope not in SLEN_SCOPES:
             raise ValueError(f"slen_scope must be one of {SLEN_SCOPES}")
+        expand_grid(self.tuning_grid, self.hyperparams)  # rejects a bad grid before any run
 
     def as_dict(self) -> dict:
         return {
@@ -113,7 +130,7 @@ def config_from_dict(obj: dict) -> RunConfig:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     kwargs = dict(obj)
     if "hyperparams" in kwargs:
-        kwargs["hyperparams"] = Hyperparams(**kwargs["hyperparams"])
+        kwargs["hyperparams"] = hyperparams_from_dict(kwargs["hyperparams"])
     return RunConfig(**kwargs)
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speechacts.balance import DenseExample, derive_seed, smote_balance
 from speechacts.classifier import (
@@ -138,8 +140,10 @@ class TestFitBinary:
         X = rng.normal(size=(40, 6)) * 3
         y = rng.integers(0, 2, size=40).astype(float)
         y[0], y[1] = 0.0, 1.0
-        _, losses = fit_binary_with_trace(X, y, Hyperparams(learning_rate=5.0, max_iterations=200))
+        clf, losses = fit_binary_with_trace(X, y, Hyperparams(max_iterations=200))
+        assert len(losses) == clf.iterations + 1 > 1
         assert all(b <= a for a, b in zip(losses, losses[1:]))
+        assert clf.final_loss == losses[-1]
 
     def test_single_valued_targets_rejected(self):
         with pytest.raises(ValueError):
@@ -149,6 +153,89 @@ class TestFitBinary:
         X, y = self.separable()
         clf = fit_binary(X, y, Hyperparams(fit_bias=False))
         assert clf.bias == 0.0
+
+    def test_diagnostics_of_a_converged_fit(self):
+        X, y = self.separable()
+        clf, losses = fit_binary_with_trace(X, y, Hyperparams())
+        assert clf.converged
+        assert 0 < clf.iterations < 50
+        assert clf.grad_norm <= 1e-6
+        assert clf.final_loss == losses[-1] == loss_and_gradient(clf.weights, clf.bias, X, y, 1.0)[0]
+
+    def test_capped_fit_reports_not_converged(self):
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(40, 6)) * 3
+        y = (X[:, 0] + rng.normal(size=40) > 0).astype(float)
+        clf = fit_binary(X, y, Hyperparams(max_iterations=1))
+        assert clf.iterations == 1
+        assert clf.converged is False
+        assert clf.grad_norm > 1e-6
+
+
+def reference_gradient_descent(X, y, C, fit_bias, learning_rate=0.1, max_iterations=1000,
+                               tolerance=1e-6):
+    """The former solver: full-batch gradient descent from zero with step
+    halving, stopping at the iteration cap or when a step gains < tolerance.
+    Returns the final training loss."""
+    w = np.zeros(X.shape[1])
+    b = 0.0
+    loss, grad_w, grad_b = loss_and_gradient(w, b, X, y, C)
+    for _ in range(max_iterations):
+        step = learning_rate
+        accepted = None
+        for _ in range(21):
+            w_try = w - step * grad_w
+            b_try = b - step * grad_b if fit_bias else b
+            trial = loss_and_gradient(w_try, b_try, X, y, C)
+            if trial[0] <= loss:
+                accepted = (w_try, b_try, trial)
+                break
+            step *= 0.5
+        if accepted is None:
+            break
+        w, b, (new_loss, grad_w, grad_b) = accepted
+        decrease = loss - new_loss
+        loss = new_loss
+        if decrease < tolerance:
+            break
+    return loss
+
+
+class TestNewtonContract:
+    """On random small problems the fit reaches the gradient-norm tolerance,
+    does at least as well as the former gradient descent, and is exact and
+    repeatable."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 30),
+        d=st.integers(1, 8),
+        C=st.floats(0.01, 10.0),
+        fit_bias=st.booleans(),
+        near_separable=st.booleans(),
+    )
+    def test_converges_below_reference_loss(self, seed, n, d, C, fit_bias, near_separable):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-3.0, 3.0, size=(n, d))
+        if near_separable:
+            y = (X @ rng.normal(size=d) + rng.normal(scale=0.05, size=n) > 0).astype(float)
+        else:
+            y = rng.integers(0, 2, size=n).astype(float)
+        y[0], y[-1] = 0.0, 1.0
+        hyperparams = Hyperparams(C=C, fit_bias=fit_bias)
+
+        clf = fit_binary(X, y, hyperparams)
+        loss, grad_w, grad_b = loss_and_gradient(clf.weights, clf.bias, X, y, C)
+        free = np.concatenate([grad_w, [grad_b]]) if fit_bias else grad_w
+        assert np.linalg.norm(free) <= hyperparams.tolerance
+        assert clf.converged
+        assert loss <= reference_gradient_descent(X, y, C, fit_bias)
+        if not fit_bias:
+            assert clf.bias == 0.0
+        again = fit_binary(X, y, hyperparams)
+        assert again.weights.tobytes() == clf.weights.tobytes()
+        assert again.bias == clf.bias
 
 
 def toy_training_data(labels=("a", "b"), n=12, seed=5):
@@ -241,7 +328,7 @@ def zero_model(labels=("a", "b"), threshold=0.5):
         name: fit_binary(
             np.array([[1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0]]),
             np.array([1.0, 0.0]),
-            Hyperparams(max_iterations=1, learning_rate=1e-9),
+            Hyperparams(max_iterations=1),
             label=name,
         )
         for name in labels
@@ -413,6 +500,30 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelVersionError):
             load_model(path)
+
+    def test_version_1_document_rejected(self):
+        model, _ = self.trained_model()
+        doc = json.loads(model_to_document(model))
+        doc["format_version"] = 1
+        for blob in doc["payload"]["classifiers"].values():
+            for key in ("iterations", "final_loss", "grad_norm", "converged"):
+                del blob[key]
+            blob["hyperparams"]["learning_rate"] = 0.1
+        with pytest.raises(ModelVersionError):
+            load_model(io.StringIO(json.dumps(doc)))
+
+    def test_fit_diagnostics_round_trip(self):
+        model, _ = self.trained_model()
+        doc = json.loads(model_to_document(model))
+        loaded = load_model(io.StringIO(model_to_document(model)))
+        for name, clf in model.classifiers.items():
+            blob = doc["payload"]["classifiers"][name]
+            assert blob["converged"] is True
+            assert (blob["iterations"], blob["final_loss"], blob["grad_norm"]) == (
+                clf.iterations, clf.final_loss, clf.grad_norm)
+            again = loaded.classifiers[name]
+            assert (again.iterations, again.final_loss, again.grad_norm, again.converged) == (
+                clf.iterations, clf.final_loss, clf.grad_norm, clf.converged)
 
     def test_truncated_file(self, tmp_path):
         model, _ = self.trained_model()

@@ -159,6 +159,20 @@ class TestTrainPredict:
         assert result.exit_code == 0, result.output
         assert "skipped label ghost" in result.stderr
 
+    def test_unconverged_label_warns(self, runner, separable_corpus_files, tmp_path):
+        corpus, catalog = separable_corpus_files
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"hyperparams": {"max_iterations": 1}}))
+        model_path = tmp_path / "model.json"
+        result = runner.invoke(
+            main, ["--catalog", catalog, "--config", str(config), "train", corpus,
+                   "--output", str(model_path)],
+        )
+        assert result.exit_code == 0, result.output
+        warnings = [line for line in result.stderr.splitlines() if "did not converge" in line]
+        assert [line.split()[2] for line in warnings] == ["act0", "act1", "act2"]
+        assert all("after 1 Newton steps" in line for line in warnings)
+
     def test_unwritable_output(self, runner, separable_corpus_files, tmp_path):
         corpus, catalog = separable_corpus_files
         # a missing parent directory defeats even a root test runner
@@ -368,6 +382,14 @@ class TestTuning:
         assert picked <= {0.1, 1.0}
 
 
+    def test_default_grid_has_eight_points(self):
+        from speechacts.config import DEFAULT_GRID, Hyperparams, expand_grid
+
+        points = expand_grid(DEFAULT_GRID)
+        assert len(set(points)) == len(points) == 8
+        assert set(Hyperparams().as_dict()) == {"C", "max_iterations", "tolerance", "fit_bias"}
+
+
 class TestConfigPrecedence:
     def test_flag_beats_config_file(self, runner, separable_corpus_files, tmp_path):
         corpus, catalog = separable_corpus_files
@@ -389,3 +411,29 @@ class TestConfigPrecedence:
             main, ["--catalog", catalog, "--config", str(config), "evaluate", corpus],
         )
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("command", ["evaluate", "stats"])
+    @pytest.mark.parametrize("settings", [
+        {"hyperparams": {"fit_bias": "false"}},
+        {"hyperparams": {"max_iterations": 2.5}},
+        {"hyperparams": {"max_iterations": True}},
+        {"hyperparams": {"C": "x"}},
+        {"hyperparams": {"C": float("inf")}},
+        {"hyperparams": {"tolerance": 0}},
+        {"hyperparams": {"learning_rate": 0.1}},
+        {"hyperparams": [1.0]},
+        {"tuning_grid": {"learning_rate": [0.1, 0.5]}},
+        {"tuning_grid": {"C": ["x"]}},
+        {"tuning_grid": {"C": 1.0}},
+    ])
+    def test_bad_hyperparams_rejected(self, runner, separable_corpus_files, tmp_path,
+                                      command, settings):
+        corpus, catalog = separable_corpus_files
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(settings))
+        result = runner.invoke(
+            main, ["--catalog", catalog, "--config", str(config), command, corpus],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: ")
