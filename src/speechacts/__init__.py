@@ -44,11 +44,13 @@ from .evaluate import (
     weighted_average,
 )
 from .featurize import (
+    ContextState,
     FeatureVector,
     ScalingParams,
     ShallowFeatures,
     Vocabulary,
     build_vocabulary,
+    conversation_context,
     fit_scaling,
     shallow_features,
     tokenize,

@@ -322,10 +322,10 @@ def _as_dense(model: MultiLabelModel, vector: Union[FeatureVector, np.ndarray]) 
 def predict_proba(model: MultiLabelModel, vector: Union[FeatureVector, np.ndarray]) -> dict[str, float]:
     """Per-label probability of membership; skipped labels map to 0.0."""
     dense = _as_dense(model, vector)
-    probs = {}
-    for name in model.catalog.labels:
-        clf = model.classifiers.get(name)
-        probs[name] = sigmoid(clf.decision(dense)) if clf is not None else 0.0
+    fitted = [name for name in model.catalog.labels if name in model.classifiers]
+    scores = sigmoid(np.array([model.classifiers[name].decision(dense) for name in fitted]))
+    probs = dict.fromkeys(model.catalog.labels, 0.0)
+    probs.update(zip(fitted, scores.tolist()))
     return probs
 
 

@@ -28,7 +28,7 @@ from .classifier import (
 from .config import RunConfig, load_config
 from .corpus import CatalogError, LabelCatalog, TranscriptError
 from .evaluate import cross_validate, rank_features_for_examples
-from .featurize import vectorize
+from .featurize import conversation_context, vector_from_parts
 from .serve import ServeEngine, ServeServer, serve_stdio
 from .synth import SynthSpec, synth_catalog, synth_corpus
 
@@ -229,24 +229,15 @@ def predict(ctx, transcripts, model_path, fallback):
     click.echo(f"# config: {json.dumps(model.config.as_dict(), sort_keys=True)}", err=True)
     machine = ctx.obj["format"] == reports.MACHINE
     for conv in conversations:
-        for turn in conv.turns:
-            if turn.speaker != corpus_mod.PARTICIPANT:
-                record = {"conversation_id": conv.conversation_id, "turn_index": turn.turn_index,
-                          "speaker": turn.speaker, "labels": [], "probabilities": {},
-                          "low_confidence": False}
-            else:
-                vector = vectorize(conv, turn.turn_index, model.vocabulary, model.scaling,
-                                   model.slen_scope)
+        for turn, (tokens, shallow) in zip(conv.turns,
+                                           conversation_context(conv, model.slen_scope)):
+            prediction = None
+            if turn.speaker == corpus_mod.PARTICIPANT:
+                vector = vector_from_parts(tokens, shallow, model.vocabulary, model.scaling)
                 prediction = predict_labels(model, vector, fallback)
-                record = {
-                    "conversation_id": conv.conversation_id,
-                    "turn_index": turn.turn_index,
-                    "speaker": turn.speaker,
-                    "labels": sorted(prediction.labels),
-                    "probabilities": {k: prediction.probabilities[k]
-                                      for k in model.catalog.labels},
-                    "low_confidence": prediction.low_confidence,
-                }
+            record = {"conversation_id": conv.conversation_id, "turn_index": turn.turn_index,
+                      "speaker": turn.speaker,
+                      **reports.prediction_record(prediction, model.catalog)}
             if machine:
                 click.echo(json.dumps(record, ensure_ascii=True))
             else:

@@ -94,6 +94,18 @@ class RunConfig:
     inner_folds: int = 3
 
     def __post_init__(self):
+        for name in ("smote_k", "n_folds", "inner_folds", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if (isinstance(self.threshold, bool) or not isinstance(self.threshold, (int, float))
+                or not math.isfinite(self.threshold)):
+            raise ValueError(f"threshold must be a finite number, got {self.threshold!r}")
+        for name in ("fallback", "tune"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        if not isinstance(self.slen_scope, str):
+            raise ValueError(f"slen_scope must be a string, got {self.slen_scope!r}")
         if self.smote_k < 1:
             raise ValueError("smote_k must be >= 1")
         if self.n_folds < 2:

@@ -12,14 +12,19 @@ on training data, plus three shallow context features:
 
 Shallow features are z-scored with training-set statistics before they meet
 the classifier; word columns stay 0/1.
+
+Context comes from one running ``ContextState`` per conversation, which
+``predict``, training, cross-validation and serve sessions all advance turn
+by turn, so each turn is tokenized once and costs O(1) whatever precedes it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -74,9 +79,13 @@ def build_vocabulary(texts: Iterable[str]) -> Vocabulary:
     Must only ever see training-fold texts; test tokens never enlarge the
     vocabulary.
     """
+    return _vocabulary_from_tokens(tokenize(text) for text in texts)
+
+
+def _vocabulary_from_tokens(token_lists: Iterable[list[str]]) -> Vocabulary:
     tokens: dict[str, int] = {}
-    for text in texts:
-        for tok in tokenize(text):
+    for toks in token_lists:
+        for tok in toks:
             if tok not in tokens:
                 tokens[tok] = len(tokens)
     return Vocabulary(tokens)
@@ -92,43 +101,98 @@ class ShallowFeatures:
         return (self.slen, float(self.wc), self.ppau)
 
 
-def shallow_from_history(
-    history: Sequence[tuple[str, float, int]],
-    speaker: str,
-    timestamp_s: float,
-    wc: int,
-    scope: str = SAME_SPEAKER,
-) -> ShallowFeatures:
-    """Compute slen/wc/ppau from the (speaker, timestamp_s, wc) prefix.
+@dataclass
+class ContextState:
+    """Running context of one conversation, constant in size.
 
-    Shared by batch featurization and the serve session path so both produce
-    bit-identical values. Only turns strictly before the current one may be
-    in ``history``.
+    Holds what the causal shallow features of the next turn need: word-count
+    sums and turn counts per speaker and in total, and the last timestamp.
+    The sums are ints, so ``words / turns`` is exactly the mean of the prior
+    word counts. Batch featurization and serve sessions both advance one.
     """
-    if scope not in SLEN_SCOPES:
-        raise ValueError(f"slen scope must be one of {SLEN_SCOPES}, got {scope!r}")
-    ppau = timestamp_s - history[-1][1] if history else 0.0
-    prior = [w for s, _, w in history if scope == ANY_SPEAKER or s == speaker]
-    if not prior:
-        slen = 1.0
-    else:
-        mean_wc = sum(prior) / len(prior)
-        slen = wc / mean_wc if mean_wc > 0 else float(wc)
-    return ShallowFeatures(slen=slen, wc=wc, ppau=ppau)
+
+    scope: str = SAME_SPEAKER
+    speaker_words: dict[str, int] = field(default_factory=dict)
+    speaker_turns: dict[str, int] = field(default_factory=dict)
+    total_words: int = 0
+    total_turns: int = 0
+    last_ts: float | None = None
+
+    def __post_init__(self):
+        if self.scope not in SLEN_SCOPES:
+            raise ValueError(f"slen scope must be one of {SLEN_SCOPES}, got {self.scope!r}")
+
+    def observe(self, speaker: str, timestamp_s: float, wc: int) -> ShallowFeatures:
+        """Shallow features of this turn from the turns before it, then add it."""
+        ppau = timestamp_s - self.last_ts if self.last_ts is not None else 0.0
+        if self.scope == ANY_SPEAKER:
+            words, turns = self.total_words, self.total_turns
+        else:
+            words = self.speaker_words.get(speaker, 0)
+            turns = self.speaker_turns.get(speaker, 0)
+        if not turns:
+            slen = 1.0
+        else:
+            mean_wc = words / turns
+            slen = wc / mean_wc if mean_wc > 0 else float(wc)
+        self.speaker_words[speaker] = self.speaker_words.get(speaker, 0) + wc
+        self.speaker_turns[speaker] = self.speaker_turns.get(speaker, 0) + 1
+        self.total_words += wc
+        self.total_turns += 1
+        self.last_ts = timestamp_s
+        return ShallowFeatures(slen=slen, wc=wc, ppau=ppau)
+
+
+def conversation_context(
+    conversation: Conversation, scope: str = SAME_SPEAKER
+) -> Iterator[tuple[list[str], ShallowFeatures]]:
+    """(tokens, shallow features) of each turn, in turn order.
+
+    Tokenizes every turn once and carries the context forward, so T turns
+    cost O(T). Stopping early skips the later turns.
+    """
+    state = ContextState(scope)  # rejects an unknown scope here, not at the first turn
+    return _advance(conversation.turns, state)
+
+
+def _advance(turns, state: ContextState) -> Iterator[tuple[list[str], ShallowFeatures]]:
+    for turn in turns:
+        tokens = tokenize(turn.text)
+        yield tokens, state.observe(turn.speaker, turn.timestamp_s, len(tokens))
+
+
+def _turn_context(
+    conversation: Conversation, turn_index: int, scope: str
+) -> tuple[list[str], ShallowFeatures]:
+    if not 0 <= turn_index < len(conversation.turns):
+        raise IndexError(f"turn_index {turn_index} out of range for {conversation.conversation_id}")
+    return next(itertools.islice(conversation_context(conversation, scope), turn_index, None))
 
 
 def shallow_features(
     conversation: Conversation, turn_index: int, scope: str = SAME_SPEAKER
 ) -> ShallowFeatures:
     """Shallow features for one turn, using only earlier turns as context."""
-    if not 0 <= turn_index < len(conversation.turns):
-        raise IndexError(f"turn_index {turn_index} out of range for {conversation.conversation_id}")
-    history = [
-        (t.speaker, t.timestamp_s, len(tokenize(t.text)))
-        for t in conversation.turns[:turn_index]
-    ]
-    turn = conversation.turns[turn_index]
-    return shallow_from_history(history, turn.speaker, turn.timestamp_s, len(tokenize(turn.text)), scope)
+    return _turn_context(conversation, turn_index, scope)[1]
+
+
+def _example_contexts(
+    examples: Sequence[ModelingExample], scope: str
+) -> list[tuple[list[str], ShallowFeatures]]:
+    """(tokens, shallow features) per example.
+
+    Each conversation's context runs once, up to the last turn any of the
+    examples needs.
+    """
+    last_needed: dict[int, tuple[Conversation, int]] = {}
+    for ex in examples:
+        _, last = last_needed.get(id(ex.conversation), (None, -1))
+        last_needed[id(ex.conversation)] = (ex.conversation, max(last, ex.turn_index))
+    contexts = {
+        key: list(itertools.islice(conversation_context(conv, scope), last + 1))
+        for key, (conv, last) in last_needed.items()
+    }
+    return [contexts[id(ex.conversation)][ex.turn_index] for ex in examples]
 
 
 @dataclass(frozen=True)
@@ -193,8 +257,7 @@ def vectorize(
     scaling: ScalingParams,
     scope: str = SAME_SPEAKER,
 ) -> FeatureVector:
-    shallow = shallow_features(conversation, turn_index, scope)
-    tokens = tokenize(conversation.turns[turn_index].text)
+    tokens, shallow = _turn_context(conversation, turn_index, scope)
     return vector_from_parts(tokens, shallow, vocabulary, scaling)
 
 
@@ -202,8 +265,9 @@ def fit_features(
     examples: Sequence[ModelingExample], scope: str = SAME_SPEAKER
 ) -> tuple[Vocabulary, ScalingParams]:
     """Fit vocabulary and scaling on a training split only."""
-    vocab = build_vocabulary(ex.turn.text for ex in examples)
-    scaling = fit_scaling([shallow_features(ex.conversation, ex.turn_index, scope) for ex in examples])
+    contexts = _example_contexts(examples, scope)
+    vocab = _vocabulary_from_tokens(tokens for tokens, _ in contexts)
+    scaling = fit_scaling([shallow for _, shallow in contexts])
     return vocab, scaling
 
 
@@ -216,8 +280,8 @@ def feature_matrix(
     """Dense design matrix: |vocabulary| word indicators then 3 scaled shallow."""
     width = len(vocabulary) + N_SHALLOW
     X = np.zeros((len(examples), width), dtype=np.float64)
-    for row, ex in enumerate(examples):
-        fv = vectorize(ex.conversation, ex.turn_index, vocabulary, scaling, scope)
+    for row, (tokens, shallow) in enumerate(_example_contexts(examples, scope)):
+        fv = vector_from_parts(tokens, shallow, vocabulary, scaling)
         for idx in fv.word_indicators:
             X[row, idx] = 1.0
         X[row, len(vocabulary):] = fv.shallow_scaled

@@ -9,12 +9,28 @@ from __future__ import annotations
 import json
 import math
 
-from .corpus import CorpusStats
+from .classifier import Prediction
+from .corpus import CorpusStats, LabelCatalog
 from .evaluate import FeatureRanking, MetricsReport, MetricsRow
 
 TABLE = "table"
 MACHINE = "machine"
 FORMATS = (TABLE, MACHINE)
+
+
+def prediction_record(prediction: Prediction | None, catalog: LabelCatalog) -> dict:
+    """The per-turn answer of ``predict`` and ``serve``.
+
+    {labels (sorted), probabilities (catalog order), low_confidence}; an
+    unclassified turn (``None``, an assistant turn) gets the empty record.
+    """
+    if prediction is None:
+        return {"labels": [], "probabilities": {}, "low_confidence": False}
+    return {
+        "labels": sorted(prediction.labels),
+        "probabilities": {k: prediction.probabilities[k] for k in catalog.labels},
+        "low_confidence": prediction.low_confidence,
+    }
 
 
 def _config_header(config: dict | None) -> list[str]:

@@ -3,11 +3,13 @@
 One JSON request per line: {conversation_id, speaker, timestamp_s, text}.
 One JSON response per line: {labels, probabilities, low_confidence}, or
 {error} for a malformed request (which leaves the session untouched).
-Assistant lines extend the session history but come back unclassified.
+Assistant lines extend the session's context but come back unclassified.
 
-Sessions are keyed by conversation_id and remember only what the causal
-shallow features need: (speaker, timestamp, word count) per seen turn. The
-same request stream therefore reproduces batch predictions exactly.
+Sessions are keyed by conversation_id. Each holds a constant-size
+``ContextState``: running word-count sums and turn counts per speaker and in
+total, and the last timestamp, which is all the causal shallow features
+need. Batch prediction advances the same state, so the same request stream
+reproduces its predictions exactly.
 """
 
 from __future__ import annotations
@@ -21,13 +23,14 @@ from typing import IO
 
 from .classifier import MultiLabelModel, predict_labels
 from .corpus import PARTICIPANT, SPEAKERS
-from .featurize import shallow_from_history, tokenize, vector_from_parts
+from .featurize import ContextState, tokenize, vector_from_parts
+from .reports import prediction_record
 
 
 @dataclass
 class ServeSession:
     conversation_id: str
-    history: list[tuple[str, float, int]] = field(default_factory=list)  # (speaker, ts, wc)
+    context: ContextState
     lock: threading.Lock = field(default_factory=threading.Lock)
 
 
@@ -43,7 +46,9 @@ class ServeEngine:
     def _session(self, conversation_id: str) -> ServeSession:
         with self._sessions_lock:
             if conversation_id not in self._sessions:
-                self._sessions[conversation_id] = ServeSession(conversation_id)
+                self._sessions[conversation_id] = ServeSession(
+                    conversation_id, ContextState(self.model.slen_scope)
+                )
             return self._sessions[conversation_id]
 
     def handle_request(self, request: dict) -> dict:
@@ -63,24 +68,16 @@ class ServeEngine:
 
         session = self._session(cid)
         with session.lock:
-            if session.history and ts < session.history[-1][1]:
+            context = session.context
+            if context.last_ts is not None and ts < context.last_ts:
                 return {"error": f"timestamp_s {ts} precedes the session's last turn"}
             tokens = tokenize(text)
-            wc = len(tokens)
-            if speaker != PARTICIPANT:
-                session.history.append((speaker, float(ts), wc))
-                return {"labels": [], "probabilities": {}, "low_confidence": False}
-            shallow = shallow_from_history(
-                session.history, speaker, float(ts), wc, self.model.slen_scope
-            )
-            session.history.append((speaker, float(ts), wc))
+            shallow = context.observe(speaker, float(ts), len(tokens))
+        if speaker != PARTICIPANT:
+            return prediction_record(None, self.model.catalog)
         vector = vector_from_parts(tokens, shallow, self.model.vocabulary, self.model.scaling)
-        prediction = predict_labels(self.model, vector, self.fallback)
-        return {
-            "labels": sorted(prediction.labels),
-            "probabilities": {k: prediction.probabilities[k] for k in self.model.catalog.labels},
-            "low_confidence": prediction.low_confidence,
-        }
+        return prediction_record(predict_labels(self.model, vector, self.fallback),
+                                 self.model.catalog)
 
     def handle_line(self, line: str) -> str:
         try:

@@ -142,6 +142,30 @@ class TestTrainPredict:
         correct = sum(1 for r in participants if r["labels"])
         assert correct / len(participants) > 0.9
 
+    def test_predict_tokenizes_each_turn_once(self, runner, separable_corpus_files, tmp_path,
+                                              monkeypatch):
+        import speechacts.featurize as featurize_mod
+
+        corpus, catalog = separable_corpus_files
+        model_path = tmp_path / "model.json"
+        result = runner.invoke(main, ["--catalog", catalog, "train", corpus,
+                                      "--output", str(model_path)])
+        assert result.exit_code == 0, result.output
+        n_turns = 400
+        long_conversation = write_lines(tmp_path / "long.jsonl", [
+            record_line("long", i, ("participant", "assistant")[i % 3 == 2], 2.0 * i,
+                        f"act{i % 3}kw{i % 8} filler{i % 60} words")
+            for i in range(n_turns)
+        ])
+        calls = []
+        real = featurize_mod.tokenize
+        monkeypatch.setattr(featurize_mod, "tokenize", lambda text: calls.append(text) or real(text))
+        predict = runner.invoke(main, ["--format", "machine", "predict", long_conversation,
+                                       "--model", str(model_path)])
+        assert predict.exit_code == 0, predict.output
+        assert len(predict.stdout.strip().split("\n")) == n_turns
+        assert len(calls) == n_turns
+
     def test_skipped_label_warns_but_succeeds(self, runner, tmp_path):
         catalog = write_catalog(tmp_path / "catalog.json", ["qa", "ghost"])
         lines = [
@@ -437,3 +461,37 @@ class TestConfigPrecedence:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["evaluate", "stats"])
+    @pytest.mark.parametrize("settings", [
+        {"smote_k": "5"},
+        {"smote_k": 5.0},
+        {"smote_k": True},
+        {"n_folds": 2.5},
+        {"n_folds": None},
+        {"inner_folds": "3"},
+        {"seed": "x"},
+        {"seed": False},
+        {"threshold": "0.5"},
+        {"threshold": True},
+        {"threshold": float("nan")},
+        {"threshold": None},
+        {"fallback": "true"},
+        {"fallback": 1},
+        {"tune": "no"},
+        {"tune": 0},
+        {"slen_scope": 1},
+        {"slen_scope": ["same"]},
+    ])
+    def test_bad_run_settings_rejected(self, runner, separable_corpus_files, tmp_path,
+                                       command, settings):
+        corpus, catalog = separable_corpus_files
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(settings))
+        result = runner.invoke(
+            main, ["--catalog", catalog, "--config", str(config), command, corpus],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: ")
+        assert next(iter(settings)) in result.stderr

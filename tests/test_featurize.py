@@ -5,11 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speechacts.corpus import LabelCatalog, ModelingExample, modeling_examples
+from speechacts.corpus import (
+    SPEAKERS,
+    Conversation,
+    LabelCatalog,
+    ModelingExample,
+    Turn,
+    modeling_examples,
+)
 from speechacts.featurize import (
     ANY_SPEAKER,
+    SLEN_SCOPES,
+    ContextState,
     ScalingParams,
+    ShallowFeatures,
     build_vocabulary,
+    conversation_context,
     feature_matrix,
     feature_names,
     fit_features,
@@ -132,6 +143,82 @@ class TestShallow:
         conv.turns[2].text = "changed massively " * 10
         conv.turns[2].timestamp_s = 999.0
         assert shallow_features(conv, 1) == before
+
+
+def prefix_scan_shallow(conversation, turn_index, scope):
+    """Reference: the former per-turn scan over the re-tokenized prefix."""
+    history = [
+        (t.speaker, t.timestamp_s, len(tokenize(t.text)))
+        for t in conversation.turns[:turn_index]
+    ]
+    turn = conversation.turns[turn_index]
+    wc = len(tokenize(turn.text))
+    ppau = turn.timestamp_s - history[-1][1] if history else 0.0
+    prior = [w for s, _, w in history if scope == ANY_SPEAKER or s == turn.speaker]
+    if not prior:
+        slen = 1.0
+    else:
+        mean_wc = sum(prior) / len(prior)
+        slen = wc / mean_wc if mean_wc > 0 else float(wc)
+    return ShallowFeatures(slen=slen, wc=wc, ppau=ppau)
+
+
+_WORDS = st.sampled_from(["a", "Bb", "c3", "??", "x-y", "", "long words here", "9"])
+_GAPS = st.one_of(st.just(0), st.integers(0, 50), st.floats(0.0, 50.0, allow_nan=False))
+
+
+@st.composite
+def conversations(draw):
+    rows = draw(st.lists(st.tuples(st.sampled_from(SPEAKERS), _GAPS,
+                                   st.lists(_WORDS, max_size=6)), min_size=1, max_size=40))
+    start = draw(st.one_of(st.integers(0, 10**6), st.floats(0.0, 1e6, allow_nan=False)))
+    turns, ts = [], start
+    for i, (speaker, gap, words) in enumerate(rows):
+        ts = ts + gap
+        turns.append(Turn("c", i, speaker, ts, " ".join(words)))
+    return Conversation("c", turns)
+
+
+class TestRunningContext:
+    @settings(max_examples=300, deadline=None)
+    @given(conversations(), st.sampled_from(SLEN_SCOPES))
+    def test_matches_prefix_scan(self, conv, scope):
+        contexts = list(conversation_context(conv, scope))
+        assert len(contexts) == len(conv.turns)
+        for i, (tokens, shallow) in enumerate(contexts):
+            assert tokens == tokenize(conv.turns[i].text)
+            expected = prefix_scan_shallow(conv, i, scope)
+            assert shallow == expected
+            assert type(shallow.ppau) is type(expected.ppau)
+            assert shallow_features(conv, i, scope) == expected
+
+    def test_unknown_scope_rejected_before_iterating(self):
+        conv = make_conversation("c1", [("participant", 0.0, "x", ["a"])])
+        with pytest.raises(ValueError):
+            ContextState("nobody")
+        with pytest.raises(ValueError):
+            conversation_context(conv, "nobody")
+        with pytest.raises(ValueError):
+            shallow_features(conv, 0, "nobody")
+
+    def test_examples_tokenize_each_needed_turn_once(self, monkeypatch):
+        import speechacts.featurize as featurize_mod
+
+        catalog = LabelCatalog(labels=("x",))
+        conv = make_conversation(
+            "c1", [("participant", float(i), f"w{i} common", ["x"]) for i in range(30)]
+            + [("participant", 30.0, "unlabeled tail", [])] * 10,
+        )
+        examples = modeling_examples([conv], catalog)
+        calls = []
+        real = featurize_mod.tokenize
+        monkeypatch.setattr(featurize_mod, "tokenize", lambda text: calls.append(text) or real(text))
+        vocab, scaling = fit_features(examples)
+        # the context stops at the last example's turn; later turns are never read
+        assert len(calls) == 30
+        calls.clear()
+        feature_matrix(examples, vocab, scaling)
+        assert len(calls) == 30
 
 
 class TestScaling:

@@ -3,11 +3,13 @@ import socket
 import threading
 
 import pytest
+from click.testing import CliRunner
 
-from speechacts.classifier import predict_labels, train_model
+from speechacts.classifier import predict_labels, save_model, train_model
+from speechacts.cli import main
 from speechacts.config import RunConfig
-from speechacts.corpus import modeling_examples
-from speechacts.featurize import vectorize
+from speechacts.corpus import SPEAKERS, modeling_examples, serialize_transcripts
+from speechacts.featurize import SLEN_SCOPES, ContextState, vectorize
 from speechacts.serve import ServeEngine, ServeServer, serve_stdio
 from speechacts.synth import SynthSpec, synth_catalog, synth_corpus
 
@@ -130,6 +132,47 @@ class TestStreamEquivalence:
                 assert streamed["probabilities"] == {
                     k: batch.probabilities[k] for k in model.catalog.labels
                 }
+
+    @pytest.mark.parametrize("scope", SLEN_SCOPES)
+    def test_long_session_matches_predict_bitwise(self, tmp_path, scope):
+        spec = SynthSpec(n_labels=3, turns_per_label=200, signal=0.8, seed=3,
+                         turns_per_conversation=600)
+        conversations = synth_corpus(spec)
+        catalog = synth_catalog(spec)
+        model = train_model(modeling_examples(conversations, catalog), catalog,
+                            RunConfig(seed=3, slen_scope=scope))
+        model_path = tmp_path / "model.json"
+        save_model(model, model_path)
+        conv = conversations[0]
+        assert len(conv.turns) >= 1000
+        # repeated timestamps too: every tenth turn shares its predecessor's
+        for turn in conv.turns[10::10]:
+            turn.timestamp_s = conv.turns[turn.turn_index - 1].timestamp_s
+        transcript = tmp_path / "long.jsonl"
+        transcript.write_text(serialize_transcripts([conv]), encoding="utf-8")
+        predicted = CliRunner().invoke(main, ["--format", "machine", "predict", str(transcript),
+                                              "--model", str(model_path)])
+        assert predicted.exit_code == 0, predicted.output
+        records = [json.loads(line) for line in predicted.stdout.strip().split("\n")]
+        assert len(records) == len(conv.turns)
+
+        engine = ServeEngine(model)
+        for turn, record in zip(conv.turns, records):
+            response = json.loads(engine.handle_line(
+                request_line(conv.conversation_id, turn.speaker, turn.timestamp_s, turn.text)))
+            assert response == {k: record[k] for k in ("labels", "probabilities",
+                                                       "low_confidence")}
+        # the session is a handful of numbers, whatever the conversation's length
+        session = engine._sessions[conv.conversation_id]
+        assert set(vars(session)) == {"conversation_id", "context", "lock"}
+        context = session.context
+        assert isinstance(context, ContextState)
+        for name, value in vars(context).items():
+            if isinstance(value, dict):
+                assert set(value) <= set(SPEAKERS), name
+            else:
+                assert isinstance(value, (int, float, str)), name
+        assert context.total_turns == len(conv.turns)
 
 
 class TestStdio:
