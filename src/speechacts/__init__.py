@@ -1,6 +1,6 @@
 """Speech-act type detection for developer Q/A conversation turns."""
 
-from .balance import DenseExample, nearest_neighbors, smote_balance, synthesize
+from .balance import DenseExample, nearest_neighbors, oversample, smote_balance, synthesize
 from .classifier import (
     BinaryClassifier,
     MultiLabelModel,

@@ -4,6 +4,22 @@ The smaller side is filled with synthetic points, each interpolated between
 a minority example and one of its k nearest minority neighbors, until both
 sides have equal counts. Real examples are never modified or removed, and
 only training folds may ever pass through here.
+
+:func:`oversample` does the work on one array of minority rows. The
+neighbors of every row come from one Gram matrix per block of rows,
+``|a|^2 + |b|^2 - 2 a.b``, with the row itself excluded. Gram distances are
+fast but rounded differently from a direct norm, so they only shortlist:
+each row keeps the rows within a slack of its k-th Gram distance. The slack
+is twice a bound on the rounding error of both distance forms,
+``O(d * eps * (|a|^2 + max |b|^2))`` plus an underflow term, which keeps
+every row the exact ranking would pick on the shortlist. The shortlist is then ranked by
+:func:`nearest_neighbors`: the same ``norm(candidates - point)`` and stable
+sort, ties to the lower index, that ranked all other rows before. The
+neighbor lists, tie order included, are therefore the same as a per-row
+scan over all other rows. The draws keep their order too, one ``(i, j, r)``
+per synthetic row from one generator, and all rows are interpolated in one
+expression whose arithmetic per element is :func:`synthesize`'s. So the
+synthetic rows are bitwise what the per-row loop produced.
 """
 
 from __future__ import annotations
@@ -15,6 +31,11 @@ import numpy as np
 
 REAL = "real"
 SYNTHETIC = "synthetic"
+
+# minority rows per Gram block: bounds the distance block at this many rows
+_BLOCK_ROWS = 256
+# safety factor over the rounding-error bound of the two distance forms
+_SLACK_FACTOR = 16
 
 
 @dataclass
@@ -58,6 +79,65 @@ def synthesize(x: np.ndarray, neighbor: np.ndarray, r: float) -> DenseExample:
     return DenseExample(values=x + r * (neighbor - x), origin=SYNTHETIC)
 
 
+def _neighborhoods(values: np.ndarray, k: int) -> list[np.ndarray]:
+    """Row ids of each row's k nearest other rows, as nearest_neighbors
+    ranks them over all other rows; needs 1 <= k < len(values)."""
+    m, d = values.shape
+    gram_rows = values.astype(np.float64, copy=False)  # the exact re-rank uses values as given
+    sq = np.einsum("ij,ij->i", gram_rows, gram_rows)
+    # relative rounding, plus one subnormal step per operation for underflow
+    fp = np.finfo(np.float64)
+    slack = _SLACK_FACTOR * (d + 4) * (fp.eps * (sq + sq.max()) + fp.smallest_subnormal)
+    hoods = []
+    for start in range(0, m, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, m)
+        block = np.arange(stop - start)
+        dist2 = sq[start:stop, None] + sq - 2.0 * (gram_rows[start:stop] @ gram_rows.T)
+        dist2[block, start + block] = np.inf
+        kth = np.partition(dist2, k - 1, axis=1)[:, k - 1]
+        # NaN and infinite distances compare False here, so they stay listed
+        shortlist = ~(dist2 > (kth + slack[start:stop])[:, None])
+        shortlist[block, start + block] = False
+        for i in range(start, stop):
+            ids = np.flatnonzero(shortlist[i - start])
+            hoods.append(ids[nearest_neighbors(values[i], values[ids], k)])
+    return hoods
+
+
+def oversample(minority: np.ndarray, need: int, k: int = 5, seed: int = 0) -> np.ndarray:
+    """``need`` synthetic rows grown from the minority rows.
+
+    Each starts from a uniformly chosen minority row and interpolates toward
+    one of its k nearest minority neighbors with a fresh r in [0, 1). The
+    effective k is min(k, rows - 1); a single row is duplicated without
+    drawing.
+    """
+    values = np.asarray(minority)
+    if values.ndim != 2 or values.shape[0] == 0:
+        raise ValueError("oversample needs a non-empty 2-D array of minority rows")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if need < 0:
+        raise ValueError("need must be >= 0")
+    m = values.shape[0]
+    if m == 1 or need == 0:
+        return np.repeat(values[:1], need, axis=0)
+
+    hoods = _neighborhoods(values, min(k, m - 1))
+    rng = np.random.default_rng(seed)
+    starts = np.empty(need, dtype=np.intp)
+    ends = np.empty(need, dtype=np.intp)
+    r = np.empty(need, dtype=np.float64)
+    for s in range(need):
+        i = int(rng.integers(0, m))
+        hood = hoods[i]
+        starts[s] = i
+        ends[s] = hood[int(rng.integers(0, len(hood)))]
+        r[s] = rng.random()
+    x = values[starts]
+    return x + r[:, None] * (values[ends] - x)
+
+
 def smote_balance(
     positives: list[DenseExample],
     negatives: list[DenseExample],
@@ -66,10 +146,8 @@ def smote_balance(
 ) -> tuple[list[DenseExample], list[DenseExample]]:
     """Grow the smaller side with synthetic points until the counts match.
 
-    Each synthetic point starts from a uniformly chosen minority example and
-    interpolates toward one of its k nearest minority neighbors with a fresh
-    r in [0, 1). The effective k is min(k, minority_count - 1); a singleton
-    minority degenerates to duplication. The larger side is returned as is.
+    The minority's real examples come first, then the rows of
+    :func:`oversample`, tagged synthetic. The larger side is returned as is.
     """
     if not positives or not negatives:
         raise ValueError("smote_balance needs at least one example on each side")
@@ -83,28 +161,6 @@ def smote_balance(
     else:
         minority, majority, positives_minor = negatives, positives, False
 
-    rng = np.random.default_rng(seed)
-    m = len(minority)
-    values = np.stack([ex.values for ex in minority])
-    need = len(majority) - m
-
-    if m == 1:
-        synthetic = [DenseExample(values[0].copy(), SYNTHETIC) for _ in range(need)]
-    else:
-        eff_k = min(k, m - 1)
-        # candidate row i excludes itself; neighbor ids map back past the gap
-        neighborhoods = []
-        for i in range(m):
-            others = np.delete(values, i, axis=0)
-            picked = nearest_neighbors(values[i], others, eff_k)
-            neighborhoods.append([j if j < i else j + 1 for j in picked])
-        synthetic = []
-        for _ in range(need):
-            i = int(rng.integers(0, m))
-            hood = neighborhoods[i]
-            j = hood[int(rng.integers(0, len(hood)))]
-            r = float(rng.random())
-            synthetic.append(synthesize(values[i], values[j], r))
-
-    grown = minority + synthetic
+    rows = oversample(np.stack([ex.values for ex in minority]), len(majority) - len(minority), k, seed)
+    grown = minority + [DenseExample(row, SYNTHETIC) for row in rows]
     return (grown, majority) if positives_minor else (majority, grown)

@@ -16,7 +16,7 @@ from typing import IO, Sequence, Union
 
 import numpy as np
 
-from .balance import DenseExample, derive_seed, smote_balance
+from .balance import derive_seed, oversample
 from .config import Hyperparams, RunConfig, hyperparams_from_dict
 from .corpus import LabelCatalog, ModelingExample, catalog_from_dict
 from .featurize import (
@@ -25,6 +25,9 @@ from .featurize import (
     FeatureVector,
     ScalingParams,
     Vocabulary,
+    example_contexts,
+    fit_from_contexts,
+    matrix_from_contexts,
 )
 
 MODEL_FORMAT_VERSION = 2
@@ -284,8 +287,8 @@ def fit_multilabel(data: TrainingData, config: RunConfig) -> MultiLabelModel:
     classifiers: dict[str, BinaryClassifier] = {}
     skipped: list[SkippedLabel] = []
     for name in data.catalog.labels:
-        membership = np.array([1.0 if name in ls else 0.0 for ls in data.label_sets])
-        n_pos = int(membership.sum())
+        member = np.array([name in ls for ls in data.label_sets])
+        n_pos = int(member.sum())
         if n_pos == 0:
             skipped.append(SkippedLabel(name, "no positive training examples"))
             continue
@@ -293,11 +296,16 @@ def fit_multilabel(data: TrainingData, config: RunConfig) -> MultiLabelModel:
             skipped.append(SkippedLabel(name, "no negative training examples"))
             continue
         label_seed = derive_seed(config.seed, name)
-        positives = [DenseExample(data.X[i]) for i in range(n) if membership[i] == 1.0]
-        negatives = [DenseExample(data.X[i]) for i in range(n) if membership[i] == 0.0]
-        bal_pos, bal_neg = smote_balance(positives, negatives, config.smote_k, label_seed)
-        X_bal = np.vstack([ex.values for ex in bal_pos] + [ex.values for ex in bal_neg])
-        y_bal = np.concatenate([np.ones(len(bal_pos)), np.zeros(len(bal_neg))])
+        # smote_balance's layout: positives, then negatives, each side's
+        # synthetic rows after its real ones
+        positives, negatives = data.X[member], data.X[~member]
+        need = (n - n_pos) - n_pos
+        synthetic = oversample(positives if need > 0 else negatives, abs(need),
+                               config.smote_k, label_seed)
+        blocks = [positives, synthetic, negatives] if need > 0 else [positives, negatives, synthetic]
+        X_bal = np.concatenate(blocks)
+        y_bal = np.zeros(X_bal.shape[0])
+        y_bal[: n_pos + max(need, 0)] = 1.0
         classifiers[name] = fit_binary(X_bal, y_bal, config.hyperparams, label_seed, label=name)
 
     return MultiLabelModel(
@@ -399,7 +407,6 @@ def train_model(
     from dataclasses import replace
 
     from .config import expand_grid
-    from .featurize import feature_matrix, fit_features
 
     if not examples:
         raise ValueError("no training examples")
@@ -407,8 +414,9 @@ def train_model(
         grid = expand_grid(config.tuning_grid, config.hyperparams)
         best = tune(examples, catalog, grid, config.inner_folds, config.seed, config)
         config = replace(config, hyperparams=best)
-    vocabulary, scaling = fit_features(examples, config.slen_scope)
-    X = feature_matrix(examples, vocabulary, scaling, config.slen_scope)
+    contexts = example_contexts(examples, config.slen_scope)
+    vocabulary, scaling = fit_from_contexts(contexts)
+    X = matrix_from_contexts(contexts, vocabulary, scaling)
     data = TrainingData(
         X=X,
         label_sets=[ex.labels for ex in examples],

@@ -35,6 +35,39 @@ class TranscriptError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
+TIMESTAMP_ERROR = "timestamp_s must be a finite number >= 0"
+
+
+def decode_record(line: str):
+    """The JSON value on one line; every way decoding fails is a ValueError.
+
+    Besides malformed JSON that covers an integer past the interpreter's
+    digit limit and nesting deeper than the recursion limit.
+    """
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not valid JSON ({exc.msg})") from exc
+    except ValueError as exc:
+        raise ValueError(f"not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise ValueError("not valid JSON (nested too deeply)") from exc
+
+
+def timestamp_seconds(value) -> float | None:
+    """value as float seconds if it is a finite number >= 0, else None.
+
+    Never raises: an int too large for a float is rejected like infinity.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        seconds = float(value)
+    except OverflowError:
+        return None
+    return seconds if math.isfinite(seconds) and seconds >= 0 else None
+
+
 class CatalogError(ValueError):
     """An invalid label catalog."""
 
@@ -160,9 +193,9 @@ class ModelingExample:
 
 def _parse_record(line: str, source: str, line_no: int, catalog: LabelCatalog) -> Turn:
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise TranscriptError(f"not valid JSON ({exc.msg})", source, line_no) from exc
+        obj = decode_record(line)
+    except ValueError as exc:
+        raise TranscriptError(str(exc), source, line_no) from exc
     if not isinstance(obj, dict):
         raise TranscriptError("record is not an object", source, line_no)
     missing = [k for k in _REQUIRED_KEYS if k not in obj]
@@ -178,9 +211,9 @@ def _parse_record(line: str, source: str, line_no: int, catalog: LabelCatalog) -
     speaker = obj["speaker"]
     if speaker not in SPEAKERS:
         raise TranscriptError(f"unknown speaker {speaker!r}", source, line_no)
-    ts = obj["timestamp_s"]
-    if isinstance(ts, bool) or not isinstance(ts, (int, float)) or not math.isfinite(ts) or ts < 0:
-        raise TranscriptError("timestamp_s must be a finite number >= 0", source, line_no)
+    ts = timestamp_seconds(obj["timestamp_s"])
+    if ts is None:
+        raise TranscriptError(TIMESTAMP_ERROR, source, line_no)
     text = obj["text"]
     if not isinstance(text, str):
         raise TranscriptError("text must be a string", source, line_no)
@@ -193,7 +226,7 @@ def _parse_record(line: str, source: str, line_no: int, catalog: LabelCatalog) -
         raise TranscriptError(f"labels not in catalog or excluded set: {unknown}", source, line_no)
 
     extra = {k: v for k, v in obj.items() if k not in _REQUIRED_KEYS}
-    return Turn(cid, idx, speaker, float(ts), text, labels, extra)
+    return Turn(cid, idx, speaker, ts, text, labels, extra)
 
 
 def _iter_lines(stream: Union[IO, Iterable]) -> Iterator[str]:

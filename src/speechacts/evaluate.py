@@ -20,7 +20,7 @@ import numpy as np
 from . import classifier as clf_mod
 from .config import RunConfig
 from .corpus import LabelCatalog, ModelingExample
-from .featurize import feature_matrix, feature_names, fit_features
+from .featurize import example_contexts, feature_names, fit_from_contexts, matrix_from_contexts
 
 AVG_LABEL = "avg/total"
 
@@ -358,13 +358,18 @@ def featurize_fold(
     """Fit features on a fold's training split and matrix-ize both splits.
 
     Returns (train_examples, test_examples, vocabulary, scaling, X_train,
-    X_test). Nothing from the test split touches the fitted state.
+    X_test). Nothing from the test split touches the fitted state. Each
+    conversation's context runs once, for both splits.
     """
-    train = [ex for i, ex in enumerate(examples) if plan.assignment[i] != fold]
-    test = [ex for i, ex in enumerate(examples) if plan.assignment[i] == fold]
-    vocabulary, scaling = fit_features(train, config.slen_scope)
-    X_train = feature_matrix(train, vocabulary, scaling, config.slen_scope)
-    X_test = feature_matrix(test, vocabulary, scaling, config.slen_scope)
+    contexts = example_contexts(examples, config.slen_scope)
+    in_test = [plan.assignment[i] == fold for i in range(len(examples))]
+    train = [ex for ex, held in zip(examples, in_test) if not held]
+    test = [ex for ex, held in zip(examples, in_test) if held]
+    train_contexts = [c for c, held in zip(contexts, in_test) if not held]
+    test_contexts = [c for c, held in zip(contexts, in_test) if held]
+    vocabulary, scaling = fit_from_contexts(train_contexts)
+    X_train = matrix_from_contexts(train_contexts, vocabulary, scaling)
+    X_test = matrix_from_contexts(test_contexts, vocabulary, scaling)
     return train, test, vocabulary, scaling, X_train, X_test
 
 
@@ -503,6 +508,7 @@ def rank_features_for_examples(
     """Featurize the whole dataset and rank its columns for one label."""
     if label not in catalog.label_set:
         raise ValueError(f"label {label!r} is not in the catalog")
-    vocabulary, scaling = fit_features(examples, scope)
-    X = feature_matrix(examples, vocabulary, scaling, scope)
+    contexts = example_contexts(examples, scope)
+    vocabulary, scaling = fit_from_contexts(contexts)
+    X = matrix_from_contexts(contexts, vocabulary, scaling)
     return rank_features(X, [ex.labels for ex in examples], feature_names(vocabulary), label, top_n)

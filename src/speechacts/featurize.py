@@ -176,7 +176,7 @@ def shallow_features(
     return _turn_context(conversation, turn_index, scope)[1]
 
 
-def _example_contexts(
+def example_contexts(
     examples: Sequence[ModelingExample], scope: str
 ) -> list[tuple[list[str], ShallowFeatures]]:
     """(tokens, shallow features) per example.
@@ -265,7 +265,13 @@ def fit_features(
     examples: Sequence[ModelingExample], scope: str = SAME_SPEAKER
 ) -> tuple[Vocabulary, ScalingParams]:
     """Fit vocabulary and scaling on a training split only."""
-    contexts = _example_contexts(examples, scope)
+    return fit_from_contexts(example_contexts(examples, scope))
+
+
+def fit_from_contexts(
+    contexts: Sequence[tuple[list[str], ShallowFeatures]]
+) -> tuple[Vocabulary, ScalingParams]:
+    """:func:`fit_features` on the training split's :func:`example_contexts`."""
     vocab = _vocabulary_from_tokens(tokens for tokens, _ in contexts)
     scaling = fit_scaling([shallow for _, shallow in contexts])
     return vocab, scaling
@@ -278,9 +284,18 @@ def feature_matrix(
     scope: str = SAME_SPEAKER,
 ) -> np.ndarray:
     """Dense design matrix: |vocabulary| word indicators then 3 scaled shallow."""
+    return matrix_from_contexts(example_contexts(examples, scope), vocabulary, scaling)
+
+
+def matrix_from_contexts(
+    contexts: Sequence[tuple[list[str], ShallowFeatures]],
+    vocabulary: Vocabulary,
+    scaling: ScalingParams,
+) -> np.ndarray:
+    """:func:`feature_matrix` of the examples whose :func:`example_contexts` these are."""
     width = len(vocabulary) + N_SHALLOW
-    X = np.zeros((len(examples), width), dtype=np.float64)
-    for row, (tokens, shallow) in enumerate(_example_contexts(examples, scope)):
+    X = np.zeros((len(contexts), width), dtype=np.float64)
+    for row, (tokens, shallow) in enumerate(contexts):
         fv = vector_from_parts(tokens, shallow, vocabulary, scaling)
         for idx in fv.word_indicators:
             X[row, idx] = 1.0

@@ -15,14 +15,13 @@ reproduces its predictions exactly.
 from __future__ import annotations
 
 import json
-import math
 import socketserver
 import threading
 from dataclasses import dataclass, field
 from typing import IO
 
 from .classifier import MultiLabelModel, predict_labels
-from .corpus import PARTICIPANT, SPEAKERS
+from .corpus import PARTICIPANT, SPEAKERS, TIMESTAMP_ERROR, decode_record, timestamp_seconds
 from .featurize import ContextState, tokenize, vector_from_parts
 from .reports import prediction_record
 
@@ -60,9 +59,9 @@ class ServeEngine:
             return {"error": "conversation_id must be a non-empty string"}
         if speaker not in SPEAKERS:
             return {"error": f"unknown speaker {speaker!r}"}
-        if (isinstance(ts, bool) or not isinstance(ts, (int, float))
-                or not math.isfinite(ts) or ts < 0):
-            return {"error": "timestamp_s must be a finite number >= 0"}
+        seconds = timestamp_seconds(ts)
+        if seconds is None:
+            return {"error": TIMESTAMP_ERROR}
         if not isinstance(text, str):
             return {"error": "text must be a string"}
 
@@ -72,7 +71,7 @@ class ServeEngine:
             if context.last_ts is not None and ts < context.last_ts:
                 return {"error": f"timestamp_s {ts} precedes the session's last turn"}
             tokens = tokenize(text)
-            shallow = context.observe(speaker, float(ts), len(tokens))
+            shallow = context.observe(speaker, seconds, len(tokens))
         if speaker != PARTICIPANT:
             return prediction_record(None, self.model.catalog)
         vector = vector_from_parts(tokens, shallow, self.model.vocabulary, self.model.scaling)
@@ -81,13 +80,14 @@ class ServeEngine:
 
     def handle_line(self, line: str) -> str:
         try:
-            request = json.loads(line)
+            request = decode_record(line)
+        except ValueError as exc:
+            response = {"error": str(exc)}
+        else:
             if not isinstance(request, dict):
                 response = {"error": "request is not an object"}
             else:
                 response = self.handle_request(request)
-        except json.JSONDecodeError as exc:
-            response = {"error": f"not valid JSON ({exc.msg})"}
         return json.dumps(response, ensure_ascii=True)
 
 

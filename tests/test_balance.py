@@ -7,8 +7,10 @@ from speechacts.balance import (
     REAL,
     SYNTHETIC,
     DenseExample,
+    _neighborhoods,
     derive_seed,
     nearest_neighbors,
+    oversample,
     smote_balance,
     synthesize,
 )
@@ -149,6 +151,122 @@ class TestSmoteBalance:
         for ex in grown:
             if ex.origin == SYNTHETIC:
                 assert is_convex_combination(ex.values, originals)
+
+
+def reference_neighborhoods(values, k):
+    """Each row's neighbors by a full scan over a copy without the row."""
+    hoods = []
+    for i in range(len(values)):
+        picked = nearest_neighbors(values[i], np.delete(values, i, axis=0), k)
+        hoods.append([j if j < i else j + 1 for j in picked])
+    return hoods
+
+
+def reference_smote_balance(positives, negatives, k, seed):
+    """The per-row SMOTE loop that the Gram route replaced, kept as an oracle."""
+    if len(positives) == len(negatives):
+        return positives, negatives
+    positives_minor = len(positives) < len(negatives)
+    minority, majority = (positives, negatives) if positives_minor else (negatives, positives)
+    rng = np.random.default_rng(seed)
+    m = len(minority)
+    values = np.stack([ex.values for ex in minority])
+    need = len(majority) - m
+    if m == 1:
+        synthetic = [DenseExample(values[0].copy(), SYNTHETIC) for _ in range(need)]
+    else:
+        neighborhoods = reference_neighborhoods(values, min(k, m - 1))
+        synthetic = []
+        for _ in range(need):
+            i = int(rng.integers(0, m))
+            hood = neighborhoods[i]
+            j = hood[int(rng.integers(0, len(hood)))]
+            r = float(rng.random())
+            synthetic.append(synthesize(values[i], values[j], r))
+    grown = minority + synthetic
+    return (grown, majority) if positives_minor else (majority, grown)
+
+
+@st.composite
+def minorities(draw):
+    """Minority blocks of the shapes SMOTE meets, tie-heavy ones included."""
+    kind = draw(st.sampled_from(["gaussian", "words", "ties", "magnitude"]))
+    m = draw(st.integers(min_value=2, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if kind == "gaussian":  # criterion 04's shape
+        return rng.normal(size=(m, draw(st.integers(min_value=1, max_value=12))))
+    words = draw(st.integers(min_value=1, max_value=30))
+    block = (rng.random((m, words)) < draw(st.floats(min_value=0.02, max_value=0.5))).astype(float)
+    shallow = rng.normal(size=(m, 3))
+    if kind == "magnitude":
+        shallow *= 10.0 ** draw(st.integers(min_value=2, max_value=9))
+    if kind == "ties":
+        # duplicated rows, and coordinate swaps of a row, which lie at
+        # exactly equal distances from it but have differently summed dots
+        shallow = rng.choice([0.1, 0.3, 0.7, -0.2], size=(m, 3))
+        rows = np.hstack([block, shallow])
+        for i in range(1, m):
+            j = int(rng.integers(0, i))
+            if rng.random() < 0.3:
+                rows[i] = rows[j]
+            elif rng.random() < 0.5:
+                rows[i] = rows[j][rng.permutation(rows.shape[1])]
+        return rows
+    return np.hstack([block, shallow])
+
+
+class TestGramRouteMatchesRowScan:
+    @settings(max_examples=300, deadline=None)
+    @given(values=minorities(), k=st.integers(min_value=1, max_value=6))
+    def test_neighbor_lists_bitwise(self, values, k):
+        k = min(k, len(values) - 1)
+        got = [hood.tolist() for hood in _neighborhoods(values, k)]
+        assert got == reference_neighborhoods(values, k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        values=minorities(),
+        extra=st.integers(min_value=1, max_value=60),
+        k=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        positives_minor=st.booleans(),
+    )
+    def test_smote_balance_rows_bitwise(self, values, extra, k, seed, positives_minor):
+        minority = [DenseExample(row) for row in values]
+        majority = [DenseExample(np.full(values.shape[1], 9.0)) for _ in range(len(values) + extra)]
+        pos, neg = (minority, majority) if positives_minor else (majority, minority)
+        got = smote_balance(pos, neg, k, seed)
+        want = reference_smote_balance(pos, neg, k, seed)
+        for got_side, want_side in zip(got, want):
+            assert len(got_side) == len(want_side)
+            for a, b in zip(got_side, want_side):
+                assert a.origin == b.origin
+                assert a.values.tobytes() == b.values.tobytes()
+
+    def test_integer_rows(self):
+        rows = [[0, 0], [3, 4], [4, 3], [0, 5], [5, 0], [1, 1]]
+        pos = [DenseExample(np.array(row)) for row in rows]
+        neg = [DenseExample(np.array([9, 9])) for _ in range(20)]
+        got = smote_balance(pos, neg, 3, 11)[0]
+        want = reference_smote_balance(pos, neg, 3, 11)[0]
+        assert [a.values.tobytes() for a in got] == [b.values.tobytes() for b in want]
+
+    def test_singleton_draws_nothing(self):
+        rows = oversample(np.array([[1.5, -2.0]]), 3, k=5, seed=0)
+        assert rows.tolist() == [[1.5, -2.0]] * 3
+
+    def test_blocks_span_many_rows(self):
+        values = np.random.default_rng(0).normal(size=(600, 4))
+        got = [hood.tolist() for hood in _neighborhoods(values, 3)]
+        assert got == reference_neighborhoods(values, 3)
+
+    def test_oversample_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            oversample(np.empty((0, 2)), 1)
+        with pytest.raises(ValueError):
+            oversample(np.zeros((2, 2)), 1, k=0)
+        with pytest.raises(ValueError):
+            oversample(np.zeros((2, 2)), -1)
 
 
 def test_derive_seed_stable_and_distinct():

@@ -82,6 +82,29 @@ class TestValidate:
         assert result.exit_code == 1
 
 
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            record_line("c1", 1, "participant", 0, "x", ["qa"]).replace(
+                '"timestamp_s": 0', '"timestamp_s": 1' + "0" * 400),
+            record_line("c1", 1, "participant", 1.0, "x", ["qa"], n=0).replace(
+                '"n": 0', '"n": ' + "1" * 4400),
+            "[" * 200000,
+        ],
+        ids=["timestamp", "integer", "nesting"],
+    )
+    def test_crash_line_is_located_error(self, runner, tmp_path, bad_line):
+        catalog = write_catalog(tmp_path / "catalog.json", ["qa"])
+        transcript = write_lines(
+            tmp_path / "bad.jsonl", [record_line("c1", 0, "participant", 0.0, "x", ["qa"]), bad_line]
+        )
+        result = runner.invoke(main, ["--catalog", catalog, "validate", transcript])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert result.stderr.startswith("error: ")
+        assert f"{transcript}:2:" in result.stderr
+
+
 class TestStats:
     def test_table(self, runner, tiny_corpus):
         transcript, catalog = tiny_corpus

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import json
@@ -7,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from speechacts.classifier import model_to_document, train_model
 from speechacts.config import RunConfig
 from speechacts.corpus import LabelCatalog, modeling_examples
 from speechacts.evaluate import (
@@ -158,6 +160,36 @@ class TestStratificationRegression:
             assert abs(got - v.ideal_share) > 1
 
 
+class TestOutputDigests:
+    # the model file and the CV avg/total row of the per-row SMOTE loop that
+    # the Gram-matrix neighbor search replaced; any byte drift shows here.
+    # The first corpus balances positives, the second (each label on 101 of
+    # 120 turns) negatives.
+    @pytest.mark.parametrize(
+        "spec, model_digest, row_digest",
+        [
+            (
+                SynthSpec(n_labels=5, turns_per_label=40, signal=0.6, multi_label_rate=0.2, seed=3),
+                "28bbfa9709ea8e3dfb6bb0c1890f07b80528d11225f94470152e9b5781163eca",
+                "8c1ae9aee8d1a2b0568588ace89e6f5d103ed8a0f8e7a8080aa4b2f21b948643",
+            ),
+            (
+                SynthSpec(n_labels=2, turns_per_label=60, signal=0.5, multi_label_rate=0.7, seed=5),
+                "d95762f8ace815eb65d70ca588bea189ac260fecb13cf1664c1c0e999fb0849d",
+                "a6bcf66cadeeb74662a9e9fa33d2bd62faa6e868f5fff40e295ab0353f388ced",
+            ),
+        ],
+    )
+    def test_golden_model_and_cv_row(self, spec, model_digest, row_digest):
+        catalog = synth_catalog(spec)
+        examples = modeling_examples(synth_corpus(spec), catalog)
+        config = RunConfig(seed=2)
+        document = model_to_document(train_model(examples, catalog, config))
+        assert hashlib.sha256(document.encode()).hexdigest() == model_digest
+        row = dataclasses.asdict(cross_validate(examples, catalog, config).average_row)
+        assert hashlib.sha256(json.dumps(row, sort_keys=True).encode()).hexdigest() == row_digest
+
+
 def confusion_oracle(gold, predicted, name):
     """Brute-force per-label confusion counts."""
     tp = fp = fn = tn = 0
@@ -288,6 +320,26 @@ def separable_corpus(n_per_label=15, labels=("qa", "qb", "qc")):
 
 
 class TestCrossValidate:
+    def test_each_fold_runs_each_needed_turn_once(self, monkeypatch):
+        import speechacts.featurize as featurize_mod
+
+        spec = SynthSpec(n_labels=3, turns_per_label=12, signal=0.8, seed=4, turns_per_conversation=6)
+        catalog = synth_catalog(spec)
+        examples = modeling_examples(synth_corpus(spec), catalog)
+        last = {}
+        for ex in examples:
+            last[id(ex.conversation)] = max(last.get(id(ex.conversation), -1), ex.turn_index)
+        needed = sum(index + 1 for index in last.values())
+        calls = []
+        real = featurize_mod.tokenize
+        monkeypatch.setattr(featurize_mod, "tokenize", lambda text: calls.append(text) or real(text))
+        config = RunConfig(seed=1, n_folds=3)
+        cross_validate(examples, catalog, config)
+        assert 0 < len(calls) <= config.n_folds * needed
+        calls.clear()
+        train_model(examples, catalog, config)
+        assert len(calls) == needed
+
     def test_separable_corpus_perfect_rows(self):
         examples, catalog = separable_corpus()
         report = cross_validate(examples, catalog, RunConfig(seed=1))

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from speechacts.classifier import predict_labels, save_model, train_model
 from speechacts.cli import main
 from speechacts.config import RunConfig
-from speechacts.corpus import SPEAKERS, modeling_examples, serialize_transcripts
+from speechacts.corpus import SPEAKERS, TIMESTAMP_ERROR, modeling_examples, serialize_transcripts
 from speechacts.featurize import SLEN_SCOPES, ContextState, vectorize
 from speechacts.serve import ServeEngine, ServeServer, serve_stdio
 from speechacts.synth import SynthSpec, synth_catalog, synth_corpus
@@ -38,7 +38,40 @@ def strict_loads(line):
     return json.loads(line, parse_constant=reject)
 
 
+# request lines that once escaped handle_line as OverflowError, ValueError
+# and RecursionError: a 401-digit timestamp, an integer past the 4,300-digit
+# conversion limit, and nesting deeper than the recursion limit
+HUGE_TIMESTAMP = request_line("s1", "participant", 0, "act0kw0").replace(
+    '"timestamp_s": 0', '"timestamp_s": 1' + "0" * 400
+)
+HUGE_INTEGER = request_line("s1", "participant", 0.0, "act0kw0")[:-1] + ', "n": ' + "1" * 4400 + "}"
+DEEP_NESTING = "[" * 200000
+CRASH_LINES = [HUGE_TIMESTAMP, HUGE_INTEGER, DEEP_NESTING]
+
+
+def read_all(sock):
+    data = b""
+    while True:
+        chunk = sock.recv(4096)
+        if not chunk:
+            return data
+        data += chunk
+
+
 class TestEngine:
+    @pytest.mark.parametrize("line", CRASH_LINES, ids=["timestamp", "integer", "nesting"])
+    def test_crash_line_answered_session_unchanged(self, model, line):
+        engine = ServeEngine(model)
+        err = strict_loads(engine.handle_line(line))
+        assert set(err) == {"error"}
+        if line is HUGE_TIMESTAMP:
+            assert err["error"] == TIMESTAMP_ERROR
+        got = strict_loads(engine.handle_line(request_line("s1", "participant", 5.0, "act1kw1")))
+        conv = make_conversation("s1", [("participant", 5.0, "act1kw1", [])])
+        expect = predict_labels(model, vectorize(conv, 0, model.vocabulary, model.scaling,
+                                                 model.slen_scope))
+        assert got["probabilities"] == pytest.approx(expect.probabilities)
+
     def test_first_request_valid_response(self, model):
         engine = ServeEngine(model)
         out = json.loads(engine.handle_line(request_line("s1", "participant", 0.0, "act0kw1 hello")))
@@ -240,6 +273,25 @@ class TestTcp:
             responses = [strict_loads(line) for line in data.decode().strip().split("\n")]
             assert responses[0] == {"error": "request is not valid UTF-8"}
             assert len(responses) == 2 and "labels" in responses[1]
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+
+    def test_crash_lines_answered_connection_kept(self, model):
+        server = ServeServer(("127.0.0.1", 0), ServeEngine(model))
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            with socket.create_connection(server.server_address) as sock:
+                valid = request_line("u1", "participant", 0.0, "act0kw0 words")
+                sock.sendall("\n".join(CRASH_LINES + [valid, ""]).encode("utf-8"))
+                sock.shutdown(socket.SHUT_WR)
+                data = read_all(sock)
+            responses = [strict_loads(line) for line in data.decode().strip().split("\n")]
+            assert len(responses) == 4
+            assert all(set(r) == {"error"} for r in responses[:3])
+            assert "labels" in responses[3]
         finally:
             server.shutdown()
             server.server_close()
