@@ -68,6 +68,32 @@ def timestamp_seconds(value) -> float | None:
     return seconds if math.isfinite(seconds) and seconds >= 0 else None
 
 
+def _quoted(value, limit: int = 40) -> str:
+    """repr(value) cut to ``limit`` characters, so that an error message
+    never echoes unbounded input."""
+    text = repr(value)
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
+def turn_fields(record: dict) -> tuple[str, str, float, str]:
+    """(conversation_id, speaker, timestamp seconds, text) of a transcript
+    record or a serve request; a missing or bad field is a ValueError that
+    names it."""
+    cid = record.get("conversation_id")
+    if not isinstance(cid, str) or not cid:
+        raise ValueError("conversation_id must be a non-empty string")
+    speaker = record.get("speaker")
+    if speaker not in SPEAKERS:
+        raise ValueError(f"unknown speaker {_quoted(speaker)}")
+    seconds = timestamp_seconds(record.get("timestamp_s"))
+    if seconds is None:
+        raise ValueError(TIMESTAMP_ERROR)
+    text = record.get("text")
+    if not isinstance(text, str):
+        raise ValueError("text must be a string")
+    return cid, speaker, seconds, text
+
+
 class CatalogError(ValueError):
     """An invalid label catalog."""
 
@@ -202,28 +228,22 @@ def _parse_record(line: str, source: str, line_no: int, catalog: LabelCatalog) -
     if missing:
         raise TranscriptError(f"missing keys {missing}", source, line_no)
 
-    cid = obj["conversation_id"]
-    if not isinstance(cid, str) or not cid:
-        raise TranscriptError("conversation_id must be a non-empty string", source, line_no)
+    try:
+        cid, speaker, ts, text = turn_fields(obj)
+    except ValueError as exc:
+        raise TranscriptError(str(exc), source, line_no) from exc
     idx = obj["turn_index"]
     if not isinstance(idx, int) or isinstance(idx, bool) or idx < 0:
         raise TranscriptError("turn_index must be a non-negative integer", source, line_no)
-    speaker = obj["speaker"]
-    if speaker not in SPEAKERS:
-        raise TranscriptError(f"unknown speaker {speaker!r}", source, line_no)
-    ts = timestamp_seconds(obj["timestamp_s"])
-    if ts is None:
-        raise TranscriptError(TIMESTAMP_ERROR, source, line_no)
-    text = obj["text"]
-    if not isinstance(text, str):
-        raise TranscriptError("text must be a string", source, line_no)
     raw_labels = obj["labels"]
     if not isinstance(raw_labels, list) or not all(isinstance(x, str) for x in raw_labels):
         raise TranscriptError("labels must be an array of strings", source, line_no)
     labels = frozenset(x.lower() for x in raw_labels)
     unknown = sorted(x for x in labels if not catalog.allows(x))
     if unknown:
-        raise TranscriptError(f"labels not in catalog or excluded set: {unknown}", source, line_no)
+        raise TranscriptError(
+            f"labels not in catalog or excluded set: {_quoted(unknown)}", source, line_no
+        )
 
     extra = {k: v for k, v in obj.items() if k not in _REQUIRED_KEYS}
     return Turn(cid, idx, speaker, ts, text, labels, extra)
@@ -244,7 +264,7 @@ def _group(records: list[tuple[Turn, str, int]]) -> list[Conversation]:
         for turn, source, line_no in recs:
             if turn.turn_index in seen:
                 raise TranscriptError(
-                    f"duplicate turn ({cid}, {turn.turn_index}), first seen at "
+                    f"duplicate turn ({_quoted(cid)}, {turn.turn_index}), first seen at "
                     f"{seen[turn.turn_index][0]}:{seen[turn.turn_index][1]}",
                     source,
                     line_no,

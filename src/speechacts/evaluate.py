@@ -1,7 +1,9 @@
 """Cross-validation harness, per-label metrics, and feature rankings.
 
-Folds come from iterative stratification so every label's positives stay
-proportionally spread. Metrics are computed per fold, arithmetically
+Folds come from iterative stratification at label-set granularity: a count
+table with one row per distinct label set and one column per fold, planned
+so that every label's positives and every fold's size stay within one of
+their proportional share. Metrics are computed per fold, arithmetically
 averaged per label across folds, and finally combined into one
 support-weighted row; supports are therefore fold means and may be
 fractional.
@@ -9,7 +11,6 @@ fractional.
 
 from __future__ import annotations
 
-import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -44,161 +45,53 @@ class FoldPlan:
         return [i for i, f in self.assignment.items() if f == fold]
 
 
-def _repair_assignment(
-    assignment: dict[int, int],
-    label_sets: Sequence[frozenset[str]],
-    n_folds: int,
-    all_labels: list[str],
-) -> list[StratificationViolation]:
-    """Nudge the greedy assignment until every per-label fold count (and
-    every fold size) sits within one of its proportional share, where a
-    sequence of single-example moves and pair swaps can manage it.
+def _best_step(
+    table: np.ndarray, member: np.ndarray, totals: np.ndarray, weight: int
+) -> list[tuple[int, int, int]]:
+    """The single move, or failing that the swap, that most lowers the
+    potential, as (signature, from fold, to fold) triples; [] if none does.
 
-    Greedy co-assignment can strand a label several examples beyond its
-    share when labels co-occur. Phase one hill-climbs a quadratic imbalance
-    potential with single moves (its gradient never plateaus, so it spreads
-    counts maximally evenly); phase two chases any remaining out-of-band
-    counts directly, allowing swaps.
-
-    The search runs over groups: the examples of one fold that share a
-    label set. A move's or a swap's score depends only on the label sets
-    and the count tables, so every member of a group scores the same, and
-    only each group's smallest id is tried. Candidates are visited in id
-    order and must beat the best so far strictly, so this picks the very
-    move a scan over every example would. Deterministic; mutates
-    ``assignment``; returns the counts still out of band.
+    ``member`` marks the labels each signature carries, with a last column
+    of ones so that fold sizes are stratified like labels. A cell's scaled
+    deviation ``n_folds * count - total`` is an integer, in band when it is
+    within ``n_folds``. The potential sums over cells the squared deviation
+    plus ``weight`` times the out-of-band excess. It is convex per cell, so
+    a step within one fold never lowers it and needs no mask.
     """
-    n = len(label_sets)
-    share = {name: sum(1 for ls in label_sets if name in ls) / n_folds for name in all_labels}
-    size_share = n / n_folds
-    counts = {name: [0] * n_folds for name in all_labels}
-    sizes = [0] * n_folds
-    # a label set is kept in its own iteration order: the per-label terms of
-    # a score are summed in that order, so equal keys give equal floats
-    keys = [tuple(ls) for ls in label_sets]
-    groups: dict[tuple[tuple[str, ...], int], list[int]] = {}  # sorted member ids
-    for i in range(n):
-        fold = assignment[i]
-        sizes[fold] += 1
-        for name in keys[i]:
-            counts[name][fold] += 1
-        groups.setdefault((keys[i], fold), []).append(i)
+    n_folds = table.shape[1]
 
-    def quad_move_delta(names: tuple[str, ...], src: int, dst: int) -> float:
-        # change in sum of squared deviations when an example moves src -> dst
-        delta = (sizes[src] - 1 - size_share) ** 2 - (sizes[src] - size_share) ** 2
-        delta += (sizes[dst] + 1 - size_share) ** 2 - (sizes[dst] - size_share) ** 2
-        for name in names:
-            s = share[name]
-            delta += (counts[name][src] - 1 - s) ** 2 - (counts[name][src] - s) ** 2
-            delta += (counts[name][dst] + 1 - s) ** 2 - (counts[name][dst] - s) ** 2
-        return delta
+    def potential(dev):
+        return weight * np.maximum(np.abs(dev) - n_folds, 0) + dev * dev
 
-    def hinge_move_delta(names: tuple[str, ...], src: int, dst: int) -> float:
-        def ex(v, t):
-            return max(0.0, abs(v - t) - 1.0)
-
-        delta = ex(sizes[src] - 1, size_share) - ex(sizes[src], size_share)
-        delta += ex(sizes[dst] + 1, size_share) - ex(sizes[dst], size_share)
-        for name in names:
-            s = share[name]
-            delta += ex(counts[name][src] - 1, s) - ex(counts[name][src], s)
-            delta += ex(counts[name][dst] + 1, s) - ex(counts[name][dst], s)
-        return delta
-
-    def shift(names: tuple[str, ...], src: int, dst: int) -> None:
-        sizes[src] -= 1
-        sizes[dst] += 1
-        for name in names:
-            counts[name][src] -= 1
-            counts[name][dst] += 1
-
-    def apply_move(i: int, src: int, dst: int) -> None:
-        assignment[i] = dst
-        shift(keys[i], src, dst)
-        members = groups[(keys[i], src)]
-        members.remove(i)
-        if not members:
-            del groups[(keys[i], src)]
-        bisect.insort(groups.setdefault((keys[i], dst), []), i)
-
-    def representatives() -> list[tuple[int, tuple[str, ...], int]]:
-        # (smallest id, label set, fold) per group, by smallest id
-        return sorted((members[0], names, fold) for (names, fold), members in groups.items())
-
-    # phase 1: quadratic potential, best-improvement single moves
-    for _ in range(8 * n + 100):
-        best = None
-        for i, names, src in representatives():
-            for dst in range(n_folds):
-                if dst == src:
-                    continue
-                delta = quad_move_delta(names, src, dst)
-                if delta < -1e-9 and (best is None or delta < best[0] - 1e-12):
-                    best = (delta, i, src, dst)
-        if best is None:
-            break
-        apply_move(best[1], best[2], best[3])
-
-    def violating_pairs() -> list[tuple[str, int]]:
-        pairs = []
-        for name in all_labels:
-            for f in range(n_folds):
-                if abs(counts[name][f] - share[name]) > 1 + 1e-9:
-                    pairs.append((name, f))
-        return pairs
-
-    # phase 2: drive out-of-band counts down, swaps allowed, quad as tiebreak
-    for _ in range(4 * n + 100):
-        if not violating_pairs():
-            break
-        reps = representatives()
-        best = None  # (hinge_delta, quad_delta, kind, payload)
-        for i, names, src in reps:
-            for dst in range(n_folds):
-                if dst == src:
-                    continue
-                h = hinge_move_delta(names, src, dst)
-                if h > -1e-9:
-                    continue
-                q = quad_move_delta(names, src, dst)
-                key = (h, q)
-                if best is None or key < (best[0], best[1]):
-                    best = (h, q, "move", (i, src, dst))
-        if best is None:
-            # swaps: carry a labeled example toward the deficit (or away from
-            # the excess) and trade back an unlabeled one, keeping sizes fixed
-            for name, f in violating_pairs():
-                over = counts[name][f] - share[name] > 1 + 1e-9
-                # pool and partners sit on opposite sides of fold f: a != b
-                pool = [r for r in reps if (r[2] == f) == over and name in r[1]]
-                partners = [r for r in reps if (r[2] == f) != over and name not in r[1]]
-                for i, names_i, a in pool:
-                    for j, names_j, b in partners:
-                        h = hinge_move_delta(names_i, a, b)
-                        q = quad_move_delta(names_i, a, b)
-                        shift(names_i, a, b)
-                        h += hinge_move_delta(names_j, b, a)
-                        q += quad_move_delta(names_j, b, a)
-                        shift(names_i, b, a)
-                        if h < -1e-9:
-                            key = (h, q)
-                            if best is None or key < (best[0], best[1]):
-                                best = (h, q, "swap", (i, j, a, b))
-        if best is None:
-            break
-        if best[2] == "move":
-            i, src, dst = best[3]
-            apply_move(i, src, dst)
-        else:
-            i, j, a, b = best[3]
-            apply_move(i, a, b)
-            apply_move(j, b, a)
-
-    return [
-        StratificationViolation(f, name, counts[name][f], share[name])
-        for name, f in violating_pairs()
-    ]
+    dev = n_folds * (member.T @ table) - totals[:, None]
+    here = potential(dev)
+    out = potential(dev - n_folds) - here  # a cell loses one example
+    into = potential(dev + n_folds) - here  # a cell gains one
+    held = table > 0
+    # move[s, a, b]: one example of signature s goes from fold a to fold b
+    move = (member @ out)[:, :, None] + (member @ into)[:, None, :]
+    move[~held] = 0
+    s, a, b = np.unravel_index(np.argmin(move), move.shape)
+    if move[s, a, b] < 0:
+        return [(s, a, b)]
+    # swap[t, a, b]: s goes a -> b and t comes back b -> a; a label both
+    # carry does not change. One s at a time keeps memory O(rows x folds²).
+    square = (member.shape[1], n_folds * n_folds)
+    there = (out[:, :, None] + into[:, None, :]).reshape(square)
+    back = (into[:, :, None] + out[:, None, :]).reshape(square)
+    returns = (member @ back).reshape(-1, n_folds, n_folds)
+    shared = there + back
+    best, step = 0, []
+    for s in range(len(table)):
+        carried = member[s] == 1
+        swap = there[carried].sum(0).reshape(n_folds, n_folds) + returns
+        swap -= (member[:, carried] @ shared[carried]).reshape(swap.shape)
+        swap *= held[:, None, :]  # t needs an example in fold b
+        swap[:, ~held[s]] = 0  # and s one in fold a
+        t, a, b = np.unravel_index(np.argmin(swap), swap.shape)
+        if swap[t, a, b] < best:
+            best, step = swap[t, a, b], [(s, a, b), (t, b, a)]
+    return step
 
 
 def stratified_kfold(
@@ -206,17 +99,15 @@ def stratified_kfold(
 ) -> FoldPlan:
     """Iterative stratification of a multi-label dataset into folds.
 
-    Repeatedly picks the label with the fewest remaining unassigned
-    positives and deals its examples to the fold that still wants that label
-    most (ties: most remaining capacity, then lowest fold id); examples with
-    no labels are dealt by remaining capacity. A deterministic repair pass
-    then moves single examples, or swaps pairs, until every label's per-fold
-    positive count is within one of its proportional share wherever it can
-    manage; whatever remains is reported as a violation. The repair searches
-    over (label set, fold) groups rather than examples, so its cost per step
-    grows with the number of distinct label sets, not with the dataset; it
-    still picks the same examples a per-example search would. The seed only
-    shuffles the order examples are visited in.
+    Examples with the same label set (its signature) are interchangeable,
+    so the plan is a table of counts, one row per signature and one column
+    per fold. Each signature's count is dealt round-robin, then the table is
+    hill-climbed by moves and swaps of single examples until every label's
+    per-fold positive count, and every fold size, is within one of its
+    proportional share wherever that can be reached; whatever remains is
+    reported as a violation. Finally each signature's folds are filled with
+    its example ids in seed-shuffled order. Deterministic for a seed; the
+    seed decides which examples of a signature go where, not the counts.
     """
     n = len(label_sets)
     if n_folds < 2:
@@ -224,51 +115,43 @@ def stratified_kfold(
     if n < n_folds:
         raise ValueError(f"dataset of {n} examples is smaller than {n_folds} folds")
 
-    all_labels: list[str] = []
-    for ls in label_sets:
-        for name in sorted(ls):
-            if name not in all_labels:
-                all_labels.append(name)
+    all_labels = sorted({name for ls in label_sets for name in ls})
+    signatures = sorted(set(label_sets), key=sorted)
+    row = {sig: s for s, sig in enumerate(signatures)}
+    rows = np.array([row[ls] for ls in label_sets])
+    member = np.array(
+        [[name in sig for name in all_labels] + [True] for sig in signatures], dtype=np.int64
+    )
+    totals = member.T @ np.bincount(rows, minlength=len(signatures))
+    # deal round-robin: the j-th example in signature order goes to fold j mod n_folds
+    table = np.bincount(
+        np.sort(rows) * n_folds + np.arange(n) % n_folds, minlength=len(signatures) * n_folds
+    ).reshape(-1, n_folds)
+    # first spread every count evenly, then push what is still out of band
+    # back in. A step shifts at most 2 * member.shape[1] cells by n_folds,
+    # each |dev| <= n_folds * n, so the weight outbids any change in squares;
+    # int64 holds weight * excess to millions of examples at 26 labels.
+    for weight in (0, 4 * member.shape[1] * n_folds**2 * (n + 1)):
+        while step := _best_step(table, member, totals, weight):
+            for s, src, dst in step:
+                table[s, src] -= 1
+                table[s, dst] += 1
 
-    totals = {name: sum(1 for ls in label_sets if name in ls) for name in all_labels}
-    desired = {name: [totals[name] / n_folds] * n_folds for name in all_labels}
-    capacity = [n / n_folds] * n_folds
-
-    rng = np.random.default_rng(seed)
-    visit_order = rng.permutation(n).tolist()
-    unassigned = set(range(n))
-    assignment: dict[int, int] = {}
-
-    def place(i: int, fold: int) -> None:
-        assignment[i] = fold
-        unassigned.discard(i)
-        capacity[fold] -= 1
-        for name in label_sets[i]:
-            desired[name][fold] -= 1
-
-    while True:
-        remaining = {
-            name: sum(1 for i in unassigned if name in label_sets[i]) for name in all_labels
-        }
-        candidates = [name for name in all_labels if remaining[name] > 0]
-        if not candidates:
-            break
-        scarcest = min(candidates, key=lambda name: remaining[name])
-        for i in visit_order:
-            if i in unassigned and scarcest in label_sets[i]:
-                fold = max(
-                    range(n_folds),
-                    key=lambda f: (desired[scarcest][f], capacity[f], -f),
-                )
-                place(i, fold)
-
-    for i in visit_order:  # label-free leftovers
-        if i in unassigned:
-            fold = max(range(n_folds), key=lambda f: (capacity[f], -f))
-            place(i, fold)
-
-    violations = _repair_assignment(assignment, label_sets, n_folds, all_labels)
-    return FoldPlan(n_folds=n_folds, assignment=assignment, seed=seed, violations=violations)
+    order = np.random.default_rng(seed).permutation(n)
+    ids = order[np.argsort(rows[order], kind="stable")]  # by signature, shuffled within
+    assignment = np.empty(n, dtype=np.int64)
+    assignment[ids] = np.repeat(np.tile(np.arange(n_folds), len(signatures)), table.ravel())
+    positives = member[:, :-1].T @ table
+    violations = [
+        StratificationViolation(f, name, int(positives[l, f]), int(totals[l]) / n_folds)
+        for l, name in enumerate(all_labels)
+        for f in range(n_folds)
+        if abs(n_folds * positives[l, f] - totals[l]) > n_folds
+    ]
+    return FoldPlan(
+        n_folds=n_folds, assignment=dict(enumerate(assignment.tolist())), seed=seed,
+        violations=violations,
+    )
 
 
 @dataclass

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import IO
 
 from .classifier import MultiLabelModel, predict_labels
-from .corpus import PARTICIPANT, SPEAKERS, TIMESTAMP_ERROR, decode_record, timestamp_seconds
+from .corpus import PARTICIPANT, decode_record, turn_fields
 from .featurize import ContextState, tokenize, vector_from_parts
 from .reports import prediction_record
 
@@ -51,25 +51,16 @@ class ServeEngine:
             return self._sessions[conversation_id]
 
     def handle_request(self, request: dict) -> dict:
-        cid = request.get("conversation_id")
-        speaker = request.get("speaker")
-        ts = request.get("timestamp_s")
-        text = request.get("text")
-        if not isinstance(cid, str) or not cid:
-            return {"error": "conversation_id must be a non-empty string"}
-        if speaker not in SPEAKERS:
-            return {"error": f"unknown speaker {speaker!r}"}
-        seconds = timestamp_seconds(ts)
-        if seconds is None:
-            return {"error": TIMESTAMP_ERROR}
-        if not isinstance(text, str):
-            return {"error": "text must be a string"}
+        try:
+            cid, speaker, seconds, text = turn_fields(request)
+        except ValueError as exc:
+            return {"error": str(exc)}
 
         session = self._session(cid)
         with session.lock:
             context = session.context
-            if context.last_ts is not None and ts < context.last_ts:
-                return {"error": f"timestamp_s {ts} precedes the session's last turn"}
+            if context.last_ts is not None and seconds < context.last_ts:
+                return {"error": f"timestamp_s {seconds} precedes the session's last turn"}
             tokens = tokenize(text)
             shallow = context.observe(speaker, seconds, len(tokens))
         if speaker != PARTICIPANT:

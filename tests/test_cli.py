@@ -105,6 +105,31 @@ class TestValidate:
         assert f"{transcript}:2:" in result.stderr
 
 
+    @pytest.mark.parametrize("speaker", ["x" * 1_000_000, ["participant"] * 200_000],
+                             ids=["string", "list"])
+    def test_huge_speaker_error_is_bounded(self, runner, tmp_path, speaker):
+        catalog = write_catalog(tmp_path / "catalog.json", ["qa"])
+        transcript = write_lines(
+            tmp_path / "bad.jsonl",
+            [record_line("c1", 0, "participant", 0.0, "x", ["qa"]),
+             record_line("c1", 1, speaker, 1.0, "x", ["qa"])],
+        )
+        result = runner.invoke(main, ["--catalog", catalog, "validate", transcript])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith(f"error: {transcript}:2: unknown speaker")
+        assert len(result.stderr) - len(transcript) < 200
+
+    def test_huge_duplicate_id_error_is_bounded(self, runner, tmp_path):
+        catalog = write_catalog(tmp_path / "catalog.json", ["qa"])
+        line = record_line("c" * 1_000_000, 0, "participant", 0.0, "x", ["qa"])
+        transcript = write_lines(tmp_path / "bad.jsonl", [line, line])
+        result = runner.invoke(main, ["--catalog", catalog, "validate", transcript])
+        assert result.exit_code == 1
+        assert result.stderr.startswith(f"error: {transcript}:2: duplicate turn")
+        assert len(result.stderr) - 2 * len(transcript) < 200
+
+
 class TestStats:
     def test_table(self, runner, tiny_corpus):
         transcript, catalog = tiny_corpus

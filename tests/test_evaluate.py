@@ -4,9 +4,12 @@ import hashlib
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from speechacts.classifier import model_to_document, train_model
 from speechacts.config import RunConfig
@@ -57,7 +60,46 @@ def deviation_oracle(label_sets, plan):
     return worst
 
 
+def out_of_band_cells(label_sets, plan):
+    """Brute-force recount of the (fold, label, positives, share) cells more
+    than 1 away from their proportional share."""
+    cells = []
+    for name in sorted({name for ls in label_sets for name in ls}):
+        share = sum(1 for ls in label_sets if name in ls) / plan.n_folds
+        for fold in range(plan.n_folds):
+            got = sum(
+                1 for i, f in plan.assignment.items() if f == fold and name in label_sets[i]
+            )
+            if abs(got - share) > 1:
+                cells.append((fold, name, got, share))
+    return sorted(cells)
+
+
+def assert_violations_recounted(label_sets, plan):
+    cells = out_of_band_cells(label_sets, plan)
+    assert sorted((v.fold, v.label, v.positives, v.ideal_share) for v in plan.violations) == cells
+    worst = deviation_oracle(label_sets, plan)
+    if cells:
+        assert worst == max(abs(got - share) for _, _, got, share in cells)
+    else:
+        assert worst <= 1 + 1e-9
+
+
 class TestStratifiedKFold:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        label_sets=st.lists(st.frozensets(st.sampled_from("abcde")), min_size=2, max_size=80),
+        n_folds=st.integers(min_value=2, max_value=7),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_partition_determinism_and_violations(self, label_sets, n_folds, seed):
+        assume(len(label_sets) >= n_folds)
+        plan = stratified_kfold(label_sets, n_folds, seed)
+        assert sorted(plan.assignment) == list(range(len(label_sets)))
+        assert set(plan.assignment.values()) <= set(range(n_folds))
+        assert stratified_kfold(label_sets, n_folds, seed).assignment == plan.assignment
+        assert_violations_recounted(label_sets, plan)
+
     def test_single_label_even_split(self):
         plan = stratified_kfold([frozenset({"a"})] * 25, 5, seed=0)
         sizes = [len(plan.members(f)) for f in range(5)]
@@ -119,15 +161,15 @@ def reference_label_sets(turns_per_label):
 
 
 class TestStratificationRegression:
-    # fold assignments of the per-example repair search this repair replaced
+    # fold assignments of the signature x fold table planner
     @pytest.mark.parametrize(
         "turns_per_label, seed, digest",
         [
-            (200, 0, "ec580d04f076d3975e812e0cf45795b8287aa95ca7af2412a9859eafe6e12318"),
-            (200, 2, "b93b75a953eaeb49c143725d34a97fc8128e4b9766c0901bcac7210c35ee56ed"),
-            (200, 4, "39d59ce8d3380e7bfd5b7b7b58af9c24428cf2b2dcb2929a708f8e137a693341"),
-            (200, 7, "7671b7b99258bf549b97ef8886f26faab435220bae5bfae845609cd5498741ad"),
-            (400, 0, "8802e0124ef3b89842fed3de077b5498afdd649a66d1ebec8183cc334b595fa1"),
+            (200, 0, "d7e16f54b6f116923d644d449686b0edb79cee2e591d599ff68d5c888019b6fd"),
+            (200, 2, "d7918eddba75bde6a059bd51c023682ee1301659614a6b9ac81728259d3c1713"),
+            (200, 4, "f84940a4f89bbb90930689cda8f6c1270510a92dd67ab20bea53a7895fc798fc"),
+            (200, 7, "60c8d7eeacd72f994ff247fc8b9acccffb79e6f67cff4201af316d5025b972ec"),
+            (400, 0, "57468cf0dde310f18b2a5f184e82e23abf63cb6899e85708acd474ef23ca1c14"),
         ],
     )
     def test_golden_assignment(self, turns_per_label, seed, digest):
@@ -148,6 +190,27 @@ class TestStratificationRegression:
         assert deviation_oracle(label_sets, plan) <= 1 + 1e-9
         assert plan.violations == []
 
+    def test_nearly_distinct_label_sets(self):
+        # the paper's 26 speech-act types, each on a turn with p=0.3: almost
+        # every example is its own signature
+        rng = np.random.default_rng(26)
+        names = [f"l{j}" for j in range(26)]
+        label_sets = [frozenset(x for x in names if rng.random() < 0.3) for _ in range(400)]
+        assert len(set(label_sets)) > 390
+        start = time.perf_counter()
+        plan = stratified_kfold(label_sets, 5, seed=0)
+        elapsed = time.perf_counter() - start
+        tracemalloc.start()
+        try:
+            stratified_kfold(label_sets, 5, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 5.0
+        assert peak < 16 * 2**20
+        assert sorted(plan.assignment) == list(range(400))
+        assert_violations_recounted(label_sets, plan)
+
     def test_unbalanceable_violations_reported(self):
         plan = stratified_kfold(UNBALANCEABLE, 5, seed=0)
         assert plan.violations
@@ -161,8 +224,9 @@ class TestStratificationRegression:
 
 
 class TestOutputDigests:
-    # the model file and the CV avg/total row of the per-row SMOTE loop that
-    # the Gram-matrix neighbor search replaced; any byte drift shows here.
+    # the model file of the per-row SMOTE loop that the Gram-matrix neighbor
+    # search replaced, and the CV avg/total row under the table planner's
+    # folds; any byte drift shows here.
     # The first corpus balances positives, the second (each label on 101 of
     # 120 turns) negatives.
     @pytest.mark.parametrize(
@@ -171,12 +235,12 @@ class TestOutputDigests:
             (
                 SynthSpec(n_labels=5, turns_per_label=40, signal=0.6, multi_label_rate=0.2, seed=3),
                 "28bbfa9709ea8e3dfb6bb0c1890f07b80528d11225f94470152e9b5781163eca",
-                "8c1ae9aee8d1a2b0568588ace89e6f5d103ed8a0f8e7a8080aa4b2f21b948643",
+                "61f21d619b8de2222e37045d68bde5e787feb740c0596bd97bedaaf04a99b43b",
             ),
             (
                 SynthSpec(n_labels=2, turns_per_label=60, signal=0.5, multi_label_rate=0.7, seed=5),
                 "d95762f8ace815eb65d70ca588bea189ac260fecb13cf1664c1c0e999fb0849d",
-                "a6bcf66cadeeb74662a9e9fa33d2bd62faa6e868f5fff40e295ab0353f388ced",
+                "50dfa54f9b98b2e0973609afed562730853bfbc4de1506e7c68d609363dcecdf",
             ),
         ],
     )

@@ -47,6 +47,8 @@ HUGE_TIMESTAMP = request_line("s1", "participant", 0, "act0kw0").replace(
 HUGE_INTEGER = request_line("s1", "participant", 0.0, "act0kw0")[:-1] + ', "n": ' + "1" * 4400 + "}"
 DEEP_NESTING = "[" * 200000
 CRASH_LINES = [HUGE_TIMESTAMP, HUGE_INTEGER, DEEP_NESTING]
+# speakers whose full repr once came back in the error reply
+HUGE_SPEAKERS = ["x" * 1_000_000, ["participant"] * 200_000]
 
 
 def read_all(sock):
@@ -112,6 +114,21 @@ class TestEngine:
         err = json.loads(engine.handle_line(request_line("s1", "participant", 3.0, "act0kw0")))
         assert "error" in err
         # the rejected request left no trace: ppau for t=14 still measured from t=10
+        conv = make_conversation(
+            "s1", [("participant", 10.0, "act0kw0", []), ("participant", 14.0, "act1kw1 more", [])]
+        )
+        expect = predict_labels(model, vectorize(conv, 1, model.vocabulary, model.scaling,
+                                                 model.slen_scope))
+        got = json.loads(engine.handle_line(request_line("s1", "participant", 14.0, "act1kw1 more")))
+        assert got["probabilities"] == pytest.approx(expect.probabilities)
+
+    @pytest.mark.parametrize("speaker", HUGE_SPEAKERS, ids=["string", "list"])
+    def test_huge_speaker_reply_bounded_session_unchanged(self, model, speaker):
+        engine = ServeEngine(model)
+        engine.handle_line(request_line("s1", "participant", 10.0, "act0kw0"))
+        reply = engine.handle_line(request_line("s1", speaker, 12.0, "act0kw0"))
+        assert len(reply.encode()) < 200
+        assert "speaker" in strict_loads(reply)["error"]
         conv = make_conversation(
             "s1", [("participant", 10.0, "act0kw0", []), ("participant", 14.0, "act1kw1 more", [])]
         )
