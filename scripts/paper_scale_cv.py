@@ -42,7 +42,7 @@ FOLD_SEED = inputs.FOLD_SEED["study"]
 def paper_corpus():
     records = inputs.study_records(inputs.study_skeleton(PAPER_SHAPE, CORPUS_SEED),
                                    inputs.StudyText(np.random.default_rng(CORPUS_SEED)), "study")
-    lines = [json.dumps(r, ensure_ascii=True) for r in records]
+    lines = [json.dumps(r, ensure_ascii=True, allow_nan=False) for r in records]
     catalog = LabelCatalog.default()
     return modeling_examples(parse_transcripts(lines, catalog), catalog), catalog
 

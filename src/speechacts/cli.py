@@ -149,7 +149,8 @@ def synth_corpus_cmd(ctx, n_labels, turns_per_label, signal, multi_label_rate, o
         if catalog_out:
             catalog = synth_catalog(spec)
             Path(catalog_out).write_text(
-                json.dumps({"labels": list(catalog.labels), "excluded": []}) + "\n",
+                json.dumps({"labels": list(catalog.labels), "excluded": []},
+                           allow_nan=False) + "\n",
                 encoding="utf-8",
             )
     except OSError as exc:
@@ -180,6 +181,7 @@ def train(ctx, transcripts, model_path, tune, smote_k, threshold, slen_scope):
         if not examples:
             _fail(1, "no participant turns with catalog labels to train on")
         model = train_model(examples, catalog, config)
+        document = model_to_document(model)
     except _QUALITY_ERRORS as exc:
         _fail(1, str(exc))
     except OSError as exc:
@@ -191,7 +193,6 @@ def train(ctx, transcripts, model_path, tune, smote_k, threshold, slen_scope):
             click.echo(f"warning: label {name} did not converge: gradient norm "
                        f"{clf.grad_norm:.3g} > tolerance {clf.hyperparams.tolerance:g} "
                        f"after {clf.iterations} Newton steps", err=True)
-    document = model_to_document(model)
     try:
         directory = os.path.dirname(os.path.abspath(model_path))
         fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -226,7 +227,8 @@ def predict(ctx, transcripts, model_path, fallback):
         _fail(1, str(exc))
     except OSError as exc:
         _fail(2, str(exc))
-    click.echo(f"# config: {json.dumps(model.config.as_dict(), sort_keys=True)}", err=True)
+    click.echo(f"# config: {json.dumps(model.config.as_dict(), sort_keys=True, allow_nan=False)}",
+               err=True)
     machine = ctx.obj["format"] == reports.MACHINE
     for conv in conversations:
         for turn, (tokens, shallow) in zip(conv.turns,
@@ -239,7 +241,7 @@ def predict(ctx, transcripts, model_path, fallback):
                       "speaker": turn.speaker,
                       **reports.prediction_record(prediction, model.catalog)}
             if machine:
-                click.echo(json.dumps(record, ensure_ascii=True))
+                click.echo(corpus_mod.encode_record(record))
             else:
                 labels = ",".join(record["labels"]) or "-"
                 flag = " low-confidence" if record["low_confidence"] else ""
@@ -350,7 +352,8 @@ def serve(ctx, model_path, port, host, fallback):
     except OSError as exc:
         _fail(2, str(exc))
     engine = ServeEngine(model, fallback=fallback)
-    click.echo(f"# config: {json.dumps(model.config.as_dict(), sort_keys=True)}", err=True)
+    click.echo(f"# config: {json.dumps(model.config.as_dict(), sort_keys=True, allow_nan=False)}",
+               err=True)
     if port is None:
         serve_stdio(engine, sys.stdin, sys.stdout)
         return

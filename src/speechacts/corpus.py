@@ -38,20 +38,61 @@ class TranscriptError(ValueError):
 TIMESTAMP_ERROR = "timestamp_s must be a finite number >= 0"
 
 
+class _NotANumber(ValueError):
+    """NaN, Infinity or -Infinity: Python's json reads them, JSON has no such number."""
+
+
+def _reject_constant(name: str):
+    raise _NotANumber(name)
+
+
+# one decoder for every line: passing the hook per call rebuilds the scanner
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+_ENCODER = json.JSONEncoder(allow_nan=False)
+
+
+def _field_holding_constant(line: str):
+    """The first top-level field whose value holds one of the constants, or None."""
+    marker = object()  # what no encoder takes
+    try:
+        record = json.loads(line, parse_constant=lambda name: marker)
+        for key, value in record.items():
+            try:
+                json.dumps(value)  # a probe: only the marker fails to encode
+            except TypeError:
+                return key
+    except (AttributeError, ValueError, RecursionError):
+        pass
+    return None
+
+
 def decode_record(line: str):
     """The JSON value on one line; every way decoding fails is a ValueError.
 
-    Besides malformed JSON that covers an integer past the interpreter's
-    digit limit and nesting deeper than the recursion limit.
+    Besides malformed JSON that covers the constants ``NaN``, ``Infinity``
+    and ``-Infinity`` (named with the top-level field that holds them), an
+    integer past the interpreter's digit limit and nesting deeper than the
+    recursion limit.
     """
     try:
-        return json.loads(line)
+        return _DECODER.decode(line)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON ({exc.msg})") from exc
+    except _NotANumber as exc:
+        what = f"{exc} is not a JSON number"
+        field = _field_holding_constant(line)
+        if field is not None:
+            what = f"{_quoted(field)}: {what}"
+        raise ValueError(f"not valid JSON ({what})") from exc
     except ValueError as exc:
         raise ValueError(f"not valid JSON ({exc})") from exc
     except RecursionError as exc:
         raise ValueError("not valid JSON (nested too deeply)") from exc
+
+
+def encode_record(value) -> str:
+    """``value`` as one line of strict ASCII JSON; NaN or infinity raises ValueError."""
+    return _ENCODER.encode(value)
 
 
 def timestamp_seconds(value) -> float | None:
@@ -319,7 +360,7 @@ def serialize_transcripts(conversations: Iterable[Conversation]) -> str:
                 "labels": sorted(turn.labels),
             }
             rec.update(turn.extra)
-            lines.append(json.dumps(rec, ensure_ascii=True, sort_keys=False))
+            lines.append(encode_record(rec))
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from . import classifier as clf_mod
-from .config import RunConfig
+from .config import Hyperparams, RunConfig, expand_grid
 from .corpus import LabelCatalog, ModelingExample
 from .featurize import example_contexts, feature_names, fit_from_contexts, matrix_from_contexts
 
@@ -245,6 +245,15 @@ def featurize_fold(
     conversation's context runs once, for both splits.
     """
     contexts = example_contexts(examples, config.slen_scope)
+    train, test, _, vocabulary, scaling, X_train, X_test = _featurize_split(
+        examples, contexts, plan, fold
+    )
+    return train, test, vocabulary, scaling, X_train, X_test
+
+
+def _featurize_split(examples, contexts, plan: FoldPlan, fold: int):
+    """:func:`featurize_fold` from the examples' precomputed contexts; the
+    training split's contexts come back third."""
     in_test = [plan.assignment[i] == fold for i in range(len(examples))]
     train = [ex for ex, held in zip(examples, in_test) if not held]
     test = [ex for ex, held in zip(examples, in_test) if held]
@@ -253,7 +262,7 @@ def featurize_fold(
     vocabulary, scaling = fit_from_contexts(train_contexts)
     X_train = matrix_from_contexts(train_contexts, vocabulary, scaling)
     X_test = matrix_from_contexts(test_contexts, vocabulary, scaling)
-    return train, test, vocabulary, scaling, X_train, X_test
+    return train, test, train_contexts, vocabulary, scaling, X_train, X_test
 
 
 def cross_validate(
@@ -269,33 +278,84 @@ def cross_validate(
     cross-validation). Per-fold rows are averaged per label and then
     combined support-weighted. Each stratification violation of the fold
     plan is reported as a RuntimeWarning.
+
+    Each conversation's context runs once per call, nested search included:
+    the folds and the inner folds only split the contexts, and build their
+    own vocabulary, scaling and matrices from them. Each inner fold of the
+    nested search balances each label once for all grid points.
     """
-    from dataclasses import replace
-
-    from .config import expand_grid
-
     examples = list(examples)
+    contexts = example_contexts(examples, config.slen_scope)
+    return cross_validate_grid(examples, contexts, catalog, config, [config.hyperparams])[0]
+
+
+def tune_on_contexts(
+    examples: Sequence[ModelingExample],
+    contexts: Sequence,
+    catalog: LabelCatalog,
+    grid: Sequence[Hyperparams],
+    inner_folds: int,
+    seed: int,
+    base_config: RunConfig,
+) -> Hyperparams:
+    """:func:`~speechacts.classifier.tune` on the examples' precomputed
+    :func:`~speechacts.featurize.example_contexts`.
+
+    One :func:`cross_validate_grid` over the inner folds scores every
+    distinct grid point; a point listed twice is scored once.
+    """
+    if not grid:
+        raise ValueError("empty hyperparameter grid")
+    if len(examples) < inner_folds:
+        raise ValueError(f"{len(examples)} examples cannot form {inner_folds} inner folds")
+    points = list(dict.fromkeys(grid))
+    inner = replace(base_config, n_folds=inner_folds, seed=seed, tune=False)
+    reports = cross_validate_grid(examples, contexts, catalog, inner, points)
+    score = {point: report.average_row.f_measure for point, report in zip(points, reports)}
+    best = max(range(len(grid)), key=lambda pos: (score[grid[pos]], -grid[pos].C, -pos))
+    return grid[best]
+
+
+def cross_validate_grid(
+    examples: Sequence[ModelingExample],
+    contexts: Sequence,
+    catalog: LabelCatalog,
+    config: RunConfig,
+    points: Sequence[Hyperparams],
+) -> list[MetricsReport]:
+    """One :func:`cross_validate` report per hyperparameter point, in order,
+    from the examples' precomputed :func:`~speechacts.featurize.example_contexts`.
+
+    The fold plan, and per fold the vocabulary, scaling, matrices and each
+    label's SMOTE, are built once for all points; per point only the
+    per-label fits and the scoring of the held-out rows run. With
+    config.tune set (nested cross-validation) each fold fits the point its
+    inner search picks instead, so ``points`` must then be a single point.
+    """
+    if config.tune and len(points) != 1:
+        raise ValueError("nested cross-validation reports on a single point")
     plan = stratified_kfold([ex.labels for ex in examples], config.n_folds, config.seed)
     for v in plan.violations:
         warnings.warn(
             f"fold {v.fold}: label {v.label!r} has {v.positives} positives, "
             f"more than 1 away from its share of {v.ideal_share:.2f}",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    fold_rows: list[list[MetricsRow]] = []
+    fold_rows: list[list[list[MetricsRow]]] = [[] for _ in points]
     for fold in range(config.n_folds):
-        train, test, vocabulary, scaling, X_train, X_test = featurize_fold(
-            examples, plan, fold, config
+        train, test, train_contexts, vocabulary, scaling, X_train, X_test = _featurize_split(
+            examples, contexts, plan, fold
         )
-        fold_config = config
-        if config.tune:
+        fold_points = points
+        if config.tune:  # this fold's inner search picks its point
             grid = expand_grid(config.tuning_grid, config.hyperparams)
-            best = clf_mod.tune(
-                train, catalog, grid, config.inner_folds, config.seed,
-                replace(config, tune=False),
-            )
-            fold_config = replace(config, hyperparams=best, tune=False)
+            fold_points = [
+                tune_on_contexts(
+                    train, train_contexts, catalog, grid, config.inner_folds, config.seed,
+                    replace(config, tune=False),
+                )
+            ]
         data = clf_mod.TrainingData(
             X=X_train,
             label_sets=[ex.labels for ex in train],
@@ -303,14 +363,20 @@ def cross_validate(
             vocabulary=vocabulary,
             scaling=scaling,
         )
-        model = clf_mod.fit_multilabel(data, fold_config)
-        predicted = [
-            clf_mod.predict_labels(model, X_test[i], config.fallback).labels
-            for i in range(len(test))
-        ]
-        fold_rows.append(per_label_metrics([ex.labels for ex in test], predicted, catalog))
-    rows = average_rows_across_folds(fold_rows)
-    return MetricsReport(rows=rows, average_row=weighted_average(rows), fold_rows=fold_rows)
+        gold = [ex.labels for ex in test]
+        for rows, model in zip(fold_rows, clf_mod.fit_multilabel_grid(data, config, fold_points)):
+            predicted = [
+                clf_mod.predict_labels(model, X_test[i], config.fallback).labels
+                for i in range(len(test))
+            ]
+            rows.append(per_label_metrics(gold, predicted, catalog))
+    reports = []
+    for rows_per_fold in fold_rows:
+        rows = average_rows_across_folds(rows_per_fold)
+        reports.append(
+            MetricsReport(rows=rows, average_row=weighted_average(rows), fold_rows=rows_per_fold)
+        )
+    return reports
 
 
 def fisher_score(values: Sequence[float], membership: Sequence[bool]) -> float:

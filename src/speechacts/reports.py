@@ -88,7 +88,7 @@ def metrics_machine(report: MetricsReport, config: dict | None = None) -> str:
         "avg_total": _row_dict(report.average_row),
         "folds": [[_row_dict(row) for row in rows] for rows in report.fold_rows],
     }
-    return json.dumps(doc, ensure_ascii=True, sort_keys=True) + "\n"
+    return json.dumps(doc, ensure_ascii=True, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _score_str(score: float) -> str:
@@ -121,7 +121,7 @@ def ranking_machine(rankings: list[FeatureRanking], config: dict | None = None) 
             for r in rankings
         ],
     }
-    return json.dumps(doc, ensure_ascii=True, sort_keys=True) + "\n"
+    return json.dumps(doc, ensure_ascii=True, sort_keys=True, allow_nan=False) + "\n"
 
 
 def stats_table(stats: CorpusStats, config: dict | None = None) -> str:
@@ -149,4 +149,4 @@ def stats_machine(stats: CorpusStats, config: dict | None = None) -> str:
         "label_counts": stats.label_counts,
         "excluded_label_counts": stats.excluded_label_counts,
     }
-    return json.dumps(doc, ensure_ascii=True, sort_keys=True) + "\n"
+    return json.dumps(doc, ensure_ascii=True, sort_keys=True, allow_nan=False) + "\n"

@@ -14,14 +14,13 @@ reproduces its predictions exactly.
 
 from __future__ import annotations
 
-import json
 import socketserver
 import threading
 from dataclasses import dataclass, field
 from typing import IO
 
 from .classifier import MultiLabelModel, predict_labels
-from .corpus import PARTICIPANT, decode_record, turn_fields
+from .corpus import PARTICIPANT, decode_record, encode_record, turn_fields
 from .featurize import ContextState, tokenize, vector_from_parts
 from .reports import prediction_record
 
@@ -79,7 +78,7 @@ class ServeEngine:
                 response = {"error": "request is not an object"}
             else:
                 response = self.handle_request(request)
-        return json.dumps(response, ensure_ascii=True)
+        return encode_record(response)
 
 
 def serve_stdio(engine: ServeEngine, stdin: IO[str], stdout: IO[str]) -> int:
@@ -105,7 +104,7 @@ class _LineHandler(socketserver.StreamRequestHandler):
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError:
-                response = json.dumps({"error": "request is not valid UTF-8"})
+                response = encode_record({"error": "request is not valid UTF-8"})
             else:
                 if not line.strip():
                     continue

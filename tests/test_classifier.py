@@ -1,10 +1,13 @@
+import dataclasses
+import hashlib
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from speechacts.balance import DenseExample, derive_seed, smote_balance
@@ -16,6 +19,7 @@ from speechacts.classifier import (
     fit_binary,
     fit_binary_with_trace,
     fit_multilabel,
+    fit_multilabel_grid,
     load_model,
     loss_and_gradient,
     model_to_document,
@@ -26,15 +30,25 @@ from speechacts.classifier import (
     train_model,
     tune,
 )
-from speechacts.config import Hyperparams, RunConfig
+from speechacts.config import DEFAULT_GRID, Hyperparams, RunConfig, expand_grid
 from speechacts.corpus import LabelCatalog, modeling_examples
+from speechacts.evaluate import (
+    average_rows_across_folds,
+    cross_validate_grid,
+    featurize_fold,
+    per_label_metrics,
+    stratified_kfold,
+    weighted_average,
+)
 from speechacts.featurize import (
     ScalingParams,
     Vocabulary,
     build_vocabulary,
+    example_contexts,
     feature_matrix,
     fit_features,
 )
+from speechacts.synth import SynthSpec, synth_catalog, synth_corpus
 
 from conftest import make_conversation
 
@@ -313,6 +327,17 @@ class TestFitMultilabel:
         direct = fit_binary(Xb, yb, config.hyperparams, seed)
         assert model.classifiers["only"].weights.tobytes() == direct.weights.tobytes()
 
+    def test_grid_models_equal_one_fit_per_point(self):
+        data = toy_training_data(labels=("a", "b", "c"), n=20, seed=9)
+        data.label_sets = [ls - {"c"} for ls in data.label_sets]  # c is skipped
+        config = RunConfig(seed=3, smote_k=2)
+        points = [Hyperparams(C=0.1), Hyperparams(C=10.0, fit_bias=False), Hyperparams(C=0.1)]
+        models = fit_multilabel_grid(data, config, points)
+        assert len(models) == len(points)
+        for point, model in zip(points, models):
+            alone = fit_multilabel(data, dataclasses.replace(config, hyperparams=point))
+            assert model_to_document(model) == model_to_document(alone)
+
     def test_empty_dataset_errors(self):
         data = toy_training_data()
         data.X = data.X[:0]
@@ -446,7 +471,114 @@ def noisy_keyword_examples(seed=1, n_per_label=12):
     return modeling_examples([conv], catalog), catalog
 
 
+def reference_cross_validate(examples, catalog, config):
+    """cross_validate as one fold loop per grid point, the way tune used to
+    call it: each fold featurized alone, each label balanced by smote_balance
+    and fit by fit_binary."""
+    plan = stratified_kfold([ex.labels for ex in examples], config.n_folds, config.seed)
+    fold_rows = []
+    for fold in range(config.n_folds):
+        train, test, vocabulary, scaling, X_train, X_test = featurize_fold(examples, plan, fold, config)
+        classifiers = {}
+        for name in catalog.labels:
+            member = [name in ex.labels for ex in train]
+            if all(member) or not any(member):
+                continue
+            seed = derive_seed(config.seed, name)
+            pos = [DenseExample(x) for x, m in zip(X_train, member) if m]
+            neg = [DenseExample(x) for x, m in zip(X_train, member) if not m]
+            bal_pos, bal_neg = smote_balance(pos, neg, config.smote_k, seed)
+            Xb = np.vstack([e.values for e in bal_pos + bal_neg])
+            yb = np.concatenate([np.ones(len(bal_pos)), np.zeros(len(bal_neg))])
+            classifiers[name] = fit_binary(Xb, yb, config.hyperparams, seed, label=name)
+        model = MultiLabelModel(classifiers, vocabulary, scaling, catalog, config.threshold)
+        predicted = [predict_labels(model, x, config.fallback).labels for x in X_test]
+        fold_rows.append(per_label_metrics([ex.labels for ex in test], predicted, catalog))
+    return weighted_average(average_rows_across_folds(fold_rows)).f_measure
+
+
+def reference_tune(examples, catalog, grid, inner_folds, seed, base_config):
+    """The per-grid-point search: one whole cross-validation per point.
+    Returns the chosen point and every point's weighted F."""
+    scores = []
+    best, best_point = None, grid[0]
+    for position, point in enumerate(grid):
+        inner = dataclasses.replace(base_config, hyperparams=point, n_folds=inner_folds, seed=seed,
+                                    tune=False)
+        scores.append(reference_cross_validate(examples, catalog, inner))
+        key = (scores[-1], -point.C, -position)
+        if best is None or key > best:
+            best, best_point = key, point
+    return best_point, scores
+
+
+_WORDS = ["ask", "api", "how", "fix", "doc", "ok", "yes", "bug", "run", "why"]
+
+
+@st.composite
+def tuning_problems(draw):
+    """Small corpora over labels a, b, c (c rare, so inner training folds
+    often lack it; a sometimes on every turn, so they lack its negatives),
+    with grids that repeat points and mix fit_bias."""
+    n = draw(st.integers(min_value=6, max_value=24))
+    a_everywhere = draw(st.booleans())
+    rows = []
+    for i in range(n):
+        labels = set(draw(st.frozensets(st.sampled_from("ab"), min_size=1)))
+        if a_everywhere:
+            labels.add("a")
+        if draw(st.integers(0, 9)) == 0:
+            labels.add("c")
+        words = draw(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=5))
+        rows.append(("participant" if i % 3 else "assistant", 4.0 * i,
+                     " ".join(words + sorted(labels)), sorted(labels)))
+    catalog = LabelCatalog(labels=("a", "b", "c"))
+    examples = modeling_examples([make_conversation("c1", rows)], catalog)
+    inner_folds = draw(st.integers(min_value=2, max_value=3))
+    assume(len(examples) >= inner_folds)
+    points = st.builds(Hyperparams, C=st.sampled_from([0.01, 0.1, 1.0, 10.0]),
+                       fit_bias=st.booleans())
+    grid = draw(st.lists(points, min_size=1, max_size=5))
+    config = RunConfig(seed=draw(st.integers(0, 50)), smote_k=draw(st.integers(1, 5)),
+                       fallback=draw(st.booleans()))
+    return examples, catalog, grid, inner_folds, draw(st.integers(0, 50)), config
+
+
 class TestTune:
+    @settings(max_examples=40, deadline=None)
+    @given(tuning_problems())
+    def test_matches_one_cross_validation_per_point(self, problem):
+        examples, catalog, grid, inner_folds, seed, config = problem
+        chosen, scores = reference_tune(examples, catalog, grid, inner_folds, seed, config)
+        assert tune(examples, catalog, grid, inner_folds, seed, config) == chosen
+        inner = dataclasses.replace(config, n_folds=inner_folds, seed=seed)
+        reports = cross_validate_grid(examples, example_contexts(examples, config.slen_scope),
+                                      catalog, inner, grid)
+        assert [r.average_row.f_measure for r in reports] == scores
+
+    def test_peak_memory_near_one_fit(self):
+        # tune holds one balanced matrix at a time, so its peak stays near
+        # that of featurizing the same examples and one fit_multilabel
+        # (an untuned train_model), not one balanced matrix per label. Holding
+        # every label's balanced matrix of an inner fold measured 2.1x here.
+        spec = SynthSpec(n_labels=6, turns_per_label=30, signal=0.6, seed=2)
+        catalog = synth_catalog(spec)
+        examples = modeling_examples(synth_corpus(spec), catalog)
+        config = RunConfig(seed=1)
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        train_model(examples, catalog, config)  # first-call allocations stay out of the peak
+        fit_peak = peak(lambda: train_model(examples, catalog, config))
+        tune_peak = peak(lambda: tune(examples, catalog, expand_grid(DEFAULT_GRID), 3, 1, config))
+        assert tune_peak <= 1.5 * fit_peak
+
     def test_single_point_returned(self):
         examples, catalog = keyword_examples()
         point = Hyperparams(C=3.0)
@@ -541,6 +673,21 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelCorruptError, match="checksum"):
             load_model(path)
+
+    def test_non_finite_weight_neither_written_nor_read(self):
+        model, _ = self.trained_model()
+        clf = next(iter(model.classifiers.values()))
+        clf.weights[0] = math.nan
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            model_to_document(model)
+        # a document carrying NaN, checksummed as Python's lenient json would
+        payload = json.loads(model_to_document(self.trained_model()[0]))["payload"]
+        next(iter(payload["classifiers"].values()))["weights"][0] = math.nan
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        doc = {"format_version": 2, "payload": payload,
+               "checksum": hashlib.sha256(canonical.encode()).hexdigest()}
+        with pytest.raises(ModelCorruptError, match="NaN is not a JSON number"):
+            load_model(io.StringIO(json.dumps(doc)))
 
     def test_model_bytes_deterministic(self):
         model_a, _ = self.trained_model(seed=6)

@@ -129,6 +129,20 @@ class TestValidate:
         assert result.stderr.startswith(f"error: {transcript}:2: duplicate turn")
         assert len(result.stderr) - 2 * len(transcript) < 200
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constant_in_extra_field_is_located_error(self, runner, tmp_path,
+                                                                 constant):
+        catalog = write_catalog(tmp_path / "catalog.json", ["qa"])
+        bad = record_line("c1", 1, "participant", 1.0, "x", ["qa"], x=0).replace(
+            '"x": 0', f'"x": {constant}')
+        transcript = write_lines(
+            tmp_path / "bad.jsonl", [record_line("c1", 0, "participant", 0.0, "x", ["qa"]), bad]
+        )
+        result = runner.invoke(main, ["--catalog", catalog, "validate", transcript])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith(f"error: {transcript}:2: not valid JSON ('x': {constant}")
+
 
 class TestStats:
     def test_table(self, runner, tiny_corpus):

@@ -158,6 +158,14 @@ class TestRoundTrip:
         again = parse_transcripts(io.StringIO(text), catalog_ab)
         assert again == convs
 
+    def test_non_finite_extra_not_written(self, catalog_ab):
+        (conv,) = parse_transcripts(
+            io.StringIO(record_line("c1", 0, "participant", 0.0, "x", ["a"], note=1.5)), catalog_ab
+        )
+        conv.turns[0].extra["note"] = float("nan")
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            serialize_transcripts([conv])
+
     label_strategy = st.frozensets(st.sampled_from(["a", "b", "setup"]), max_size=3)
 
     @settings(max_examples=50, deadline=None)

@@ -253,6 +253,33 @@ class TestOutputDigests:
         row = dataclasses.asdict(cross_validate(examples, catalog, config).average_row)
         assert hashlib.sha256(json.dumps(row, sort_keys=True).encode()).hexdigest() == row_digest
 
+    # train --tune's model file and nested CV's avg/total row, as the
+    # per-grid-point cross_validate loop produced them; the first corpus
+    # tunes to C=10 without a bias, the second to C=0.1 without a bias
+    @pytest.mark.parametrize(
+        "spec, model_digest, row_digest",
+        [
+            (
+                SynthSpec(n_labels=3, turns_per_label=24, signal=0.5, multi_label_rate=0.3, seed=6),
+                "0e0d0659fcf784723fa6e432071a86c1b4300b10447be9f7f15879271f7a25f5",
+                "ef449ab4b8944aed3d8f199206c9cafeebab80587459745ce6a7e4c779527dbb",
+            ),
+            (
+                SynthSpec(n_labels=4, turns_per_label=20, signal=0.4, multi_label_rate=0.3, seed=8),
+                "96daed87ba633f33eb3b5071521ca27415b99f30461f45a03754bc4b0bb4615a",
+                "281b20e55896b2bb31152f079a94ed1bd603d8d2c6c250d036a5d972b5bff159",
+            ),
+        ],
+    )
+    def test_golden_tuned_model_and_nested_cv_row(self, spec, model_digest, row_digest):
+        catalog = synth_catalog(spec)
+        examples = modeling_examples(synth_corpus(spec), catalog)
+        document = model_to_document(train_model(examples, catalog, RunConfig(seed=2, tune=True)))
+        assert hashlib.sha256(document.encode()).hexdigest() == model_digest
+        config = RunConfig(seed=2, tune=True, n_folds=3, fallback=True)
+        row = dataclasses.asdict(cross_validate(examples, catalog, config).average_row)
+        assert hashlib.sha256(json.dumps(row, sort_keys=True).encode()).hexdigest() == row_digest
+
 
 def confusion_oracle(gold, predicted, name):
     """Brute-force per-label confusion counts."""
@@ -383,23 +410,45 @@ def separable_corpus(n_per_label=15, labels=("qa", "qb", "qc")):
     return modeling_examples([conv], catalog), catalog
 
 
+def tokenize_counter(monkeypatch):
+    """The texts passed to featurize.tokenize from here on."""
+    import speechacts.featurize as featurize_mod
+
+    calls = []
+    real = featurize_mod.tokenize
+    monkeypatch.setattr(featurize_mod, "tokenize", lambda text: calls.append(text) or real(text))
+    return calls
+
+
+def needed_turn_count():
+    """A small synth corpus and the number of turns its examples' contexts
+    need: each conversation up to its last example."""
+    spec = SynthSpec(n_labels=3, turns_per_label=12, signal=0.8, seed=4, turns_per_conversation=6)
+    catalog = synth_catalog(spec)
+    examples = modeling_examples(synth_corpus(spec), catalog)
+    last = {}
+    for ex in examples:
+        last[id(ex.conversation)] = max(last.get(id(ex.conversation), -1), ex.turn_index)
+    return examples, catalog, sum(index + 1 for index in last.values())
+
+
 class TestCrossValidate:
     def test_each_fold_runs_each_needed_turn_once(self, monkeypatch):
-        import speechacts.featurize as featurize_mod
-
-        spec = SynthSpec(n_labels=3, turns_per_label=12, signal=0.8, seed=4, turns_per_conversation=6)
-        catalog = synth_catalog(spec)
-        examples = modeling_examples(synth_corpus(spec), catalog)
-        last = {}
-        for ex in examples:
-            last[id(ex.conversation)] = max(last.get(id(ex.conversation), -1), ex.turn_index)
-        needed = sum(index + 1 for index in last.values())
-        calls = []
-        real = featurize_mod.tokenize
-        monkeypatch.setattr(featurize_mod, "tokenize", lambda text: calls.append(text) or real(text))
+        examples, catalog, needed = needed_turn_count()
+        calls = tokenize_counter(monkeypatch)
         config = RunConfig(seed=1, n_folds=3)
         cross_validate(examples, catalog, config)
-        assert 0 < len(calls) <= config.n_folds * needed
+        assert len(calls) == needed
+        calls.clear()
+        train_model(examples, catalog, config)
+        assert len(calls) == needed
+
+    def test_nested_cv_and_tuned_train_run_each_needed_turn_once(self, monkeypatch):
+        examples, catalog, needed = needed_turn_count()
+        calls = tokenize_counter(monkeypatch)
+        config = RunConfig(seed=1, n_folds=3, tune=True)
+        cross_validate(examples, catalog, config)
+        assert len(calls) == needed
         calls.clear()
         train_model(examples, catalog, config)
         assert len(calls) == needed

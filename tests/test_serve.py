@@ -137,6 +137,21 @@ class TestEngine:
         got = json.loads(engine.handle_line(request_line("s1", "participant", 14.0, "act1kw1 more")))
         assert got["probabilities"] == pytest.approx(expect.probabilities)
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constant_rejected_session_unchanged(self, model, constant):
+        engine = ServeEngine(model)
+        engine.handle_line(request_line("s1", "participant", 10.0, "act0kw0"))
+        line = request_line("s1", "participant", 12.0, "act0kw0")[:-1] + f', "x": [{constant}]}}'
+        err = strict_loads(engine.handle_line(line))
+        assert err == {"error": f"not valid JSON ('x': {constant} is not a JSON number)"}
+        conv = make_conversation(
+            "s1", [("participant", 10.0, "act0kw0", []), ("participant", 14.0, "act1kw1 more", [])]
+        )
+        expect = predict_labels(model, vectorize(conv, 1, model.vocabulary, model.scaling,
+                                                 model.slen_scope))
+        got = strict_loads(engine.handle_line(request_line("s1", "participant", 14.0, "act1kw1 more")))
+        assert got["probabilities"] == pytest.approx(expect.probabilities)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_timestamp_rejected_session_unchanged(self, model, bad):
         engine = ServeEngine(model)
