@@ -9,8 +9,10 @@ persists as a single checksummed JSON document.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import IO, Sequence, Union
 
@@ -46,13 +48,15 @@ class ModelCorruptError(ModelFormatError):
 
 
 def sigmoid(z):
-    """Numerically stable logistic function, elementwise over arrays."""
+    """Numerically stable logistic function, elementwise over arrays.
+
+    1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so exp never
+    overflows.
+    """
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    ez = np.exp(-np.abs(z))
+    denominator = 1.0 + ez
+    out = np.where(z >= 0, 1.0 / denominator, ez / denominator)
     return out if out.ndim else float(out)
 
 
@@ -94,13 +98,6 @@ class BinaryClassifier:
     final_loss: float = 0.0
     grad_norm: float = 0.0
     converged: bool = False
-
-    def decision(self, dense: np.ndarray) -> float:
-        if dense.shape[0] != self.weights.shape[0]:
-            raise ValueError(
-                f"feature width mismatch: vector has {dense.shape[0]}, model wants {self.weights.shape[0]}"
-            )
-        return float(self.weights @ dense + self.bias)
 
 
 # Truncated-Newton constants. Conjugate gradient stops once its residual is
@@ -264,6 +261,50 @@ class MultiLabelModel:
     def feature_width(self) -> int:
         return len(self.vocabulary) + N_SHALLOW
 
+    @cached_property
+    def stacked(self) -> "StackedWeights":
+        """The classifiers' weights side by side, for :func:`score_rows`.
+
+        Derived on first use and kept, so a classifier changed after the
+        model has scored is not seen.
+        """
+        return StackedWeights.of(self)
+
+
+@dataclass(frozen=True)
+class StackedWeights:
+    """Every catalog label's weights as one column: a word block with a
+    last row of zeros (where a padding id of -1 points), a shallow block and
+    a bias. A skipped label's column is zero and its probability 0.0.
+
+    The blocks keep at least two columns, since numpy sums the rows of a
+    one-column block pairwise rather than left to right.
+    """
+
+    words: np.ndarray  # (vocabulary + 1) x columns
+    shallow: np.ndarray  # N_SHALLOW x columns
+    bias: np.ndarray  # columns
+    n_labels: int
+    skipped: list[int]  # columns of the labels without a classifier
+
+    @staticmethod
+    def of(model: "MultiLabelModel") -> "StackedWeights":
+        labels, n_words = model.catalog.labels, len(model.vocabulary)
+        columns = max(len(labels), 2)
+        words = np.zeros((n_words + 1, columns))
+        shallow = np.zeros((N_SHALLOW, columns))
+        bias = np.zeros(columns)
+        skipped = []
+        for j, name in enumerate(labels):
+            clf = model.classifiers.get(name)
+            if clf is None:
+                skipped.append(j)
+                continue
+            words[:n_words, j] = clf.weights[:n_words]
+            shallow[:, j] = clf.weights[n_words:]
+            bias[j] = clf.bias
+        return StackedWeights(words, shallow, bias, len(labels), skipped)
+
 
 @dataclass
 class Prediction:
@@ -350,21 +391,86 @@ def _fit_label(
     return [fit_binary(X_bal, y_bal, point, seed, label=name) for point in points]
 
 
-def _as_dense(model: MultiLabelModel, vector: Union[FeatureVector, np.ndarray]) -> np.ndarray:
-    dense = vector.to_dense(len(model.vocabulary)) if isinstance(vector, FeatureVector) else np.asarray(vector, dtype=np.float64)
-    if dense.shape != (model.feature_width,):
-        raise ValueError(f"feature width mismatch: vector has {dense.shape}, model wants ({model.feature_width},)")
-    return dense
+# padded word ids per score_rows block: 2**16 ids gather 5.8 MB at 11 labels
+_PADDED_IDS = 1 << 16
+
+
+def _word_sums(words: np.ndarray, word_ids: Sequence[Sequence[int]]) -> np.ndarray:
+    """Each row's word weights summed left to right in id order."""
+    if len(word_ids) == 1:
+        return words.take(word_ids[0], axis=0).sum(axis=0)
+    lengths = np.fromiter(map(len, word_ids), np.intp, len(word_ids))
+    width = int(lengths.max(initial=0))
+    block = max(1, _PADDED_IDS // max(width, 1))
+    if len(word_ids) > block:  # one long turn would pad every other row to its length
+        return np.vstack([_word_sums(words, word_ids[i:i + block])
+                          for i in range(0, len(word_ids), block)])
+    padded = np.full((len(word_ids), width), -1, dtype=np.intp)
+    padded[np.arange(width) < lengths[:, None]] = np.fromiter(
+        itertools.chain.from_iterable(word_ids), np.intp, int(lengths.sum()))
+    return words.take(padded, axis=0).sum(axis=1)
+
+
+def _probabilities(stack: StackedWeights, word_sums: np.ndarray, shallow: np.ndarray) -> np.ndarray:
+    terms = shallow[:, :, None] * stack.shallow
+    z = word_sums + terms[:, 0]
+    z += terms[:, 1]
+    z += terms[:, 2]
+    z += stack.bias
+    probs = sigmoid(z)[:, : stack.n_labels]
+    if stack.skipped:
+        probs[:, stack.skipped] = 0.0
+    return probs
+
+
+def score_rows(
+    model: MultiLabelModel,
+    word_ids: Sequence[Sequence[int]],
+    shallow: Sequence[Sequence[float]],
+) -> np.ndarray:
+    """Per-label probabilities of n turns: n rows, one column per catalog
+    label in catalog order; a skipped label's column is 0.0.
+
+    Turn i is ``word_ids[i]``, the ascending column ids of its distinct
+    in-vocabulary tokens, and ``shallow[i]``, its scaled shallow features
+    (see :func:`~speechacts.featurize.turn_row`). A row's probabilities do
+    not depend on the other rows: its word weights are summed left to
+    right in id order, then the three shallow terms and the bias are added
+    one by one, whatever the batch.
+    """
+    shallow = np.asarray(shallow, dtype=np.float64).reshape(len(word_ids), N_SHALLOW)
+    return _probabilities(model.stacked, _word_sums(model.stacked.words, word_ids), shallow)
 
 
 def predict_proba(model: MultiLabelModel, vector: Union[FeatureVector, np.ndarray]) -> dict[str, float]:
-    """Per-label probability of membership; skipped labels map to 0.0."""
-    dense = _as_dense(model, vector)
-    fitted = [name for name in model.catalog.labels if name in model.classifiers]
-    scores = sigmoid(np.array([model.classifiers[name].decision(dense) for name in fitted]))
-    probs = dict.fromkeys(model.catalog.labels, 0.0)
-    probs.update(zip(fitted, scores.tolist()))
-    return probs
+    """Per-label probability of membership; skipped labels map to 0.0.
+
+    A FeatureVector is scored by :func:`score_rows`. A dense vector (word
+    columns, then the scaled shallow features) meets the same stacked
+    weights, each word column times its weights, summed in column order.
+    """
+    if isinstance(vector, FeatureVector):
+        probs = score_rows(model, [sorted(vector.word_indicators)], [vector.shallow_scaled])
+    else:
+        dense = np.asarray(vector, dtype=np.float64)
+        if dense.shape != (model.feature_width,):
+            raise ValueError(
+                f"feature width mismatch: vector has {dense.shape}, model wants ({model.feature_width},)"
+            )
+        n_words, stack = len(model.vocabulary), model.stacked
+        word_sums = (dense[:n_words, None] * stack.words[:n_words]).sum(axis=0)
+        probs = _probabilities(stack, word_sums, dense[None, n_words:])
+    return dict(zip(model.catalog.labels, probs[0].tolist()))
+
+
+def _prediction(model: MultiLabelModel, probs: dict[str, float], fallback: bool) -> Prediction:
+    chosen = frozenset(name for name, p in probs.items() if p >= model.threshold)
+    if chosen:
+        return Prediction(probs, chosen, low_confidence=False)
+    if fallback:
+        best = max(model.catalog.labels, key=lambda name: probs[name])
+        return Prediction(probs, frozenset({best}), low_confidence=True)
+    return Prediction(probs, frozenset(), low_confidence=True)
 
 
 def predict_labels(
@@ -376,14 +482,19 @@ def predict_labels(
     replaced by the single most probable label (catalog order breaks exact
     ties).
     """
-    probs = predict_proba(model, vector)
-    chosen = frozenset(name for name, p in probs.items() if p >= model.threshold)
-    if chosen:
-        return Prediction(probs, chosen, low_confidence=False)
-    if fallback:
-        best = max(model.catalog.labels, key=lambda name: probs[name])
-        return Prediction(probs, frozenset({best}), low_confidence=True)
-    return Prediction(probs, frozenset(), low_confidence=True)
+    return _prediction(model, predict_proba(model, vector), fallback)
+
+
+def predict_rows(
+    model: MultiLabelModel,
+    word_ids: Sequence[Sequence[int]],
+    shallow: Sequence[Sequence[float]],
+    fallback: bool = False,
+) -> list[Prediction]:
+    """:func:`predict_labels` of each turn that :func:`score_rows` takes."""
+    labels = model.catalog.labels
+    return [_prediction(model, dict(zip(labels, row)), fallback)
+            for row in score_rows(model, word_ids, shallow).tolist()]
 
 
 def tune(

@@ -22,13 +22,13 @@ from .classifier import (
     ModelFormatError,
     load_model,
     model_to_document,
-    predict_labels,
+    predict_rows,
     train_model,
 )
 from .config import RunConfig, load_config
 from .corpus import CatalogError, LabelCatalog, TranscriptError
 from .evaluate import cross_validate, rank_features_for_examples
-from .featurize import conversation_context, vector_from_parts
+from .featurize import conversation_context, turn_row
 from .serve import ServeEngine, ServeServer, serve_stdio
 from .synth import SynthSpec, synth_catalog, synth_corpus
 
@@ -231,22 +231,27 @@ def predict(ctx, transcripts, model_path, fallback):
                err=True)
     machine = ctx.obj["format"] == reports.MACHINE
     for conv in conversations:
-        for turn, (tokens, shallow) in zip(conv.turns,
-                                           conversation_context(conv, model.slen_scope)):
-            prediction = None
-            if turn.speaker == corpus_mod.PARTICIPANT:
-                vector = vector_from_parts(tokens, shallow, model.vocabulary, model.scaling)
-                prediction = predict_labels(model, vector, fallback)
+        # one scoring call and one write per conversation
+        rows = [turn_row(tokens, shallow, model.vocabulary, model.scaling)
+                for turn, (tokens, shallow) in zip(conv.turns,
+                                                   conversation_context(conv, model.slen_scope))
+                if turn.speaker == corpus_mod.PARTICIPANT]
+        predictions = iter(predict_rows(model, [ids for ids, _ in rows],
+                                        [scaled for _, scaled in rows], fallback))
+        lines = []
+        for turn in conv.turns:
+            prediction = next(predictions) if turn.speaker == corpus_mod.PARTICIPANT else None
             record = {"conversation_id": conv.conversation_id, "turn_index": turn.turn_index,
                       "speaker": turn.speaker,
                       **reports.prediction_record(prediction, model.catalog)}
             if machine:
-                click.echo(corpus_mod.encode_record(record))
+                lines.append(corpus_mod.encode_record(record))
             else:
                 labels = ",".join(record["labels"]) or "-"
                 flag = " low-confidence" if record["low_confidence"] else ""
-                click.echo(f"{record['conversation_id']}#{record['turn_index']} "
-                           f"[{record['speaker']}] {labels}{flag}")
+                lines.append(f"{record['conversation_id']}#{record['turn_index']} "
+                             f"[{record['speaker']}] {labels}{flag}")
+        click.echo("\n".join(lines))
 
 
 @main.command()

@@ -39,23 +39,40 @@ TIMESTAMP_ERROR = "timestamp_s must be a finite number >= 0"
 
 
 class _NotANumber(ValueError):
-    """NaN, Infinity or -Infinity: Python's json reads them, JSON has no such number."""
+    """A number Python's json reads as NaN or infinity, which JSON has not:
+    the constants NaN, Infinity and -Infinity, or a literal too large for a
+    float."""
 
 
 def _reject_constant(name: str):
-    raise _NotANumber(name)
+    raise _NotANumber(f"{name} is not a JSON number")
 
 
-# one decoder for every line: passing the hook per call rebuilds the scanner
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if value - value != 0.0:  # NaN for an infinity: 1e999 overflows to one
+        raise _NotANumber(f"{_cut(literal)} is out of range for a float")
+    return value
+
+
+# one decoder for every line: passing the hooks per call rebuilds the scanner
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_finite_float)
 _ENCODER = json.JSONEncoder(allow_nan=False)
 
 
-def _field_holding_constant(line: str):
-    """The first top-level field whose value holds one of the constants, or None."""
+def _field_holding_non_finite(line: str):
+    """The first top-level field whose value holds a number that
+    :class:`_NotANumber` names, or None."""
     marker = object()  # what no encoder takes
+
+    def mark(literal: str):
+        try:
+            return _finite_float(literal)
+        except _NotANumber:
+            return marker
+
     try:
-        record = json.loads(line, parse_constant=lambda name: marker)
+        record = json.loads(line, parse_constant=lambda name: marker, parse_float=mark)
         for key, value in record.items():
             try:
                 json.dumps(value)  # a probe: only the marker fails to encode
@@ -70,8 +87,9 @@ def decode_record(line: str):
     """The JSON value on one line; every way decoding fails is a ValueError.
 
     Besides malformed JSON that covers the constants ``NaN``, ``Infinity``
-    and ``-Infinity`` (named with the top-level field that holds them), an
-    integer past the interpreter's digit limit and nesting deeper than the
+    and ``-Infinity`` and a float literal that overflows (such as
+    ``1e999``), each named with the top-level field that holds it; an
+    integer past the interpreter's digit limit; and nesting deeper than the
     recursion limit.
     """
     try:
@@ -79,8 +97,8 @@ def decode_record(line: str):
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON ({exc.msg})") from exc
     except _NotANumber as exc:
-        what = f"{exc} is not a JSON number"
-        field = _field_holding_constant(line)
+        what = str(exc)
+        field = _field_holding_non_finite(line)
         if field is not None:
             what = f"{_quoted(field)}: {what}"
         raise ValueError(f"not valid JSON ({what})") from exc
@@ -109,11 +127,14 @@ def timestamp_seconds(value) -> float | None:
     return seconds if math.isfinite(seconds) and seconds >= 0 else None
 
 
-def _quoted(value, limit: int = 40) -> str:
-    """repr(value) cut to ``limit`` characters, so that an error message
-    never echoes unbounded input."""
-    text = repr(value)
+def _cut(text: str, limit: int = 40) -> str:
+    """text cut to ``limit`` characters, so that an error message never
+    echoes unbounded input."""
     return text if len(text) <= limit else text[:limit] + "..."
+
+
+def _quoted(value) -> str:
+    return _cut(repr(value))
 
 
 def turn_fields(record: dict) -> tuple[str, str, float, str]:

@@ -21,7 +21,13 @@ import numpy as np
 from . import classifier as clf_mod
 from .config import Hyperparams, RunConfig, expand_grid
 from .corpus import LabelCatalog, ModelingExample
-from .featurize import example_contexts, feature_names, fit_from_contexts, matrix_from_contexts
+from .featurize import (
+    example_contexts,
+    feature_names,
+    fit_from_contexts,
+    matrix_from_contexts,
+    turn_row,
+)
 
 AVG_LABEL = "avg/total"
 
@@ -245,15 +251,17 @@ def featurize_fold(
     conversation's context runs once, for both splits.
     """
     contexts = example_contexts(examples, config.slen_scope)
-    train, test, _, vocabulary, scaling, X_train, X_test = _featurize_split(
+    train, test, _, test_contexts, vocabulary, scaling, X_train = _featurize_split(
         examples, contexts, plan, fold
     )
+    X_test = matrix_from_contexts(test_contexts, vocabulary, scaling)
     return train, test, vocabulary, scaling, X_train, X_test
 
 
 def _featurize_split(examples, contexts, plan: FoldPlan, fold: int):
-    """:func:`featurize_fold` from the examples' precomputed contexts; the
-    training split's contexts come back third."""
+    """The examples and contexts of both splits, and the training split's
+    vocabulary, scaling and matrix, from the examples' precomputed
+    contexts."""
     in_test = [plan.assignment[i] == fold for i in range(len(examples))]
     train = [ex for ex, held in zip(examples, in_test) if not held]
     test = [ex for ex, held in zip(examples, in_test) if held]
@@ -261,8 +269,7 @@ def _featurize_split(examples, contexts, plan: FoldPlan, fold: int):
     test_contexts = [c for c, held in zip(contexts, in_test) if held]
     vocabulary, scaling = fit_from_contexts(train_contexts)
     X_train = matrix_from_contexts(train_contexts, vocabulary, scaling)
-    X_test = matrix_from_contexts(test_contexts, vocabulary, scaling)
-    return train, test, train_contexts, vocabulary, scaling, X_train, X_test
+    return train, test, train_contexts, test_contexts, vocabulary, scaling, X_train
 
 
 def cross_validate(
@@ -328,7 +335,8 @@ def cross_validate_grid(
 
     The fold plan, and per fold the vocabulary, scaling, matrices and each
     label's SMOTE, are built once for all points; per point only the
-    per-label fits and the scoring of the held-out rows run. With
+    per-label fits and one :func:`~speechacts.classifier.score_rows` call
+    on the held-out rows run. With
     config.tune set (nested cross-validation) each fold fits the point its
     inner search picks instead, so ``points`` must then be a single point.
     """
@@ -344,8 +352,8 @@ def cross_validate_grid(
         )
     fold_rows: list[list[list[MetricsRow]]] = [[] for _ in points]
     for fold in range(config.n_folds):
-        train, test, train_contexts, vocabulary, scaling, X_train, X_test = _featurize_split(
-            examples, contexts, plan, fold
+        train, test, train_contexts, test_contexts, vocabulary, scaling, X_train = (
+            _featurize_split(examples, contexts, plan, fold)
         )
         fold_points = points
         if config.tune:  # this fold's inner search picks its point
@@ -364,11 +372,12 @@ def cross_validate_grid(
             scaling=scaling,
         )
         gold = [ex.labels for ex in test]
+        held_out = [turn_row(tokens, raw, vocabulary, scaling) for tokens, raw in test_contexts]
+        word_ids = [ids for ids, _ in held_out]
+        shallow = [scaled for _, scaled in held_out]
         for rows, model in zip(fold_rows, clf_mod.fit_multilabel_grid(data, config, fold_points)):
-            predicted = [
-                clf_mod.predict_labels(model, X_test[i], config.fallback).labels
-                for i in range(len(test))
-            ]
+            predicted = [p.labels for p in
+                         clf_mod.predict_rows(model, word_ids, shallow, config.fallback)]
             rows.append(per_label_metrics(gold, predicted, catalog))
     reports = []
     for rows_per_fold in fold_rows:

@@ -229,12 +229,17 @@ class FeatureVector:
     shallow: ShallowFeatures
     shallow_scaled: tuple[float, float, float]
 
-    def to_dense(self, vocab_size: int) -> np.ndarray:
-        dense = np.zeros(vocab_size + N_SHALLOW, dtype=np.float64)
-        for idx in self.word_indicators:
-            dense[idx] = 1.0
-        dense[vocab_size:] = self.shallow_scaled
-        return dense
+
+def turn_row(
+    tokens: Iterable[str],
+    shallow: ShallowFeatures,
+    vocabulary: Vocabulary,
+    scaling: ScalingParams,
+) -> tuple[list[int], tuple[float, float, float]]:
+    """A turn as the classifier scores it: the ascending column ids of its
+    distinct in-vocabulary tokens, and its scaled shallow features."""
+    columns = vocabulary.tokens
+    return sorted({columns[tok] for tok in tokens if tok in columns}), scaling.scale(shallow)
 
 
 def vector_from_parts(
@@ -244,10 +249,8 @@ def vector_from_parts(
     scaling: ScalingParams,
 ) -> FeatureVector:
     """Assemble a FeatureVector; tokens outside the vocabulary are ignored."""
-    indicators = frozenset(
-        vocabulary.tokens[tok] for tok in tokens if tok in vocabulary.tokens
-    )
-    return FeatureVector(indicators, shallow, scaling.scale(shallow))
+    ids, scaled = turn_row(tokens, shallow, vocabulary, scaling)
+    return FeatureVector(frozenset(ids), shallow, scaled)
 
 
 def vectorize(
@@ -296,10 +299,9 @@ def matrix_from_contexts(
     width = len(vocabulary) + N_SHALLOW
     X = np.zeros((len(contexts), width), dtype=np.float64)
     for row, (tokens, shallow) in enumerate(contexts):
-        fv = vector_from_parts(tokens, shallow, vocabulary, scaling)
-        for idx in fv.word_indicators:
-            X[row, idx] = 1.0
-        X[row, len(vocabulary):] = fv.shallow_scaled
+        ids, scaled = turn_row(tokens, shallow, vocabulary, scaling)
+        X[row, ids] = 1.0
+        X[row, len(vocabulary):] = scaled
     return X
 
 

@@ -19,9 +19,9 @@ import threading
 from dataclasses import dataclass, field
 from typing import IO
 
-from .classifier import MultiLabelModel, predict_labels
+from .classifier import MultiLabelModel, predict_rows
 from .corpus import PARTICIPANT, decode_record, encode_record, turn_fields
-from .featurize import ContextState, tokenize, vector_from_parts
+from .featurize import ContextState, tokenize, turn_row
 from .reports import prediction_record
 
 
@@ -37,6 +37,7 @@ class ServeEngine:
 
     def __init__(self, model: MultiLabelModel, fallback: bool = False):
         self.model = model
+        model.stacked  # stack the weights before the first request
         self.fallback = fallback
         self._sessions: dict[str, ServeSession] = {}
         self._sessions_lock = threading.Lock()
@@ -64,9 +65,9 @@ class ServeEngine:
             shallow = context.observe(speaker, seconds, len(tokens))
         if speaker != PARTICIPANT:
             return prediction_record(None, self.model.catalog)
-        vector = vector_from_parts(tokens, shallow, self.model.vocabulary, self.model.scaling)
-        return prediction_record(predict_labels(self.model, vector, self.fallback),
-                                 self.model.catalog)
+        ids, scaled = turn_row(tokens, shallow, self.model.vocabulary, self.model.scaling)
+        prediction = predict_rows(self.model, [ids], [scaled], self.fallback)[0]
+        return prediction_record(prediction, self.model.catalog)
 
     def handle_line(self, line: str) -> str:
         try:

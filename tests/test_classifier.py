@@ -4,14 +4,17 @@ import io
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from speechacts import classifier as classifier_mod
 from speechacts.balance import DenseExample, derive_seed, smote_balance
 from speechacts.classifier import (
+    BinaryClassifier,
     ModelCorruptError,
     ModelVersionError,
     MultiLabelModel,
@@ -25,7 +28,9 @@ from speechacts.classifier import (
     model_to_document,
     predict_labels,
     predict_proba,
+    predict_rows,
     save_model,
+    score_rows,
     sigmoid,
     train_model,
     tune,
@@ -42,11 +47,14 @@ from speechacts.evaluate import (
 )
 from speechacts.featurize import (
     ScalingParams,
+    ShallowFeatures,
     Vocabulary,
     build_vocabulary,
     example_contexts,
     feature_matrix,
     fit_features,
+    turn_row,
+    vector_from_parts,
 )
 from speechacts.synth import SynthSpec, synth_catalog, synth_corpus
 
@@ -82,6 +90,19 @@ class TestSigmoid:
 
     def test_stable_at_700(self):
         assert math.isfinite(sigmoid(700.0)) and math.isfinite(sigmoid(-700.0))
+
+    def test_bitwise_two_branch_definition(self):
+        # 1 / (1 + e^-z) where z >= 0, e^z / (1 + e^z) elsewhere, each branch
+        # evaluated on its own elements: fitted weights depend on these bits
+        z = np.concatenate([np.random.default_rng(0).normal(size=100_000) * 30,
+                            [0.0, -0.0, 700.0, -700.0, 1000.0, -1000.0, 1e-300, -1e-300]])
+        expect = np.empty_like(z)
+        pos = z >= 0
+        expect[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        expect[~pos] = ez / (1.0 + ez)
+        assert sigmoid(z).tobytes() == expect.tobytes()
+        assert [sigmoid(v) for v in z[-8:]] == expect[-8:].tolist()
 
 
 class TestLossAndGradient:
@@ -437,6 +458,107 @@ class TestPredict:
             if previous is not None:
                 assert labels <= previous
             previous = labels
+
+
+@st.composite
+def scoring_problems(draw):
+    """A small random model, and turns made from its vocabulary, tokens
+    outside it and repeats; some labels have no classifier."""
+    n_words = draw(st.integers(0, 24))  # numpy sums 8 or more values pairwise
+    labels = tuple(f"l{j}" for j in range(draw(st.integers(1, 4))))
+    weight = st.floats(-8.0, 8.0)  # -0.0 and subnormals too
+    classifiers = {}
+    for name in labels:
+        if draw(st.booleans()) or name == labels[0]:
+            weights = np.array(draw(st.lists(weight, min_size=n_words + 3, max_size=n_words + 3)))
+            classifiers[name] = BinaryClassifier(weights, draw(weight), Hyperparams(), label=name)
+    vocabulary = Vocabulary.from_tokens([f"w{j}" for j in range(n_words)])
+    scaling = ScalingParams(
+        means=tuple(draw(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))),
+        stds=tuple(draw(st.lists(st.just(0.0) | st.floats(0.1, 4.0), min_size=3, max_size=3))),
+    )
+    model = MultiLabelModel(classifiers, vocabulary, scaling, LabelCatalog(labels=labels),
+                            threshold=draw(st.floats(0.05, 0.95)))
+    token = st.sampled_from(vocabulary.token_list + ["oov", "zz"])
+    turns = draw(st.lists(
+        st.tuples(st.lists(token, max_size=30), st.floats(0.0, 5.0), st.integers(0, 40),
+                  st.floats(0.0, 100.0)),
+        min_size=1, max_size=8,
+    ))
+    vectors = [vector_from_parts(tokens, ShallowFeatures(slen, wc, ppau), vocabulary, scaling)
+               for tokens, slen, wc, ppau in turns]
+    return model, vectors
+
+
+def reference_probabilities(model, ids, scaled):
+    """Per catalog label: word weights added left to right in id order, then
+    the three shallow terms, then the bias; 0.0 for a skipped label."""
+    n_words = len(model.vocabulary)
+    z = []
+    for name in model.catalog.labels:
+        w = model.classifiers[name].weights if name in model.classifiers else None
+        if w is None:
+            z.append(0.0)
+            continue
+        total = 0.0
+        for j in ids:
+            total += float(w[j])
+        for k in range(3):
+            total += scaled[k] * float(w[n_words + k])
+        z.append(total + model.classifiers[name].bias)
+    return [p if name in model.classifiers else 0.0
+            for name, p in zip(model.catalog.labels, sigmoid(np.array(z)).tolist())]
+
+
+class TestScoreRows:
+    @settings(max_examples=150, deadline=None)
+    @given(problem=scoring_problems(), fallback=st.booleans(), padded_ids=st.sampled_from([None, 3]))
+    def test_batch_row_and_reference_agree(self, problem, fallback, padded_ids):
+        model, vectors = problem
+        word_ids = [sorted(v.word_indicators) for v in vectors]
+        shallow = [v.shallow_scaled for v in vectors]
+        # padded_ids 3 splits a batch into blocks of a few rows
+        with mock.patch.object(classifier_mod, "_PADDED_IDS",
+                               padded_ids or classifier_mod._PADDED_IDS):
+            batch = score_rows(model, word_ids, shallow)
+            predictions = predict_rows(model, word_ids, shallow, fallback)
+        assert batch.shape == (len(vectors), len(model.catalog.labels))
+        n_words = len(model.vocabulary)
+        for i, vector in enumerate(vectors):
+            one = score_rows(model, [word_ids[i]], [shallow[i]])[0]
+            assert batch[i].tobytes() == one.tobytes()
+            reference = reference_probabilities(model, word_ids[i], shallow[i])
+            assert batch[i].tolist() == reference
+            probs = predict_proba(model, vector)
+            assert list(probs.values()) == reference
+            dense = np.zeros(model.feature_width)
+            dense[word_ids[i]] = 1.0
+            dense[n_words:] = shallow[i]
+            # the dense route sums the same stacked weights in column order
+            assert list(predict_proba(model, dense).values()) == reference
+            for name, p in zip(model.catalog.labels, reference):
+                clf = model.classifiers.get(name)
+                expect = sigmoid(clf.weights @ dense + clf.bias) if clf else 0.0
+                assert p == pytest.approx(expect, abs=1e-12)
+
+            chosen = {name for name, p in probs.items() if p >= model.threshold}
+            low_confidence = not chosen
+            if low_confidence and fallback:
+                chosen = {max(model.catalog.labels, key=probs.get)}
+            assert predictions[i].labels == chosen
+            assert predictions[i].low_confidence == low_confidence
+            assert predictions[i].probabilities == probs
+            assert predictions[i] == predict_labels(model, vector, fallback)
+
+    def test_no_rows(self):
+        model = zero_model()
+        assert score_rows(model, [], []).shape == (0, 2)
+        assert predict_rows(model, [], []) == []
+
+    def test_stacked_once_and_not_persisted(self, tmp_path):
+        model = zero_model()
+        assert model.stacked is model.stacked
+        assert "stacked" not in model_to_document(model)
 
 
 def keyword_examples(n_per_label=10):

@@ -143,6 +143,25 @@ class TestValidate:
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith(f"error: {transcript}:2: not valid JSON ('x': {constant}")
 
+    @pytest.mark.parametrize("literal", ["1e999", "-1e999", "1" + "0" * 400 + ".0"],
+                             ids=["exponent", "negative", "digits"])
+    def test_float_out_of_range_in_extra_field_is_located_error(self, runner, tmp_path,
+                                                                literal):
+        # json reads such a literal as an infinity, which serialize_transcripts refuses
+        catalog = write_catalog(tmp_path / "catalog.json", ["qa"])
+        bad = record_line("c1", 1, "participant", 1.0, "x", ["qa"], x=0).replace(
+            '"x": 0', f'"x": {literal}')
+        transcript = write_lines(
+            tmp_path / "bad.jsonl", [record_line("c1", 0, "participant", 0.0, "x", ["qa"]), bad]
+        )
+        result = runner.invoke(main, ["--catalog", catalog, "validate", transcript])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith(
+            f"error: {transcript}:2: not valid JSON ('x': {literal[:40]}")
+        assert "out of range for a float" in result.stderr
+        assert len(result.stderr) - len(transcript) < 200
+
 
 class TestStats:
     def test_table(self, runner, tiny_corpus):

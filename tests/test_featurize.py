@@ -275,10 +275,11 @@ class TestVectorize:
     def test_dense_layout(self):
         vocab = build_vocabulary(["a b"])
         scaling = ScalingParams(means=(0.0, 0.0, 0.0), stds=(1.0, 1.0, 1.0))
-        fv = vector_from_parts(["b"], shallow_features(
-            make_conversation("c", [("participant", 0.0, "b", ["x"])]), 0), vocab, scaling)
-        dense = fv.to_dense(len(vocab))
-        assert dense.shape == (5,)
+        conv = make_conversation("c", [("participant", 0.0, "b", ["x"])])
+        fv = vector_from_parts(["b"], shallow_features(conv, 0), vocab, scaling)
+        X = feature_matrix(modeling_examples([conv], LabelCatalog(labels=("x",))), vocab, scaling)
+        assert X.shape == (1, 5)
+        dense = X[0]
         assert dense[0] == 0.0 and dense[1] == 1.0
         assert dense[2:].tolist() == list(fv.shallow_scaled)
 

@@ -1,9 +1,12 @@
+import io
 import json
 import socket
 import threading
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speechacts.classifier import predict_labels, save_model, train_model
 from speechacts.cli import main
@@ -49,6 +52,17 @@ DEEP_NESTING = "[" * 200000
 CRASH_LINES = [HUGE_TIMESTAMP, HUGE_INTEGER, DEEP_NESTING]
 # speakers whose full repr once came back in the error reply
 HUGE_SPEAKERS = ["x" * 1_000_000, ["participant"] * 200_000]
+
+
+@pytest.fixture(scope="module")
+def tcp_server(model):
+    server = ServeServer(("127.0.0.1", 0), ServeEngine(model))
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
 
 
 def read_all(sock):
@@ -151,6 +165,26 @@ class TestEngine:
                                                  model.slen_scope))
         got = strict_loads(engine.handle_line(request_line("s1", "participant", 14.0, "act1kw1 more")))
         assert got["probabilities"] == pytest.approx(expect.probabilities)
+
+    @pytest.mark.parametrize("literal", ["1e999", "-1e999"])
+    @pytest.mark.parametrize("field", ["x", "timestamp_s"])
+    def test_float_out_of_range_rejected_session_unchanged(self, model, field, literal):
+        engine = ServeEngine(model)
+        engine.handle_line(request_line("s1", "participant", 10.0, "act0kw0"))
+        line = request_line("s1", "participant", 12.0, "act0kw0")[:-1] + ', "x": 0}'
+        line = line.replace(f'"{field}": ' + ("12.0" if field == "timestamp_s" else "0"),
+                            f'"{field}": {literal}')
+        err = strict_loads(engine.handle_line(line))
+        assert err == {"error": f"not valid JSON ('{field}': {literal} is out of range for a float)"}
+        conv = make_conversation(
+            "s1", [("participant", 10.0, "act0kw0", []), ("participant", 14.0, "act1kw1 more", [])]
+        )
+        expect = predict_labels(model, vectorize(conv, 1, model.vocabulary, model.scaling,
+                                                 model.slen_scope))
+        got = strict_loads(engine.handle_line(request_line("s1", "participant", 14.0, "act1kw1 more")))
+        assert got == {"labels": sorted(expect.labels),
+                       "probabilities": expect.probabilities,
+                       "low_confidence": expect.low_confidence}
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_timestamp_rejected_session_unchanged(self, model, bad):
@@ -361,3 +395,98 @@ class TestTcp:
             server.shutdown()
             server.server_close()
             thread.join(timeout=5)
+
+
+FUZZ_CIDS = ("f1", "f2")
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+# literals Python's json reads but JSON has not, or that once escaped handle_line
+BAD_LITERALS = ["NaN", "-Infinity", "1e999", "-1e999", "1" * 4400, "[" * 3000, "tru"]
+
+
+@st.composite
+def fuzz_lines(draw):
+    """Lines for two conversations, timestamps mostly rising: requests, some
+    with one field replaced by an arbitrary JSON value or followed by a bad
+    literal, and arbitrary text."""
+    lines, clock = [], 0.0
+    for _ in range(draw(st.integers(1, 12))):
+        clock += draw(st.sampled_from([0.0, 0.5, 7.25]))
+        request = {
+            "conversation_id": draw(st.sampled_from(FUZZ_CIDS)),
+            "speaker": draw(st.sampled_from(SPEAKERS)),
+            "timestamp_s": clock - draw(st.sampled_from([0.0, 0.0, 0.0, 20.0])),
+            "text": draw(st.sampled_from(["act0kw0 act1kw1", "act2kw3 words", "zzz", ""])
+                         | st.text(max_size=12)),
+        }
+        kind = draw(st.sampled_from(["request", "field", "literal", "text"]))
+        if kind == "field":
+            request[draw(st.sampled_from(sorted(request) + ["x"]))] = draw(JSON_VALUES)
+        line = json.dumps(request)
+        if kind == "literal":
+            line = line[:-1] + ', "x": ' + draw(st.sampled_from(BAD_LITERALS)) + "}"
+        elif kind == "text":
+            line = draw(st.text())
+        lines.append(line)
+    return lines
+
+
+def is_blank(raw: bytes) -> bool:
+    try:
+        return not raw.decode("utf-8").strip()
+    except UnicodeDecodeError:
+        return False
+
+
+class TestFuzz:
+    @settings(max_examples=120, deadline=None)
+    @given(lines=fuzz_lines())
+    def test_one_strict_reply_per_line_and_errors_leave_sessions_unchanged(self, model, lines):
+        engine = ServeEngine(model)
+        accepted = {cid: [] for cid in FUZZ_CIDS}  # per conversation, lines answered
+        for line in lines:
+            reply = engine.handle_line(line)
+            assert "\n" not in reply
+            response = strict_loads(reply)
+            if set(response) != {"error"}:
+                assert set(response) == {"labels", "probabilities", "low_confidence"}
+                accepted.setdefault(json.loads(line)["conversation_id"], []).append(line)
+                continue
+            # each session's next request is answered as if the error never came
+            for cid in list(accepted):
+                latest = max((json.loads(a)["timestamp_s"] for a in accepted[cid]), default=0.0)
+                probe = request_line(cid, "participant", latest, "act0kw0 act1kw1 probe")
+                fresh = ServeEngine(model)
+                for previous in accepted[cid]:
+                    fresh.handle_line(previous)
+                assert engine.handle_line(probe) == fresh.handle_line(probe)
+                accepted[cid].append(probe)
+
+        stdout = io.StringIO()
+        handled = serve_stdio(ServeEngine(model), io.StringIO("\n".join(lines) + "\n"), stdout)
+        non_blank = [line for line in "\n".join(lines).split("\n") if line.strip()]
+        assert handled == len(non_blank)
+        replies = stdout.getvalue().split("\n")
+        assert replies.pop() == "" and len(replies) == handled
+        assert all(isinstance(strict_loads(reply), dict) for reply in replies)
+
+    @settings(max_examples=25, deadline=None)
+    @given(raw=st.lists(
+        st.binary(max_size=40).map(lambda b: b.replace(b"\n", b""))
+        | st.sampled_from([request_line("b1", "participant", 1.0, "act0kw0").encode(),
+                           b"\xff\xfe", b"  ", b"\r"]),
+        min_size=1, max_size=6,
+    ))
+    def test_arbitrary_bytes_over_one_socket(self, tcp_server, raw):
+        with socket.create_connection(tcp_server.server_address) as sock:
+            sock.sendall(b"\n".join(raw) + b"\n")
+            sock.shutdown(socket.SHUT_WR)
+            data = read_all(sock)
+        replies = data.decode("ascii").split("\n")
+        assert replies.pop() == ""
+        assert len(replies) == sum(not is_blank(line) for line in raw)
+        assert all(isinstance(strict_loads(reply), dict) for reply in replies)
