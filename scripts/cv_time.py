@@ -1,0 +1,85 @@
+"""Time one cross-validation of a bench corpus, plain or nested.
+
+Each corpus is built by ``bench/inputs.py`` from a fixed seed:
+
+* ``narrow``: the 1,200-example synth reference corpus;
+* ``study``: 259 examples over the bundled catalog;
+* ``paper``: a study-shaped corpus at the paper's size, 30 conversations of
+  85-95 participant turns under the study corpus seed, about 2,400 examples.
+
+The run uses the default config with the corpus's fold seed (``paper`` uses
+study's); ``--tune`` turns tuning on, which makes it the nested CV of
+``evaluate --tune`` that the benchmark does not time. It prints the wall time
+and the sha256 of the machine-format report, and writes the report when
+``--report`` names a file.
+
+    python3 scripts/cv_time.py --corpus narrow|study|paper [--tune] [--report FILE]
+
+For where the time goes, run it under cProfile:
+
+    python3 -m cProfile -s cumulative scripts/cv_time.py --corpus paper | head -40
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]  # the checkout's package, bench inputs
+
+import inputs  # noqa: E402
+
+from speechacts import reports  # noqa: E402
+from speechacts.config import RunConfig  # noqa: E402
+from speechacts.corpus import LabelCatalog, modeling_examples, parse_transcripts  # noqa: E402
+from speechacts.evaluate import cross_validate  # noqa: E402
+
+PAPER_SHAPE = inputs.StudyShape(conversations=30, turns_min=85, turns_max=95)
+CORPORA = ("narrow", "study", "paper")
+
+
+def bench_corpus(corpus: str):
+    if corpus == "narrow":
+        records = inputs.synth_records(inputs.NARROW_TURNS_PER_LABEL, inputs.CORPUS_SEED["narrow"])
+        catalog = LabelCatalog(labels=tuple(f"act{i}" for i in range(6)))
+    else:
+        seed = inputs.CORPUS_SEED["study"]
+        shape = PAPER_SHAPE if corpus == "paper" else inputs.STUDY_TRAIN
+        records = inputs.study_records(inputs.study_skeleton(shape, seed),
+                                       inputs.StudyText(np.random.default_rng(seed)), "study")
+        catalog = LabelCatalog.default()
+    lines = [json.dumps(r, ensure_ascii=True, allow_nan=False) for r in records]
+    return modeling_examples(parse_transcripts(lines, catalog), catalog), catalog
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--corpus", choices=CORPORA, required=True)
+    parser.add_argument("--tune", action="store_true", help="nested CV, as evaluate --tune")
+    parser.add_argument("--report", type=Path, help="write the machine-format CV report here")
+    args = parser.parse_args()
+
+    examples, catalog = bench_corpus(args.corpus)
+    fold_seed = inputs.FOLD_SEED["narrow" if args.corpus == "narrow" else "study"]
+    config = RunConfig(seed=fold_seed, tune=args.tune)
+    start = time.perf_counter()
+    report = cross_validate(examples, catalog, config)
+    elapsed = time.perf_counter() - start
+    text = reports.metrics_machine(report, config.as_dict())
+    if args.report:
+        args.report.write_text(text, encoding="utf-8")
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    print(f"corpus {args.corpus}  tune {args.tune}  examples {len(examples)}  "
+          f"cv_s {elapsed:.2f}  report_sha256 {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -45,16 +45,12 @@ from .evaluate import (
 )
 from .featurize import (
     ContextState,
-    FeatureVector,
     ScalingParams,
     ShallowFeatures,
     Vocabulary,
-    build_vocabulary,
     conversation_context,
     fit_scaling,
-    shallow_features,
     tokenize,
-    vectorize,
 )
 
 __version__ = "0.1.0"

@@ -24,7 +24,6 @@ from .corpus import LabelCatalog, ModelingExample, catalog_from_dict, decode_rec
 from .featurize import (
     N_SHALLOW,
     SAME_SPEAKER,
-    FeatureVector,
     ScalingParams,
     Vocabulary,
     example_contexts,
@@ -442,24 +441,21 @@ def score_rows(
     return _probabilities(model.stacked, _word_sums(model.stacked.words, word_ids), shallow)
 
 
-def predict_proba(model: MultiLabelModel, vector: Union[FeatureVector, np.ndarray]) -> dict[str, float]:
+def predict_proba(model: MultiLabelModel, vector: np.ndarray) -> dict[str, float]:
     """Per-label probability of membership; skipped labels map to 0.0.
 
-    A FeatureVector is scored by :func:`score_rows`. A dense vector (word
-    columns, then the scaled shallow features) meets the same stacked
-    weights, each word column times its weights, summed in column order.
+    ``vector`` is a dense row: the word columns, then the scaled shallow
+    features. It meets the stacked weights that :func:`score_rows` reads,
+    each word column times its weights, summed in column order.
     """
-    if isinstance(vector, FeatureVector):
-        probs = score_rows(model, [sorted(vector.word_indicators)], [vector.shallow_scaled])
-    else:
-        dense = np.asarray(vector, dtype=np.float64)
-        if dense.shape != (model.feature_width,):
-            raise ValueError(
-                f"feature width mismatch: vector has {dense.shape}, model wants ({model.feature_width},)"
-            )
-        n_words, stack = len(model.vocabulary), model.stacked
-        word_sums = (dense[:n_words, None] * stack.words[:n_words]).sum(axis=0)
-        probs = _probabilities(stack, word_sums, dense[None, n_words:])
+    dense = np.asarray(vector, dtype=np.float64)
+    if dense.shape != (model.feature_width,):
+        raise ValueError(
+            f"feature width mismatch: vector has {dense.shape}, model wants ({model.feature_width},)"
+        )
+    n_words, stack = len(model.vocabulary), model.stacked
+    word_sums = (dense[:n_words, None] * stack.words[:n_words]).sum(axis=0)
+    probs = _probabilities(stack, word_sums, dense[None, n_words:])
     return dict(zip(model.catalog.labels, probs[0].tolist()))
 
 
@@ -474,7 +470,7 @@ def _prediction(model: MultiLabelModel, probs: dict[str, float], fallback: bool)
 
 
 def predict_labels(
-    model: MultiLabelModel, vector: Union[FeatureVector, np.ndarray], fallback: bool = False
+    model: MultiLabelModel, vector: np.ndarray, fallback: bool = False
 ) -> Prediction:
     """Threshold the per-label probabilities into a label set.
 

@@ -76,7 +76,7 @@ def _read_corpus(ctx, paths, catalog):
               default=None, help="Label catalog JSON (default: bundled catalog).")
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Run configuration JSON.")
-@click.option("--seed", type=int, default=None, help="Override the run seed.")
+@click.option("--seed", type=click.IntRange(min=0), default=None, help="Override the run seed.")
 @click.option("--format", "fmt", type=click.Choice(reports.FORMATS), default=reports.TABLE,
               show_default=True, help="Report format.")
 @click.pass_context
@@ -360,7 +360,7 @@ def serve(ctx, model_path, port, host, fallback):
     click.echo(f"# config: {json.dumps(model.config.as_dict(), sort_keys=True, allow_nan=False)}",
                err=True)
     if port is None:
-        serve_stdio(engine, sys.stdin, sys.stdout)
+        serve_stdio(engine, click.get_binary_stream("stdin"), sys.stdout)
         return
     try:
         server = ServeServer((host, port), engine)

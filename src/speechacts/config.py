@@ -108,6 +108,8 @@ class RunConfig:
             raise ValueError(f"slen_scope must be a string, got {self.slen_scope!r}")
         if self.smote_k < 1:
             raise ValueError("smote_k must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_folds < 2:
             raise ValueError("n_folds must be >= 2")
         if self.inner_folds < 2:

@@ -311,9 +311,22 @@ def _parse_record(line: str, source: str, line_no: int, catalog: LabelCatalog) -
     return Turn(cid, idx, speaker, ts, text, labels, extra)
 
 
-def _iter_lines(stream: Union[IO, Iterable]) -> Iterator[str]:
-    for raw in stream:
-        yield raw.decode("utf-8") if isinstance(raw, (bytes, bytearray)) else raw
+def _records(
+    stream: Union[IO, Iterable], source: str, catalog: LabelCatalog
+) -> Iterator[tuple[Turn, str, int]]:
+    """(turn, source, line number) of each non-blank line; a line may be str
+    or UTF-8 bytes."""
+    for line_no, line in enumerate(stream, start=1):
+        if isinstance(line, (bytes, bytearray)):
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise TranscriptError(
+                    f"not valid UTF-8: byte 0x{line[exc.start]:02x} at offset {exc.start}",
+                    source, line_no,
+                ) from exc
+        if line.strip():
+            yield _parse_record(line, source, line_no, catalog), source, line_no
 
 
 def _group(records: list[tuple[Turn, str, int]]) -> list[Conversation]:
@@ -347,23 +360,15 @@ def parse_transcripts(
     turn_index) pairs. Structural invariants that are a matter of data
     quality rather than parseability are left to :func:`validate`.
     """
-    records = []
-    for line_no, line in enumerate(_iter_lines(stream), start=1):
-        if not line.strip():
-            continue
-        records.append((_parse_record(line, source, line_no, catalog), source, line_no))
-    return _group(records)
+    return _group(list(_records(stream, source, catalog)))
 
 
 def load_transcripts(paths: Iterable[Union[str, Path]], catalog: LabelCatalog) -> list[Conversation]:
     """Parse several transcript files; conversations may span files."""
     records = []
     for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                records.append((_parse_record(line, str(path), line_no, catalog), str(path), line_no))
+        with open(path, "rb") as fh:
+            records.extend(_records(fh, str(path), catalog))
     return _group(records)
 
 

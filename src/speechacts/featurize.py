@@ -1,4 +1,4 @@
-"""Turn text and context into feature vectors.
+"""Turn text and context into feature rows.
 
 Each modeling example becomes a binary bag of words over a vocabulary fixed
 on training data, plus three shallow context features:
@@ -73,24 +73,6 @@ class Vocabulary:
         return Vocabulary({tok: i for i, tok in enumerate(ordered)})
 
 
-def build_vocabulary(texts: Iterable[str]) -> Vocabulary:
-    """One column per distinct token across the training texts.
-
-    Must only ever see training-fold texts; test tokens never enlarge the
-    vocabulary.
-    """
-    return _vocabulary_from_tokens(tokenize(text) for text in texts)
-
-
-def _vocabulary_from_tokens(token_lists: Iterable[list[str]]) -> Vocabulary:
-    tokens: dict[str, int] = {}
-    for toks in token_lists:
-        for tok in toks:
-            if tok not in tokens:
-                tokens[tok] = len(tokens)
-    return Vocabulary(tokens)
-
-
 @dataclass(frozen=True)
 class ShallowFeatures:
     slen: float
@@ -161,21 +143,6 @@ def _advance(turns, state: ContextState) -> Iterator[tuple[list[str], ShallowFea
         yield tokens, state.observe(turn.speaker, turn.timestamp_s, len(tokens))
 
 
-def _turn_context(
-    conversation: Conversation, turn_index: int, scope: str
-) -> tuple[list[str], ShallowFeatures]:
-    if not 0 <= turn_index < len(conversation.turns):
-        raise IndexError(f"turn_index {turn_index} out of range for {conversation.conversation_id}")
-    return next(itertools.islice(conversation_context(conversation, scope), turn_index, None))
-
-
-def shallow_features(
-    conversation: Conversation, turn_index: int, scope: str = SAME_SPEAKER
-) -> ShallowFeatures:
-    """Shallow features for one turn, using only earlier turns as context."""
-    return _turn_context(conversation, turn_index, scope)[1]
-
-
 def example_contexts(
     examples: Sequence[ModelingExample], scope: str
 ) -> list[tuple[list[str], ShallowFeatures]]:
@@ -221,15 +188,6 @@ def fit_scaling(features: Sequence[ShallowFeatures]) -> ScalingParams:
     return ScalingParams(means=means, stds=stds)
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """Sparse word-presence indices plus raw and z-scored shallow features."""
-
-    word_indicators: frozenset[int]
-    shallow: ShallowFeatures
-    shallow_scaled: tuple[float, float, float]
-
-
 def turn_row(
     tokens: Iterable[str],
     shallow: ShallowFeatures,
@@ -242,52 +200,17 @@ def turn_row(
     return sorted({columns[tok] for tok in tokens if tok in columns}), scaling.scale(shallow)
 
 
-def vector_from_parts(
-    tokens: Iterable[str],
-    shallow: ShallowFeatures,
-    vocabulary: Vocabulary,
-    scaling: ScalingParams,
-) -> FeatureVector:
-    """Assemble a FeatureVector; tokens outside the vocabulary are ignored."""
-    ids, scaled = turn_row(tokens, shallow, vocabulary, scaling)
-    return FeatureVector(frozenset(ids), shallow, scaled)
-
-
-def vectorize(
-    conversation: Conversation,
-    turn_index: int,
-    vocabulary: Vocabulary,
-    scaling: ScalingParams,
-    scope: str = SAME_SPEAKER,
-) -> FeatureVector:
-    tokens, shallow = _turn_context(conversation, turn_index, scope)
-    return vector_from_parts(tokens, shallow, vocabulary, scaling)
-
-
-def fit_features(
-    examples: Sequence[ModelingExample], scope: str = SAME_SPEAKER
-) -> tuple[Vocabulary, ScalingParams]:
-    """Fit vocabulary and scaling on a training split only."""
-    return fit_from_contexts(example_contexts(examples, scope))
-
-
 def fit_from_contexts(
     contexts: Sequence[tuple[list[str], ShallowFeatures]]
 ) -> tuple[Vocabulary, ScalingParams]:
-    """:func:`fit_features` on the training split's :func:`example_contexts`."""
-    vocab = _vocabulary_from_tokens(tokens for tokens, _ in contexts)
-    scaling = fit_scaling([shallow for _, shallow in contexts])
-    return vocab, scaling
+    """Vocabulary and scaling from the training split's :func:`example_contexts`.
 
-
-def feature_matrix(
-    examples: Sequence[ModelingExample],
-    vocabulary: Vocabulary,
-    scaling: ScalingParams,
-    scope: str = SAME_SPEAKER,
-) -> np.ndarray:
-    """Dense design matrix: |vocabulary| word indicators then 3 scaled shallow."""
-    return matrix_from_contexts(example_contexts(examples, scope), vocabulary, scaling)
+    The vocabulary has one column per distinct token, in first-occurrence
+    order. Must only ever see training-fold turns; test tokens never enlarge
+    the vocabulary.
+    """
+    tokens = dict.fromkeys(itertools.chain.from_iterable(tokens for tokens, _ in contexts))
+    return Vocabulary.from_tokens(list(tokens)), fit_scaling([shallow for _, shallow in contexts])
 
 
 def matrix_from_contexts(
@@ -295,7 +218,8 @@ def matrix_from_contexts(
     vocabulary: Vocabulary,
     scaling: ScalingParams,
 ) -> np.ndarray:
-    """:func:`feature_matrix` of the examples whose :func:`example_contexts` these are."""
+    """Dense design matrix of the examples whose :func:`example_contexts` these
+    are: |vocabulary| word indicators then 3 scaled shallow features."""
     width = len(vocabulary) + N_SHALLOW
     X = np.zeros((len(contexts), width), dtype=np.float64)
     for row, (tokens, shallow) in enumerate(contexts):

@@ -82,13 +82,23 @@ class ServeEngine:
         return encode_record(response)
 
 
-def serve_stdio(engine: ServeEngine, stdin: IO[str], stdout: IO[str]) -> int:
+def _reply(engine: ServeEngine, raw: bytes) -> str | None:
+    """The response line to one raw request line, or None for a blank line."""
+    try:
+        line = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return encode_record({"error": "request is not valid UTF-8"})
+    return engine.handle_line(line) if line.strip() else None
+
+
+def serve_stdio(engine: ServeEngine, stdin: IO[bytes], stdout: IO[str]) -> int:
     """Process request lines sequentially until the input stream ends."""
     handled = 0
-    for line in stdin:
-        if not line.strip():
+    for raw in stdin:
+        response = _reply(engine, raw)
+        if response is None:
             continue
-        stdout.write(engine.handle_line(line) + "\n")
+        stdout.write(response + "\n")
         stdout.flush()
         handled += 1
     return handled
@@ -102,16 +112,10 @@ class _LineHandler(socketserver.StreamRequestHandler):
     def handle(self):
         engine: ServeEngine = self.server.engine  # type: ignore[attr-defined]
         for raw in self.rfile:
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                response = encode_record({"error": "request is not valid UTF-8"})
-            else:
-                if not line.strip():
-                    continue
-                response = engine.handle_line(line)
-            self.wfile.write((response + "\n").encode("utf-8"))
-            self.wfile.flush()
+            response = _reply(engine, raw)
+            if response is not None:
+                self.wfile.write((response + "\n").encode("utf-8"))
+                self.wfile.flush()
 
 
 class ServeServer(socketserver.ThreadingTCPServer):

@@ -39,6 +39,8 @@ class SynthSpec:
             raise ValueError("multi_label_rate must lie in [0, 1]")
         if self.turns_per_conversation < 1:
             raise ValueError("turns_per_conversation must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def label_names(self) -> list[str]:

@@ -49,12 +49,8 @@ from speechacts.featurize import (
     ScalingParams,
     ShallowFeatures,
     Vocabulary,
-    build_vocabulary,
     example_contexts,
-    feature_matrix,
-    fit_features,
     turn_row,
-    vector_from_parts,
 )
 from speechacts.synth import SynthSpec, synth_catalog, synth_corpus
 
@@ -485,9 +481,9 @@ def scoring_problems(draw):
                   st.floats(0.0, 100.0)),
         min_size=1, max_size=8,
     ))
-    vectors = [vector_from_parts(tokens, ShallowFeatures(slen, wc, ppau), vocabulary, scaling)
-               for tokens, slen, wc, ppau in turns]
-    return model, vectors
+    rows = [turn_row(tokens, ShallowFeatures(slen, wc, ppau), vocabulary, scaling)
+            for tokens, slen, wc, ppau in turns]
+    return model, rows
 
 
 def reference_probabilities(model, ids, scaled):
@@ -514,28 +510,27 @@ class TestScoreRows:
     @settings(max_examples=150, deadline=None)
     @given(problem=scoring_problems(), fallback=st.booleans(), padded_ids=st.sampled_from([None, 3]))
     def test_batch_row_and_reference_agree(self, problem, fallback, padded_ids):
-        model, vectors = problem
-        word_ids = [sorted(v.word_indicators) for v in vectors]
-        shallow = [v.shallow_scaled for v in vectors]
+        model, rows = problem
+        word_ids = [ids for ids, _ in rows]
+        shallow = [scaled for _, scaled in rows]
         # padded_ids 3 splits a batch into blocks of a few rows
         with mock.patch.object(classifier_mod, "_PADDED_IDS",
                                padded_ids or classifier_mod._PADDED_IDS):
             batch = score_rows(model, word_ids, shallow)
             predictions = predict_rows(model, word_ids, shallow, fallback)
-        assert batch.shape == (len(vectors), len(model.catalog.labels))
+        assert batch.shape == (len(rows), len(model.catalog.labels))
         n_words = len(model.vocabulary)
-        for i, vector in enumerate(vectors):
+        for i in range(len(rows)):
             one = score_rows(model, [word_ids[i]], [shallow[i]])[0]
             assert batch[i].tobytes() == one.tobytes()
             reference = reference_probabilities(model, word_ids[i], shallow[i])
             assert batch[i].tolist() == reference
-            probs = predict_proba(model, vector)
-            assert list(probs.values()) == reference
             dense = np.zeros(model.feature_width)
             dense[word_ids[i]] = 1.0
             dense[n_words:] = shallow[i]
             # the dense route sums the same stacked weights in column order
-            assert list(predict_proba(model, dense).values()) == reference
+            probs = predict_proba(model, dense)
+            assert list(probs.values()) == reference
             for name, p in zip(model.catalog.labels, reference):
                 clf = model.classifiers.get(name)
                 expect = sigmoid(clf.weights @ dense + clf.bias) if clf else 0.0
@@ -548,7 +543,7 @@ class TestScoreRows:
             assert predictions[i].labels == chosen
             assert predictions[i].low_confidence == low_confidence
             assert predictions[i].probabilities == probs
-            assert predictions[i] == predict_labels(model, vector, fallback)
+            assert predictions[i] == predict_labels(model, dense, fallback)
 
     def test_no_rows(self):
         model = zero_model()

@@ -105,6 +105,20 @@ class TestValidate:
         assert f"{transcript}:2:" in result.stderr
 
 
+    def test_non_utf8_line_is_located_error(self, runner, tmp_path):
+        catalog = write_catalog(tmp_path / "catalog.json", ["qa"])
+        good = record_line("c1", 0, "participant", 0.0, "x", ["qa"]).encode()
+        # a Latin-1 e-acute, after a blank line
+        bad = record_line("c1", 1, "participant", 1.0, "cafe", ["qa"]).encode().replace(
+            b"cafe", b"caf\xe9")
+        transcript = tmp_path / "bad.jsonl"
+        transcript.write_bytes(good + b"\n\n" + bad + b"\n")
+        result = runner.invoke(main, ["--catalog", catalog, "validate", str(transcript)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        offset = bad.index(b"\xe9")
+        assert result.stderr == f"error: {transcript}:3: not valid UTF-8: byte 0xe9 at offset {offset}\n"
+
     @pytest.mark.parametrize("speaker", ["x" * 1_000_000, ["participant"] * 200_000],
                              ids=["string", "list"])
     def test_huge_speaker_error_is_bounded(self, runner, tmp_path, speaker):
@@ -191,6 +205,19 @@ class TestSynthCorpus:
             )
             assert result.exit_code == 0, result.output
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    @pytest.mark.parametrize("command", ["synth-corpus", "train", "evaluate"])
+    def test_negative_seed_rejected_up_front(self, runner, tmp_path, separable_corpus_files,
+                                             command):
+        corpus, catalog = separable_corpus_files
+        out = tmp_path / "out"
+        inputs = [] if command == "synth-corpus" else [corpus]
+        result = runner.invoke(main, ["--catalog", catalog, "--seed", "-1", command, *inputs,
+                                      "--output", str(out)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert "'--seed'" in result.stderr
+        assert not out.exists()
 
     def test_catalog_out_usable(self, runner, separable_corpus_files):
         corpus, catalog = separable_corpus_files
@@ -563,6 +590,7 @@ class TestConfigPrecedence:
         {"tune": 0},
         {"slen_scope": 1},
         {"slen_scope": ["same"]},
+        {"seed": -3},
     ])
     def test_bad_run_settings_rejected(self, runner, separable_corpus_files, tmp_path,
                                        command, settings):

@@ -15,23 +15,37 @@ from speechacts.corpus import (
 )
 from speechacts.featurize import (
     ANY_SPEAKER,
+    SAME_SPEAKER,
     SLEN_SCOPES,
     ContextState,
     ScalingParams,
     ShallowFeatures,
-    build_vocabulary,
+    Vocabulary,
     conversation_context,
-    feature_matrix,
+    example_contexts,
     feature_names,
-    fit_features,
+    fit_from_contexts,
     fit_scaling,
-    shallow_features,
+    matrix_from_contexts,
     tokenize,
-    vector_from_parts,
-    vectorize,
+    turn_row,
 )
 
 from conftest import make_conversation
+
+
+def shallow_of(conversation, turn_index, scope=SAME_SPEAKER):
+    """One turn's shallow features, through :func:`example_contexts`."""
+    return example_contexts([ModelingExample(conversation, turn_index, frozenset())], scope)[0][1]
+
+
+def vocabulary_of(texts):
+    """The vocabulary :func:`fit_from_contexts` fits on turns with these texts."""
+    return fit_from_contexts([(tokenize(text), ShallowFeatures(1.0, 0, 0.0)) for text in texts])[0]
+
+
+def fit_examples(examples):
+    return fit_from_contexts(example_contexts(examples, SAME_SPEAKER))
 
 
 class TestTokenize:
@@ -62,20 +76,21 @@ class TestTokenize:
 
 class TestVocabulary:
     def test_first_occurrence_order(self):
-        vocab = build_vocabulary(["a b", "b c"])
+        vocab = vocabulary_of(["a b", "b c"])
         assert vocab.tokens == {"a": 0, "b": 1, "c": 2}
         assert vocab.token_list == ["a", "b", "c"]
 
     def test_empty_training_set(self):
-        assert len(build_vocabulary([])) == 0
+        with pytest.raises(ValueError):
+            fit_from_contexts([])
 
     def test_case_folding(self):
-        vocab = build_vocabulary(["Fix fix FIX"])
+        vocab = vocabulary_of(["Fix fix FIX"])
         assert vocab.tokens == {"fix": 0}
 
     def test_determinism(self):
         texts = ["what is this", "this is what", "another one"]
-        assert build_vocabulary(texts) == build_vocabulary(texts)
+        assert vocabulary_of(texts) == vocabulary_of(texts)
 
 
 class TestShallow:
@@ -83,11 +98,11 @@ class TestShallow:
         conv = make_conversation(
             "c1", [("participant", 10.0, "one two", ["a"]), ("participant", 14.5, "three", ["a"])]
         )
-        assert shallow_features(conv, 1).ppau == 4.5
+        assert shallow_of(conv, 1).ppau == 4.5
 
     def test_first_turn_boundaries(self):
         conv = make_conversation("c1", [("participant", 3.0, "one two three four five six", ["a"])])
-        sf = shallow_features(conv, 0)
+        sf = shallow_of(conv, 0)
         assert sf.wc == 6
         assert sf.ppau == 0.0
         assert sf.slen == 1.0
@@ -102,7 +117,7 @@ class TestShallow:
                 ("participant", 3.0, "1 2 3 4 5 6 7 8 9 10", ["a"]),   # wc 10
             ],
         )
-        assert shallow_features(conv, 3).slen == pytest.approx(10 / 5)
+        assert shallow_of(conv, 3).slen == pytest.approx(10 / 5)
 
     def test_slen_any_speaker_scope(self):
         conv = make_conversation(
@@ -113,25 +128,25 @@ class TestShallow:
                 ("participant", 2.0, "1 2 3 4 5 6", ["a"]),  # wc 6
             ],
         )
-        assert shallow_features(conv, 2, ANY_SPEAKER).slen == pytest.approx(6 / 3)
-        assert shallow_features(conv, 2).slen == pytest.approx(6 / 4)
+        assert shallow_of(conv, 2, ANY_SPEAKER).slen == pytest.approx(6 / 3)
+        assert shallow_of(conv, 2).slen == pytest.approx(6 / 4)
 
     def test_slen_zero_mean_falls_back_to_wc(self):
         conv = make_conversation(
             "c1", [("participant", 0.0, "???", ["a"]), ("participant", 1.0, "x y z", ["a"])]
         )
-        assert shallow_features(conv, 1).slen == 3.0
+        assert shallow_of(conv, 1).slen == 3.0
 
     def test_ppau_uses_any_speaker(self):
         conv = make_conversation(
             "c1", [("assistant", 0.0, "hi", []), ("participant", 7.25, "q", ["a"])]
         )
-        assert shallow_features(conv, 1).ppau == 7.25
+        assert shallow_of(conv, 1).ppau == 7.25
 
     def test_out_of_range(self):
         conv = make_conversation("c1", [("participant", 0.0, "x", ["a"])])
         with pytest.raises(IndexError):
-            shallow_features(conv, 1)
+            shallow_of(conv, 1)
 
     def test_causality(self):
         conv = make_conversation(
@@ -139,10 +154,10 @@ class TestShallow:
             [("participant", 0.0, "a b", ["a"]), ("participant", 2.0, "c d e", ["a"]),
              ("participant", 4.0, "f", ["a"])],
         )
-        before = shallow_features(conv, 1)
+        before = shallow_of(conv, 1)
         conv.turns[2].text = "changed massively " * 10
         conv.turns[2].timestamp_s = 999.0
-        assert shallow_features(conv, 1) == before
+        assert shallow_of(conv, 1) == before
 
 
 def prefix_scan_shallow(conversation, turn_index, scope):
@@ -190,7 +205,9 @@ class TestRunningContext:
             expected = prefix_scan_shallow(conv, i, scope)
             assert shallow == expected
             assert type(shallow.ppau) is type(expected.ppau)
-            assert shallow_features(conv, i, scope) == expected
+        # examples in any order, each turn's context from one run per conversation
+        examples = [ModelingExample(conv, i, frozenset()) for i in reversed(range(len(conv.turns)))]
+        assert example_contexts(examples, scope) == contexts[::-1]
 
     def test_unknown_scope_rejected_before_iterating(self):
         conv = make_conversation("c1", [("participant", 0.0, "x", ["a"])])
@@ -199,7 +216,7 @@ class TestRunningContext:
         with pytest.raises(ValueError):
             conversation_context(conv, "nobody")
         with pytest.raises(ValueError):
-            shallow_features(conv, 0, "nobody")
+            shallow_of(conv, 0, "nobody")
 
     def test_examples_tokenize_each_needed_turn_once(self, monkeypatch):
         import speechacts.featurize as featurize_mod
@@ -213,19 +230,19 @@ class TestRunningContext:
         calls = []
         real = featurize_mod.tokenize
         monkeypatch.setattr(featurize_mod, "tokenize", lambda text: calls.append(text) or real(text))
-        vocab, scaling = fit_features(examples)
+        vocab, scaling = fit_examples(examples)
         # the context stops at the last example's turn; later turns are never read
         assert len(calls) == 30
         calls.clear()
-        feature_matrix(examples, vocab, scaling)
+        matrix_from_contexts(example_contexts(examples, SAME_SPEAKER), vocab, scaling)
         assert len(calls) == 30
 
 
 class TestScaling:
     def test_population_std(self):
         feats = [
-            shallow_features(make_conversation("c", [("participant", 0.0, "a b", ["x"])]), 0),
-            shallow_features(make_conversation("c", [("participant", 0.0, "a b c d", ["x"])]), 0),
+            shallow_of(make_conversation("c", [("participant", 0.0, "a b", ["x"])]), 0),
+            shallow_of(make_conversation("c", [("participant", 0.0, "a b c d", ["x"])]), 0),
         ]
         scaling = fit_scaling(feats)
         assert scaling.means[1] == 3.0
@@ -233,14 +250,14 @@ class TestScaling:
 
     def test_constant_feature(self):
         conv = make_conversation("c", [("participant", 0.0, "a b c d e", ["x"])])
-        feats = [shallow_features(conv, 0)] * 3
+        feats = [shallow_of(conv, 0)] * 3
         scaling = fit_scaling(feats)
         assert scaling.stds == (0.0, 0.0, 0.0)
         assert scaling.scale(feats[0]) == (0.0, 0.0, 0.0)
 
     def test_single_example(self):
         conv = make_conversation("c", [("participant", 0.0, "a", ["x"])])
-        scaling = fit_scaling([shallow_features(conv, 0)])
+        scaling = fit_scaling([shallow_of(conv, 0)])
         assert scaling.stds == (0.0, 0.0, 0.0)
 
     def test_empty_errors(self):
@@ -251,37 +268,40 @@ class TestScaling:
 class TestVectorize:
     def test_presence_not_counts(self):
         conv = make_conversation("c1", [("participant", 0.0, "b a b", ["x"])])
-        vocab = build_vocabulary(["a b c"])
+        vocab = vocabulary_of(["a b c"])
         scaling = ScalingParams(means=(0.0, 0.0, 0.0), stds=(1.0, 1.0, 1.0))
-        fv = vectorize(conv, 0, vocab, scaling)
-        assert fv.word_indicators == frozenset({0, 1})
+        ids, _ = turn_row(*next(conversation_context(conv)), vocab, scaling)
+        assert ids == [0, 1]
 
     def test_unknown_tokens_ignored(self):
         conv = make_conversation("c1", [("participant", 0.0, "zzz", ["x"])])
-        vocab = build_vocabulary(["a b"])
+        vocab = vocabulary_of(["a b"])
         scaling = ScalingParams(means=(0.0, 0.0, 0.0), stds=(1.0, 1.0, 1.0))
-        fv = vectorize(conv, 0, vocab, scaling)
-        assert fv.word_indicators == frozenset()
-        assert fv.shallow.wc == 1
+        tokens, shallow = next(conversation_context(conv))
+        ids, _ = turn_row(tokens, shallow, vocab, scaling)
+        assert ids == []
+        assert shallow.wc == 1
 
     def test_z_score_arithmetic(self):
         scaling = ScalingParams(means=(0.0, 5.0, 0.0), stds=(1.0, 2.5, 1.0))
         conv = make_conversation(
             "c1", [("participant", 0.0, "a b c d e f g h i j", ["x"])]  # wc 10
         )
-        fv = vectorize(conv, 0, build_vocabulary([]), scaling)
-        assert fv.shallow_scaled[1] == pytest.approx((10 - 5) / 2.5)
+        _, scaled = turn_row(*next(conversation_context(conv)), Vocabulary({}), scaling)
+        assert scaled[1] == pytest.approx((10 - 5) / 2.5)
 
     def test_dense_layout(self):
-        vocab = build_vocabulary(["a b"])
+        vocab = vocabulary_of(["a b"])
         scaling = ScalingParams(means=(0.0, 0.0, 0.0), stds=(1.0, 1.0, 1.0))
         conv = make_conversation("c", [("participant", 0.0, "b", ["x"])])
-        fv = vector_from_parts(["b"], shallow_features(conv, 0), vocab, scaling)
-        X = feature_matrix(modeling_examples([conv], LabelCatalog(labels=("x",))), vocab, scaling)
+        ids, scaled = turn_row(["b"], shallow_of(conv, 0), vocab, scaling)
+        examples = modeling_examples([conv], LabelCatalog(labels=("x",)))
+        X = matrix_from_contexts(example_contexts(examples, SAME_SPEAKER), vocab, scaling)
         assert X.shape == (1, 5)
         dense = X[0]
+        assert ids == [1]
         assert dense[0] == 0.0 and dense[1] == 1.0
-        assert dense[2:].tolist() == list(fv.shallow_scaled)
+        assert dense[2:].tolist() == list(scaled)
 
 
 class TestDatasetFeaturization:
@@ -297,30 +317,30 @@ class TestDatasetFeaturization:
 
     def test_vocabulary_from_participant_examples_only(self):
         examples = self._examples()
-        vocab, _ = fit_features(examples)
+        vocab, _ = fit_examples(examples)
         assert set(vocab.tokens) == {"alpha", "beta", "gamma"}
 
     def test_matrix_words_are_binary(self):
         examples = self._examples()
-        vocab, scaling = fit_features(examples)
-        X = feature_matrix(examples, vocab, scaling)
+        vocab, scaling = fit_examples(examples)
+        X = matrix_from_contexts(example_contexts(examples, SAME_SPEAKER), vocab, scaling)
         words = X[:, : len(vocab)]
         assert np.isin(words, [0.0, 1.0]).all()
         assert X.shape == (2, len(vocab) + 3)
 
     def test_feature_names_order(self):
         examples = self._examples()
-        vocab, _ = fit_features(examples)
+        vocab, _ = fit_examples(examples)
         names = feature_names(vocab)
         assert names[: len(vocab)] == vocab.token_list
         assert names[-3:] == ["slen_sf", "wc_sf", "ppau_sf"]
 
     def test_test_tokens_never_enlarge_vocabulary(self):
         examples = self._examples()
-        vocab, scaling = fit_features(examples[:1])
+        vocab, scaling = fit_examples(examples[:1])
         assert "gamma" not in vocab
-        fv = vectorize(examples[1].conversation, examples[1].turn_index, vocab, scaling)
-        assert all(idx < len(vocab) for idx in fv.word_indicators)
+        ids, _ = turn_row(*example_contexts(examples[1:], SAME_SPEAKER)[0], vocab, scaling)
+        assert ids and all(idx < len(vocab) for idx in ids)
 
 
 def test_examples_of_unlabeled_are_not_built():

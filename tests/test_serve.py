@@ -1,22 +1,27 @@
 import io
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speechacts.classifier import predict_labels, save_model, train_model
+import speechacts
+from speechacts.classifier import save_model, train_model
 from speechacts.cli import main
 from speechacts.config import RunConfig
 from speechacts.corpus import SPEAKERS, TIMESTAMP_ERROR, modeling_examples, serialize_transcripts
-from speechacts.featurize import SLEN_SCOPES, ContextState, vectorize
+from speechacts.featurize import SLEN_SCOPES, ContextState
 from speechacts.serve import ServeEngine, ServeServer, serve_stdio
 from speechacts.synth import SynthSpec, synth_catalog, synth_corpus
 
-from conftest import make_conversation
+from conftest import batch_predictions, make_conversation
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +55,11 @@ HUGE_TIMESTAMP = request_line("s1", "participant", 0, "act0kw0").replace(
 HUGE_INTEGER = request_line("s1", "participant", 0.0, "act0kw0")[:-1] + ', "n": ' + "1" * 4400 + "}"
 DEEP_NESTING = "[" * 200000
 CRASH_LINES = [HUGE_TIMESTAMP, HUGE_INTEGER, DEEP_NESTING]
+# a stray byte, and a request whose text holds a Latin-1 byte; then a valid request
+NOT_UTF8 = [b"\xff\xfe not utf-8",
+            b'{"conversation_id": "s1", "speaker": "participant", "timestamp_s": 0.0, '
+            b'"text": "caf\xe9"}']
+VALID = request_line("s1", "participant", 1.0, "act0kw0 words").encode("ascii")
 # speakers whose full repr once came back in the error reply
 HUGE_SPEAKERS = ["x" * 1_000_000, ["participant"] * 200_000]
 
@@ -84,8 +94,7 @@ class TestEngine:
             assert err["error"] == TIMESTAMP_ERROR
         got = strict_loads(engine.handle_line(request_line("s1", "participant", 5.0, "act1kw1")))
         conv = make_conversation("s1", [("participant", 5.0, "act1kw1", [])])
-        expect = predict_labels(model, vectorize(conv, 0, model.vocabulary, model.scaling,
-                                                 model.slen_scope))
+        expect = batch_predictions(model, conv)[0]
         assert got["probabilities"] == pytest.approx(expect.probabilities)
 
     def test_first_request_valid_response(self, model):
@@ -117,8 +126,7 @@ class TestEngine:
         conv = make_conversation(
             "s1", [("assistant", 0.0, "some reply", []), ("participant", 6.0, "act0kw0 words", [])]
         )
-        batch_vec = vectorize(conv, 1, model.vocabulary, model.scaling, model.slen_scope)
-        expect = predict_labels(model, batch_vec)
+        expect = batch_predictions(model, conv)[1]
         got = json.loads(engine.handle_line(request_line("s1", "participant", 6.0, "act0kw0 words")))
         assert got["probabilities"] == pytest.approx(expect.probabilities)
 
@@ -131,8 +139,7 @@ class TestEngine:
         conv = make_conversation(
             "s1", [("participant", 10.0, "act0kw0", []), ("participant", 14.0, "act1kw1 more", [])]
         )
-        expect = predict_labels(model, vectorize(conv, 1, model.vocabulary, model.scaling,
-                                                 model.slen_scope))
+        expect = batch_predictions(model, conv)[1]
         got = json.loads(engine.handle_line(request_line("s1", "participant", 14.0, "act1kw1 more")))
         assert got["probabilities"] == pytest.approx(expect.probabilities)
 
@@ -146,8 +153,7 @@ class TestEngine:
         conv = make_conversation(
             "s1", [("participant", 10.0, "act0kw0", []), ("participant", 14.0, "act1kw1 more", [])]
         )
-        expect = predict_labels(model, vectorize(conv, 1, model.vocabulary, model.scaling,
-                                                 model.slen_scope))
+        expect = batch_predictions(model, conv)[1]
         got = json.loads(engine.handle_line(request_line("s1", "participant", 14.0, "act1kw1 more")))
         assert got["probabilities"] == pytest.approx(expect.probabilities)
 
@@ -161,8 +167,7 @@ class TestEngine:
         conv = make_conversation(
             "s1", [("participant", 10.0, "act0kw0", []), ("participant", 14.0, "act1kw1 more", [])]
         )
-        expect = predict_labels(model, vectorize(conv, 1, model.vocabulary, model.scaling,
-                                                 model.slen_scope))
+        expect = batch_predictions(model, conv)[1]
         got = strict_loads(engine.handle_line(request_line("s1", "participant", 14.0, "act1kw1 more")))
         assert got["probabilities"] == pytest.approx(expect.probabilities)
 
@@ -179,8 +184,7 @@ class TestEngine:
         conv = make_conversation(
             "s1", [("participant", 10.0, "act0kw0", []), ("participant", 14.0, "act1kw1 more", [])]
         )
-        expect = predict_labels(model, vectorize(conv, 1, model.vocabulary, model.scaling,
-                                                 model.slen_scope))
+        expect = batch_predictions(model, conv)[1]
         got = strict_loads(engine.handle_line(request_line("s1", "participant", 14.0, "act1kw1 more")))
         assert got == {"labels": sorted(expect.labels),
                        "probabilities": expect.probabilities,
@@ -193,8 +197,7 @@ class TestEngine:
         assert "timestamp_s" in err["error"]
         got = strict_loads(engine.handle_line(request_line("s1", "participant", 5.0, "act1kw1")))
         conv = make_conversation("s1", [("participant", 5.0, "act1kw1", [])])
-        expect = predict_labels(model, vectorize(conv, 0, model.vocabulary, model.scaling,
-                                                 model.slen_scope))
+        expect = batch_predictions(model, conv)[0]
         assert got["probabilities"] == pytest.approx(expect.probabilities)
 
     def test_sessions_isolated(self, model):
@@ -202,8 +205,7 @@ class TestEngine:
         engine.handle_line(request_line("s1", "participant", 100.0, "act0kw0"))
         # a fresh conversation starts with ppau 0 regardless of other sessions
         conv = make_conversation("s2", [("participant", 50.0, "act2kw3 thing", [])])
-        expect = predict_labels(model, vectorize(conv, 0, model.vocabulary, model.scaling,
-                                                 model.slen_scope))
+        expect = batch_predictions(model, conv)[0]
         got = json.loads(engine.handle_line(request_line("s2", "participant", 50.0, "act2kw3 thing")))
         assert got["probabilities"] == pytest.approx(expect.probabilities)
 
@@ -214,6 +216,7 @@ class TestStreamEquivalence:
         conversations = synth_corpus(spec)
         engine = ServeEngine(model)
         for conv in conversations:
+            batch_of_turn = batch_predictions(model, conv)
             for turn in conv.turns:
                 streamed = json.loads(
                     engine.handle_line(
@@ -223,9 +226,7 @@ class TestStreamEquivalence:
                 if turn.speaker != "participant":
                     assert streamed["labels"] == []
                     continue
-                vector = vectorize(conv, turn.turn_index, model.vocabulary, model.scaling,
-                                   model.slen_scope)
-                batch = predict_labels(model, vector)
+                batch = batch_of_turn[turn.turn_index]
                 assert streamed["labels"] == sorted(batch.labels)
                 assert streamed["low_confidence"] == batch.low_confidence
                 assert streamed["probabilities"] == {
@@ -285,11 +286,41 @@ class TestStdio:
             request_line("s1", "participant", 8.0, "act1kw0 stuff"),
         ]
         stdout = io.StringIO()
-        handled = serve_stdio(ServeEngine(model), io.StringIO("\n".join(lines) + "\n"), stdout)
+        handled = serve_stdio(ServeEngine(model), io.BytesIO(("\n".join(lines) + "\n").encode()),
+                              stdout)
         out_lines = stdout.getvalue().strip().split("\n")
         assert handled == 3
         assert len(out_lines) == 3
         assert all("labels" in json.loads(line) for line in out_lines)
+
+
+    def test_bad_utf8_lines_answered_like_tcp(self, model):
+        stdout = io.StringIO()
+        handled = serve_stdio(ServeEngine(model), io.BytesIO(b"\n".join(NOT_UTF8 + [VALID])), stdout)
+        assert handled == 3
+        assert stdout.getvalue().endswith("\n")
+        replies = [strict_loads(line) for line in stdout.getvalue().split("\n")[:-1]]
+        assert replies[:2] == [{"error": "request is not valid UTF-8"}] * 2
+        assert "labels" in replies[2]
+
+    # strict UTF-8 stdin, and the C locale's stdin, which decodes with surrogateescape
+    @pytest.mark.parametrize("env", [{"PYTHONIOENCODING": "utf-8:strict"}, {"LC_ALL": "C"}],
+                             ids=["strict", "c-locale"])
+    def test_bad_utf8_lines_answered_by_the_command(self, model, tmp_path, env):
+        model_path = tmp_path / "model.json"
+        save_model(model, model_path)
+        package_root = Path(speechacts.__file__).resolve().parents[1]
+        env = {**os.environ, **env, "PYTHONPATH": str(package_root)}
+        done = subprocess.run(
+            [sys.executable, "-m", "speechacts.cli", "serve", "--model", str(model_path)],
+            input=b"\n".join(NOT_UTF8 + [VALID]) + b"\n", capture_output=True, env=env,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr.decode(errors="replace")
+        assert b"Traceback" not in done.stderr
+        replies = [strict_loads(line) for line in done.stdout.decode("ascii").split("\n")[:-1]]
+        assert replies[:2] == [{"error": "request is not valid UTF-8"}] * 2
+        assert len(replies) == 3 and "labels" in replies[2]
 
 
 class TestTcp:
@@ -388,8 +419,7 @@ class TestTcp:
                 "shared",
                 [("participant", 0.0, "act0kw0", []), ("participant", 4.5, "act1kw1 extra", [])],
             )
-            expect = predict_labels(model, vectorize(conv, 1, model.vocabulary, model.scaling,
-                                                     model.slen_scope))
+            expect = batch_predictions(model, conv)[1]
             assert out["probabilities"] == pytest.approx(expect.probabilities)
         finally:
             server.shutdown()
@@ -467,7 +497,8 @@ class TestFuzz:
                 accepted[cid].append(probe)
 
         stdout = io.StringIO()
-        handled = serve_stdio(ServeEngine(model), io.StringIO("\n".join(lines) + "\n"), stdout)
+        handled = serve_stdio(ServeEngine(model), io.BytesIO(("\n".join(lines) + "\n").encode()),
+                              stdout)
         non_blank = [line for line in "\n".join(lines).split("\n") if line.strip()]
         assert handled == len(non_blank)
         replies = stdout.getvalue().split("\n")

@@ -50,3 +50,5 @@ def test_spec_validation():
         SynthSpec(multi_label_rate=-0.1)
     with pytest.raises(ValueError):
         SynthSpec(turns_per_label=0)
+    with pytest.raises(ValueError, match="seed"):
+        SynthSpec(seed=-1)
