@@ -5,21 +5,28 @@ a minority example and one of its k nearest minority neighbors, until both
 sides have equal counts. Real examples are never modified or removed, and
 only training folds may ever pass through here.
 
-:func:`oversample` does the work on one array of minority rows. The
-neighbors of every row come from one Gram matrix per block of rows,
-``|a|^2 + |b|^2 - 2 a.b``, with the row itself excluded. Gram distances are
-fast but rounded differently from a direct norm, so they only shortlist:
-each row keeps the rows within a slack of its k-th Gram distance. The slack
-is twice a bound on the rounding error of both distance forms,
-``O(d * eps * (|a|^2 + max |b|^2))`` plus an underflow term, which keeps
-every row the exact ranking would pick on the shortlist. The shortlist is then ranked by
-:func:`nearest_neighbors`: the same ``norm(candidates - point)`` and stable
-sort, ties to the lower index, that ranked all other rows before. The
-neighbor lists, tie order included, are therefore the same as a per-row
-scan over all other rows. The draws keep their order too, one ``(i, j, r)``
-per synthetic row from one generator, and all rows are interpolated in one
-expression whose arithmetic per element is :func:`synthesize`'s. So the
-synthetic rows are bitwise what the per-row loop produced.
+:func:`oversample` does the work on one array of minority rows, in array
+operations per call. The neighbors of every row come from one Gram matrix
+per block of rows, ``|a|^2 + |b|^2 - 2 a.b``, with the row itself excluded.
+Gram distances are fast but rounded differently from a direct norm, so they
+only shortlist: each row keeps the rows within a slack of its k-th Gram
+distance. The slack is twice a bound on the rounding error of both distance
+forms, ``O(d * eps * (|a|^2 + max |b|^2))`` plus an underflow term, which
+keeps every row the exact ranking would pick on the shortlist. A block's
+shortlisted pairs are then ranked in one stable sort, by row and then by the
+distance :func:`nearest_neighbors` computes (``norm(candidate - point)``,
+taken in chunks of gathered differences), so ties go to the lower index as
+before. The neighbor lists, tie order included, are therefore the same as a
+per-row scan over all other rows.
+
+The draws are one ``(i, j, r)`` per synthetic row from one generator seeded
+per call: a start row, a pick among its neighbors and an interpolation
+weight. :func:`_draws` replays that stream from the generator's raw 64-bit
+words, decoding each as ``Generator.integers`` and ``Generator.random``
+would, and falls back to drawing one call at a time when a draw would be
+rejected or takes no bits. All rows are interpolated in one expression whose
+arithmetic per element is :func:`synthesize`'s, so the synthetic rows are
+bitwise what a per-row loop over the generator produces.
 """
 
 from __future__ import annotations
@@ -36,6 +43,8 @@ SYNTHETIC = "synthetic"
 _BLOCK_ROWS = 256
 # safety factor over the rounding-error bound of the two distance forms
 _SLACK_FACTOR = 16
+# cells per gathered block of candidate-minus-row differences in the re-rank
+_GATHER_CELLS = 2**16
 
 
 @dataclass
@@ -79,16 +88,28 @@ def synthesize(x: np.ndarray, neighbor: np.ndarray, r: float) -> DenseExample:
     return DenseExample(values=x + r * (neighbor - x), origin=SYNTHETIC)
 
 
-def _neighborhoods(values: np.ndarray, k: int) -> list[np.ndarray]:
-    """Row ids of each row's k nearest other rows, as nearest_neighbors
-    ranks them over all other rows; needs 1 <= k < len(values)."""
+def _pair_distances(values: np.ndarray, rows: np.ndarray, cands: np.ndarray) -> np.ndarray:
+    """``norm(values[cands] - values[rows], axis=1)``, computed as norm does it."""
+    diff = values[cands]
+    diff -= values[rows]
+    if not np.issubdtype(diff.dtype, np.inexact):
+        diff = diff.astype(np.float64)
+    diff *= diff
+    return np.sqrt(np.add.reduce(diff, axis=1))
+
+
+def _neighborhoods(values: np.ndarray, k: int) -> np.ndarray:
+    """Row ids of each row's k nearest other rows, one ``(m, k)`` row per
+    row, as nearest_neighbors ranks them over all other rows; needs
+    1 <= k < len(values)."""
     m, d = values.shape
     gram_rows = values.astype(np.float64, copy=False)  # the exact re-rank uses values as given
     sq = np.einsum("ij,ij->i", gram_rows, gram_rows)
     # relative rounding, plus one subnormal step per operation for underflow
     fp = np.finfo(np.float64)
     slack = _SLACK_FACTOR * (d + 4) * (fp.eps * (sq + sq.max()) + fp.smallest_subnormal)
-    hoods = []
+    pairs_per_chunk = max(1, _GATHER_CELLS // max(d, 1))
+    hoods = np.empty((m, k), dtype=np.intp)
     for start in range(0, m, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, m)
         block = np.arange(stop - start)
@@ -98,10 +119,63 @@ def _neighborhoods(values: np.ndarray, k: int) -> list[np.ndarray]:
         # NaN and infinite distances compare False here, so they stay listed
         shortlist = ~(dist2 > (kth + slack[start:stop])[:, None])
         shortlist[block, start + block] = False
-        for i in range(start, stop):
-            ids = np.flatnonzero(shortlist[i - start])
-            hoods.append(ids[nearest_neighbors(values[i], values[ids], k)])
+        rows, cands = np.nonzero(shortlist)
+        rows += start
+        dist = np.concatenate([
+            _pair_distances(values, rows[lo:lo + pairs_per_chunk], cands[lo:lo + pairs_per_chunk])
+            for lo in range(0, len(rows), pairs_per_chunk)
+        ])
+        # by row, then distance; the sort is stable, so ties keep the lower index
+        order = np.lexsort((dist, rows))
+        first = np.searchsorted(rows, np.arange(start, stop))
+        hoods[start:stop] = cands[order[first[:, None] + np.arange(k)]]
     return hoods
+
+
+def _draw_loop(m: int, k: int, need: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The draws one generator call at a time: ``(i, j, r)`` per row."""
+    rng = np.random.default_rng(seed)
+    starts = np.empty(need, dtype=np.intp)
+    picks = np.empty(need, dtype=np.intp)
+    r = np.empty(need, dtype=np.float64)
+    for s in range(need):
+        starts[s] = rng.integers(0, m)
+        picks[s] = rng.integers(0, k)
+        r[s] = rng.random()
+    return starts, picks, r
+
+
+def _lemire(words: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lemire's bounded draws on 32-bit words: the values, and which were rejected."""
+    product = words * np.uint64(bound)
+    threshold = (2**32 - bound) % bound
+    return product >> np.uint64(32), (product & np.uint64(0xFFFFFFFF)) < threshold
+
+
+def _draws(m: int, k: int, need: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``need`` draws of ``rng.integers(0, m)``, ``rng.integers(0, k)`` and
+    ``rng.random()`` in turn, from ``rng = np.random.default_rng(seed)``.
+
+    Decoded from two raw PCG64 words per draw. ``Generator.integers`` takes a
+    bound below 2**32 from a 32-bit word by Lemire's multiply-shift
+    (Lemire, *Fast Random Integer Generation in an Interval*, ACM TOMACS
+    2019), and PCG64 hands out the low half of a 64-bit word first and
+    buffers the high half for the next 32-bit request: so ``i`` is the low
+    half of the first word, ``j`` the high half, and ``r`` is the top 53 bits
+    of the second word, as ``random()`` takes them. A rejected draw would
+    take more words, and ``integers(0, 1)`` takes none; in either case the
+    draws come from the generator one call at a time instead.
+    """
+    if k < 2 or m >= 2**32:
+        return _draw_loop(m, k, need, seed)
+    words = np.random.default_rng(seed).bit_generator.random_raw(2 * need)
+    first = words[0::2]
+    starts, rejected_i = _lemire(first & np.uint64(0xFFFFFFFF), m)
+    picks, rejected_j = _lemire(first >> np.uint64(32), k)
+    if rejected_i.any() or rejected_j.any():
+        return _draw_loop(m, k, need, seed)
+    r = (words[1::2] >> np.uint64(11)) * 2.0**-53
+    return starts.astype(np.intp), picks.astype(np.intp), r
 
 
 def oversample(minority: np.ndarray, need: int, k: int = 5, seed: int = 0) -> np.ndarray:
@@ -123,19 +197,11 @@ def oversample(minority: np.ndarray, need: int, k: int = 5, seed: int = 0) -> np
     if m == 1 or need == 0:
         return np.repeat(values[:1], need, axis=0)
 
-    hoods = _neighborhoods(values, min(k, m - 1))
-    rng = np.random.default_rng(seed)
-    starts = np.empty(need, dtype=np.intp)
-    ends = np.empty(need, dtype=np.intp)
-    r = np.empty(need, dtype=np.float64)
-    for s in range(need):
-        i = int(rng.integers(0, m))
-        hood = hoods[i]
-        starts[s] = i
-        ends[s] = hood[int(rng.integers(0, len(hood)))]
-        r[s] = rng.random()
+    k = min(k, m - 1)
+    hoods = _neighborhoods(values, k)
+    starts, picks, r = _draws(m, k, need, seed)
     x = values[starts]
-    return x + r[:, None] * (values[ends] - x)
+    return x + r[:, None] * (values[hoods[starts, picks]] - x)
 
 
 def smote_balance(

@@ -10,8 +10,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import signal
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import click
@@ -366,6 +368,9 @@ def serve(ctx, model_path, port, host, fallback):
         server = ServeServer((host, port), engine)
     except OSError as exc:
         _fail(2, str(exc))
+    if threading.current_thread() is threading.main_thread():
+        # SIGTERM stops the server as Ctrl-C does: socket closed, exit 0
+        signal.signal(signal.SIGTERM, signal.default_int_handler)
     click.echo(f"listening on {server.server_address[0]}:{server.server_address[1]}", err=True)
     try:
         server.serve_forever()

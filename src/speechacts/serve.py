@@ -3,7 +3,10 @@
 One JSON request per line: {conversation_id, speaker, timestamp_s, text}.
 One JSON response per line: {labels, probabilities, low_confidence}, or
 {error} for a malformed request (which leaves the session untouched).
-Assistant lines extend the session's context but come back unclassified.
+Assistant lines extend the session's context but come back unclassified. A
+request line longer than ``MAX_LINE_BYTES`` (1 MiB) gets one {error} reply;
+the rest of it is read and dropped, never held whole, and the connection
+stays open.
 
 Sessions are keyed by conversation_id. Each holds a constant-size
 ``ContextState``: running word-count sums and turn counts per speaker and in
@@ -17,12 +20,16 @@ from __future__ import annotations
 import socketserver
 import threading
 from dataclasses import dataclass, field
-from typing import IO
+from typing import IO, Iterator
 
 from .classifier import MultiLabelModel, predict_rows
 from .corpus import PARTICIPANT, decode_record, encode_record, turn_fields
 from .featurize import ContextState, tokenize, turn_row
 from .reports import prediction_record
+
+# longest request line read, newline excluded
+MAX_LINE_BYTES = 1 << 20
+_LINE_TOO_LONG = encode_record({"error": f"request line longer than {MAX_LINE_BYTES} bytes"})
 
 
 @dataclass
@@ -91,13 +98,27 @@ def _reply(engine: ServeEngine, raw: bytes) -> str | None:
     return engine.handle_line(line) if line.strip() else None
 
 
+def _responses(engine: ServeEngine, stream: IO[bytes]) -> Iterator[str]:
+    """The response line to each request line of stream, blank lines skipped.
+
+    No more than MAX_LINE_BYTES of a line are held: a longer line is
+    answered with an error, and the rest of it is read and dropped.
+    """
+    while raw := stream.readline(MAX_LINE_BYTES + 1):
+        if len(raw) > MAX_LINE_BYTES and not raw.endswith(b"\n"):
+            while raw and not raw.endswith(b"\n"):
+                raw = stream.readline(MAX_LINE_BYTES + 1)
+            yield _LINE_TOO_LONG
+            continue
+        response = _reply(engine, raw)
+        if response is not None:
+            yield response
+
+
 def serve_stdio(engine: ServeEngine, stdin: IO[bytes], stdout: IO[str]) -> int:
     """Process request lines sequentially until the input stream ends."""
     handled = 0
-    for raw in stdin:
-        response = _reply(engine, raw)
-        if response is None:
-            continue
+    for response in _responses(engine, stdin):
         stdout.write(response + "\n")
         stdout.flush()
         handled += 1
@@ -111,11 +132,9 @@ class _LineHandler(socketserver.StreamRequestHandler):
 
     def handle(self):
         engine: ServeEngine = self.server.engine  # type: ignore[attr-defined]
-        for raw in self.rfile:
-            response = _reply(engine, raw)
-            if response is not None:
-                self.wfile.write((response + "\n").encode("utf-8"))
-                self.wfile.flush()
+        for response in _responses(engine, self.rfile):
+            self.wfile.write((response + "\n").encode("utf-8"))
+            self.wfile.flush()
 
 
 class ServeServer(socketserver.ThreadingTCPServer):

@@ -7,6 +7,7 @@ from speechacts.balance import (
     REAL,
     SYNTHETIC,
     DenseExample,
+    _draws,
     _neighborhoods,
     derive_seed,
     nearest_neighbors,
@@ -260,6 +261,17 @@ class TestGramRouteMatchesRowScan:
         got = [hood.tolist() for hood in _neighborhoods(values, 3)]
         assert got == reference_neighborhoods(values, 3)
 
+    def test_rerank_chunks_split_inside_a_block(self):
+        # five distinct rows, duplicated: every row shortlists about 80 exact
+        # ties, so one block's pairs fill several gather chunks
+        rng = np.random.default_rng(5)
+        base = rng.choice([0.0, 0.5, 1.0], size=(5, 40))
+        values = base[rng.integers(0, 5, size=400)]
+        values[::37] += rng.normal(scale=1e-3, size=values[::37].shape)
+        got = _neighborhoods(values, 4)
+        assert got.shape == (400, 4)
+        assert got.tolist() == reference_neighborhoods(values, 4)
+
     def test_oversample_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             oversample(np.empty((0, 2)), 1)
@@ -267,6 +279,44 @@ class TestGramRouteMatchesRowScan:
             oversample(np.zeros((2, 2)), 1, k=0)
         with pytest.raises(ValueError):
             oversample(np.zeros((2, 2)), -1)
+
+
+def draw_loop(m, k, need, seed):
+    """The generator calls that _draws replays, made one at a time."""
+    rng = np.random.default_rng(seed)
+    return [(int(rng.integers(0, m)), int(rng.integers(0, k)), float(rng.random()))
+            for _ in range(need)]
+
+
+def replayed(m, k, need, seed):
+    starts, picks, r = _draws(m, k, need, seed)
+    return list(zip(starts.tolist(), picks.tolist(), r.tolist()))
+
+
+class TestDrawReplay:
+    """_draws decodes raw generator words as Generator.integers and
+    Generator.random do; a numpy release that changes either shows here."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        m=st.integers(min_value=2, max_value=5000),
+        k=st.integers(min_value=1, max_value=6),
+        need=st.integers(min_value=0, max_value=300),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    def test_matches_generator_calls(self, m, k, need, seed):
+        assert replayed(m, k, need, seed) == draw_loop(m, k, need, seed)
+
+    def test_single_neighbor_draws_no_pick(self):
+        # integers(0, 1) takes no bits, so the words cannot be paired
+        assert replayed(7, 1, 50, 3) == draw_loop(7, 1, 50, 3)
+        assert _draws(7, 1, 50, 3)[1].tolist() == [0] * 50
+
+    def test_rejected_draws_fall_back(self):
+        # a bound of 2**31 + 1 rejects about half of all 32-bit words
+        m = 2**31 + 1
+        for seed in range(5):
+            assert replayed(m, 3, 40, seed) == draw_loop(m, 3, 40, seed)
 
 
 def test_derive_seed_stable_and_distinct():

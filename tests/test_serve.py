@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import signal
 import socket
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from speechacts.cli import main
 from speechacts.config import RunConfig
 from speechacts.corpus import SPEAKERS, TIMESTAMP_ERROR, modeling_examples, serialize_transcripts
 from speechacts.featurize import SLEN_SCOPES, ContextState
-from speechacts.serve import ServeEngine, ServeServer, serve_stdio
+from speechacts.serve import MAX_LINE_BYTES, ServeEngine, ServeServer, serve_stdio
 from speechacts.synth import SynthSpec, synth_catalog, synth_corpus
 
 from conftest import batch_predictions, make_conversation
@@ -62,6 +63,27 @@ NOT_UTF8 = [b"\xff\xfe not utf-8",
 VALID = request_line("s1", "participant", 1.0, "act0kw0 words").encode("ascii")
 # speakers whose full repr once came back in the error reply
 HUGE_SPEAKERS = ["x" * 1_000_000, ["participant"] * 200_000]
+
+
+def padded_request(cid, ts, size):
+    """A participant request line of exactly size bytes, newline excluded."""
+    line = request_line(cid, "participant", ts, "act0kw0 ").encode("ascii")
+    return line[:-2] + b"a" * (size - len(line)) + line[-2:]
+
+
+def assert_long_line_skipped(replies):
+    """Replies to LONG_LINES: the line at the cap is served, the one past it
+    is refused without touching the session, and the connection goes on."""
+    assert len(replies) == 3
+    assert "labels" in replies[0]
+    assert set(replies[1]) == {"error"} and "longer than" in replies[1]["error"]
+    assert "labels" in replies[2]  # at 5.0 s, after the refused line's 9.0 s
+
+
+# a line at the cap, one byte past it (at a later timestamp), then a valid line
+LONG_LINES = [padded_request("long", 1.0, MAX_LINE_BYTES),
+              padded_request("long", 9.0, MAX_LINE_BYTES + 1),
+              request_line("long", "participant", 5.0, "act0kw0").encode("ascii")]
 
 
 @pytest.fixture(scope="module")
@@ -303,6 +325,20 @@ class TestStdio:
         assert replies[:2] == [{"error": "request is not valid UTF-8"}] * 2
         assert "labels" in replies[2]
 
+    def test_long_line_answered_and_skipped(self, model):
+        stdout = io.StringIO()
+        handled = serve_stdio(ServeEngine(model), io.BytesIO(b"\n".join(LONG_LINES) + b"\n"),
+                              stdout)
+        assert handled == 3
+        assert_long_line_skipped([strict_loads(line) for line in stdout.getvalue().splitlines()])
+
+    def test_long_last_line_without_newline(self, model):
+        stdout = io.StringIO()
+        stream = io.BytesIO(VALID + b"\n" + b"x" * (3 * MAX_LINE_BYTES))
+        assert serve_stdio(ServeEngine(model), stream, stdout) == 2
+        replies = [strict_loads(line) for line in stdout.getvalue().splitlines()]
+        assert "labels" in replies[0] and "longer than" in replies[1]["error"]
+
     # strict UTF-8 stdin, and the C locale's stdin, which decodes with surrogateescape
     @pytest.mark.parametrize("env", [{"PYTHONIOENCODING": "utf-8:strict"}, {"LC_ALL": "C"}],
                              ids=["strict", "c-locale"])
@@ -393,6 +429,37 @@ class TestTcp:
             server.shutdown()
             server.server_close()
             thread.join(timeout=5)
+
+    def test_long_line_answered_connection_kept(self, tcp_server):
+        with socket.create_connection(tcp_server.server_address) as sock:
+            sock.sendall(b"\n".join(LONG_LINES) + b"\n")
+            sock.shutdown(socket.SHUT_WR)
+            data = read_all(sock)
+        assert_long_line_skipped([strict_loads(line) for line in data.decode().splitlines()])
+
+    def test_sigterm_exits_cleanly(self, model, tmp_path):
+        model_path = tmp_path / "model.json"
+        save_model(model, model_path)
+        package_root = Path(speechacts.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(package_root)}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "speechacts.cli", "serve", "--model", str(model_path),
+             "--port", "0"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            stderr = b""
+            while b"listening on" not in stderr:
+                line = proc.stderr.readline()
+                assert line, stderr.decode(errors="replace")
+                stderr += line
+            proc.send_signal(signal.SIGTERM)
+            rest = proc.communicate(timeout=30)[1]
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 0, rest.decode(errors="replace")
+        assert b"Traceback" not in rest
 
     def test_session_spans_connections(self, model):
         engine = ServeEngine(model)
