@@ -11,6 +11,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
+import secrets
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -596,12 +598,26 @@ def model_to_document(model: MultiLabelModel) -> str:
 
 
 def save_model(model: MultiLabelModel, sink: Union[str, Path, IO[str]]) -> None:
+    """Write the model document to a stream, or atomically to a path: into a
+    temp file beside it that then replaces it, so a failed write leaves the
+    path as it was and no temp file behind. Write errors name the path."""
     doc = model_to_document(model)
     if hasattr(sink, "write"):
         sink.write(doc)
-    else:
-        with open(sink, "w", encoding="utf-8") as fh:
-            fh.write(doc)
+        return
+    # opened like any output file, so its mode follows the umask
+    tmp_path = f"{os.path.abspath(sink)}.{secrets.token_hex(4)}.tmp"
+    try:
+        fh = open(tmp_path, "x", encoding="utf-8")
+        try:
+            with fh:
+                fh.write(doc)
+            os.replace(tmp_path, sink)
+        except BaseException:
+            os.unlink(tmp_path)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(sink)) from exc
 
 
 def model_from_document(text: str) -> MultiLabelModel:
@@ -633,6 +649,8 @@ def model_from_document(text: str) -> MultiLabelModel:
                 "hyperparams": hyperparams_from_dict(payload["config"]["hyperparams"]),
             }
         )
+        # the stored threshold and scope pass the same checks as a run's
+        replace(config, threshold=payload["threshold"], slen_scope=payload["slen_scope"])
         width = len(vocabulary) + N_SHALLOW
         classifiers = {}
         for name, blob in payload["classifiers"].items():

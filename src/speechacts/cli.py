@@ -1,40 +1,32 @@
 """Command-line surface wiring the pipeline end to end.
 
-Exit codes: 0 success, 1 validation/data-quality failure, 2 usage or I/O
-error. Flags beat config-file values, which beat defaults; the effective
-configuration is echoed into reports (and to stderr for record streams).
+Exit codes: 0 success, 1 validation/data-quality failure (any ``ValueError``),
+2 usage or I/O error (any ``OSError``). Flags beat config-file values, which
+beat defaults; the effective configuration is echoed into reports (and to
+stderr for record streams).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import signal
 import sys
-import tempfile
 import threading
+import warnings
 from pathlib import Path
 
 import click
 
 from . import corpus as corpus_mod
 from . import reports
-from .classifier import (
-    ModelFormatError,
-    load_model,
-    model_to_document,
-    predict_rows,
-    train_model,
-)
+from .classifier import load_model, predict_rows, save_model, train_model
 from .config import RunConfig, load_config
-from .corpus import CatalogError, LabelCatalog, TranscriptError
+from .corpus import LabelCatalog
 from .evaluate import cross_validate, rank_features_for_examples
 from .featurize import conversation_context, turn_row
 from .serve import ServeEngine, ServeServer, serve_stdio
 from .synth import SynthSpec, synth_catalog, synth_corpus
-
-_QUALITY_ERRORS = (TranscriptError, CatalogError, ModelFormatError, ValueError)
 
 
 def _fail(code: int, message: str) -> None:
@@ -73,7 +65,38 @@ def _read_corpus(ctx, paths, catalog):
     return conversations
 
 
-@click.group()
+def _read_examples(ctx, paths, catalog, purpose: str):
+    examples = corpus_mod.modeling_examples(_read_corpus(ctx, paths, catalog), catalog)
+    if not examples:
+        _fail(1, f"no participant turns with catalog labels to {purpose} on")
+    return examples
+
+
+def _echo_model_config(model) -> None:
+    click.echo(f"# config: {json.dumps(model.config.as_dict(), sort_keys=True, allow_nan=False)}",
+               err=True)
+
+
+class _Commands(click.Group):
+    """Runs every command inside the one error boundary: a ``ValueError``
+    (transcript, catalog, model-file and config errors included) exits 1, an
+    ``OSError`` exits 2, each with one ``error:`` line, and a warning the
+    package raises prints as one ``warning:`` line."""
+
+    def invoke(self, ctx):
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: click.echo(f"warning: {message}", err=True)
+            try:
+                return super().invoke(ctx)
+            except ValueError as exc:
+                _fail(1, str(exc))
+            except BrokenPipeError:
+                raise  # click exits quietly when the reader of stdout goes away
+            except OSError as exc:
+                _fail(2, str(exc))
+
+
+@click.group(cls=_Commands)
 @click.option("--catalog", "catalog_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Label catalog JSON (default: bundled catalog).")
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
@@ -94,13 +117,7 @@ def main(ctx, catalog_path, config_path, seed, fmt):
 @click.pass_context
 def validate(ctx, transcripts):
     """Check transcripts against the data-model invariants."""
-    try:
-        catalog = _load_catalog(ctx)
-        conversations = corpus_mod.load_transcripts(transcripts, catalog)
-    except _QUALITY_ERRORS as exc:
-        _fail(1, str(exc))
-    except OSError as exc:
-        _fail(2, str(exc))
+    conversations = corpus_mod.load_transcripts(transcripts, _load_catalog(ctx))
     report = corpus_mod.validate(conversations)
     for v in report.violations:
         click.echo(f"{v.conversation_id} turn {v.turn_index}: {v.invariant}: {v.message}")
@@ -114,15 +131,10 @@ def validate(ctx, transcripts):
 @click.pass_context
 def stats(ctx, transcripts):
     """Corpus statistics: turns, speakers, label occurrence counts."""
-    try:
-        catalog = _load_catalog(ctx)
-        conversations = _read_corpus(ctx, transcripts, catalog)
-        result = corpus_mod.corpus_stats(conversations, catalog)
-        config = _config_echo(ctx, _effective_config(ctx))
-    except _QUALITY_ERRORS as exc:
-        _fail(1, str(exc))
-    except OSError as exc:
-        _fail(2, str(exc))
+    catalog = _load_catalog(ctx)
+    conversations = _read_corpus(ctx, transcripts, catalog)
+    result = corpus_mod.corpus_stats(conversations, catalog)
+    config = _config_echo(ctx, _effective_config(ctx))
     if ctx.obj["format"] == reports.MACHINE:
         click.echo(reports.stats_machine(result, config), nl=False)
     else:
@@ -146,17 +158,13 @@ def synth_corpus_cmd(ctx, n_labels, turns_per_label, signal, multi_label_rate, o
     spec = SynthSpec(n_labels=n_labels, turns_per_label=turns_per_label,
                      signal=signal, multi_label_rate=multi_label_rate, seed=seed)
     conversations = synth_corpus(spec)
-    try:
-        Path(output).write_text(corpus_mod.serialize_transcripts(conversations), encoding="utf-8")
-        if catalog_out:
-            catalog = synth_catalog(spec)
-            Path(catalog_out).write_text(
-                json.dumps({"labels": list(catalog.labels), "excluded": []},
-                           allow_nan=False) + "\n",
-                encoding="utf-8",
-            )
-    except OSError as exc:
-        _fail(2, str(exc))
+    Path(output).write_text(corpus_mod.serialize_transcripts(conversations), encoding="utf-8")
+    if catalog_out:
+        catalog = synth_catalog(spec)
+        Path(catalog_out).write_text(
+            json.dumps({"labels": list(catalog.labels), "excluded": []}, allow_nan=False) + "\n",
+            encoding="utf-8",
+        )
     click.echo(f"wrote {sum(len(c.turns) for c in conversations)} turns "
                f"({len(conversations)} conversations) to {output}", err=True)
 
@@ -174,20 +182,10 @@ def synth_corpus_cmd(ctx, n_labels, turns_per_label, signal, multi_label_rate, o
 @click.pass_context
 def train(ctx, transcripts, model_path, tune, smote_k, threshold, slen_scope):
     """Train the multi-label model and persist it."""
-    try:
-        catalog = _load_catalog(ctx)
-        config = _effective_config(ctx, tune=tune, smote_k=smote_k,
-                                   threshold=threshold, slen_scope=slen_scope)
-        conversations = _read_corpus(ctx, transcripts, catalog)
-        examples = corpus_mod.modeling_examples(conversations, catalog)
-        if not examples:
-            _fail(1, "no participant turns with catalog labels to train on")
-        model = train_model(examples, catalog, config)
-        document = model_to_document(model)
-    except _QUALITY_ERRORS as exc:
-        _fail(1, str(exc))
-    except OSError as exc:
-        _fail(2, str(exc))
+    catalog = _load_catalog(ctx)
+    config = _effective_config(ctx, tune=tune, smote_k=smote_k,
+                               threshold=threshold, slen_scope=slen_scope)
+    model = train_model(_read_examples(ctx, transcripts, catalog, "train"), catalog, config)
     for skip in model.skipped:
         click.echo(f"warning: skipped label {skip.label}: {skip.reason}", err=True)
     for name, clf in model.classifiers.items():
@@ -195,19 +193,7 @@ def train(ctx, transcripts, model_path, tune, smote_k, threshold, slen_scope):
             click.echo(f"warning: label {name} did not converge: gradient norm "
                        f"{clf.grad_norm:.3g} > tolerance {clf.hyperparams.tolerance:g} "
                        f"after {clf.iterations} Newton steps", err=True)
-    try:
-        directory = os.path.dirname(os.path.abspath(model_path))
-        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(document)
-            os.replace(tmp_path, model_path)
-        except BaseException:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
-            raise
-    except OSError as exc:
-        _fail(2, str(exc))
+    save_model(model, model_path)
     click.echo(f"trained {len(model.classifiers)} classifiers "
                f"({len(model.skipped)} skipped) -> {model_path}", err=True)
 
@@ -222,15 +208,9 @@ def train(ctx, transcripts, model_path, tune, smote_k, threshold, slen_scope):
 @click.pass_context
 def predict(ctx, transcripts, model_path, fallback):
     """Classify the participant turns of a transcript, one record per turn."""
-    try:
-        model = load_model(model_path)
-        conversations = _read_corpus(ctx, transcripts, model.catalog)
-    except _QUALITY_ERRORS as exc:
-        _fail(1, str(exc))
-    except OSError as exc:
-        _fail(2, str(exc))
-    click.echo(f"# config: {json.dumps(model.config.as_dict(), sort_keys=True, allow_nan=False)}",
-               err=True)
+    model = load_model(model_path)
+    conversations = _read_corpus(ctx, transcripts, model.catalog)
+    _echo_model_config(model)
     machine = ctx.obj["format"] == reports.MACHINE
     for conv in conversations:
         # one scoring call and one write per conversation
@@ -271,20 +251,11 @@ def predict(ctx, transcripts, model_path, fallback):
 @click.pass_context
 def evaluate(ctx, transcripts, folds, tune, smote_k, threshold, fallback, slen_scope, out_path):
     """Stratified cross-validation with per-label and weighted metrics."""
-    try:
-        catalog = _load_catalog(ctx)
-        config = _effective_config(ctx, n_folds=folds, tune=tune, smote_k=smote_k,
-                                   threshold=threshold, fallback=fallback,
-                                   slen_scope=slen_scope)
-        conversations = _read_corpus(ctx, transcripts, catalog)
-        examples = corpus_mod.modeling_examples(conversations, catalog)
-        if not examples:
-            _fail(1, "no participant turns with catalog labels to evaluate on")
-        report = cross_validate(examples, catalog, config)
-    except _QUALITY_ERRORS as exc:
-        _fail(1, str(exc))
-    except OSError as exc:
-        _fail(2, str(exc))
+    catalog = _load_catalog(ctx)
+    config = _effective_config(ctx, n_folds=folds, tune=tune, smote_k=smote_k,
+                               threshold=threshold, fallback=fallback, slen_scope=slen_scope)
+    examples = _read_examples(ctx, transcripts, catalog, "evaluate")
+    report = cross_validate(examples, catalog, config)
     config_dict = _config_echo(ctx, config)
     machine_doc = reports.metrics_machine(report, config_dict)
     if ctx.obj["format"] == reports.MACHINE:
@@ -292,10 +263,7 @@ def evaluate(ctx, transcripts, folds, tune, smote_k, threshold, fallback, slen_s
     else:
         click.echo(reports.metrics_table(report, config_dict), nl=False)
     if out_path:
-        try:
-            Path(out_path).write_text(machine_doc, encoding="utf-8")
-        except OSError as exc:
-            _fail(2, str(exc))
+        Path(out_path).write_text(machine_doc, encoding="utf-8")
 
 
 @main.command(name="rank-features")
@@ -310,31 +278,23 @@ def evaluate(ctx, transcripts, folds, tune, smote_k, threshold, fallback, slen_s
 @click.pass_context
 def rank_features_cmd(ctx, transcripts, label_name, top_n, printed_order, slen_scope):
     """Most informative features per speech-act type (fisher score)."""
-    try:
-        catalog = _load_catalog(ctx)
-        config = _effective_config(ctx, slen_scope=slen_scope)
-        conversations = _read_corpus(ctx, transcripts, catalog)
-        examples = corpus_mod.modeling_examples(conversations, catalog)
-        if not examples:
-            _fail(1, "no participant turns with catalog labels to rank on")
-        rankings = []
-        if label_name:
-            rankings.append(rank_features_for_examples(examples, catalog, label_name.lower(),
-                                                       top_n, config.slen_scope))
-        else:
-            for name in catalog.labels:
-                if any(name in ex.labels for ex in examples) and not all(
-                    name in ex.labels for ex in examples
-                ):
-                    rankings.append(rank_features_for_examples(examples, catalog, name,
-                                                               top_n, config.slen_scope))
-                else:
-                    click.echo(f"warning: skipping {name}: needs both positive and "
-                               f"negative examples", err=True)
-    except _QUALITY_ERRORS as exc:
-        _fail(1, str(exc))
-    except OSError as exc:
-        _fail(2, str(exc))
+    catalog = _load_catalog(ctx)
+    config = _effective_config(ctx, slen_scope=slen_scope)
+    examples = _read_examples(ctx, transcripts, catalog, "rank")
+    rankings = []
+    if label_name:
+        rankings.append(rank_features_for_examples(examples, catalog, label_name.lower(),
+                                                   top_n, config.slen_scope))
+    else:
+        for name in catalog.labels:
+            if any(name in ex.labels for ex in examples) and not all(
+                name in ex.labels for ex in examples
+            ):
+                rankings.append(rank_features_for_examples(examples, catalog, name,
+                                                           top_n, config.slen_scope))
+            else:
+                click.echo(f"warning: skipping {name}: needs both positive and "
+                           f"negative examples", err=True)
     config_dict = _config_echo(ctx, config)
     if ctx.obj["format"] == reports.MACHINE:
         click.echo(reports.ranking_machine(rankings, config_dict), nl=False)
@@ -352,22 +312,13 @@ def rank_features_cmd(ctx, transcripts, label_name, top_n, printed_order, slen_s
 @click.pass_context
 def serve(ctx, model_path, port, host, fallback):
     """Long-running classify service speaking the line protocol."""
-    try:
-        model = load_model(model_path)
-    except _QUALITY_ERRORS as exc:
-        _fail(1, str(exc))
-    except OSError as exc:
-        _fail(2, str(exc))
+    model = load_model(model_path)
     engine = ServeEngine(model, fallback=fallback)
-    click.echo(f"# config: {json.dumps(model.config.as_dict(), sort_keys=True, allow_nan=False)}",
-               err=True)
+    _echo_model_config(model)
     if port is None:
         serve_stdio(engine, click.get_binary_stream("stdin"), sys.stdout)
         return
-    try:
-        server = ServeServer((host, port), engine)
-    except OSError as exc:
-        _fail(2, str(exc))
+    server = ServeServer((host, port), engine)
     if threading.current_thread() is threading.main_thread():
         # SIGTERM stops the server as Ctrl-C does: socket closed, exit 0
         signal.signal(signal.SIGTERM, signal.default_int_handler)

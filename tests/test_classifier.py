@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -805,6 +806,42 @@ class TestPersistence:
                "checksum": hashlib.sha256(canonical.encode()).hexdigest()}
         with pytest.raises(ModelCorruptError, match="NaN is not a JSON number"):
             load_model(io.StringIO(json.dumps(doc)))
+
+    @pytest.mark.parametrize("key,value", [("threshold", 5.0), ("threshold", 0.0),
+                                           ("slen_scope", "bogus")])
+    def test_bad_threshold_or_scope_rejected_on_load(self, key, value):
+        # checksummed anew, so only the value check can catch it
+        payload = json.loads(model_to_document(self.trained_model()[0]))["payload"]
+        payload[key] = value
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        doc = {"format_version": 2, "payload": payload,
+               "checksum": hashlib.sha256(canonical.encode()).hexdigest()}
+        with pytest.raises(ModelCorruptError, match=f"model payload malformed: {key}"):
+            load_model(io.StringIO(json.dumps(doc)))
+
+    def test_failed_save_keeps_earlier_model(self, tmp_path):
+        earlier, _ = self.trained_model(seed=6)
+        path = tmp_path / "model.json"
+        save_model(earlier, path)
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError(errno.EXDEV, "Invalid cross-device link", src, None, dst)
+
+        later, _ = self.trained_model(seed=9)
+        with mock.patch("os.replace", refuse):
+            with pytest.raises(OSError) as info:
+                save_model(later, path)
+        assert info.value.filename == str(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+        # a model that cannot be encoded fails before any file is made
+        next(iter(later.classifiers.values())).weights[0] = math.nan
+        with mock.patch("speechacts.classifier.open", create=True) as opener:
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                save_model(later, path)
+        opener.assert_not_called()
+        assert path.read_bytes() == before
 
     def test_model_bytes_deterministic(self):
         model_a, _ = self.trained_model(seed=6)

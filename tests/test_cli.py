@@ -1,4 +1,6 @@
+import errno
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -314,6 +316,18 @@ class TestTrainPredict:
         )
         assert result.exit_code == 2
         assert not target.exists()
+        # the error names the user's path, not the temp file beside it
+        assert result.stderr.strip().endswith(repr(str(target)))
+
+    def test_model_file_mode_follows_umask(self, runner, separable_corpus_files, tmp_path):
+        # like every other output file: not only its owner may read it
+        corpus, catalog = separable_corpus_files
+        model_path = tmp_path / "model.json"
+        result = runner.invoke(
+            main, ["--catalog", catalog, "train", corpus, "--output", str(model_path)],
+        )
+        assert result.exit_code == 0, result.output
+        assert model_path.stat().st_mode == Path(corpus).stat().st_mode
 
     def test_confirmation_keyword_cluster(self, runner, tmp_path):
         # a model trained where gratitude words mark confirmations picks the
@@ -604,3 +618,76 @@ class TestConfigPrecedence:
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error: ")
         assert next(iter(settings)) in result.stderr
+
+
+class TestErrorBoundary:
+    """Every command runs inside one boundary: any ValueError exits 1, any
+    OSError exits 2, each with one ``error:`` line and no traceback, and a
+    package warning prints as one ``warning:`` line."""
+
+    @pytest.fixture
+    def model_path(self, runner, separable_corpus_files, tmp_path):
+        corpus, catalog = separable_corpus_files
+        model_path = tmp_path / "model.json"
+        train = runner.invoke(main, ["--catalog", catalog, "train", corpus,
+                                     "--output", str(model_path)])
+        assert train.exit_code == 0, train.output
+        return model_path
+
+    def test_os_error_while_serving_exits_2(self, runner, model_path, monkeypatch):
+        def broken(*_):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr("speechacts.cli.serve_stdio", broken)
+        result = runner.invoke(main, ["serve", "--model", str(model_path)], input="")
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+        assert errors == ["error: [Errno 5] Input/output error"]
+
+    def test_closed_stdout_left_to_click(self, runner, model_path, monkeypatch):
+        # a reader that went away early (``serve | head``) is no I/O error
+        def closed(*_):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        monkeypatch.setattr("speechacts.cli.serve_stdio", closed)
+        result = runner.invoke(main, ["serve", "--model", str(model_path)], input="")
+        assert result.exit_code == 1
+        assert "error:" not in result.stderr
+
+    def test_value_error_from_synth_exits_1(self, runner, tmp_path, monkeypatch):
+        def broken(spec):
+            raise ValueError("cannot build this corpus")
+
+        monkeypatch.setattr("speechacts.cli.synth_corpus", broken)
+        result = runner.invoke(main, ["synth-corpus", "--output", str(tmp_path / "c.jsonl")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == "error: cannot build this corpus\n"
+
+    def test_stratification_warning_is_one_line(self, runner, tmp_path):
+        catalog = write_catalog(tmp_path / "catalog.json", ["a", "b", "c"])
+        label_sets = ["b", "c", "abc", "ac", "b", "a", "a", "c", "b"]
+        transcript = write_lines(tmp_path / "corpus.jsonl", [
+            record_line("c1", i, "participant", 3.0 * i, f"word{i} shared", list(labels))
+            for i, labels in enumerate(label_sets)
+        ])
+        result = runner.invoke(main, ["--catalog", catalog, "evaluate", transcript])
+        assert result.exit_code == 0, result.output
+        assert result.stderr.splitlines() == [
+            "warning: fold 2: label 'c' has 2 positives, more than 1 away from its share "
+            "of 0.80"
+        ]
+
+    def test_fisher_warning_is_one_line(self, runner, tmp_path):
+        catalog = write_catalog(tmp_path / "catalog.json", ["a", "b"])
+        transcript = write_lines(tmp_path / "corpus.jsonl", [
+            record_line("c1", i, "participant", 3.0 * i, f"word{i} shared", ["a"] if i else ["b"])
+            for i in range(6)
+        ])
+        result = runner.invoke(main, ["--catalog", catalog, "rank-features", transcript,
+                                      "--label", "b"])
+        assert result.exit_code == 0, result.output
+        assert result.stderr.splitlines() == [
+            "warning: fisher score undefined with a side of 1 example(s); reporting 0"
+        ]
