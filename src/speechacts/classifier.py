@@ -11,8 +11,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import os
-import secrets
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -21,8 +19,8 @@ from typing import IO, Sequence, Union
 import numpy as np
 
 from .balance import derive_seed, oversample
-from .config import Hyperparams, RunConfig, expand_grid, hyperparams_from_dict
-from .corpus import LabelCatalog, ModelingExample, catalog_from_dict, decode_record
+from .config import Hyperparams, RunConfig, config_from_dict, expand_grid, hyperparams_from_dict
+from .corpus import LabelCatalog, ModelingExample, catalog_from_dict, decode_record, write_document
 from .featurize import (
     N_SHALLOW,
     SAME_SPEAKER,
@@ -517,10 +515,37 @@ def tune(
     """
     from . import evaluate  # deferred: evaluate drives this module's fits
 
-    contexts = example_contexts(examples, base_config.slen_scope)
-    return evaluate.tune_on_contexts(
-        examples, contexts, catalog, grid, inner_folds, seed, base_config
+    config = replace(base_config, inner_folds=inner_folds, seed=seed)
+    contexts = example_contexts(examples, config.slen_scope)
+    return evaluate.tune_on_contexts(examples, contexts, catalog, grid, config)
+
+
+def fit_contexts(
+    examples: Sequence[ModelingExample],
+    contexts: Sequence,
+    catalog: LabelCatalog,
+    config: RunConfig,
+    points: Sequence[Hyperparams] | None = None,
+) -> list[MultiLabelModel]:
+    """Vocabulary, scaling and one model per point, fit on a training split
+    from its precomputed :func:`~speechacts.featurize.example_contexts`: the
+    one path from a split to models, for ``train`` and each CV fold. With
+    config.tune set, an inner search on these examples alone picks the one
+    point instead; without points, config.hyperparams is fit."""
+    if config.tune:
+        from . import evaluate  # deferred: evaluate drives this module's fits
+
+        grid = expand_grid(config.tuning_grid, config.hyperparams)
+        points = [evaluate.tune_on_contexts(examples, contexts, catalog, grid, config)]
+    vocabulary, scaling = fit_from_contexts(contexts)
+    data = TrainingData(
+        X=matrix_from_contexts(contexts, vocabulary, scaling),
+        label_sets=[ex.labels for ex in examples],
+        catalog=catalog,
+        vocabulary=vocabulary,
+        scaling=scaling,
     )
+    return fit_multilabel_grid(data, config, points or [config.hyperparams])
 
 
 def train_model(
@@ -536,25 +561,8 @@ def train_model(
     """
     if not examples:
         raise ValueError("no training examples")
-    contexts = example_contexts(examples, config.slen_scope)
-    if config.tune:
-        from . import evaluate  # deferred: evaluate drives this module's fits
-
-        grid = expand_grid(config.tuning_grid, config.hyperparams)
-        best = evaluate.tune_on_contexts(
-            examples, contexts, catalog, grid, config.inner_folds, config.seed, config
-        )
-        config = replace(config, hyperparams=best)
-    vocabulary, scaling = fit_from_contexts(contexts)
-    X = matrix_from_contexts(contexts, vocabulary, scaling)
-    data = TrainingData(
-        X=X,
-        label_sets=[ex.labels for ex in examples],
-        catalog=catalog,
-        vocabulary=vocabulary,
-        scaling=scaling,
-    )
-    return fit_multilabel(data, config)
+    return fit_contexts(examples, example_contexts(examples, config.slen_scope), catalog,
+                        config)[0]
 
 
 def _payload(model: MultiLabelModel) -> dict:
@@ -598,26 +606,13 @@ def model_to_document(model: MultiLabelModel) -> str:
 
 
 def save_model(model: MultiLabelModel, sink: Union[str, Path, IO[str]]) -> None:
-    """Write the model document to a stream, or atomically to a path: into a
-    temp file beside it that then replaces it, so a failed write leaves the
-    path as it was and no temp file behind. Write errors name the path."""
+    """Write the model document to a stream, or to a path with
+    :func:`~speechacts.corpus.write_document`."""
     doc = model_to_document(model)
     if hasattr(sink, "write"):
         sink.write(doc)
-        return
-    # opened like any output file, so its mode follows the umask
-    tmp_path = f"{os.path.abspath(sink)}.{secrets.token_hex(4)}.tmp"
-    try:
-        fh = open(tmp_path, "x", encoding="utf-8")
-        try:
-            with fh:
-                fh.write(doc)
-            os.replace(tmp_path, sink)
-        except BaseException:
-            os.unlink(tmp_path)
-            raise
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, os.fspath(sink)) from exc
+    else:
+        write_document(sink, doc)
 
 
 def model_from_document(text: str) -> MultiLabelModel:
@@ -643,12 +638,7 @@ def model_from_document(text: str) -> MultiLabelModel:
         scaling = ScalingParams(
             means=tuple(payload["scaling"]["means"]), stds=tuple(payload["scaling"]["stds"])
         )
-        config = RunConfig(
-            **{
-                **payload["config"],
-                "hyperparams": hyperparams_from_dict(payload["config"]["hyperparams"]),
-            }
-        )
+        config = config_from_dict(payload["config"])
         # the stored threshold and scope pass the same checks as a run's
         replace(config, threshold=payload["threshold"], slen_scope=payload["slen_scope"])
         width = len(vocabulary) + N_SHALLOW

@@ -14,7 +14,6 @@ import signal
 import sys
 import threading
 import warnings
-from pathlib import Path
 
 import click
 
@@ -158,13 +157,11 @@ def synth_corpus_cmd(ctx, n_labels, turns_per_label, signal, multi_label_rate, o
     spec = SynthSpec(n_labels=n_labels, turns_per_label=turns_per_label,
                      signal=signal, multi_label_rate=multi_label_rate, seed=seed)
     conversations = synth_corpus(spec)
-    Path(output).write_text(corpus_mod.serialize_transcripts(conversations), encoding="utf-8")
+    corpus_mod.write_document(output, corpus_mod.serialize_transcripts(conversations))
     if catalog_out:
         catalog = synth_catalog(spec)
-        Path(catalog_out).write_text(
-            json.dumps({"labels": list(catalog.labels), "excluded": []}, allow_nan=False) + "\n",
-            encoding="utf-8",
-        )
+        corpus_mod.write_document(
+            catalog_out, json.dumps({"labels": list(catalog.labels), "excluded": []}) + "\n")
     click.echo(f"wrote {sum(len(c.turns) for c in conversations)} turns "
                f"({len(conversations)} conversations) to {output}", err=True)
 
@@ -263,7 +260,7 @@ def evaluate(ctx, transcripts, folds, tune, smote_k, threshold, fallback, slen_s
     else:
         click.echo(reports.metrics_table(report, config_dict), nl=False)
     if out_path:
-        Path(out_path).write_text(machine_doc, encoding="utf-8")
+        corpus_mod.write_document(out_path, machine_doc)
 
 
 @main.command(name="rank-features")
@@ -322,8 +319,8 @@ def serve(ctx, model_path, port, host, fallback):
     if threading.current_thread() is threading.main_thread():
         # SIGTERM stops the server as Ctrl-C does: socket closed, exit 0
         signal.signal(signal.SIGTERM, signal.default_int_handler)
-    click.echo(f"listening on {server.server_address[0]}:{server.server_address[1]}", err=True)
-    try:
+    try:  # a SIGTERM sent as soon as the line below is read still exits 0
+        click.echo(f"listening on {server.server_address[0]}:{server.server_address[1]}", err=True)
         server.serve_forever()
     except KeyboardInterrupt:
         pass

@@ -8,12 +8,12 @@ provenance.
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Union
 
+from .corpus import read_document
 from .featurize import SAME_SPEAKER, SLEN_SCOPES
 
 
@@ -41,12 +41,7 @@ class Hyperparams:
             raise ValueError(f"fit_bias must be true or false, got {self.fit_bias!r}")
 
     def as_dict(self) -> dict:
-        return {
-            "C": self.C,
-            "max_iterations": self.max_iterations,
-            "tolerance": self.tolerance,
-            "fit_bias": self.fit_bias,
-        }
+        return asdict(self)
 
 
 def hyperparams_from_dict(obj: dict) -> Hyperparams:
@@ -121,18 +116,7 @@ class RunConfig:
         expand_grid(self.tuning_grid, self.hyperparams)  # rejects a bad grid before any run
 
     def as_dict(self) -> dict:
-        return {
-            "smote_k": self.smote_k,
-            "n_folds": self.n_folds,
-            "seed": self.seed,
-            "threshold": self.threshold,
-            "fallback": self.fallback,
-            "slen_scope": self.slen_scope,
-            "hyperparams": self.hyperparams.as_dict(),
-            "tune": self.tune,
-            "tuning_grid": self.tuning_grid,
-            "inner_folds": self.inner_folds,
-        }
+        return asdict(self)
 
 
 def config_from_dict(obj: dict) -> RunConfig:
@@ -149,9 +133,4 @@ def config_from_dict(obj: dict) -> RunConfig:
 
 
 def load_config(path: Union[str, Path]) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-    return config_from_dict(obj)
+    return config_from_dict(read_document(path))

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import secrets
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -113,6 +115,36 @@ def encode_record(value) -> str:
     return _ENCODER.encode(value)
 
 
+def read_document(path: Union[str, Path]):
+    """The JSON value a whole file holds, decoded as strictly as a
+    transcript line (:func:`decode_record`); a file that is not UTF-8 or
+    not valid JSON is a ValueError that names the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return decode_record(fh.read())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def write_document(path: Union[str, Path], text: str) -> None:
+    """Write text to path atomically: into a temp file beside it that then
+    replaces it, so a failed write leaves the path as it was and no temp
+    file behind. Write errors name the path."""
+    # opened like any output file, so its mode follows the umask
+    tmp_path = f"{os.path.abspath(path)}.{secrets.token_hex(4)}.tmp"
+    try:
+        fh = open(tmp_path, "x", encoding="utf-8")
+        try:
+            with fh:
+                fh.write(text)
+            os.replace(tmp_path, path)
+        except BaseException:
+            os.unlink(tmp_path)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
+
+
 def timestamp_seconds(value) -> float | None:
     """value as float seconds if it is a finite number >= 0, else None.
 
@@ -213,12 +245,7 @@ def catalog_from_dict(obj: dict) -> LabelCatalog:
 
 
 def load_catalog(path: Union[str, Path]) -> LabelCatalog:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CatalogError(f"{path}: not valid JSON ({exc})") from exc
-    return catalog_from_dict(obj)
+    return catalog_from_dict(read_document(path))
 
 
 @dataclass

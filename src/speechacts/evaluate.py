@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import classifier as clf_mod
-from .config import Hyperparams, RunConfig, expand_grid
+from .config import Hyperparams, RunConfig
 from .corpus import LabelCatalog, ModelingExample
 from .featurize import (
     example_contexts,
@@ -251,25 +251,21 @@ def featurize_fold(
     conversation's context runs once, for both splits.
     """
     contexts = example_contexts(examples, config.slen_scope)
-    train, test, _, test_contexts, vocabulary, scaling, X_train = _featurize_split(
-        examples, contexts, plan, fold
-    )
+    train, test = _split(plan, fold, examples)
+    train_contexts, test_contexts = _split(plan, fold, contexts)
+    vocabulary, scaling = fit_from_contexts(train_contexts)
+    X_train = matrix_from_contexts(train_contexts, vocabulary, scaling)
     X_test = matrix_from_contexts(test_contexts, vocabulary, scaling)
     return train, test, vocabulary, scaling, X_train, X_test
 
 
-def _featurize_split(examples, contexts, plan: FoldPlan, fold: int):
-    """The examples and contexts of both splits, and the training split's
-    vocabulary, scaling and matrix, from the examples' precomputed
-    contexts."""
-    in_test = [plan.assignment[i] == fold for i in range(len(examples))]
-    train = [ex for ex, held in zip(examples, in_test) if not held]
-    test = [ex for ex, held in zip(examples, in_test) if held]
-    train_contexts = [c for c, held in zip(contexts, in_test) if not held]
-    test_contexts = [c for c, held in zip(contexts, in_test) if held]
-    vocabulary, scaling = fit_from_contexts(train_contexts)
-    X_train = matrix_from_contexts(train_contexts, vocabulary, scaling)
-    return train, test, train_contexts, test_contexts, vocabulary, scaling, X_train
+def _split(plan: FoldPlan, fold: int, items: Sequence) -> tuple[list, list]:
+    """The items of a fold's training split and of its held-out split, the
+    i-th item going where the plan puts example i."""
+    train, test = [], []
+    for i, item in enumerate(items):
+        (test if plan.assignment[i] == fold else train).append(item)
+    return train, test
 
 
 def cross_validate(
@@ -301,22 +297,21 @@ def tune_on_contexts(
     contexts: Sequence,
     catalog: LabelCatalog,
     grid: Sequence[Hyperparams],
-    inner_folds: int,
-    seed: int,
-    base_config: RunConfig,
+    config: RunConfig,
 ) -> Hyperparams:
     """:func:`~speechacts.classifier.tune` on the examples' precomputed
-    :func:`~speechacts.featurize.example_contexts`.
+    :func:`~speechacts.featurize.example_contexts`, over ``config.inner_folds``
+    folds planned with ``config.seed``.
 
     One :func:`cross_validate_grid` over the inner folds scores every
     distinct grid point; a point listed twice is scored once.
     """
     if not grid:
         raise ValueError("empty hyperparameter grid")
-    if len(examples) < inner_folds:
-        raise ValueError(f"{len(examples)} examples cannot form {inner_folds} inner folds")
+    if len(examples) < config.inner_folds:
+        raise ValueError(f"{len(examples)} examples cannot form {config.inner_folds} inner folds")
     points = list(dict.fromkeys(grid))
-    inner = replace(base_config, n_folds=inner_folds, seed=seed, tune=False)
+    inner = replace(config, n_folds=config.inner_folds, tune=False)
     reports = cross_validate_grid(examples, contexts, catalog, inner, points)
     score = {point: report.average_row.f_measure for point, report in zip(points, reports)}
     best = max(range(len(grid)), key=lambda pos: (score[grid[pos]], -grid[pos].C, -pos))
@@ -334,11 +329,11 @@ def cross_validate_grid(
     from the examples' precomputed :func:`~speechacts.featurize.example_contexts`.
 
     The fold plan, and per fold the vocabulary, scaling, matrices and each
-    label's SMOTE, are built once for all points; per point only the
-    per-label fits and one :func:`~speechacts.classifier.score_rows` call
-    on the held-out rows run. With
-    config.tune set (nested cross-validation) each fold fits the point its
-    inner search picks instead, so ``points`` must then be a single point.
+    label's SMOTE (:func:`~speechacts.classifier.fit_contexts`), are built
+    once for all points; per point only the per-label fits and one
+    :func:`~speechacts.classifier.score_rows` call on the held-out rows run.
+    With config.tune set (nested cross-validation) each fold fits the point
+    its inner search picks instead, so ``points`` must then be a single point.
     """
     if config.tune and len(points) != 1:
         raise ValueError("nested cross-validation reports on a single point")
@@ -352,30 +347,15 @@ def cross_validate_grid(
         )
     fold_rows: list[list[list[MetricsRow]]] = [[] for _ in points]
     for fold in range(config.n_folds):
-        train, test, train_contexts, test_contexts, vocabulary, scaling, X_train = (
-            _featurize_split(examples, contexts, plan, fold)
-        )
-        fold_points = points
-        if config.tune:  # this fold's inner search picks its point
-            grid = expand_grid(config.tuning_grid, config.hyperparams)
-            fold_points = [
-                tune_on_contexts(
-                    train, train_contexts, catalog, grid, config.inner_folds, config.seed,
-                    replace(config, tune=False),
-                )
-            ]
-        data = clf_mod.TrainingData(
-            X=X_train,
-            label_sets=[ex.labels for ex in train],
-            catalog=catalog,
-            vocabulary=vocabulary,
-            scaling=scaling,
-        )
+        train, test = _split(plan, fold, examples)
+        train_contexts, test_contexts = _split(plan, fold, contexts)
+        models = clf_mod.fit_contexts(train, train_contexts, catalog, config, points)
+        vocabulary, scaling = models[0].vocabulary, models[0].scaling
         gold = [ex.labels for ex in test]
         held_out = [turn_row(tokens, raw, vocabulary, scaling) for tokens, raw in test_contexts]
         word_ids = [ids for ids, _ in held_out]
         shallow = [scaled for _, scaled in held_out]
-        for rows, model in zip(fold_rows, clf_mod.fit_multilabel_grid(data, config, fold_points)):
+        for rows, model in zip(fold_rows, models):
             predicted = [p.labels for p in
                          clf_mod.predict_rows(model, word_ids, shallow, config.fallback)]
             rows.append(per_label_metrics(gold, predicted, catalog))

@@ -620,6 +620,57 @@ class TestConfigPrecedence:
         assert next(iter(settings)) in result.stderr
 
 
+class TestDocumentFiles:
+    """Config and catalog files are decoded as strictly as transcript lines,
+    each failure one ``error:`` line that names the file; report and corpus
+    files are replaced atomically."""
+
+    @pytest.mark.parametrize("option, content, reason", [
+        ("--config", "[" * 100_000 + "]" * 100_000, "not valid JSON (nested too deeply)"),
+        ("--catalog", '{"labels": ' + "[" * 100_000 + "]" * 100_000 + "}",
+         "not valid JSON (nested too deeply)"),
+        ("--catalog", '{"labels": ["qa", "qb"], "note": NaN}',
+         "not valid JSON ('note': NaN is not a JSON number)"),
+        ("--config", b"\xff{}",
+         "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    ], ids=["deep-config", "deep-catalog", "nan-in-catalog", "non-utf8-config"])
+    def test_unreadable_document_is_one_error_line(self, runner, tiny_corpus, tmp_path,
+                                                   option, content, reason):
+        transcript, catalog = tiny_corpus
+        document = tmp_path / "document.json"
+        if isinstance(content, bytes):
+            document.write_bytes(content)
+        else:
+            document.write_text(content)
+        args = ["--catalog", catalog] if option == "--config" else []
+        result = runner.invoke(main, [*args, option, str(document), "stats", transcript])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr == f"error: {document}: {reason}\n"
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("command", ["evaluate", "synth-corpus"])
+    def test_failed_write_keeps_earlier_file(self, runner, separable_corpus_files, tmp_path,
+                                             monkeypatch, command):
+        corpus, catalog = separable_corpus_files
+        target = tmp_path / "out" / "target.json"
+        target.parent.mkdir()
+        target.write_text("earlier\n")
+
+        def refuse(src, dst):
+            raise OSError(errno.EXDEV, "Invalid cross-device link", src, None, dst)
+
+        monkeypatch.setattr("os.replace", refuse)
+        args = {"evaluate": ["--catalog", catalog, "evaluate", corpus, "--folds", "3"],
+                "synth-corpus": ["synth-corpus", "--labels", "2", "--turns-per-label", "3"]}
+        result = runner.invoke(main, [*args[command], "--output", str(target)])
+        assert result.exit_code == 2
+        assert result.stderr.splitlines()[-1] == (
+            f"error: [Errno {errno.EXDEV}] Invalid cross-device link: {str(target)!r}")
+        assert target.read_text() == "earlier\n"
+        assert [p.name for p in target.parent.iterdir()] == ["target.json"]
+
+
 class TestErrorBoundary:
     """Every command runs inside one boundary: any ValueError exits 1, any
     OSError exits 2, each with one ``error:`` line and no traceback, and a

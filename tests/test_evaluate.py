@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from speechacts.classifier import model_to_document, train_model
+from speechacts.classifier import model_to_document, predict_rows, train_model
 from speechacts.config import RunConfig
 from speechacts.corpus import LabelCatalog, modeling_examples
 from speechacts.evaluate import (
@@ -27,6 +27,7 @@ from speechacts.evaluate import (
     stratified_kfold,
     weighted_average,
 )
+from speechacts.featurize import example_contexts, turn_row
 from speechacts.synth import SynthSpec, synth_catalog, synth_corpus
 
 from conftest import make_conversation
@@ -452,6 +453,36 @@ class TestCrossValidate:
         calls.clear()
         train_model(examples, catalog, config)
         assert len(calls) == needed
+
+    def test_nested_cv_matches_tuned_train_per_fold(self):
+        # evaluate --tune estimates what train --tune builds: each fold's
+        # rows are those of train_model, tuning included, on that fold's
+        # training examples, scored on its held-out turns. The folds' inner
+        # searches do not all pick the same point.
+        spec = SynthSpec(n_labels=3, turns_per_label=16, signal=0.4, multi_label_rate=0.3, seed=1)
+        catalog = synth_catalog(spec)
+        examples = modeling_examples(synth_corpus(spec), catalog)
+        config = RunConfig(seed=3, n_folds=3, inner_folds=2, tune=True, fallback=True,
+                           tuning_grid={"C": [0.1, 10.0]})
+        plan = stratified_kfold([ex.labels for ex in examples], config.n_folds, config.seed)
+        fold_rows, picked = [], []
+        for fold in range(config.n_folds):
+            test = [examples[i] for i in plan.members(fold)]
+            train = [ex for i, ex in enumerate(examples) if plan.assignment[i] != fold]
+            model = train_model(train, catalog, config)
+            picked.append(model.config.hyperparams.C)
+            rows = [turn_row(tokens, raw, model.vocabulary, model.scaling)
+                    for tokens, raw in example_contexts(test, config.slen_scope)]
+            predictions = predict_rows(model, [ids for ids, _ in rows],
+                                       [scaled for _, scaled in rows], config.fallback)
+            fold_rows.append(per_label_metrics([ex.labels for ex in test],
+                                               [p.labels for p in predictions], catalog))
+        assert picked == [0.1, 0.1, 10.0]
+        rows = average_rows_across_folds(fold_rows)
+        report = cross_validate(examples, catalog, config)
+        assert report.fold_rows == fold_rows
+        assert report.rows == rows
+        assert report.average_row == weighted_average(rows)
 
     def test_separable_corpus_perfect_rows(self):
         examples, catalog = separable_corpus()
