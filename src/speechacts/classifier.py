@@ -2,7 +2,7 @@
 
 One L2-regularized logistic-regression classifier is trained per catalog
 label on that label's SMOTE-balanced binary view of the training data. The
-trained bundle (classifiers + vocabulary + scaling + catalog + threshold)
+trained bundle (classifiers + vocabulary + scaling + catalog + run config)
 persists as a single checksummed JSON document.
 """
 
@@ -14,16 +14,16 @@ import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .balance import derive_seed, oversample
 from .config import Hyperparams, RunConfig, config_from_dict, expand_grid, hyperparams_from_dict
-from .corpus import LabelCatalog, ModelingExample, catalog_from_dict, decode_record, write_document
+from .corpus import (LabelCatalog, ModelingExample, catalog_from_dict, decode_record,
+                     read_document, write_document)
 from .featurize import (
     N_SHALLOW,
-    SAME_SPEAKER,
     ScalingParams,
     Vocabulary,
     example_contexts,
@@ -251,9 +251,8 @@ class MultiLabelModel:
     vocabulary: Vocabulary
     scaling: ScalingParams
     catalog: LabelCatalog
-    threshold: float = 0.5
-    slen_scope: str = SAME_SPEAKER
     skipped: list[SkippedLabel] = field(default_factory=list)
+    # the run's settings; predict and serve read threshold and slen_scope here
     config: RunConfig = field(default_factory=RunConfig)
 
     @property
@@ -358,8 +357,6 @@ def fit_multilabel_grid(
             vocabulary=data.vocabulary,
             scaling=data.scaling,
             catalog=data.catalog,
-            threshold=config.threshold,
-            slen_scope=config.slen_scope,
             skipped=list(skipped),
             config=replace(config, hyperparams=point),
         )
@@ -460,7 +457,7 @@ def predict_proba(model: MultiLabelModel, vector: np.ndarray) -> dict[str, float
 
 
 def _prediction(model: MultiLabelModel, probs: dict[str, float], fallback: bool) -> Prediction:
-    chosen = frozenset(name for name, p in probs.items() if p >= model.threshold)
+    chosen = frozenset(name for name, p in probs.items() if p >= model.config.threshold)
     if chosen:
         return Prediction(probs, chosen, low_confidence=False)
     if fallback:
@@ -573,8 +570,9 @@ def _payload(model: MultiLabelModel) -> dict:
         },
         "vocabulary": model.vocabulary.token_list,
         "scaling": {"means": list(model.scaling.means), "stds": list(model.scaling.stds)},
-        "threshold": model.threshold,
-        "slen_scope": model.slen_scope,
+        # echoed from config for readers of the file that skip config
+        "threshold": model.config.threshold,
+        "slen_scope": model.config.slen_scope,
         "classifiers": {
             name: {
                 "weights": clf.weights.tolist(),
@@ -605,21 +603,37 @@ def model_to_document(model: MultiLabelModel) -> str:
     return _canonical(doc) + "\n"
 
 
-def save_model(model: MultiLabelModel, sink: Union[str, Path, IO[str]]) -> None:
-    """Write the model document to a stream, or to a path with
+def save_model(model: MultiLabelModel, path: Union[str, Path]) -> None:
+    """Write the model document to path with
     :func:`~speechacts.corpus.write_document`."""
-    doc = model_to_document(model)
-    if hasattr(sink, "write"):
-        sink.write(doc)
-    else:
-        write_document(sink, doc)
+    write_document(path, model_to_document(model))
 
 
 def model_from_document(text: str) -> MultiLabelModel:
+    """The model a model-file document holds, checked as a file is."""
     try:
         doc = decode_record(text)
     except ValueError as exc:
         raise ModelCorruptError(f"model file is {exc}") from exc
+    return _model_from_json(doc)
+
+
+def load_model(path: Union[str, Path]) -> MultiLabelModel:
+    """The model in the file at path, read with
+    :func:`~speechacts.corpus.read_document`. A file that is not UTF-8 or
+    JSON, or is tampered or malformed, is a :class:`ModelCorruptError`, one
+    of another format version a :class:`ModelVersionError`; both name it."""
+    try:
+        return _model_from_json(read_document(path))
+    except ModelFormatError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+    except ValueError as exc:  # read_document's, which names the path
+        raise ModelCorruptError(str(exc)) from exc
+
+
+def _model_from_json(doc) -> MultiLabelModel:
+    """The model of a decoded model-file document: format version,
+    checksum and payload checked."""
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise ModelCorruptError("model file lacks a format_version")
     version = doc["format_version"]
@@ -635,12 +649,13 @@ def model_from_document(text: str) -> MultiLabelModel:
     try:
         catalog = catalog_from_dict(payload["catalog"])
         vocabulary = Vocabulary.from_tokens(payload["vocabulary"])
-        scaling = ScalingParams(
-            means=tuple(payload["scaling"]["means"]), stds=tuple(payload["scaling"]["stds"])
-        )
-        config = config_from_dict(payload["config"])
+        means, stds = (tuple(map(float, payload["scaling"][key])) for key in ("means", "stds"))
+        if len(means) != N_SHALLOW or len(stds) != N_SHALLOW:
+            raise ValueError(f"scaling must hold {N_SHALLOW} means and {N_SHALLOW} stds")
+        scaling = ScalingParams(means, stds)
         # the stored threshold and scope pass the same checks as a run's
-        replace(config, threshold=payload["threshold"], slen_scope=payload["slen_scope"])
+        config = replace(config_from_dict(payload["config"]), threshold=payload["threshold"],
+                         slen_scope=payload["slen_scope"])
         width = len(vocabulary) + N_SHALLOW
         classifiers = {}
         for name, blob in payload["classifiers"].items():
@@ -665,8 +680,6 @@ def model_from_document(text: str) -> MultiLabelModel:
             vocabulary=vocabulary,
             scaling=scaling,
             catalog=catalog,
-            threshold=float(payload["threshold"]),
-            slen_scope=payload["slen_scope"],
             skipped=skipped,
             config=config,
         )
@@ -674,12 +687,3 @@ def model_from_document(text: str) -> MultiLabelModel:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelCorruptError(f"model payload malformed: {exc}") from exc
-
-
-def load_model(source: Union[str, Path, IO[str]]) -> MultiLabelModel:
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    return model_from_document(text)

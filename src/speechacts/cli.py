@@ -23,7 +23,7 @@ from .classifier import load_model, predict_rows, save_model, train_model
 from .config import RunConfig, load_config
 from .corpus import LabelCatalog
 from .evaluate import cross_validate, rank_features_for_examples
-from .featurize import conversation_context, turn_row
+from .featurize import SLEN_SCOPES, conversation_context, turn_row
 from .serve import ServeEngine, ServeServer, serve_stdio
 from .synth import SynthSpec, synth_catalog, synth_corpus
 
@@ -175,7 +175,7 @@ def synth_corpus_cmd(ctx, n_labels, turns_per_label, signal, multi_label_rate, o
 @click.option("--smote-k", type=click.IntRange(min=1), default=None)
 @click.option("--threshold", type=click.FloatRange(0.0, 1.0, min_open=True, max_open=True),
               default=None)
-@click.option("--slen-scope", type=click.Choice(["same", "any"]), default=None)
+@click.option("--slen-scope", type=click.Choice(SLEN_SCOPES), default=None)
 @click.pass_context
 def train(ctx, transcripts, model_path, tune, smote_k, threshold, slen_scope):
     """Train the multi-label model and persist it."""
@@ -211,9 +211,9 @@ def predict(ctx, transcripts, model_path, fallback):
     machine = ctx.obj["format"] == reports.MACHINE
     for conv in conversations:
         # one scoring call and one write per conversation
+        contexts = conversation_context(conv, model.config.slen_scope)
         rows = [turn_row(tokens, shallow, model.vocabulary, model.scaling)
-                for turn, (tokens, shallow) in zip(conv.turns,
-                                                   conversation_context(conv, model.slen_scope))
+                for turn, (tokens, shallow) in zip(conv.turns, contexts)
                 if turn.speaker == corpus_mod.PARTICIPANT]
         predictions = iter(predict_rows(model, [ids for ids, _ in rows],
                                         [scaled for _, scaled in rows], fallback))
@@ -242,7 +242,7 @@ def predict(ctx, transcripts, model_path, fallback):
 @click.option("--threshold", type=click.FloatRange(0.0, 1.0, min_open=True, max_open=True),
               default=None)
 @click.option("--fallback/--no-fallback", default=None)
-@click.option("--slen-scope", type=click.Choice(["same", "any"]), default=None)
+@click.option("--slen-scope", type=click.Choice(SLEN_SCOPES), default=None)
 @click.option("--output", "out_path", type=click.Path(dir_okay=False), default=None,
               help="Also write the machine-readable report here.")
 @click.pass_context
@@ -271,7 +271,7 @@ def evaluate(ctx, transcripts, folds, tune, smote_k, threshold, fallback, slen_s
 @click.option("--top-n", type=click.IntRange(min=1), default=10, show_default=True)
 @click.option("--printed-order", is_flag=True, default=False,
               help="List features least-informative first.")
-@click.option("--slen-scope", type=click.Choice(["same", "any"]), default=None)
+@click.option("--slen-scope", type=click.Choice(SLEN_SCOPES), default=None)
 @click.pass_context
 def rank_features_cmd(ctx, transcripts, label_name, top_n, printed_order, slen_scope):
     """Most informative features per speech-act type (fisher score)."""

@@ -226,7 +226,7 @@ class LabelCatalog:
     def default() -> "LabelCatalog":
         """The bundled participant-side catalog (see data/default_catalog.json)."""
         raw = resources.files("speechacts.data").joinpath("default_catalog.json").read_text("utf-8")
-        return catalog_from_dict(json.loads(raw))
+        return catalog_from_dict(decode_record(raw))
 
 
 def catalog_from_dict(obj: dict) -> LabelCatalog:
@@ -298,7 +298,7 @@ class ModelingExample:
     """A participant turn selected for training, with its conversation context."""
 
     conversation: Conversation
-    turn_index: int
+    turn_index: int  # position in conversation.turns (the turn_index once validated)
     labels: frozenset[str]  # catalog labels only (excluded labels stripped)
 
     @property
@@ -463,35 +463,35 @@ def corpus_stats(conversations: Iterable[Conversation], catalog: LabelCatalog) -
     return CorpusStats(n_conv, n_turns, label_counts, excluded_counts, speaker_counts)
 
 
+def _qualifying(
+    conversations: Iterable[Conversation], catalog: LabelCatalog
+) -> Iterator[tuple[Conversation, int]]:
+    """(conversation, position in its turns) of each turn usable for
+    modeling, in corpus order: one the participant spoke that carries at
+    least one non-excluded catalog label."""
+    for conv in conversations:
+        for position, turn in enumerate(conv.turns):
+            if turn.speaker == PARTICIPANT and turn.labels & catalog.label_set:
+                yield conv, position
+
+
 def select_examples(
     conversations: Iterable[Conversation], catalog: LabelCatalog
 ) -> list[tuple[str, int]]:
-    """Pick the turns usable for modeling, in corpus order.
-
-    A turn qualifies when the participant spoke it and it carries at least
-    one non-excluded catalog label.
-    """
-    selected = []
-    for conv in conversations:
-        for turn in conv.turns:
-            if turn.speaker != PARTICIPANT:
-                continue
-            if turn.labels & catalog.label_set:
-                selected.append((conv.conversation_id, turn.turn_index))
-    return selected
+    """(conversation_id, turn_index) of each turn usable for modeling, in
+    corpus order (see :func:`_qualifying`)."""
+    return [(conv.conversation_id, conv.turns[position].turn_index)
+            for conv, position in _qualifying(conversations, catalog)]
 
 
 def modeling_examples(
     conversations: Iterable[Conversation], catalog: LabelCatalog
 ) -> list[ModelingExample]:
-    """Resolve :func:`select_examples` ids to examples with context attached."""
-    conversations = list(conversations)
-    by_id = {conv.conversation_id: conv for conv in conversations}
-    chosen = select_examples(conversations, catalog)
-    return [
-        ModelingExample(by_id[cid], idx, by_id[cid].turns[idx].labels & catalog.label_set)
-        for cid, idx in chosen
-    ]
+    """The turns :func:`select_examples` picks, as examples with context
+    attached. Each is found by its position, so a conversation whose
+    turn_index values have gaps still yields its own turns."""
+    return [ModelingExample(conv, position, conv.turns[position].labels & catalog.label_set)
+            for conv, position in _qualifying(conversations, catalog)]
 
 
 def offsets_from_absolute(conversations: Iterable[Conversation]) -> list[Conversation]:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 
 from .classifier import Prediction
 from .corpus import CorpusStats, LabelCatalog
@@ -16,6 +17,11 @@ from .evaluate import FeatureRanking, MetricsReport, MetricsRow
 TABLE = "table"
 MACHINE = "machine"
 FORMATS = (TABLE, MACHINE)
+
+
+def _machine(doc: dict) -> str:
+    """doc as one line of ASCII JSON, keys sorted, and a newline."""
+    return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
 
 
 def prediction_record(prediction: Prediction | None, catalog: LabelCatalog) -> dict:
@@ -71,24 +77,14 @@ def metrics_table(report: MetricsReport, config: dict | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _row_dict(row: MetricsRow) -> dict:
-    return {
-        "label": row.label,
-        "precision": row.precision,
-        "recall": row.recall,
-        "f_measure": row.f_measure,
-        "support": row.support,
-    }
-
-
 def metrics_machine(report: MetricsReport, config: dict | None = None) -> str:
     doc = {
         "config": config or {},
-        "rows": [_row_dict(row) for row in report.rows],
-        "avg_total": _row_dict(report.average_row),
-        "folds": [[_row_dict(row) for row in rows] for rows in report.fold_rows],
+        "rows": [asdict(row) for row in report.rows],
+        "avg_total": asdict(report.average_row),
+        "folds": [[asdict(row) for row in rows] for rows in report.fold_rows],
     }
-    return json.dumps(doc, ensure_ascii=True, sort_keys=True, allow_nan=False) + "\n"
+    return _machine(doc)
 
 
 def _score_str(score: float) -> str:
@@ -121,7 +117,7 @@ def ranking_machine(rankings: list[FeatureRanking], config: dict | None = None) 
             for r in rankings
         ],
     }
-    return json.dumps(doc, ensure_ascii=True, sort_keys=True, allow_nan=False) + "\n"
+    return _machine(doc)
 
 
 def stats_table(stats: CorpusStats, config: dict | None = None) -> str:
@@ -141,12 +137,4 @@ def stats_table(stats: CorpusStats, config: dict | None = None) -> str:
 
 
 def stats_machine(stats: CorpusStats, config: dict | None = None) -> str:
-    doc = {
-        "config": config or {},
-        "conversation_count": stats.conversation_count,
-        "turn_count": stats.turn_count,
-        "per_speaker_turn_counts": stats.per_speaker_turn_counts,
-        "label_counts": stats.label_counts,
-        "excluded_label_counts": stats.excluded_label_counts,
-    }
-    return json.dumps(doc, ensure_ascii=True, sort_keys=True, allow_nan=False) + "\n"
+    return _machine({"config": config or {}, **asdict(stats)})

@@ -34,7 +34,6 @@ _LINE_TOO_LONG = encode_record({"error": f"request line longer than {MAX_LINE_BY
 
 @dataclass
 class ServeSession:
-    conversation_id: str
     context: ContextState
     lock: threading.Lock = field(default_factory=threading.Lock)
 
@@ -53,8 +52,7 @@ class ServeEngine:
         with self._sessions_lock:
             if conversation_id not in self._sessions:
                 self._sessions[conversation_id] = ServeSession(
-                    conversation_id, ContextState(self.model.slen_scope)
-                )
+                    ContextState(self.model.config.slen_scope))
             return self._sessions[conversation_id]
 
     def handle_request(self, request: dict) -> dict:

@@ -39,7 +39,7 @@ def batch_predictions(model, conversation, fallback=False):
     """Each turn's prediction as ``predict`` makes it: one context run over the
     conversation and one scoring call for its participant turns; None for
     every other turn."""
-    contexts = conversation_context(conversation, model.slen_scope)
+    contexts = conversation_context(conversation, model.config.slen_scope)
     rows = [turn_row(tokens, shallow, model.vocabulary, model.scaling)
             for turn, (tokens, shallow) in zip(conversation.turns, contexts)
             if turn.speaker == PARTICIPANT]

@@ -1,9 +1,9 @@
 import dataclasses
 import errno
 import hashlib
-import io
 import json
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -26,6 +26,7 @@ from speechacts.classifier import (
     fit_multilabel_grid,
     load_model,
     loss_and_gradient,
+    model_from_document,
     model_to_document,
     predict_labels,
     predict_proba,
@@ -384,7 +385,7 @@ def zero_model(labels=("a", "b"), threshold=0.5):
         vocabulary=vocab,
         scaling=ScalingParams(means=(0.0, 0.0, 0.0), stds=(1.0, 1.0, 1.0)),
         catalog=catalog,
-        threshold=threshold,
+        config=RunConfig(threshold=threshold),
     )
 
 
@@ -450,7 +451,7 @@ class TestPredict:
         vector = rng.normal(size=5)
         previous = None
         for threshold in (0.1, 0.3, 0.5, 0.7, 0.9):
-            model.threshold = threshold
+            model.config = RunConfig(threshold=threshold)
             labels = predict_labels(model, vector).labels
             if previous is not None:
                 assert labels <= previous
@@ -475,7 +476,7 @@ def scoring_problems(draw):
         stds=tuple(draw(st.lists(st.just(0.0) | st.floats(0.1, 4.0), min_size=3, max_size=3))),
     )
     model = MultiLabelModel(classifiers, vocabulary, scaling, LabelCatalog(labels=labels),
-                            threshold=draw(st.floats(0.05, 0.95)))
+                            config=RunConfig(threshold=draw(st.floats(0.05, 0.95))))
     token = st.sampled_from(vocabulary.token_list + ["oov", "zz"])
     turns = draw(st.lists(
         st.tuples(st.lists(token, max_size=30), st.floats(0.0, 5.0), st.integers(0, 40),
@@ -537,7 +538,7 @@ class TestScoreRows:
                 expect = sigmoid(clf.weights @ dense + clf.bias) if clf else 0.0
                 assert p == pytest.approx(expect, abs=1e-12)
 
-            chosen = {name for name, p in probs.items() if p >= model.threshold}
+            chosen = {name for name, p in probs.items() if p >= model.config.threshold}
             low_confidence = not chosen
             if low_confidence and fallback:
                 chosen = {max(model.catalog.labels, key=probs.get)}
@@ -609,7 +610,7 @@ def reference_cross_validate(examples, catalog, config):
             Xb = np.vstack([e.values for e in bal_pos + bal_neg])
             yb = np.concatenate([np.ones(len(bal_pos)), np.zeros(len(bal_neg))])
             classifiers[name] = fit_binary(Xb, yb, config.hyperparams, seed, label=name)
-        model = MultiLabelModel(classifiers, vocabulary, scaling, catalog, config.threshold)
+        model = MultiLabelModel(classifiers, vocabulary, scaling, catalog, config=config)
         predicted = [predict_labels(model, x, config.fallback).labels for x in X_test]
         fold_rows.append(per_label_metrics([ex.labels for ex in test], predicted, catalog))
     return weighted_average(average_rows_across_folds(fold_rows)).f_measure
@@ -748,7 +749,7 @@ class TestPersistence:
         doc["format_version"] = 999
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ModelVersionError):
+        with pytest.raises(ModelVersionError, match=f"^{re.escape(str(path))}: unsupported"):
             load_model(path)
 
     def test_version_1_document_rejected(self):
@@ -760,12 +761,12 @@ class TestPersistence:
                 del blob[key]
             blob["hyperparams"]["learning_rate"] = 0.1
         with pytest.raises(ModelVersionError):
-            load_model(io.StringIO(json.dumps(doc)))
+            model_from_document(json.dumps(doc))
 
     def test_fit_diagnostics_round_trip(self):
         model, _ = self.trained_model()
         doc = json.loads(model_to_document(model))
-        loaded = load_model(io.StringIO(model_to_document(model)))
+        loaded = model_from_document(model_to_document(model))
         for name, clf in model.classifiers.items():
             blob = doc["payload"]["classifiers"][name]
             assert blob["converged"] is True
@@ -780,7 +781,7 @@ class TestPersistence:
         text = model_to_document(model)
         path = tmp_path / "model.json"
         path.write_text(text[: len(text) // 2])
-        with pytest.raises(ModelCorruptError):
+        with pytest.raises(ModelCorruptError, match=f"^{re.escape(str(path))}: not valid JSON"):
             load_model(path)
 
     def test_tampered_payload(self, tmp_path):
@@ -789,7 +790,8 @@ class TestPersistence:
         doc["payload"]["threshold"] = 0.25
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ModelCorruptError, match="checksum"):
+        with pytest.raises(ModelCorruptError,
+                           match=f"^{re.escape(str(path))}: model file checksum mismatch"):
             load_model(path)
 
     def test_non_finite_weight_neither_written_nor_read(self):
@@ -805,7 +807,7 @@ class TestPersistence:
         doc = {"format_version": 2, "payload": payload,
                "checksum": hashlib.sha256(canonical.encode()).hexdigest()}
         with pytest.raises(ModelCorruptError, match="NaN is not a JSON number"):
-            load_model(io.StringIO(json.dumps(doc)))
+            model_from_document(json.dumps(doc))
 
     @pytest.mark.parametrize("key,value", [("threshold", 5.0), ("threshold", 0.0),
                                            ("slen_scope", "bogus")])
@@ -817,7 +819,19 @@ class TestPersistence:
         doc = {"format_version": 2, "payload": payload,
                "checksum": hashlib.sha256(canonical.encode()).hexdigest()}
         with pytest.raises(ModelCorruptError, match=f"model payload malformed: {key}"):
-            load_model(io.StringIO(json.dumps(doc)))
+            model_from_document(json.dumps(doc))
+
+    @pytest.mark.parametrize("scaling", [{"means": [0.0] * 3, "stds": [1.0] * 2},
+                                         {"means": [0.0] * 3, "stds": [1.0, 1.0, "x"]}])
+    def test_bad_scaling_rejected_on_load(self, scaling):
+        # checksummed anew: a model that loaded would fail at its first prediction
+        payload = json.loads(model_to_document(self.trained_model()[0]))["payload"]
+        payload["scaling"] = scaling
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        doc = {"format_version": 2, "payload": payload,
+               "checksum": hashlib.sha256(canonical.encode()).hexdigest()}
+        with pytest.raises(ModelCorruptError, match="model payload malformed: "):
+            model_from_document(json.dumps(doc))
 
     def test_failed_save_keeps_earlier_model(self, tmp_path):
         earlier, _ = self.trained_model(seed=6)
@@ -837,20 +851,26 @@ class TestPersistence:
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
         # a model that cannot be encoded fails before any file is made
         next(iter(later.classifiers.values())).weights[0] = math.nan
-        with mock.patch("speechacts.classifier.open", create=True) as opener:
+        with mock.patch("speechacts.corpus.open", create=True) as opener:
             with pytest.raises(ValueError, match="not JSON compliant"):
                 save_model(later, path)
         opener.assert_not_called()
         assert path.read_bytes() == before
 
+    @pytest.mark.parametrize("content, reason", [
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff"),
+        (b"[" * 100_000 + b"]" * 100_000, "not valid JSON (nested too deeply)"),
+        (json.dumps({"format_version": 2, "checksum": hashlib.sha256(b"[]").hexdigest(),
+                     "payload": []}).encode(), "model payload malformed: "),
+    ], ids=["non-utf8", "too-deep", "malformed"])
+    def test_unreadable_file_is_corrupt_and_named(self, tmp_path, content, reason):
+        path = tmp_path / "model.json"
+        path.write_bytes(content)
+        with pytest.raises(ModelCorruptError) as info:
+            load_model(path)
+        assert str(info.value).startswith(f"{path}: {reason}")
+
     def test_model_bytes_deterministic(self):
         model_a, _ = self.trained_model(seed=6)
         model_b, _ = self.trained_model(seed=6)
         assert model_to_document(model_a) == model_to_document(model_b)
-
-    def test_save_accepts_file_object(self):
-        model, _ = self.trained_model()
-        buffer = io.StringIO()
-        save_model(model, buffer)
-        loaded = load_model(io.StringIO(buffer.getvalue()))
-        assert loaded.catalog == model.catalog

@@ -649,6 +649,34 @@ class TestDocumentFiles:
         assert result.stderr == f"error: {document}: {reason}\n"
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("command", ["predict", "serve"])
+    @pytest.mark.parametrize("damage, reason", [
+        (lambda text: b"\xff" + text.encode(),
+         "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (lambda text: text[: len(text) // 2].encode(), "not valid JSON ("),
+        (lambda text: text.replace('"threshold":0.5', '"threshold":0.25').encode(),
+         "model file checksum mismatch"),
+    ], ids=["non-utf8", "truncated", "tampered"])
+    def test_unreadable_model_is_one_error_line(self, runner, tiny_corpus, tmp_path,
+                                                command, damage, reason):
+        transcript, catalog = tiny_corpus
+        model = tmp_path / "model.json"
+        train = runner.invoke(main, ["--catalog", catalog, "train", transcript,
+                                     "--output", str(model)])
+        assert train.exit_code == 0, train.output
+        text = model.read_text()
+        damaged = damage(text)
+        assert damaged != text.encode()
+        model.write_bytes(damaged)
+        args = {"predict": ["predict", transcript], "serve": ["serve"]}[command]
+        result = runner.invoke(main, [*args, "--model", str(model)], input="")
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        (error,) = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+        assert error.startswith(f"error: {model}: {reason}")
+        assert result.stderr == error + "\n"
+        assert "Traceback" not in result.output
+
     @pytest.mark.parametrize("command", ["evaluate", "synth-corpus"])
     def test_failed_write_keeps_earlier_file(self, runner, separable_corpus_files, tmp_path,
                                              monkeypatch, command):

@@ -290,6 +290,21 @@ class TestSelect:
         assert ex.labels == frozenset({"a"})
         assert ex.turn.text == "q"
 
+    def test_turn_index_gaps_select_by_position(self, catalog_ab):
+        # an unvalidated corpus, as load_transcripts gives it
+        lines = [record_line("c1", 0, "participant", 0.0, "q", ["a"]),
+                 record_line("c1", 2, "assistant", 1.0, "r", ["b"]),
+                 record_line("c1", 3, "participant", 2.0, "u", ["b", "setup"]),
+                 record_line("c2", 0, "assistant", 0.0, "hi"),
+                 record_line("c2", 5, "participant", 1.0, "v", ["a"])]
+        conversations = parse_transcripts(lines, catalog_ab)
+        assert select_examples(conversations, catalog_ab) == [("c1", 0), ("c1", 3), ("c2", 5)]
+        examples = modeling_examples(conversations, catalog_ab)
+        assert [(ex.conversation.conversation_id, ex.turn.turn_index, ex.turn.text, ex.labels)
+                for ex in examples] == [("c1", 0, "q", frozenset({"a"})),
+                                        ("c1", 3, "u", frozenset({"b"})),
+                                        ("c2", 5, "v", frozenset({"a"}))]
+
 
 def test_offsets_from_absolute():
     conv = make_conversation(

@@ -286,7 +286,7 @@ class TestStreamEquivalence:
                                                        "low_confidence")}
         # the session is a handful of numbers, whatever the conversation's length
         session = engine._sessions[conv.conversation_id]
-        assert set(vars(session)) == {"conversation_id", "context", "lock"}
+        assert set(vars(session)) == {"context", "lock"}
         context = session.context
         assert isinstance(context, ContextState)
         for name, value in vars(context).items():
