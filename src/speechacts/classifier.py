@@ -20,15 +20,17 @@ import numpy as np
 
 from .balance import derive_seed, oversample
 from .config import Hyperparams, RunConfig, config_from_dict, expand_grid, hyperparams_from_dict
-from .corpus import (LabelCatalog, ModelingExample, catalog_from_dict, decode_record,
-                     read_document, write_document)
+from .corpus import (PARTICIPANT, Conversation, LabelCatalog, ModelingExample, catalog_from_dict,
+                     decode_record, read_document, write_document)
 from .featurize import (
     N_SHALLOW,
     ScalingParams,
     Vocabulary,
+    conversation_context,
     example_contexts,
     fit_from_contexts,
     matrix_from_contexts,
+    turn_row,
 )
 
 MODEL_FORMAT_VERSION = 2
@@ -163,8 +165,8 @@ def fit_binary_with_trace(
     del seed  # the fit is deterministic
     y = np.asarray(y, dtype=np.float64)
     present = set(np.unique(y).tolist())
-    if not present.issuperset({0.0, 1.0}):
-        raise ValueError(f"both target values required, got {sorted(present)}")
+    if present != {0.0, 1.0}:
+        raise ValueError(f"targets must be 0 and 1, both present, got {sorted(present)}")
 
     C, fit_bias = hyperparams.C, hyperparams.fit_bias
     w = np.zeros(X.shape[1], dtype=np.float64)
@@ -419,22 +421,19 @@ def _probabilities(stack: StackedWeights, word_sums: np.ndarray, shallow: np.nda
     return probs
 
 
-def score_rows(
-    model: MultiLabelModel,
-    word_ids: Sequence[Sequence[int]],
-    shallow: Sequence[Sequence[float]],
-) -> np.ndarray:
+def score_rows(model: MultiLabelModel, rows: Sequence[tuple]) -> np.ndarray:
     """Per-label probabilities of n turns: n rows, one column per catalog
     label in catalog order; a skipped label's column is 0.0.
 
-    Turn i is ``word_ids[i]``, the ascending column ids of its distinct
-    in-vocabulary tokens, and ``shallow[i]``, its scaled shallow features
-    (see :func:`~speechacts.featurize.turn_row`). A row's probabilities do
-    not depend on the other rows: its word weights are summed left to
-    right in id order, then the three shallow terms and the bias are added
-    one by one, whatever the batch.
+    Each row is a :func:`~speechacts.featurize.turn_row` result: the
+    ascending column ids of the turn's distinct in-vocabulary tokens, and
+    its scaled shallow features. A row's probabilities do not depend on the
+    other rows: its word weights are summed left to right in id order, then
+    the three shallow terms and the bias are added one by one, whatever the
+    batch.
     """
-    shallow = np.asarray(shallow, dtype=np.float64).reshape(len(word_ids), N_SHALLOW)
+    word_ids = [ids for ids, _ in rows]
+    shallow = np.asarray([scaled for _, scaled in rows], np.float64).reshape(len(rows), N_SHALLOW)
     return _probabilities(model.stacked, _word_sums(model.stacked.words, word_ids), shallow)
 
 
@@ -479,15 +478,26 @@ def predict_labels(
 
 
 def predict_rows(
-    model: MultiLabelModel,
-    word_ids: Sequence[Sequence[int]],
-    shallow: Sequence[Sequence[float]],
-    fallback: bool = False,
+    model: MultiLabelModel, rows: Sequence[tuple], fallback: bool = False
 ) -> list[Prediction]:
     """:func:`predict_labels` of each turn that :func:`score_rows` takes."""
     labels = model.catalog.labels
     return [_prediction(model, dict(zip(labels, row)), fallback)
-            for row in score_rows(model, word_ids, shallow).tolist()]
+            for row in score_rows(model, rows).tolist()]
+
+
+def predict_conversation(
+    model: MultiLabelModel, conversation: Conversation, fallback: bool = False
+) -> list[Prediction | None]:
+    """Each turn's prediction as ``predict`` writes it and ``serve`` answers
+    it: one context pass over the conversation and one :func:`predict_rows`
+    call for its participant turns; None for every other turn."""
+    scored = [turn.speaker == PARTICIPANT for turn in conversation.turns]
+    contexts = conversation_context(conversation, model.config.slen_scope)
+    rows = [turn_row(tokens, shallow, model.vocabulary, model.scaling)
+            for is_scored, (tokens, shallow) in zip(scored, contexts) if is_scored]
+    predictions = iter(predict_rows(model, rows, fallback))
+    return [next(predictions) if is_scored else None for is_scored in scored]
 
 
 def tune(
@@ -642,12 +652,14 @@ def _model_from_json(doc) -> MultiLabelModel:
     if "checksum" not in doc or "payload" not in doc:
         raise ModelCorruptError("model file lacks checksum or payload")
     payload = doc["payload"]
-    checksum = hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
-    if checksum != doc["checksum"]:
+    canonical = _canonical(payload)
+    if hashlib.sha256(canonical.encode("utf-8")).hexdigest() != doc["checksum"]:
         raise ModelCorruptError("model file checksum mismatch")
 
     try:
         catalog = catalog_from_dict(payload["catalog"])
+        if not all(isinstance(token, str) for token in payload["vocabulary"]):
+            raise ValueError("vocabulary tokens must be strings")
         vocabulary = Vocabulary.from_tokens(payload["vocabulary"])
         means, stds = (tuple(map(float, payload["scaling"][key])) for key in ("means", "stds"))
         if len(means) != N_SHALLOW or len(stds) != N_SHALLOW:
@@ -675,7 +687,12 @@ def _model_from_json(doc) -> MultiLabelModel:
                 converged=bool(blob["converged"]),
             )
         skipped = [SkippedLabel(s["label"], s["reason"]) for s in payload["skipped"]]
-        return MultiLabelModel(
+        if not all(isinstance(s.label, str) and isinstance(s.reason, str) for s in skipped):
+            raise ValueError("skipped labels and reasons must be strings")
+        unknown = set(classifiers).union(s.label for s in skipped) - set(catalog.labels)
+        if unknown:
+            raise ValueError(f"labels {sorted(unknown)} are not in the catalog")
+        model = MultiLabelModel(
             classifiers=classifiers,
             vocabulary=vocabulary,
             scaling=scaling,
@@ -683,6 +700,10 @@ def _model_from_json(doc) -> MultiLabelModel:
             skipped=skipped,
             config=config,
         )
+        # a field the loader coerced (a true bias, a string flag) writes back changed
+        if _canonical(_payload(model)) != canonical:
+            raise ValueError("it does not re-encode as written")
+        return model
     except ModelFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -19,11 +19,11 @@ import click
 
 from . import corpus as corpus_mod
 from . import reports
-from .classifier import load_model, predict_rows, save_model, train_model
+from .classifier import load_model, predict_conversation, save_model, train_model
 from .config import RunConfig, load_config
 from .corpus import LabelCatalog
 from .evaluate import cross_validate, rank_features_for_examples
-from .featurize import SLEN_SCOPES, conversation_context, turn_row
+from .featurize import SLEN_SCOPES
 from .serve import ServeEngine, ServeServer, serve_stdio
 from .synth import SynthSpec, synth_catalog, synth_corpus
 
@@ -211,18 +211,10 @@ def predict(ctx, transcripts, model_path, fallback):
     machine = ctx.obj["format"] == reports.MACHINE
     for conv in conversations:
         # one scoring call and one write per conversation
-        contexts = conversation_context(conv, model.config.slen_scope)
-        rows = [turn_row(tokens, shallow, model.vocabulary, model.scaling)
-                for turn, (tokens, shallow) in zip(conv.turns, contexts)
-                if turn.speaker == corpus_mod.PARTICIPANT]
-        predictions = iter(predict_rows(model, [ids for ids, _ in rows],
-                                        [scaled for _, scaled in rows], fallback))
         lines = []
-        for turn in conv.turns:
-            prediction = next(predictions) if turn.speaker == corpus_mod.PARTICIPANT else None
+        for turn, prediction in zip(conv.turns, predict_conversation(model, conv, fallback)):
             record = {"conversation_id": conv.conversation_id, "turn_index": turn.turn_index,
-                      "speaker": turn.speaker,
-                      **reports.prediction_record(prediction, model.catalog)}
+                      "speaker": turn.speaker, **reports.prediction_record(prediction)}
             if machine:
                 lines.append(corpus_mod.encode_record(record))
             else:

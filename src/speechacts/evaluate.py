@@ -328,10 +328,10 @@ def cross_validate_grid(
     """One :func:`cross_validate` report per hyperparameter point, in order,
     from the examples' precomputed :func:`~speechacts.featurize.example_contexts`.
 
-    The fold plan, and per fold the vocabulary, scaling, matrices and each
-    label's SMOTE (:func:`~speechacts.classifier.fit_contexts`), are built
-    once for all points; per point only the per-label fits and one
-    :func:`~speechacts.classifier.score_rows` call on the held-out rows run.
+    The fold plan, and per fold the vocabulary, scaling, matrices, each
+    label's SMOTE (:func:`~speechacts.classifier.fit_contexts`) and the
+    held-out rows, are built once for all points; per point only the
+    per-label fits and one :func:`~speechacts.classifier.predict_rows` run.
     With config.tune set (nested cross-validation) each fold fits the point
     its inner search picks instead, so ``points`` must then be a single point.
     """
@@ -353,11 +353,8 @@ def cross_validate_grid(
         vocabulary, scaling = models[0].vocabulary, models[0].scaling
         gold = [ex.labels for ex in test]
         held_out = [turn_row(tokens, raw, vocabulary, scaling) for tokens, raw in test_contexts]
-        word_ids = [ids for ids, _ in held_out]
-        shallow = [scaled for _, scaled in held_out]
         for rows, model in zip(fold_rows, models):
-            predicted = [p.labels for p in
-                         clf_mod.predict_rows(model, word_ids, shallow, config.fallback)]
+            predicted = [p.labels for p in clf_mod.predict_rows(model, held_out, config.fallback)]
             rows.append(per_label_metrics(gold, predicted, catalog))
     reports = []
     for rows_per_fold in fold_rows:

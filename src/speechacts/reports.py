@@ -11,7 +11,7 @@ import math
 from dataclasses import asdict
 
 from .classifier import Prediction
-from .corpus import CorpusStats, LabelCatalog
+from .corpus import CorpusStats
 from .evaluate import FeatureRanking, MetricsReport, MetricsRow
 
 TABLE = "table"
@@ -24,7 +24,7 @@ def _machine(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
 
 
-def prediction_record(prediction: Prediction | None, catalog: LabelCatalog) -> dict:
+def prediction_record(prediction: Prediction | None) -> dict:
     """The per-turn answer of ``predict`` and ``serve``.
 
     {labels (sorted), probabilities (catalog order), low_confidence}; an
@@ -34,7 +34,7 @@ def prediction_record(prediction: Prediction | None, catalog: LabelCatalog) -> d
         return {"labels": [], "probabilities": {}, "low_confidence": False}
     return {
         "labels": sorted(prediction.labels),
-        "probabilities": {k: prediction.probabilities[k] for k in catalog.labels},
+        "probabilities": dict(prediction.probabilities),
         "low_confidence": prediction.low_confidence,
     }
 

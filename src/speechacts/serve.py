@@ -69,10 +69,9 @@ class ServeEngine:
             tokens = tokenize(text)
             shallow = context.observe(speaker, seconds, len(tokens))
         if speaker != PARTICIPANT:
-            return prediction_record(None, self.model.catalog)
-        ids, scaled = turn_row(tokens, shallow, self.model.vocabulary, self.model.scaling)
-        prediction = predict_rows(self.model, [ids], [scaled], self.fallback)[0]
-        return prediction_record(prediction, self.model.catalog)
+            return prediction_record(None)
+        row = turn_row(tokens, shallow, self.model.vocabulary, self.model.scaling)
+        return prediction_record(predict_rows(self.model, [row], self.fallback)[0])
 
     def handle_line(self, line: str) -> str:
         try:

@@ -2,9 +2,7 @@ import json
 
 import pytest
 
-from speechacts.classifier import predict_rows
-from speechacts.corpus import PARTICIPANT, Conversation, LabelCatalog, Turn
-from speechacts.featurize import conversation_context, turn_row
+from speechacts.corpus import Conversation, LabelCatalog, Turn
 
 
 @pytest.fixture
@@ -33,17 +31,3 @@ def record_line(cid, idx, speaker, ts, text, labels=(), **extra):
     }
     rec.update(extra)
     return json.dumps(rec)
-
-
-def batch_predictions(model, conversation, fallback=False):
-    """Each turn's prediction as ``predict`` makes it: one context run over the
-    conversation and one scoring call for its participant turns; None for
-    every other turn."""
-    contexts = conversation_context(conversation, model.config.slen_scope)
-    rows = [turn_row(tokens, shallow, model.vocabulary, model.scaling)
-            for turn, (tokens, shallow) in zip(conversation.turns, contexts)
-            if turn.speaker == PARTICIPANT]
-    predictions = iter(predict_rows(model, [ids for ids, _ in rows],
-                                    [scaled for _, scaled in rows], fallback))
-    return [next(predictions) if turn.speaker == PARTICIPANT else None
-            for turn in conversation.turns]

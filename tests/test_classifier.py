@@ -28,6 +28,7 @@ from speechacts.classifier import (
     loss_and_gradient,
     model_from_document,
     model_to_document,
+    predict_conversation,
     predict_labels,
     predict_proba,
     predict_rows,
@@ -38,7 +39,7 @@ from speechacts.classifier import (
     tune,
 )
 from speechacts.config import DEFAULT_GRID, Hyperparams, RunConfig, expand_grid
-from speechacts.corpus import LabelCatalog, modeling_examples
+from speechacts.corpus import PARTICIPANT, LabelCatalog, modeling_examples
 from speechacts.evaluate import (
     average_rows_across_folds,
     cross_validate_grid,
@@ -48,6 +49,7 @@ from speechacts.evaluate import (
     weighted_average,
 )
 from speechacts.featurize import (
+    SLEN_SCOPES,
     ScalingParams,
     ShallowFeatures,
     Vocabulary,
@@ -181,6 +183,11 @@ class TestFitBinary:
     def test_single_valued_targets_rejected(self):
         with pytest.raises(ValueError):
             fit_binary(np.ones((3, 1)), np.ones(3))
+
+    @pytest.mark.parametrize("y", [[0.0, 1.0, 2.0], [0.0, 1.0, 0.5]])
+    def test_targets_other_than_0_and_1_rejected(self, y):
+        with pytest.raises(ValueError, match=r"targets must be 0 and 1"):
+            fit_binary(np.array([[-1.0], [0.0], [1.0]]), np.array(y))
 
     def test_fit_bias_false_keeps_zero_bias(self):
         X, y = self.separable()
@@ -513,23 +520,21 @@ class TestScoreRows:
     @given(problem=scoring_problems(), fallback=st.booleans(), padded_ids=st.sampled_from([None, 3]))
     def test_batch_row_and_reference_agree(self, problem, fallback, padded_ids):
         model, rows = problem
-        word_ids = [ids for ids, _ in rows]
-        shallow = [scaled for _, scaled in rows]
         # padded_ids 3 splits a batch into blocks of a few rows
         with mock.patch.object(classifier_mod, "_PADDED_IDS",
                                padded_ids or classifier_mod._PADDED_IDS):
-            batch = score_rows(model, word_ids, shallow)
-            predictions = predict_rows(model, word_ids, shallow, fallback)
+            batch = score_rows(model, rows)
+            predictions = predict_rows(model, rows, fallback)
         assert batch.shape == (len(rows), len(model.catalog.labels))
         n_words = len(model.vocabulary)
-        for i in range(len(rows)):
-            one = score_rows(model, [word_ids[i]], [shallow[i]])[0]
+        for i, (ids, scaled) in enumerate(rows):
+            one = score_rows(model, [rows[i]])[0]
             assert batch[i].tobytes() == one.tobytes()
-            reference = reference_probabilities(model, word_ids[i], shallow[i])
+            reference = reference_probabilities(model, ids, scaled)
             assert batch[i].tolist() == reference
             dense = np.zeros(model.feature_width)
-            dense[word_ids[i]] = 1.0
-            dense[n_words:] = shallow[i]
+            dense[ids] = 1.0
+            dense[n_words:] = scaled
             # the dense route sums the same stacked weights in column order
             probs = predict_proba(model, dense)
             assert list(probs.values()) == reference
@@ -549,13 +554,57 @@ class TestScoreRows:
 
     def test_no_rows(self):
         model = zero_model()
-        assert score_rows(model, [], []).shape == (0, 2)
-        assert predict_rows(model, [], []) == []
+        assert score_rows(model, []).shape == (0, 2)
+        assert predict_rows(model, []) == []
+
+    @pytest.mark.parametrize("scope", SLEN_SCOPES)
+    def test_cv_row_is_scored_as_predict_answers_the_turn(self, scope):
+        # cross-validation scores an example from example_contexts, predict
+        # and serve from the turn's conversation: the same prediction
+        spec = SynthSpec(n_labels=3, turns_per_label=12, signal=0.6, multi_label_rate=0.3, seed=4)
+        catalog = synth_catalog(spec)
+        examples = modeling_examples(synth_corpus(spec), catalog)
+        model = train_model(examples, catalog, RunConfig(seed=4, slen_scope=scope))
+        answers = {}
+        for ex, ctx in zip(examples, example_contexts(examples, scope)):
+            conv = ex.conversation
+            if id(conv) not in answers:
+                answers[id(conv)] = predict_conversation(model, conv, fallback=True)
+                assert [p is None for p in answers[id(conv)]] == [
+                    turn.speaker != PARTICIPANT for turn in conv.turns]
+            row = turn_row(*ctx, model.vocabulary, model.scaling)
+            assert predict_rows(model, [row], True)[0] == answers[id(conv)][ex.turn_index]
+        assert len(answers) > 1
 
     def test_stacked_once_and_not_persisted(self, tmp_path):
         model = zero_model()
         assert model.stacked is model.stacked
         assert "stacked" not in model_to_document(model)
+
+
+def rechecksummed(payload) -> str:
+    """A model document holding payload under a checksum made anew, so only
+    the loader's payload checks can reject it."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return json.dumps({"format_version": 2, "payload": payload,
+                       "checksum": hashlib.sha256(canonical.encode()).hexdigest()})
+
+
+def first_classifier(payload) -> dict:
+    return next(iter(payload["classifiers"].values()))
+
+
+# payload edits that a loader coercing each field would let through
+COERCED_PAYLOADS = {
+    "token-5": lambda p: p.update(vocabulary=[5] + p["vocabulary"][1:]),
+    "bias-true": lambda p: first_classifier(p).update(bias=True),
+    "converged-no": lambda p: first_classifier(p).update(converged="no"),
+    "iterations-2.7": lambda p: first_classifier(p).update(iterations=2.7),
+    "skipped-7-null": lambda p: p["skipped"].append({"label": 7, "reason": None}),
+    "classifier-not-in-catalog": lambda p: p["classifiers"].update(zzz=first_classifier(p)),
+    "upper-case-catalog": lambda p: p["catalog"].update(
+        labels=[name.upper() for name in p["catalog"]["labels"]]),
+}
 
 
 def keyword_examples(n_per_label=10):
@@ -802,12 +851,9 @@ class TestPersistence:
             model_to_document(model)
         # a document carrying NaN, checksummed as Python's lenient json would
         payload = json.loads(model_to_document(self.trained_model()[0]))["payload"]
-        next(iter(payload["classifiers"].values()))["weights"][0] = math.nan
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        doc = {"format_version": 2, "payload": payload,
-               "checksum": hashlib.sha256(canonical.encode()).hexdigest()}
+        first_classifier(payload)["weights"][0] = math.nan
         with pytest.raises(ModelCorruptError, match="NaN is not a JSON number"):
-            model_from_document(json.dumps(doc))
+            model_from_document(rechecksummed(payload))
 
     @pytest.mark.parametrize("key,value", [("threshold", 5.0), ("threshold", 0.0),
                                            ("slen_scope", "bogus")])
@@ -815,11 +861,8 @@ class TestPersistence:
         # checksummed anew, so only the value check can catch it
         payload = json.loads(model_to_document(self.trained_model()[0]))["payload"]
         payload[key] = value
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        doc = {"format_version": 2, "payload": payload,
-               "checksum": hashlib.sha256(canonical.encode()).hexdigest()}
         with pytest.raises(ModelCorruptError, match=f"model payload malformed: {key}"):
-            model_from_document(json.dumps(doc))
+            model_from_document(rechecksummed(payload))
 
     @pytest.mark.parametrize("scaling", [{"means": [0.0] * 3, "stds": [1.0] * 2},
                                          {"means": [0.0] * 3, "stds": [1.0, 1.0, "x"]}])
@@ -827,11 +870,16 @@ class TestPersistence:
         # checksummed anew: a model that loaded would fail at its first prediction
         payload = json.loads(model_to_document(self.trained_model()[0]))["payload"]
         payload["scaling"] = scaling
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        doc = {"format_version": 2, "payload": payload,
-               "checksum": hashlib.sha256(canonical.encode()).hexdigest()}
         with pytest.raises(ModelCorruptError, match="model payload malformed: "):
-            model_from_document(json.dumps(doc))
+            model_from_document(rechecksummed(payload))
+
+    @pytest.mark.parametrize("edit", COERCED_PAYLOADS.values(), ids=COERCED_PAYLOADS)
+    def test_coerced_field_rejected_on_load(self, edit):
+        # a loader that converts fields instead of checking them loads each
+        payload = json.loads(model_to_document(self.trained_model()[0]))["payload"]
+        edit(payload)
+        with pytest.raises(ModelCorruptError, match="^model payload malformed: "):
+            model_from_document(rechecksummed(payload))
 
     def test_failed_save_keeps_earlier_model(self, tmp_path):
         earlier, _ = self.trained_model(seed=6)

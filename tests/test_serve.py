@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import speechacts
-from speechacts.classifier import save_model, train_model
+from speechacts.classifier import predict_conversation, save_model, train_model
 from speechacts.cli import main
 from speechacts.config import RunConfig
 from speechacts.corpus import SPEAKERS, TIMESTAMP_ERROR, modeling_examples, serialize_transcripts
@@ -22,7 +22,7 @@ from speechacts.featurize import SLEN_SCOPES, ContextState
 from speechacts.serve import MAX_LINE_BYTES, ServeEngine, ServeServer, serve_stdio
 from speechacts.synth import SynthSpec, synth_catalog, synth_corpus
 
-from conftest import batch_predictions, make_conversation
+from conftest import make_conversation
 
 
 @pytest.fixture(scope="module")
@@ -116,7 +116,7 @@ class TestEngine:
             assert err["error"] == TIMESTAMP_ERROR
         got = strict_loads(engine.handle_line(request_line("s1", "participant", 5.0, "act1kw1")))
         conv = make_conversation("s1", [("participant", 5.0, "act1kw1", [])])
-        expect = batch_predictions(model, conv)[0]
+        expect = predict_conversation(model, conv)[0]
         assert got["probabilities"] == pytest.approx(expect.probabilities)
 
     def test_first_request_valid_response(self, model):
@@ -148,7 +148,7 @@ class TestEngine:
         conv = make_conversation(
             "s1", [("assistant", 0.0, "some reply", []), ("participant", 6.0, "act0kw0 words", [])]
         )
-        expect = batch_predictions(model, conv)[1]
+        expect = predict_conversation(model, conv)[1]
         got = json.loads(engine.handle_line(request_line("s1", "participant", 6.0, "act0kw0 words")))
         assert got["probabilities"] == pytest.approx(expect.probabilities)
 
@@ -161,7 +161,7 @@ class TestEngine:
         conv = make_conversation(
             "s1", [("participant", 10.0, "act0kw0", []), ("participant", 14.0, "act1kw1 more", [])]
         )
-        expect = batch_predictions(model, conv)[1]
+        expect = predict_conversation(model, conv)[1]
         got = json.loads(engine.handle_line(request_line("s1", "participant", 14.0, "act1kw1 more")))
         assert got["probabilities"] == pytest.approx(expect.probabilities)
 
@@ -175,7 +175,7 @@ class TestEngine:
         conv = make_conversation(
             "s1", [("participant", 10.0, "act0kw0", []), ("participant", 14.0, "act1kw1 more", [])]
         )
-        expect = batch_predictions(model, conv)[1]
+        expect = predict_conversation(model, conv)[1]
         got = json.loads(engine.handle_line(request_line("s1", "participant", 14.0, "act1kw1 more")))
         assert got["probabilities"] == pytest.approx(expect.probabilities)
 
@@ -189,7 +189,7 @@ class TestEngine:
         conv = make_conversation(
             "s1", [("participant", 10.0, "act0kw0", []), ("participant", 14.0, "act1kw1 more", [])]
         )
-        expect = batch_predictions(model, conv)[1]
+        expect = predict_conversation(model, conv)[1]
         got = strict_loads(engine.handle_line(request_line("s1", "participant", 14.0, "act1kw1 more")))
         assert got["probabilities"] == pytest.approx(expect.probabilities)
 
@@ -206,7 +206,7 @@ class TestEngine:
         conv = make_conversation(
             "s1", [("participant", 10.0, "act0kw0", []), ("participant", 14.0, "act1kw1 more", [])]
         )
-        expect = batch_predictions(model, conv)[1]
+        expect = predict_conversation(model, conv)[1]
         got = strict_loads(engine.handle_line(request_line("s1", "participant", 14.0, "act1kw1 more")))
         assert got == {"labels": sorted(expect.labels),
                        "probabilities": expect.probabilities,
@@ -219,7 +219,7 @@ class TestEngine:
         assert "timestamp_s" in err["error"]
         got = strict_loads(engine.handle_line(request_line("s1", "participant", 5.0, "act1kw1")))
         conv = make_conversation("s1", [("participant", 5.0, "act1kw1", [])])
-        expect = batch_predictions(model, conv)[0]
+        expect = predict_conversation(model, conv)[0]
         assert got["probabilities"] == pytest.approx(expect.probabilities)
 
     def test_sessions_isolated(self, model):
@@ -227,7 +227,7 @@ class TestEngine:
         engine.handle_line(request_line("s1", "participant", 100.0, "act0kw0"))
         # a fresh conversation starts with ppau 0 regardless of other sessions
         conv = make_conversation("s2", [("participant", 50.0, "act2kw3 thing", [])])
-        expect = batch_predictions(model, conv)[0]
+        expect = predict_conversation(model, conv)[0]
         got = json.loads(engine.handle_line(request_line("s2", "participant", 50.0, "act2kw3 thing")))
         assert got["probabilities"] == pytest.approx(expect.probabilities)
 
@@ -238,7 +238,7 @@ class TestStreamEquivalence:
         conversations = synth_corpus(spec)
         engine = ServeEngine(model)
         for conv in conversations:
-            batch_of_turn = batch_predictions(model, conv)
+            batch_of_turn = predict_conversation(model, conv)
             for turn in conv.turns:
                 streamed = json.loads(
                     engine.handle_line(
@@ -486,7 +486,7 @@ class TestTcp:
                 "shared",
                 [("participant", 0.0, "act0kw0", []), ("participant", 4.5, "act1kw1 extra", [])],
             )
-            expect = batch_predictions(model, conv)[1]
+            expect = predict_conversation(model, conv)[1]
             assert out["probabilities"] == pytest.approx(expect.probabilities)
         finally:
             server.shutdown()
