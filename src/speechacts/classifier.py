@@ -61,6 +61,86 @@ def sigmoid(z):
     return out if out.ndim else float(out)
 
 
+# When the sparse products pay, counted in entries of X that BLAS multiplies
+# (about 0.41 ns per entry for a product and its transpose, median over 51
+# fit matrices of the study, paper and narrow corpora; 2 vCPUs, OpenBLAS
+# 0.3.31). The bincount kernel costs about 12.4 ns per nonzero, so the
+# crossover share of nonzeros is 1/_NONZERO_COST, 3.3%, on large matrices.
+# Its numpy calls cost a fixed amount per product pair: 8.5 us by a
+# least-squares fit, though small matrices ran slower than that fit, so
+# _PRODUCT_OVERHEAD is set to 40,000 entries (16 us). Measured sparse time
+# over BLAS time: study CV folds (about 380 x 537, 1.8-2.1% nonzero)
+# 0.58-0.73; the inner folds of study's nested CV (about 250 x 414,
+# 2.3-2.9%) 0.90-1.24, which a fixed 4% crossover sent to the slower kernel;
+# paper CV folds (about 3,400 x 1,585, 0.6%) 0.13-0.15; narrow CV folds
+# (1,546 x 111, 10.4%) 2.4-2.8.
+_NONZERO_COST = 30
+_PRODUCT_OVERHEAD = 40_000
+
+
+class _Design:
+    """The design matrix X as the Newton solver multiplies by it, the only
+    code that does: ``dot(v)`` is X @ v and ``tdot(r)`` is X.T @ r.
+
+    Columns nonzero in more than half the rows (the shallow features) form a
+    dense block. When the other columns are sparse enough to pay (see
+    _NONZERO_COST), their products run over the nonzeros' row, column and
+    value arrays with np.bincount, LIBLINEAR's sparse rows: each row's terms
+    sum in column order and each column's in row order, and the dense
+    block's BLAS product is added. Otherwise both products are X's own BLAS
+    calls, bit for bit.
+    """
+
+    def __init__(self, X: np.ndarray):
+        self.shape = n, d = X.shape
+        # nonzero of the flat mask: numpy's 2-D nonzero took 9x as long
+        rows, columns = np.divmod(np.flatnonzero(X != 0), d)
+        dense = 2 * np.bincount(columns, minlength=d) > n
+        sparse = ~dense[columns]
+        nnz = int(np.count_nonzero(sparse))
+        self.sparse = _NONZERO_COST * nnz + _PRODUCT_OVERHEAD < n * (d - int(dense.sum()))
+        if not self.sparse:
+            self.X = X
+            return
+        self.dense_columns = np.flatnonzero(dense)
+        self.dense = X[:, self.dense_columns]
+        self.rows, self.columns = rows[sparse], columns[sparse]
+        self.values = X[self.rows, self.columns].astype(np.float64, copy=False)
+
+    def dot(self, v: np.ndarray) -> np.ndarray:
+        if not self.sparse:
+            return self.X @ v
+        z = self.dense @ v[self.dense_columns]
+        z += np.bincount(self.rows, self.values * v[self.columns], self.shape[0])
+        return z
+
+    def tdot(self, r: np.ndarray) -> np.ndarray:
+        if not self.sparse:
+            return self.X.T @ r
+        # with no nonzeros bincount counts in int64, which cannot hold floats
+        out = np.bincount(self.columns, self.values * r[self.rows],
+                          self.shape[1]).astype(np.float64, copy=False)
+        out[self.dense_columns] = self.dense.T @ r
+        return out
+
+
+def _loss_terms(
+    design: _Design, weights: np.ndarray, bias: float, y: np.ndarray, C: float
+) -> tuple[float, np.ndarray, float, np.ndarray]:
+    """:func:`loss_and_gradient` over a built design, also returning the
+    probabilities sigmoid(X w + b) that the next Newton step's curvature
+    needs."""
+    n = design.shape[0]
+    z = design.dot(weights) + bias
+    # logaddexp(0, z) - y*z is -log p(y|z) without evaluating sigmoid near 0/1
+    loss = float(np.mean(np.logaddexp(0.0, z) - y * z)) + float(weights @ weights) / (2.0 * C * n)
+    p = sigmoid(z)
+    residual = p - y
+    grad_w = design.tdot(residual) / n + weights / (C * n)
+    grad_b = float(np.mean(residual))
+    return loss, grad_w, grad_b, p
+
+
 def loss_and_gradient(
     weights: np.ndarray,
     bias: float,
@@ -71,20 +151,14 @@ def loss_and_gradient(
     """Mean log loss with L2 penalty, and its gradient.
 
     loss = mean NLL + ||w||^2 / (2 C n); the bias is not regularized.
-    Returns (loss, weight gradient, bias gradient).
+    Returns (loss, weight gradient, bias gradient), computed with the same
+    products as the fit on X, so a fit's final_loss is this loss exactly.
     """
     if X.shape[1] != weights.shape[0]:
         raise ValueError(f"dimension mismatch: X has {X.shape[1]} columns, weights {weights.shape[0]}")
     if X.shape[0] != y.shape[0]:
         raise ValueError(f"dimension mismatch: {X.shape[0]} examples vs {y.shape[0]} targets")
-    n = X.shape[0]
-    z = X @ weights + bias
-    # logaddexp(0, z) - y*z is -log p(y|z) without evaluating sigmoid near 0/1
-    loss = float(np.mean(np.logaddexp(0.0, z) - y * z)) + float(weights @ weights) / (2.0 * C * n)
-    residual = sigmoid(z) - y
-    grad_w = (X.T @ residual) / n + weights / (C * n)
-    grad_b = float(np.mean(residual))
-    return loss, grad_w, grad_b
+    return _loss_terms(_Design(X), weights, bias, y, C)[:3]
 
 
 @dataclass
@@ -112,7 +186,7 @@ _ARMIJO_HALVINGS = 30
 
 
 def _hessian_product(
-    X: np.ndarray, curvature: np.ndarray, v_w: np.ndarray, v_b: float, C: float, fit_bias: bool
+    design: _Design, curvature: np.ndarray, v_w: np.ndarray, v_b: float, C: float, fit_bias: bool
 ) -> tuple[np.ndarray, float]:
     """Hessian of the training loss times the direction (v_w, v_b).
 
@@ -120,15 +194,15 @@ def _hessian_product(
     matrix X~ = [X, 1] with the per-example curvature D = p (1 - p); the bias
     row is dropped (returned as 0) when the bias is not fit.
     """
-    n = X.shape[0]
-    scaled = curvature * (X @ v_w + v_b)
-    h_w = (X.T @ scaled) / n + v_w / (C * n)
+    n = design.shape[0]
+    scaled = curvature * (design.dot(v_w) + v_b)
+    h_w = design.tdot(scaled) / n + v_w / (C * n)
     h_b = float(scaled.sum()) / n if fit_bias else 0.0
     return h_w, h_b
 
 
 def _newton_direction(
-    X: np.ndarray, curvature: np.ndarray, grad_w: np.ndarray, grad_b: float, grad_norm: float,
+    design: _Design, curvature: np.ndarray, grad_w: np.ndarray, grad_b: float, grad_norm: float,
     C: float, fit_bias: bool,
 ) -> tuple[np.ndarray, float]:
     """Approximately solve H d = -g by conjugate gradient, starting at d = 0."""
@@ -140,7 +214,7 @@ def _newton_direction(
     for _ in range(_CG_MAX_STEPS):
         if np.sqrt(rr) <= stop:
             break
-        h_w, h_b = _hessian_product(X, curvature, p_w, p_b, C, fit_bias)
+        h_w, h_b = _hessian_product(design, curvature, p_w, p_b, C, fit_bias)
         curve = float(p_w @ h_w) + p_b * h_b
         if curve <= 0.0:  # no curvature left to exploit in floating point
             break
@@ -164,14 +238,17 @@ def fit_binary_with_trace(
     after each Newton step."""
     del seed  # the fit is deterministic
     y = np.asarray(y, dtype=np.float64)
+    if X.shape[0] != y.shape[0]:
+        raise ValueError(f"dimension mismatch: {X.shape[0]} examples vs {y.shape[0]} targets")
     present = set(np.unique(y).tolist())
     if present != {0.0, 1.0}:
         raise ValueError(f"targets must be 0 and 1, both present, got {sorted(present)}")
 
     C, fit_bias = hyperparams.C, hyperparams.fit_bias
+    design = _Design(X)
     w = np.zeros(X.shape[1], dtype=np.float64)
     b = 0.0
-    loss, grad_w, grad_b = loss_and_gradient(w, b, X, y, C)
+    loss, grad_w, grad_b, p = _loss_terms(design, w, b, y, C)
     losses = [loss]
     iterations = 0
     while True:
@@ -180,21 +257,21 @@ def fit_binary_with_trace(
         grad_norm = float(np.sqrt(grad_w @ grad_w + grad_b * grad_b))
         if grad_norm <= hyperparams.tolerance or iterations == hyperparams.max_iterations:
             break
-        p = sigmoid(X @ w + b)
-        d_w, d_b = _newton_direction(X, p * (1.0 - p), grad_w, grad_b, grad_norm, C, fit_bias)
+        d_w, d_b = _newton_direction(design, p * (1.0 - p), grad_w, grad_b, grad_norm, C,
+                                     fit_bias)
         slope = float(grad_w @ d_w) + grad_b * d_b
         step = 1.0
         accepted = None
         for _ in range(_ARMIJO_HALVINGS + 1):
             w_try, b_try = w + step * d_w, b + step * d_b
-            trial = loss_and_gradient(w_try, b_try, X, y, C)
+            trial = _loss_terms(design, w_try, b_try, y, C)
             if trial[0] <= loss + _ARMIJO_SLOPE * step * slope:
                 accepted = (w_try, b_try, trial)
                 break
             step *= 0.5
         if accepted is None:  # no decrease left that floating point can see
             break
-        w, b, (loss, grad_w, grad_b) = accepted
+        w, b, (loss, grad_w, grad_b, p) = accepted
         losses.append(loss)
         iterations += 1
     classifier = BinaryClassifier(

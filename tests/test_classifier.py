@@ -141,6 +141,78 @@ class TestLossAndGradient:
             loss_and_gradient(np.zeros(2), 0.0, np.ones((3, 3)), np.ones(3), 1.0)
 
 
+def word_matrix(rng, n, d, share, n_dense=3):
+    """A featurized-looking matrix: 0/1 word columns at the given share of
+    nonzeros, then n_dense Gaussian columns standing for the shallow
+    features."""
+    X = (rng.random((n, d)) < share).astype(np.float64)
+    X[:, d - n_dense:] = rng.normal(size=(n, n_dense))
+    return X
+
+
+class TestDesign:
+    """The solver's design operator: X @ v and X.T @ r through BLAS or, for
+    sparse enough word blocks, through the nonzeros."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        d=st.integers(1, 30),
+        share=st.sampled_from([0.0, 0.05, 0.2, 0.6]),
+        n_dense=st.integers(0, 3),
+        empty_rows=st.sampled_from([0.0, 0.3]),
+        dtype=st.sampled_from([np.float64, np.int64, np.bool_]),
+        sparse=st.booleans(),
+    )
+    def test_products_match_blas(self, seed, n, d, share, n_dense, empty_rows, dtype, sparse):
+        rng = np.random.default_rng(seed)
+        X = np.where(rng.random((n, d)) < share, rng.uniform(-5.0, 5.0, (n, d)), 0.0)
+        X[:, : min(n_dense, d)] = rng.uniform(1.0, 5.0, (n, min(n_dense, d)))
+        X[rng.random(n) < empty_rows] = 0.0
+        X = X.round().astype(dtype) if dtype is np.int64 else X.astype(dtype)
+        v, r = rng.normal(size=d), rng.normal(size=n)
+        # both kernels, whatever the size: the overhead term decides
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classifier_mod, "_PRODUCT_OVERHEAD", -np.inf if sparse else np.inf)
+            design = classifier_mod._Design(X)
+        assert design.sparse is sparse
+        dot, tdot = design.dot(v), design.tdot(r)
+        assert dot.dtype == tdot.dtype == np.float64
+        assert dot.shape == (n,) and tdot.shape == (d,)
+        if not sparse:  # the dense kernel is X's own BLAS calls
+            assert dot.tobytes() == (X @ v).tobytes()
+            assert tdot.tobytes() == (X.T @ r).tobytes()
+            return
+        # Each way sums m products: rounded in any order, a sum lies within
+        # m * eps/2 of the exact one relative to the sum of magnitudes, so
+        # two orders differ by at most m * eps of it.
+        eps = np.finfo(np.float64).eps
+        magnitude = np.abs(X.astype(np.float64))
+        assert np.all(np.abs(dot - X @ v) <= d * eps * (magnitude @ np.abs(v)))
+        assert np.all(np.abs(tdot - X.T @ r) <= n * eps * (magnitude.T @ np.abs(r)))
+
+    # shapes and shares of real fit matrices (see classifier._NONZERO_COST)
+    @pytest.mark.parametrize(
+        "n, d, share, sparse",
+        [
+            (380, 537, 0.02, True),  # a study CV fold
+            (470, 615, 0.02, True),  # study train
+            (3400, 1585, 0.006, True),  # a paper-scale CV fold
+            (1546, 111, 0.10, False),  # a narrow CV fold
+            (250, 414, 0.025, False),  # an inner fold of study's nested CV
+            (18, 66, 0.01, False),  # an inner fold of a tiny tuning slice
+        ],
+    )
+    def test_kernel_by_density_and_size(self, n, d, share, sparse):
+        X = word_matrix(np.random.default_rng(0), n, d, share)
+        design = classifier_mod._Design(X)
+        assert design.sparse is sparse
+        if sparse:  # the three Gaussian columns form the dense block
+            assert design.dense_columns.tolist() == [d - 3, d - 2, d - 1]
+            assert len(design.values) == np.count_nonzero(X[:, : d - 3])
+
+
 class TestFitBinary:
     def separable(self):
         X = np.array([[-1.0]] * 10 + [[1.0]] * 10)
@@ -201,6 +273,28 @@ class TestFitBinary:
         assert 0 < clf.iterations < 50
         assert clf.grad_norm <= 1e-6
         assert clf.final_loss == losses[-1] == loss_and_gradient(clf.weights, clf.bias, X, y, 1.0)[0]
+
+    @pytest.mark.parametrize("fit_bias", [True, False])
+    def test_sparse_kernel_fit_reaches_the_tolerance(self, fit_bias):
+        rng = np.random.default_rng(21)
+        X = word_matrix(rng, 400, 603, 0.015)
+        y = (X @ rng.normal(size=603) + rng.normal(scale=0.5, size=400) > 0).astype(float)
+        assert classifier_mod._Design(X).sparse
+        hyperparams = Hyperparams(fit_bias=fit_bias)
+        clf = fit_binary(X, y, hyperparams)
+        assert clf.converged
+
+        # the gradient at the fit, by BLAS and a separate sigmoid
+        n, C = len(y), hyperparams.C
+        residual = 0.5 * (1.0 + np.tanh((X @ clf.weights + clf.bias) / 2.0)) - y
+        grad = X.T @ residual / n + clf.weights / (C * n)
+        if fit_bias:
+            grad = np.append(grad, residual.mean())
+        # Rounding slack: the two gradients sum the same n terms of size at
+        # most max|X| in other orders, so they differ by at most about
+        # n * eps * max|X| per entry, 1e-13 here, and by under 1e-11 in norm.
+        assert np.linalg.norm(grad) <= hyperparams.tolerance + 1e-11
+        assert clf.final_loss == loss_and_gradient(clf.weights, clf.bias, X, y, C)[0]
 
     def test_capped_fit_reports_not_converged(self):
         rng = np.random.default_rng(11)

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from speechacts import classifier as classifier_mod
 from speechacts.classifier import model_to_document, predict_rows, train_model
 from speechacts.config import RunConfig
-from speechacts.corpus import LabelCatalog, modeling_examples
+from speechacts.corpus import PARTICIPANT, LabelCatalog, modeling_examples
 from speechacts.evaluate import (
     AVG_LABEL,
     MetricsRow,
@@ -280,6 +281,38 @@ class TestOutputDigests:
         config = RunConfig(seed=2, tune=True, n_folds=3, fallback=True)
         row = dataclasses.asdict(cross_validate(examples, catalog, config).average_row)
         assert hashlib.sha256(json.dumps(row, sort_keys=True).encode()).hexdigest() == row_digest
+
+    # The synth corpora above have 60 filler words, so their fits multiply
+    # by X through BLAS. Here each participant turn gets 6 more words from
+    # 1,500, which makes the word block sparse enough for the bincount
+    # products; the row is the one those BLAS products gave. Model bytes move
+    # in their last bits with the kernel, so only the CV row is pinned.
+    def test_golden_cv_row_of_sparse_kernel_fits(self, monkeypatch):
+        spec = SynthSpec(n_labels=3, turns_per_label=80, signal=0.5, multi_label_rate=0.2, seed=4)
+        rng = np.random.default_rng(4)
+        conversations = synth_corpus(spec)
+        for conversation in conversations:
+            conversation.turns = [
+                dataclasses.replace(turn, text=" ".join(
+                    [turn.text] + [f"wide{j}" for j in rng.integers(0, 1500, 6)]))
+                if turn.speaker == PARTICIPANT else turn
+                for turn in conversation.turns
+            ]
+        catalog = synth_catalog(spec)
+        examples = modeling_examples(conversations, catalog)
+
+        kernels = []
+
+        class Spy(classifier_mod._Design):
+            def __init__(self, X):
+                super().__init__(X)
+                kernels.append(self.sparse)
+
+        monkeypatch.setattr(classifier_mod, "_Design", Spy)
+        row = dataclasses.asdict(cross_validate(examples, catalog, RunConfig(seed=2)).average_row)
+        assert len(kernels) == 5 * 3 and all(kernels)
+        assert (hashlib.sha256(json.dumps(row, sort_keys=True).encode()).hexdigest()
+                == "ab2052225be445ac5c52579517acbbedfcf1b8ff8d59a119f0c3c1c5f47d0731")
 
 
 def confusion_oracle(gold, predicted, name):
