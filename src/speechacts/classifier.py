@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -54,11 +55,16 @@ def sigmoid(z):
     1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so exp never
     overflows.
     """
-    z = np.asarray(z, dtype=np.float64)
-    ez = np.exp(-np.abs(z))
-    denominator = 1.0 + ez
-    out = np.where(z >= 0, 1.0 / denominator, ez / denominator)
+    out = _logistic(np.asarray(z, dtype=np.float64))
     return out if out.ndim else float(out)
+
+
+def _logistic(z: np.ndarray) -> np.ndarray:
+    """:func:`sigmoid` of a float64 array, with no conversions: the solver
+    calls it on every loss evaluation. Each element's last operation is
+    either 1 / (1 + e^-|z|) or e^-|z| / (1 + e^-|z|)."""
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, ez) / (ez + 1.0)
 
 
 # When the sparse products pay, counted in entries of X that BLAS multiplies
@@ -93,6 +99,11 @@ class _Design:
 
     def __init__(self, X: np.ndarray):
         self.shape = n, d = X.shape
+        self.X = X
+        # below this size the cost rule cannot pick sparse, so skip the scan
+        self.sparse = False
+        if n * d <= _PRODUCT_OVERHEAD:
+            return
         # nonzero of the flat mask: numpy's 2-D nonzero took 9x as long
         rows, columns = np.divmod(np.flatnonzero(X != 0), d)
         dense = 2 * np.bincount(columns, minlength=d) > n
@@ -100,7 +111,6 @@ class _Design:
         nnz = int(np.count_nonzero(sparse))
         self.sparse = _NONZERO_COST * nnz + _PRODUCT_OVERHEAD < n * (d - int(dense.sum()))
         if not self.sparse:
-            self.X = X
             return
         self.dense_columns = np.flatnonzero(dense)
         self.dense = X[:, self.dense_columns]
@@ -124,6 +134,19 @@ class _Design:
         return out
 
 
+# The bit-identity rule of the solver below. Its results are pinned byte for
+# byte (the model-file digests of tests/test_evaluate.py::TestOutputDigests and
+# the CV report digests in CI), so a rewrite must perform the same IEEE
+# operation on the same operands in the same order. These forms keep the bits:
+# `a += b` for `a + b` on an array nothing else holds; `a *= c; a += b` for
+# `b + c * a`, since IEEE addition and multiplication commute; math.sqrt for
+# np.sqrt of a scalar; and float(np.add.reduce(x)) / n for np.mean(x), which is
+# the same pairwise add.reduce followed by one division. The loop uses them
+# because the grid search's fits are small (14-30 rows), where a numpy call's
+# fixed cost outweighs its arithmetic. tests/test_classifier.py::TestNewtonOracle
+# compares the solver with a reference copy of the plain forms, byte for byte.
+
+
 def _loss_terms(
     design: _Design, weights: np.ndarray, bias: float, y: np.ndarray, C: float
 ) -> tuple[float, np.ndarray, float, np.ndarray]:
@@ -131,14 +154,18 @@ def _loss_terms(
     probabilities sigmoid(X w + b) that the next Newton step's curvature
     needs."""
     n = design.shape[0]
-    z = design.dot(weights) + bias
+    z = design.dot(weights)
+    z += bias
     # logaddexp(0, z) - y*z is -log p(y|z) without evaluating sigmoid near 0/1
-    loss = float(np.mean(np.logaddexp(0.0, z) - y * z)) + float(weights @ weights) / (2.0 * C * n)
-    p = sigmoid(z)
+    nll = np.logaddexp(0.0, z)
+    nll -= y * z
+    loss = float(np.add.reduce(nll)) / n + float(weights @ weights) / (2.0 * C * n)
+    p = _logistic(z)
     residual = p - y
-    grad_w = design.tdot(residual) / n + weights / (C * n)
-    grad_b = float(np.mean(residual))
-    return loss, grad_w, grad_b, p
+    grad_w = design.tdot(residual)
+    grad_w /= n
+    grad_w += weights / (C * n)
+    return loss, grad_w, float(np.add.reduce(residual)) / n, p
 
 
 def loss_and_gradient(
@@ -158,6 +185,8 @@ def loss_and_gradient(
         raise ValueError(f"dimension mismatch: X has {X.shape[1]} columns, weights {weights.shape[0]}")
     if X.shape[0] != y.shape[0]:
         raise ValueError(f"dimension mismatch: {X.shape[0]} examples vs {y.shape[0]} targets")
+    # the solver updates X w in place, which must be float even for integer X
+    weights = np.asarray(weights, dtype=np.float64)
     return _loss_terms(_Design(X), weights, bias, y, C)[:3]
 
 
@@ -195,10 +224,13 @@ def _hessian_product(
     row is dropped (returned as 0) when the bias is not fit.
     """
     n = design.shape[0]
-    scaled = curvature * (design.dot(v_w) + v_b)
-    h_w = design.tdot(scaled) / n + v_w / (C * n)
-    h_b = float(scaled.sum()) / n if fit_bias else 0.0
-    return h_w, h_b
+    scaled = design.dot(v_w)
+    scaled += v_b
+    scaled *= curvature
+    h_w = design.tdot(scaled)
+    h_w /= n
+    h_w += v_w / (C * n)
+    return h_w, float(np.add.reduce(scaled)) / n if fit_bias else 0.0
 
 
 def _newton_direction(
@@ -206,23 +238,29 @@ def _newton_direction(
     C: float, fit_bias: bool,
 ) -> tuple[np.ndarray, float]:
     """Approximately solve H d = -g by conjugate gradient, starting at d = 0."""
-    d_w, d_b = np.zeros_like(grad_w), 0.0
+    d_w, d_b = np.zeros(grad_w.shape), 0.0
     r_w, r_b = -grad_w, -grad_b
     p_w, p_b = r_w.copy(), r_b
     rr = float(r_w @ r_w) + r_b * r_b
-    stop = min(_CG_FORCING_CAP, np.sqrt(grad_norm)) * grad_norm
+    stop = min(_CG_FORCING_CAP, math.sqrt(grad_norm)) * grad_norm
     for _ in range(_CG_MAX_STEPS):
-        if np.sqrt(rr) <= stop:
+        if math.sqrt(rr) <= stop:
             break
         h_w, h_b = _hessian_product(design, curvature, p_w, p_b, C, fit_bias)
         curve = float(p_w @ h_w) + p_b * h_b
         if curve <= 0.0:  # no curvature left to exploit in floating point
             break
         alpha = rr / curve
-        d_w, d_b = d_w + alpha * p_w, d_b + alpha * p_b
-        r_w, r_b = r_w - alpha * h_w, r_b - alpha * h_b
+        d_w += alpha * p_w
+        d_b += alpha * p_b
+        h_w *= alpha
+        r_w -= h_w
+        r_b -= alpha * h_b
         rr_next = float(r_w @ r_w) + r_b * r_b
-        p_w, p_b = r_w + (rr_next / rr) * p_w, r_b + (rr_next / rr) * p_b
+        beta = rr_next / rr
+        p_w *= beta
+        p_w += r_w
+        p_b = r_b + beta * p_b
         rr = rr_next
     return d_w, d_b
 
@@ -240,9 +278,10 @@ def fit_binary_with_trace(
     y = np.asarray(y, dtype=np.float64)
     if X.shape[0] != y.shape[0]:
         raise ValueError(f"dimension mismatch: {X.shape[0]} examples vs {y.shape[0]} targets")
-    present = set(np.unique(y).tolist())
-    if present != {0.0, 1.0}:
-        raise ValueError(f"targets must be 0 and 1, both present, got {sorted(present)}")
+    zeros, ones = np.count_nonzero(y == 0.0), np.count_nonzero(y == 1.0)
+    if not zeros or not ones or zeros + ones != y.size:
+        present = sorted(set(np.unique(y).tolist()))
+        raise ValueError(f"targets must be 0 and 1, both present, got {present}")
 
     C, fit_bias = hyperparams.C, hyperparams.fit_bias
     design = _Design(X)
@@ -254,11 +293,12 @@ def fit_binary_with_trace(
     while True:
         if not fit_bias:
             grad_b = 0.0
-        grad_norm = float(np.sqrt(grad_w @ grad_w + grad_b * grad_b))
+        grad_norm = math.sqrt(float(grad_w @ grad_w) + grad_b * grad_b)
         if grad_norm <= hyperparams.tolerance or iterations == hyperparams.max_iterations:
             break
-        d_w, d_b = _newton_direction(design, p * (1.0 - p), grad_w, grad_b, grad_norm, C,
-                                     fit_bias)
+        curvature = 1.0 - p
+        curvature *= p
+        d_w, d_b = _newton_direction(design, curvature, grad_w, grad_b, grad_norm, C, fit_bias)
         slope = float(grad_w @ d_w) + grad_b * d_b
         step = 1.0
         accepted = None

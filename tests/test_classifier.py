@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from speechacts import classifier as classifier_mod
@@ -140,6 +140,13 @@ class TestLossAndGradient:
         with pytest.raises(ValueError):
             loss_and_gradient(np.zeros(2), 0.0, np.ones((3, 3)), np.ones(3), 1.0)
 
+    def test_integer_weights_and_matrix(self):
+        X, y = np.array([[1, 0], [0, 1], [1, 1]]), np.array([1.0, 0.0, 1.0])
+        ints = loss_and_gradient(np.array([1, -1]), 0.5, X, y, 1.0)
+        floats = loss_and_gradient(np.array([1.0, -1.0]), 0.5, X.astype(float), y, 1.0)
+        assert ints[0] == floats[0] and ints[2] == floats[2]
+        assert ints[1].tobytes() == floats[1].tobytes()
+
 
 def word_matrix(rng, n, d, share, n_dense=3):
     """A featurized-looking matrix: 0/1 word columns at the given share of
@@ -192,7 +199,9 @@ class TestDesign:
         assert np.all(np.abs(dot - X @ v) <= d * eps * (magnitude @ np.abs(v)))
         assert np.all(np.abs(tdot - X.T @ r) <= n * eps * (magnitude.T @ np.abs(r)))
 
-    # shapes and shares of real fit matrices (see classifier._NONZERO_COST)
+    # shapes and shares of real fit matrices (see classifier._NONZERO_COST),
+    # then shapes around n * d == _PRODUCT_OVERHEAD, below which _Design
+    # skips the nonzero scan
     @pytest.mark.parametrize(
         "n, d, share, sparse",
         [
@@ -202,12 +211,21 @@ class TestDesign:
             (1546, 111, 0.10, False),  # a narrow CV fold
             (250, 414, 0.025, False),  # an inner fold of study's nested CV
             (18, 66, 0.01, False),  # an inner fold of a tiny tuning slice
+            (199, 201, 0.0, False),  # n * d one below the overhead
+            (200, 200, 0.0, False),  # n * d at the overhead
+            (200, 203, 0.0, False),  # the word block's n * d at the overhead
+            (201, 203, 0.0, True),  # the word block's n * d above it
         ],
     )
     def test_kernel_by_density_and_size(self, n, d, share, sparse):
         X = word_matrix(np.random.default_rng(0), n, d, share)
         design = classifier_mod._Design(X)
         assert design.sparse is sparse
+        # the cost rule over every column, which the size shortcut must agree with
+        counts = np.count_nonzero(X, axis=0)
+        dense = 2 * counts > n
+        cost = classifier_mod._NONZERO_COST * counts[~dense].sum() + classifier_mod._PRODUCT_OVERHEAD
+        assert design.sparse is bool(cost < n * np.count_nonzero(~dense))
         if sparse:  # the three Gaussian columns form the dense block
             assert design.dense_columns.tolist() == [d - 3, d - 2, d - 1]
             assert len(design.values) == np.count_nonzero(X[:, : d - 3])
@@ -370,6 +388,143 @@ class TestNewtonContract:
         again = fit_binary(X, y, hyperparams)
         assert again.weights.tobytes() == clf.weights.tobytes()
         assert again.bias == clf.bias
+
+
+# The Newton solver in its plain forms, one out-of-place numpy expression per
+# step, kept as the oracle of classifier.py's allocation-lean loop: both must
+# perform the same IEEE operations in the same order, so their results agree
+# byte for byte. Products go through classifier._Design, as in the solver.
+
+
+def reference_sigmoid(z):
+    z = np.asarray(z, dtype=np.float64)
+    ez = np.exp(-np.abs(z))
+    denominator = 1.0 + ez
+    out = np.where(z >= 0, 1.0 / denominator, ez / denominator)
+    return out if out.ndim else float(out)
+
+
+def reference_loss_terms(design, weights, bias, y, C):
+    n = design.shape[0]
+    z = design.dot(weights) + bias
+    loss = float(np.mean(np.logaddexp(0.0, z) - y * z)) + float(weights @ weights) / (2.0 * C * n)
+    p = reference_sigmoid(z)
+    residual = p - y
+    grad_w = design.tdot(residual) / n + weights / (C * n)
+    grad_b = float(np.mean(residual))
+    return loss, grad_w, grad_b, p
+
+
+def reference_hessian_product(design, curvature, v_w, v_b, C, fit_bias):
+    n = design.shape[0]
+    scaled = curvature * (design.dot(v_w) + v_b)
+    h_w = design.tdot(scaled) / n + v_w / (C * n)
+    h_b = float(scaled.sum()) / n if fit_bias else 0.0
+    return h_w, h_b
+
+
+def reference_newton_direction(design, curvature, grad_w, grad_b, grad_norm, C, fit_bias):
+    d_w, d_b = np.zeros_like(grad_w), 0.0
+    r_w, r_b = -grad_w, -grad_b
+    p_w, p_b = r_w.copy(), r_b
+    rr = float(r_w @ r_w) + r_b * r_b
+    stop = min(classifier_mod._CG_FORCING_CAP, np.sqrt(grad_norm)) * grad_norm
+    for _ in range(classifier_mod._CG_MAX_STEPS):
+        if np.sqrt(rr) <= stop:
+            break
+        h_w, h_b = reference_hessian_product(design, curvature, p_w, p_b, C, fit_bias)
+        curve = float(p_w @ h_w) + p_b * h_b
+        if curve <= 0.0:
+            break
+        alpha = rr / curve
+        d_w, d_b = d_w + alpha * p_w, d_b + alpha * p_b
+        r_w, r_b = r_w - alpha * h_w, r_b - alpha * h_b
+        rr_next = float(r_w @ r_w) + r_b * r_b
+        p_w, p_b = r_w + (rr_next / rr) * p_w, r_b + (rr_next / rr) * p_b
+        rr = rr_next
+    return d_w, d_b
+
+
+def reference_newton_fit(X, y, hyperparams):
+    """(weights, bias, iterations, final_loss, grad_norm, converged), losses."""
+    y = np.asarray(y, dtype=np.float64)
+    C, fit_bias = hyperparams.C, hyperparams.fit_bias
+    design = classifier_mod._Design(X)
+    w = np.zeros(X.shape[1], dtype=np.float64)
+    b = 0.0
+    loss, grad_w, grad_b, p = reference_loss_terms(design, w, b, y, C)
+    losses = [loss]
+    iterations = 0
+    while True:
+        if not fit_bias:
+            grad_b = 0.0
+        grad_norm = float(np.sqrt(grad_w @ grad_w + grad_b * grad_b))
+        if grad_norm <= hyperparams.tolerance or iterations == hyperparams.max_iterations:
+            break
+        d_w, d_b = reference_newton_direction(design, p * (1.0 - p), grad_w, grad_b, grad_norm,
+                                              C, fit_bias)
+        slope = float(grad_w @ d_w) + grad_b * d_b
+        step = 1.0
+        accepted = None
+        for _ in range(classifier_mod._ARMIJO_HALVINGS + 1):
+            w_try, b_try = w + step * d_w, b + step * d_b
+            trial = reference_loss_terms(design, w_try, b_try, y, C)
+            if trial[0] <= loss + classifier_mod._ARMIJO_SLOPE * step * slope:
+                accepted = (w_try, b_try, trial)
+                break
+            step *= 0.5
+        if accepted is None:
+            break
+        w, b, (loss, grad_w, grad_b, p) = accepted
+        losses.append(loss)
+        iterations += 1
+    converged = grad_norm <= hyperparams.tolerance
+    return (w, b, iterations, loss, grad_norm, converged), losses
+
+
+def float_bytes(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestNewtonOracle:
+    """The solver gives the reference loop's results byte for byte, on both
+    kernels, with and without a bias, converged or stopped at the cap."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 30),
+        d=st.integers(1, 12),
+        share=st.sampled_from([0.05, 0.2, 0.5]),
+        C=st.sampled_from([0.01, 0.1, 1.0, 10.0, 100.0]),
+        fit_bias=st.booleans(),
+        max_iterations=st.sampled_from([1, 2, 1000]),
+        sparse=st.booleans(),
+    )
+    # stopped by the cap on the sparse kernel; converged in 5 steps on BLAS
+    @example(seed=5, n=30, d=12, share=0.2, C=100.0, fit_bias=True, max_iterations=2, sparse=True)
+    @example(seed=6, n=24, d=9, share=0.2, C=1.0, fit_bias=False, max_iterations=1000,
+             sparse=False)
+    def test_matches_the_reference_loop(self, seed, n, d, share, C, fit_bias, max_iterations,
+                                        sparse):
+        rng = np.random.default_rng(seed)
+        X = word_matrix(rng, n, d, share, n_dense=min(3, d))
+        y = (X @ rng.normal(size=d) + rng.normal(size=n) > 0).astype(float)
+        y[0], y[-1] = 0.0, 1.0
+        hyperparams = Hyperparams(C=C, fit_bias=fit_bias, max_iterations=max_iterations)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classifier_mod, "_PRODUCT_OVERHEAD", -np.inf if sparse else np.inf)
+            assert classifier_mod._Design(X).sparse is sparse
+            clf, losses = fit_binary_with_trace(X, y, hyperparams)
+            (w, b, iterations, final_loss, grad_norm, converged), ref_losses = (
+                reference_newton_fit(X, y, hyperparams))
+        assert clf.weights.tobytes() == w.tobytes()
+        assert float_bytes(clf.bias) == float_bytes(b)
+        assert clf.iterations == iterations
+        assert float_bytes(clf.final_loss) == float_bytes(final_loss)
+        assert float_bytes(clf.grad_norm) == float_bytes(grad_norm)
+        assert clf.converged is converged
+        assert float_bytes(losses) == float_bytes(ref_losses)
 
 
 def toy_training_data(labels=("a", "b"), n=12, seed=5):
