@@ -8,18 +8,21 @@ request line longer than ``MAX_LINE_BYTES`` (1 MiB) gets one {error} reply;
 the rest of it is read and dropped, never held whole, and the connection
 stays open.
 
-Sessions are keyed by conversation_id. Each holds a constant-size
+Sessions are keyed by conversation_id. Each is a constant-size
 ``ContextState``: running word-count sums and turn counts per speaker and in
 total, and the last timestamp, which is all the causal shallow features
 need. Batch prediction advances the same state, so the same request stream
-reproduces its predictions exactly.
+reproduces its predictions exactly. The engine keeps at most
+``MAX_SESSIONS`` of them in one table under one lock; a new conversation
+past the cap drops the least recently used one, which starts again from an
+empty context if it sends again.
 """
 
 from __future__ import annotations
 
 import socketserver
 import threading
-from dataclasses import dataclass, field
+from collections import OrderedDict
 from typing import IO, Iterator
 
 from .classifier import MultiLabelModel, predict_rows
@@ -30,43 +33,37 @@ from .reports import prediction_record
 # longest request line read, newline excluded
 MAX_LINE_BYTES = 1 << 20
 _LINE_TOO_LONG = encode_record({"error": f"request line longer than {MAX_LINE_BYTES} bytes"})
-
-
-@dataclass
-class ServeSession:
-    context: ContextState
-    lock: threading.Lock = field(default_factory=threading.Lock)
+# live conversations held: a two-speaker session takes about 830 B (tracemalloc),
+# so the table stays near 3.4 MB at the cap
+MAX_SESSIONS = 4096
 
 
 class ServeEngine:
-    """Shared immutable model plus mutable per-conversation session state."""
+    """Shared immutable model plus a bounded, least-recently-used table of
+    per-conversation contexts."""
 
     def __init__(self, model: MultiLabelModel, fallback: bool = False):
         self.model = model
         model.stacked  # stack the weights before the first request
         self.fallback = fallback
-        self._sessions: dict[str, ServeSession] = {}
-        self._sessions_lock = threading.Lock()
-
-    def _session(self, conversation_id: str) -> ServeSession:
-        with self._sessions_lock:
-            if conversation_id not in self._sessions:
-                self._sessions[conversation_id] = ServeSession(
-                    ContextState(self.model.config.slen_scope))
-            return self._sessions[conversation_id]
+        self._sessions: OrderedDict[str, ContextState] = OrderedDict()
+        self._lock = threading.Lock()
 
     def handle_request(self, request: dict) -> dict:
         try:
             cid, speaker, seconds, text = turn_fields(request)
         except ValueError as exc:
             return {"error": str(exc)}
-
-        session = self._session(cid)
-        with session.lock:
-            context = session.context
+        tokens = tokenize(text)
+        with self._lock:
+            context = self._sessions.get(cid)
+            if context is None:
+                if len(self._sessions) >= MAX_SESSIONS:
+                    self._sessions.popitem(last=False)
+                context = self._sessions[cid] = ContextState(self.model.config.slen_scope)
+            self._sessions.move_to_end(cid)
             if context.last_ts is not None and seconds < context.last_ts:
                 return {"error": f"timestamp_s {seconds} precedes the session's last turn"}
-            tokens = tokenize(text)
             shallow = context.observe(speaker, seconds, len(tokens))
         if speaker != PARTICIPANT:
             return prediction_record(None)
@@ -137,8 +134,8 @@ class _LineHandler(socketserver.StreamRequestHandler):
 class ServeServer(socketserver.ThreadingTCPServer):
     """TCP server speaking the line protocol; one thread per connection.
 
-    Connections share the engine, so sessions span connections; requests
-    within one conversation serialize on the session lock.
+    Connections share the engine, so sessions span connections; every
+    session update serializes on the engine's one lock, in arrival order.
     """
 
     allow_reuse_address = True

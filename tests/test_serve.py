@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import os
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import speechacts
+from speechacts import serve
 from speechacts.classifier import predict_conversation, save_model, train_model
 from speechacts.cli import main
 from speechacts.config import RunConfig
@@ -285,9 +287,7 @@ class TestStreamEquivalence:
             assert response == {k: record[k] for k in ("labels", "probabilities",
                                                        "low_confidence")}
         # the session is a handful of numbers, whatever the conversation's length
-        session = engine._sessions[conv.conversation_id]
-        assert set(vars(session)) == {"context", "lock"}
-        context = session.context
+        context = engine._sessions[conv.conversation_id]
         assert isinstance(context, ContextState)
         for name, value in vars(context).items():
             if isinstance(value, dict):
@@ -295,6 +295,117 @@ class TestStreamEquivalence:
             else:
                 assert isinstance(value, (int, float, str)), name
         assert context.total_turns == len(conv.turns)
+
+
+class TestSessionTable:
+    def test_least_recently_used_evicted_at_the_cap(self, model, monkeypatch):
+        monkeypatch.setattr(serve, "MAX_SESSIONS", 2)
+        engine = ServeEngine(model)
+        sent = {}  # per conversation, the lines it sent that were answered
+
+        def send(cid, ts, text="act0kw0 words", speaker="participant"):
+            line = request_line(cid, speaker, ts, text)
+            reply = engine.handle_line(line)
+            assert len(engine._sessions) <= 2
+            if "error" not in strict_loads(reply):
+                sent.setdefault(cid, []).append(line)
+            return reply
+
+        def replayed(cid):
+            """The last reply of an engine that saw only cid's lines, so never
+            evicted it."""
+            alone = ServeEngine(model)
+            return [alone.handle_line(line) for line in sent[cid]][-1]
+
+        send("a", 1.0)
+        send("b", 2.0, "act1kw1 more words")
+        send("a", 3.0, "act2kw0")  # a is now the most recently used
+        send("c", 4.0)
+        assert list(engine._sessions) == ["a", "c"]  # b, least recently used, is gone
+
+        # malformed requests neither create a session nor evict one
+        before = {cid: dict(vars(context)) for cid, context in engine._sessions.items()}
+        for line in [request_line("d", "moderator", 5.0, "hi"), "{broken", "[1]",
+                     request_line("e", "participant", float("nan"), "act0kw0"),
+                     json.dumps({"conversation_id": "f", "speaker": "participant",
+                                 "timestamp_s": 5.0, "text": 7}),
+                     request_line("c", "participant", 1.0, "backwards")]:
+            assert set(strict_loads(engine.handle_line(line))) == {"error"}
+            assert {cid: dict(vars(context))
+                    for cid, context in engine._sessions.items()} == before
+
+        # the evicted conversation starts again from an empty context, which
+        # answers differently from b's old one
+        line = request_line("b", "participant", 9.0, "act1kw1")
+        kept = ServeEngine(model)
+        kept.handle_line(sent.pop("b")[0])
+        reply = engine.handle_line(line)
+        assert reply == ServeEngine(model).handle_line(line)
+        assert reply != kept.handle_line(line)
+        assert list(engine._sessions) == ["c", "b"]  # a was least recently used
+
+        # the surviving conversation answers as if nothing was ever evicted
+        assert send("c", 12.0, "act0kw1 again") == replayed("c")
+        line = request_line("a", "participant", 13.0, "act2kw2")
+        assert engine.handle_line(line) == ServeEngine(model).handle_line(line)
+        assert list(engine._sessions) == ["c", "a"]
+
+    def test_concurrent_requests_lose_no_update_and_keep_the_cap(self, model, monkeypatch):
+        spec = SynthSpec(n_labels=3, turns_per_label=40, signal=1.0, seed=13,
+                         turns_per_conversation=20)
+        streams = {conv.conversation_id: [request_line(conv.conversation_id, turn.speaker,
+                                                       turn.timestamp_s, turn.text)
+                                          for turn in conv.turns]
+                   for conv in synth_corpus(spec)[:6]}
+        sequential = {}
+        for cid, stream in streams.items():
+            alone = ServeEngine(model)
+            sequential[cid] = [alone.handle_line(line) for line in stream]
+
+        def run_threads(targets):
+            threads = [threading.Thread(target=target) for target in targets]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+
+        def replay(engine):
+            """Each conversation's replies, one thread per conversation, and
+            the table sizes seen after each reply."""
+            replies, sizes = {cid: [] for cid in streams}, []
+
+            def run(cid):
+                for line in streams[cid]:
+                    replies[cid].append(engine.handle_line(line))
+                    sizes.append(len(engine._sessions))
+
+            run_threads([functools.partial(run, cid) for cid in streams])
+            return replies, sizes
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            engine = ServeEngine(model)
+            replies, _ = replay(engine)
+            assert replies == sequential
+            assert {cid: context.total_turns for cid, context in engine._sessions.items()} == {
+                cid: len(stream) for cid, stream in streams.items()}
+
+            # four threads on one conversation: every update lands
+            shared = request_line("shared", "assistant", 0.0, "three short words")
+            run_threads([lambda: [engine.handle_line(shared) for _ in range(1500)]] * 4)
+            context = engine._sessions["shared"]
+            assert context.speaker_turns == {"assistant": 6000} and context.total_turns == 6000
+            assert context.speaker_words == {"assistant": 18000}
+
+            monkeypatch.setattr(serve, "MAX_SESSIONS", 4)
+            engine = ServeEngine(model)
+            replies, sizes = replay(engine)
+        finally:
+            sys.setswitchinterval(interval)
+        assert max(sizes) <= 4 and len(engine._sessions) == 4
+        assert all("labels" in strict_loads(reply) for r in replies.values() for reply in r)
 
 
 class TestStdio:
