@@ -19,14 +19,11 @@ taken in chunks of gathered differences), so ties go to the lower index as
 before. The neighbor lists, tie order included, are therefore the same as a
 per-row scan over all other rows.
 
-The draws are one ``(i, j, r)`` per synthetic row from one generator seeded
-per call: a start row, a pick among its neighbors and an interpolation
-weight. :func:`_draws` replays that stream from the generator's raw 64-bit
-words, decoding each as ``Generator.integers`` and ``Generator.random``
-would, and falls back to drawing one call at a time when a draw would be
-rejected or takes no bits. All rows are interpolated in one expression whose
-arithmetic per element is :func:`synthesize`'s, so the synthetic rows are
-bitwise what a per-row loop over the generator produces.
+The draws are three vectorized calls on one generator seeded per call: the
+start rows, the picks among each start's neighbors, and the interpolation
+weights. All rows are interpolated in one expression whose arithmetic per
+element is :func:`synthesize`'s, so each synthetic row is bitwise what
+:func:`synthesize` gives for its draws.
 """
 
 from __future__ import annotations
@@ -132,52 +129,6 @@ def _neighborhoods(values: np.ndarray, k: int) -> np.ndarray:
     return hoods
 
 
-def _draw_loop(m: int, k: int, need: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The draws one generator call at a time: ``(i, j, r)`` per row."""
-    rng = np.random.default_rng(seed)
-    starts = np.empty(need, dtype=np.intp)
-    picks = np.empty(need, dtype=np.intp)
-    r = np.empty(need, dtype=np.float64)
-    for s in range(need):
-        starts[s] = rng.integers(0, m)
-        picks[s] = rng.integers(0, k)
-        r[s] = rng.random()
-    return starts, picks, r
-
-
-def _lemire(words: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lemire's bounded draws on 32-bit words: the values, and which were rejected."""
-    product = words * np.uint64(bound)
-    threshold = (2**32 - bound) % bound
-    return product >> np.uint64(32), (product & np.uint64(0xFFFFFFFF)) < threshold
-
-
-def _draws(m: int, k: int, need: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``need`` draws of ``rng.integers(0, m)``, ``rng.integers(0, k)`` and
-    ``rng.random()`` in turn, from ``rng = np.random.default_rng(seed)``.
-
-    Decoded from two raw PCG64 words per draw. ``Generator.integers`` takes a
-    bound below 2**32 from a 32-bit word by Lemire's multiply-shift
-    (Lemire, *Fast Random Integer Generation in an Interval*, ACM TOMACS
-    2019), and PCG64 hands out the low half of a 64-bit word first and
-    buffers the high half for the next 32-bit request: so ``i`` is the low
-    half of the first word, ``j`` the high half, and ``r`` is the top 53 bits
-    of the second word, as ``random()`` takes them. A rejected draw would
-    take more words, and ``integers(0, 1)`` takes none; in either case the
-    draws come from the generator one call at a time instead.
-    """
-    if k < 2 or m >= 2**32:
-        return _draw_loop(m, k, need, seed)
-    words = np.random.default_rng(seed).bit_generator.random_raw(2 * need)
-    first = words[0::2]
-    starts, rejected_i = _lemire(first & np.uint64(0xFFFFFFFF), m)
-    picks, rejected_j = _lemire(first >> np.uint64(32), k)
-    if rejected_i.any() or rejected_j.any():
-        return _draw_loop(m, k, need, seed)
-    r = (words[1::2] >> np.uint64(11)) * 2.0**-53
-    return starts.astype(np.intp), picks.astype(np.intp), r
-
-
 def oversample(minority: np.ndarray, need: int, k: int = 5, seed: int = 0) -> np.ndarray:
     """``need`` synthetic rows grown from the minority rows.
 
@@ -199,7 +150,10 @@ def oversample(minority: np.ndarray, need: int, k: int = 5, seed: int = 0) -> np
 
     k = min(k, m - 1)
     hoods = _neighborhoods(values, k)
-    starts, picks, r = _draws(m, k, need, seed)
+    rng = np.random.default_rng(seed)
+    starts = rng.integers(0, m, need)
+    picks = rng.integers(0, k, need)
+    r = rng.random(need)
     x = values[starts]
     return x + r[:, None] * (values[hoods[starts, picks]] - x)
 

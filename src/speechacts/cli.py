@@ -51,7 +51,7 @@ def _config_echo(ctx, config: RunConfig) -> dict:
     return {"catalog": ctx.obj.get("catalog_path") or "<default>", **config.as_dict()}
 
 
-def _read_corpus(ctx, paths, catalog):
+def _read_corpus(paths, catalog):
     conversations = corpus_mod.load_transcripts(paths, catalog)
     report = corpus_mod.validate(conversations)
     if not report.ok:
@@ -64,8 +64,8 @@ def _read_corpus(ctx, paths, catalog):
     return conversations
 
 
-def _read_examples(ctx, paths, catalog, purpose: str):
-    examples = corpus_mod.modeling_examples(_read_corpus(ctx, paths, catalog), catalog)
+def _read_examples(paths, catalog, purpose: str):
+    examples = corpus_mod.modeling_examples(_read_corpus(paths, catalog), catalog)
     if not examples:
         _fail(1, f"no participant turns with catalog labels to {purpose} on")
     return examples
@@ -131,7 +131,7 @@ def validate(ctx, transcripts):
 def stats(ctx, transcripts):
     """Corpus statistics: turns, speakers, label occurrence counts."""
     catalog = _load_catalog(ctx)
-    conversations = _read_corpus(ctx, transcripts, catalog)
+    conversations = _read_corpus(transcripts, catalog)
     result = corpus_mod.corpus_stats(conversations, catalog)
     config = _config_echo(ctx, _effective_config(ctx))
     if ctx.obj["format"] == reports.MACHINE:
@@ -182,7 +182,7 @@ def train(ctx, transcripts, model_path, tune, smote_k, threshold, slen_scope):
     catalog = _load_catalog(ctx)
     config = _effective_config(ctx, tune=tune, smote_k=smote_k,
                                threshold=threshold, slen_scope=slen_scope)
-    model = train_model(_read_examples(ctx, transcripts, catalog, "train"), catalog, config)
+    model = train_model(_read_examples(transcripts, catalog, "train"), catalog, config)
     for skip in model.skipped:
         click.echo(f"warning: skipped label {skip.label}: {skip.reason}", err=True)
     for name, clf in model.classifiers.items():
@@ -206,7 +206,7 @@ def train(ctx, transcripts, model_path, tune, smote_k, threshold, slen_scope):
 def predict(ctx, transcripts, model_path, fallback):
     """Classify the participant turns of a transcript, one record per turn."""
     model = load_model(model_path)
-    conversations = _read_corpus(ctx, transcripts, model.catalog)
+    conversations = _read_corpus(transcripts, model.catalog)
     _echo_model_config(model)
     machine = ctx.obj["format"] == reports.MACHINE
     for conv in conversations:
@@ -243,7 +243,7 @@ def evaluate(ctx, transcripts, folds, tune, smote_k, threshold, fallback, slen_s
     catalog = _load_catalog(ctx)
     config = _effective_config(ctx, n_folds=folds, tune=tune, smote_k=smote_k,
                                threshold=threshold, fallback=fallback, slen_scope=slen_scope)
-    examples = _read_examples(ctx, transcripts, catalog, "evaluate")
+    examples = _read_examples(transcripts, catalog, "evaluate")
     report = cross_validate(examples, catalog, config)
     config_dict = _config_echo(ctx, config)
     machine_doc = reports.metrics_machine(report, config_dict)
@@ -269,7 +269,7 @@ def rank_features_cmd(ctx, transcripts, label_name, top_n, printed_order, slen_s
     """Most informative features per speech-act type (fisher score)."""
     catalog = _load_catalog(ctx)
     config = _effective_config(ctx, slen_scope=slen_scope)
-    examples = _read_examples(ctx, transcripts, catalog, "rank")
+    examples = _read_examples(transcripts, catalog, "rank")
     rankings = []
     if label_name:
         rankings.append(rank_features_for_examples(examples, catalog, label_name.lower(),

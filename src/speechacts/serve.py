@@ -6,7 +6,8 @@ One JSON response per line: {labels, probabilities, low_confidence}, or
 Assistant lines extend the session's context but come back unclassified. A
 request line longer than ``MAX_LINE_BYTES`` (1 MiB) gets one {error} reply;
 the rest of it is read and dropped, never held whole, and the connection
-stays open.
+stays open. Over TCP, at most ``MAX_CONNECTIONS`` connections are served at
+once; one more gets one {error} line and is closed.
 
 Sessions are keyed by conversation_id. Each is a constant-size
 ``ContextState``: running word-count sums and turn counts per speaker and in
@@ -36,6 +37,9 @@ _LINE_TOO_LONG = encode_record({"error": f"request line longer than {MAX_LINE_BY
 # live conversations held: a two-speaker session takes about 830 B (tracemalloc),
 # so the table stays near 3.4 MB at the cap
 MAX_SESSIONS = 4096
+# open TCP connections served, one handler thread each; one more is refused
+MAX_CONNECTIONS = 64
+_TOO_MANY_CONNECTIONS = encode_record({"error": "too many open connections; try again later"})
 
 
 class ServeEngine:
@@ -132,10 +136,13 @@ class _LineHandler(socketserver.StreamRequestHandler):
 
 
 class ServeServer(socketserver.ThreadingTCPServer):
-    """TCP server speaking the line protocol; one thread per connection.
+    """TCP server speaking the line protocol; one thread per connection, at
+    most ``MAX_CONNECTIONS`` at once.
 
-    Connections share the engine, so sessions span connections; every
-    session update serializes on the engine's one lock, in arrival order.
+    A connection past the cap gets one {error} line and is closed; a slot
+    frees when its handler thread ends. Connections share the engine, so
+    sessions span connections; every session update serializes on the
+    engine's one lock, in arrival order.
     """
 
     allow_reuse_address = True
@@ -144,3 +151,24 @@ class ServeServer(socketserver.ThreadingTCPServer):
     def __init__(self, address: tuple[str, int], engine: ServeEngine):
         super().__init__(address, _LineHandler)
         self.engine = engine
+        self._slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
+
+    def process_request(self, request, client_address):
+        if not self._slots.acquire(blocking=False):
+            try:
+                request.sendall((_TOO_MANY_CONNECTIONS + "\n").encode("utf-8"))
+            except OSError:
+                pass
+            self.shutdown_request(request)
+            return
+        try:
+            super().process_request(request, client_address)
+        except BaseException:
+            self._slots.release()  # no thread started to release it
+            raise
+
+    def process_request_thread(self, request, client_address):
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._slots.release()

@@ -7,7 +7,6 @@ from speechacts.balance import (
     REAL,
     SYNTHETIC,
     DenseExample,
-    _draws,
     _neighborhoods,
     derive_seed,
     nearest_neighbors,
@@ -164,7 +163,8 @@ def reference_neighborhoods(values, k):
 
 
 def reference_smote_balance(positives, negatives, k, seed):
-    """The per-row SMOTE loop that the Gram route replaced, kept as an oracle."""
+    """The per-row SMOTE loop that the Gram route replaced, kept as an oracle;
+    it takes the same three generator calls as oversample."""
     if len(positives) == len(negatives):
         return positives, negatives
     positives_minor = len(positives) < len(negatives)
@@ -176,14 +176,13 @@ def reference_smote_balance(positives, negatives, k, seed):
     if m == 1:
         synthetic = [DenseExample(values[0].copy(), SYNTHETIC) for _ in range(need)]
     else:
-        neighborhoods = reference_neighborhoods(values, min(k, m - 1))
-        synthetic = []
-        for _ in range(need):
-            i = int(rng.integers(0, m))
-            hood = neighborhoods[i]
-            j = hood[int(rng.integers(0, len(hood)))]
-            r = float(rng.random())
-            synthetic.append(synthesize(values[i], values[j], r))
+        k = min(k, m - 1)
+        neighborhoods = reference_neighborhoods(values, k)
+        starts = rng.integers(0, m, need)
+        picks = rng.integers(0, k, need)
+        weights = rng.random(need)
+        synthetic = [synthesize(values[i], values[neighborhoods[i][j]], r)
+                     for i, j, r in zip(starts.tolist(), picks.tolist(), weights.tolist())]
     grown = minority + synthetic
     return (grown, majority) if positives_minor else (majority, grown)
 
@@ -279,44 +278,6 @@ class TestGramRouteMatchesRowScan:
             oversample(np.zeros((2, 2)), 1, k=0)
         with pytest.raises(ValueError):
             oversample(np.zeros((2, 2)), -1)
-
-
-def draw_loop(m, k, need, seed):
-    """The generator calls that _draws replays, made one at a time."""
-    rng = np.random.default_rng(seed)
-    return [(int(rng.integers(0, m)), int(rng.integers(0, k)), float(rng.random()))
-            for _ in range(need)]
-
-
-def replayed(m, k, need, seed):
-    starts, picks, r = _draws(m, k, need, seed)
-    return list(zip(starts.tolist(), picks.tolist(), r.tolist()))
-
-
-class TestDrawReplay:
-    """_draws decodes raw generator words as Generator.integers and
-    Generator.random do; a numpy release that changes either shows here."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        m=st.integers(min_value=2, max_value=5000),
-        k=st.integers(min_value=1, max_value=6),
-        need=st.integers(min_value=0, max_value=300),
-        seed=st.integers(min_value=0, max_value=2**64 - 1),
-    )
-    def test_matches_generator_calls(self, m, k, need, seed):
-        assert replayed(m, k, need, seed) == draw_loop(m, k, need, seed)
-
-    def test_single_neighbor_draws_no_pick(self):
-        # integers(0, 1) takes no bits, so the words cannot be paired
-        assert replayed(7, 1, 50, 3) == draw_loop(7, 1, 50, 3)
-        assert _draws(7, 1, 50, 3)[1].tolist() == [0] * 50
-
-    def test_rejected_draws_fall_back(self):
-        # a bound of 2**31 + 1 rejects about half of all 32-bit words
-        m = 2**31 + 1
-        for seed in range(5):
-            assert replayed(m, 3, 40, seed) == draw_loop(m, 3, 40, seed)
 
 
 def test_derive_seed_stable_and_distinct():

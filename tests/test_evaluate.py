@@ -226,9 +226,9 @@ class TestStratificationRegression:
 
 
 class TestOutputDigests:
-    # the model file of the per-row SMOTE loop that the Gram-matrix neighbor
-    # search replaced, and the CV avg/total row under the table planner's
-    # folds; any byte drift shows here.
+    # the model file, with SMOTE's three vectorized draws, and the CV
+    # avg/total row under the table planner's folds; any byte drift shows
+    # here.
     # The first corpus balances positives, the second (each label on 101 of
     # 120 turns) negatives.
     @pytest.mark.parametrize(
@@ -236,12 +236,12 @@ class TestOutputDigests:
         [
             (
                 SynthSpec(n_labels=5, turns_per_label=40, signal=0.6, multi_label_rate=0.2, seed=3),
-                "28bbfa9709ea8e3dfb6bb0c1890f07b80528d11225f94470152e9b5781163eca",
-                "61f21d619b8de2222e37045d68bde5e787feb740c0596bd97bedaaf04a99b43b",
+                "51c51ab553a74ee7e77f0e1fb7b7e0106a3db0a317423c4df448091d5fff41a8",
+                "836ca7482c6ffff03a57ac24c43dfbde8af0651f438c740ee9cb3827bb8772e0",
             ),
             (
                 SynthSpec(n_labels=2, turns_per_label=60, signal=0.5, multi_label_rate=0.7, seed=5),
-                "d95762f8ace815eb65d70ca588bea189ac260fecb13cf1664c1c0e999fb0849d",
+                "5f60f721ea0df73464a695660fef266ba8c971e961f005a152e69a61268053cd",
                 "50dfa54f9b98b2e0973609afed562730853bfbc4de1506e7c68d609363dcecdf",
             ),
         ],
@@ -257,19 +257,19 @@ class TestOutputDigests:
 
     # train --tune's model file and nested CV's avg/total row, as the
     # per-grid-point cross_validate loop produced them; the first corpus
-    # tunes to C=10 without a bias, the second to C=0.1 without a bias
+    # tunes to C=0.1 without a bias, the second to C=0.1 with a bias
     @pytest.mark.parametrize(
         "spec, model_digest, row_digest",
         [
             (
                 SynthSpec(n_labels=3, turns_per_label=24, signal=0.5, multi_label_rate=0.3, seed=6),
-                "0e0d0659fcf784723fa6e432071a86c1b4300b10447be9f7f15879271f7a25f5",
-                "ef449ab4b8944aed3d8f199206c9cafeebab80587459745ce6a7e4c779527dbb",
+                "176691e7567b0c5c9679dedf43221ceb0b9c2893ffc9734cfd291a18430beca5",
+                "b9f4a734c8891c1fdb5eaf960017dc4f08b9b359b3ee884f3538b8d87cc85caa",
             ),
             (
                 SynthSpec(n_labels=4, turns_per_label=20, signal=0.4, multi_label_rate=0.3, seed=8),
-                "96daed87ba633f33eb3b5071521ca27415b99f30461f45a03754bc4b0bb4615a",
-                "281b20e55896b2bb31152f079a94ed1bd603d8d2c6c250d036a5d972b5bff159",
+                "72742dfdee602a25380919ff813e43d7c567282f46e843d691c61b024c3742cb",
+                "b2b0c07235be3c6c325d0a8878f4f36abefd4dfd84caab7e99313f92f945ebc5",
             ),
         ],
     )
@@ -312,7 +312,7 @@ class TestOutputDigests:
         row = dataclasses.asdict(cross_validate(examples, catalog, RunConfig(seed=2)).average_row)
         assert len(kernels) == 5 * 3 and all(kernels)
         assert (hashlib.sha256(json.dumps(row, sort_keys=True).encode()).hexdigest()
-                == "ab2052225be445ac5c52579517acbbedfcf1b8ff8d59a119f0c3c1c5f47d0731")
+                == "d544e0bcb23969db8453ecb493f5ed3b7892e69018c0aced3ac9f005419fb95b")
 
 
 def confusion_oracle(gold, predicted, name):

@@ -7,6 +7,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -571,6 +572,41 @@ class TestTcp:
             proc.wait()
         assert proc.returncode == 0, rest.decode(errors="replace")
         assert b"Traceback" not in rest
+
+    def test_connections_past_the_cap_refused_until_one_closes(self, model, monkeypatch):
+        monkeypatch.setattr(serve, "MAX_CONNECTIONS", 2)
+        server = ServeServer(("127.0.0.1", 0), ServeEngine(model))
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+
+        def served(sock, ts):
+            """Whether one request on sock gets a classification reply."""
+            sock.sendall((request_line("cap", "participant", ts, "act0kw0") + "\n").encode())
+            with sock.makefile("rb") as reader:
+                return "labels" in strict_loads(reader.readline())
+
+        held = [socket.create_connection(server.server_address, timeout=10) for _ in range(2)]
+        try:
+            assert all(served(sock, float(i)) for i, sock in enumerate(held))
+            threads = set(threading.enumerate())
+            with socket.create_connection(server.server_address, timeout=10) as sock:
+                replies = [strict_loads(line) for line in read_all(sock).splitlines()]
+            assert replies == [{"error": "too many open connections; try again later"}]
+            assert set(threading.enumerate()) <= threads  # no handler thread started
+
+            handlers = threading.active_count()
+            held.pop().close()
+            deadline = time.monotonic() + 10
+            while threading.active_count() >= handlers and time.monotonic() < deadline:
+                time.sleep(0.01)  # the closed connection's thread frees its slot as it ends
+            held.append(socket.create_connection(server.server_address, timeout=10))
+            assert served(held[-1], 5.0)
+        finally:
+            for sock in held:
+                sock.close()
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
 
     def test_session_spans_connections(self, model):
         engine = ServeEngine(model)
