@@ -371,7 +371,7 @@ class MultiLabelModel:
     scaling: ScalingParams
     catalog: LabelCatalog
     skipped: list[SkippedLabel] = field(default_factory=list)
-    # the run's settings; predict and serve read threshold and slen_scope here
+    # the run's settings; predict and serve read their labelling rule here
     config: RunConfig = field(default_factory=RunConfig)
 
     @property
@@ -572,39 +572,33 @@ def predict_proba(model: MultiLabelModel, vector: np.ndarray) -> dict[str, float
     return dict(zip(model.catalog.labels, probs[0].tolist()))
 
 
-def _prediction(model: MultiLabelModel, probs: dict[str, float], fallback: bool) -> Prediction:
+def _prediction(model: MultiLabelModel, probs: dict[str, float]) -> Prediction:
     chosen = frozenset(name for name, p in probs.items() if p >= model.config.threshold)
-    if chosen:
-        return Prediction(probs, chosen, low_confidence=False)
-    if fallback:
-        best = max(model.catalog.labels, key=lambda name: probs[name])
-        return Prediction(probs, frozenset({best}), low_confidence=True)
-    return Prediction(probs, frozenset(), low_confidence=True)
+    if chosen or not model.config.fallback:
+        return Prediction(probs, chosen, low_confidence=not chosen)
+    best = max(model.catalog.labels, key=lambda name: probs[name])
+    return Prediction(probs, frozenset({best}), low_confidence=True)
 
 
-def predict_labels(
-    model: MultiLabelModel, vector: np.ndarray, fallback: bool = False
-) -> Prediction:
+def predict_labels(model: MultiLabelModel, vector: np.ndarray) -> Prediction:
     """Threshold the per-label probabilities into a label set.
 
-    An empty set flags low confidence; with the fallback enabled it is
-    replaced by the single most probable label (catalog order breaks exact
-    ties).
+    An empty set flags low confidence; with the model's config.fallback set
+    it is replaced by the single most probable label (catalog order breaks
+    exact ties).
     """
-    return _prediction(model, predict_proba(model, vector), fallback)
+    return _prediction(model, predict_proba(model, vector))
 
 
-def predict_rows(
-    model: MultiLabelModel, rows: Sequence[tuple], fallback: bool = False
-) -> list[Prediction]:
+def predict_rows(model: MultiLabelModel, rows: Sequence[tuple]) -> list[Prediction]:
     """:func:`predict_labels` of each turn that :func:`score_rows` takes."""
     labels = model.catalog.labels
-    return [_prediction(model, dict(zip(labels, row)), fallback)
+    return [_prediction(model, dict(zip(labels, row)))
             for row in score_rows(model, rows).tolist()]
 
 
 def predict_conversation(
-    model: MultiLabelModel, conversation: Conversation, fallback: bool = False
+    model: MultiLabelModel, conversation: Conversation
 ) -> list[Prediction | None]:
     """Each turn's prediction as ``predict`` writes it and ``serve`` answers
     it: one context pass over the conversation and one :func:`predict_rows`
@@ -613,7 +607,7 @@ def predict_conversation(
     contexts = conversation_context(conversation, model.config.slen_scope)
     rows = [turn_row(tokens, shallow, model.vocabulary, model.scaling)
             for is_scored, (tokens, shallow) in zip(scored, contexts) if is_scored]
-    predictions = iter(predict_rows(model, rows, fallback))
+    predictions = iter(predict_rows(model, rows))
     return [next(predictions) if is_scored else None for is_scored in scored]
 
 

@@ -71,9 +71,14 @@ def _read_examples(paths, catalog, purpose: str):
     return examples
 
 
-def _echo_model_config(model) -> None:
+def _load_model(model_path, fallback: bool | None):
+    """The model at model_path, its fallback set by the flag if given; echoes its config."""
+    model = load_model(model_path)
+    if fallback is not None:
+        model.config = dataclasses.replace(model.config, fallback=fallback)
     click.echo(f"# config: {json.dumps(model.config.as_dict(), sort_keys=True, allow_nan=False)}",
                err=True)
+    return model
 
 
 class _Commands(click.Group):
@@ -200,19 +205,18 @@ def train(ctx, transcripts, model_path, tune, smote_k, threshold, slen_scope):
                 type=click.Path(exists=True, dir_okay=False))
 @click.option("--model", "model_path", type=click.Path(exists=True, dir_okay=False),
               required=True)
-@click.option("--fallback/--no-fallback", default=False, show_default=True,
-              help="Emit the argmax label when nothing clears the threshold.")
+@click.option("--fallback/--no-fallback", default=None,
+              help="Emit the argmax label when none clears the threshold [default: the model's].")
 @click.pass_context
 def predict(ctx, transcripts, model_path, fallback):
     """Classify the participant turns of a transcript, one record per turn."""
-    model = load_model(model_path)
+    model = _load_model(model_path, fallback)
     conversations = _read_corpus(transcripts, model.catalog)
-    _echo_model_config(model)
     machine = ctx.obj["format"] == reports.MACHINE
     for conv in conversations:
         # one scoring call and one write per conversation
         lines = []
-        for turn, prediction in zip(conv.turns, predict_conversation(model, conv, fallback)):
+        for turn, prediction in zip(conv.turns, predict_conversation(model, conv)):
             record = {"conversation_id": conv.conversation_id, "turn_index": turn.turn_index,
                       "speaker": turn.speaker, **reports.prediction_record(prediction)}
             if machine:
@@ -297,13 +301,11 @@ def rank_features_cmd(ctx, transcripts, label_name, top_n, printed_order, slen_s
 @click.option("--port", type=click.IntRange(0, 65535), default=None,
               help="Listen on TCP instead of stdin/stdout.")
 @click.option("--host", default="127.0.0.1", show_default=True)
-@click.option("--fallback/--no-fallback", default=False, show_default=True)
+@click.option("--fallback/--no-fallback", default=None)
 @click.pass_context
 def serve(ctx, model_path, port, host, fallback):
     """Long-running classify service speaking the line protocol."""
-    model = load_model(model_path)
-    engine = ServeEngine(model, fallback=fallback)
-    _echo_model_config(model)
+    engine = ServeEngine(_load_model(model_path, fallback))
     if port is None:
         serve_stdio(engine, click.get_binary_stream("stdin"), sys.stdout)
         return

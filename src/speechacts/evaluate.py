@@ -354,7 +354,7 @@ def cross_validate_grid(
         gold = [ex.labels for ex in test]
         held_out = [turn_row(tokens, raw, vocabulary, scaling) for tokens, raw in test_contexts]
         for rows, model in zip(fold_rows, models):
-            predicted = [p.labels for p in clf_mod.predict_rows(model, held_out, config.fallback)]
+            predicted = [p.labels for p in clf_mod.predict_rows(model, held_out)]
             rows.append(per_label_metrics(gold, predicted, catalog))
     reports = []
     for rows_per_fold in fold_rows:

@@ -7,7 +7,8 @@ Assistant lines extend the session's context but come back unclassified. A
 request line longer than ``MAX_LINE_BYTES`` (1 MiB) gets one {error} reply;
 the rest of it is read and dropped, never held whole, and the connection
 stays open. Over TCP, at most ``MAX_CONNECTIONS`` connections are served at
-once; one more gets one {error} line and is closed.
+once, and one more gets one {error} line and is closed; so is a connection
+silent for ``IDLE_TIMEOUT_S``, and one the client drops ends without a word.
 
 Sessions are keyed by conversation_id. Each is a constant-size
 ``ContextState``: running word-count sums and turn counts per speaker and in
@@ -21,6 +22,7 @@ empty context if it sends again.
 
 from __future__ import annotations
 
+import contextlib
 import socketserver
 import threading
 from collections import OrderedDict
@@ -40,16 +42,16 @@ MAX_SESSIONS = 4096
 # open TCP connections served, one handler thread each; one more is refused
 MAX_CONNECTIONS = 64
 _TOO_MANY_CONNECTIONS = encode_record({"error": "too many open connections; try again later"})
+IDLE_TIMEOUT_S = 300  # seconds a connection may wait on a read or write before it is closed
 
 
 class ServeEngine:
     """Shared immutable model plus a bounded, least-recently-used table of
     per-conversation contexts."""
 
-    def __init__(self, model: MultiLabelModel, fallback: bool = False):
+    def __init__(self, model: MultiLabelModel):
         self.model = model
         model.stacked  # stack the weights before the first request
-        self.fallback = fallback
         self._sessions: OrderedDict[str, ContextState] = OrderedDict()
         self._lock = threading.Lock()
 
@@ -65,14 +67,14 @@ class ServeEngine:
                 if len(self._sessions) >= MAX_SESSIONS:
                     self._sessions.popitem(last=False)
                 context = self._sessions[cid] = ContextState(self.model.config.slen_scope)
-            self._sessions.move_to_end(cid)
             if context.last_ts is not None and seconds < context.last_ts:
                 return {"error": f"timestamp_s {seconds} precedes the session's last turn"}
+            self._sessions.move_to_end(cid)
             shallow = context.observe(speaker, seconds, len(tokens))
         if speaker != PARTICIPANT:
             return prediction_record(None)
         row = turn_row(tokens, shallow, self.model.vocabulary, self.model.scaling)
-        return prediction_record(predict_rows(self.model, [row], self.fallback)[0])
+        return prediction_record(predict_rows(self.model, [row])[0])
 
     def handle_line(self, line: str) -> str:
         try:
@@ -130,9 +132,10 @@ class _LineHandler(socketserver.StreamRequestHandler):
 
     def handle(self):
         engine: ServeEngine = self.server.engine  # type: ignore[attr-defined]
-        for response in _responses(engine, self.rfile):
-            self.wfile.write((response + "\n").encode("utf-8"))
-            self.wfile.flush()
+        with contextlib.suppress(OSError):  # timed out, reset or gone: the connection ends
+            for response in _responses(engine, self.rfile):
+                self.wfile.write((response + "\n").encode("utf-8"))
+                self.wfile.flush()
 
 
 class ServeServer(socketserver.ThreadingTCPServer):
@@ -162,6 +165,7 @@ class ServeServer(socketserver.ThreadingTCPServer):
             self.shutdown_request(request)
             return
         try:
+            request.settimeout(IDLE_TIMEOUT_S)  # looked up at each accept
             super().process_request(request, client_address)
         except BaseException:
             self._slots.release()  # no thread started to release it

@@ -687,7 +687,8 @@ class TestPredict:
         model = zero_model()
         model.classifiers["a"].bias = -0.8
         model.classifiers["b"].bias = -1.5
-        pred = predict_labels(model, np.zeros(5), fallback=True)
+        model.config = RunConfig(fallback=True)
+        pred = predict_labels(model, np.zeros(5))
         assert pred.labels == frozenset({"a"})
         assert pred.low_confidence is True
 
@@ -695,7 +696,8 @@ class TestPredict:
         model = zero_model()
         model.classifiers["a"].bias = -0.8
         model.classifiers["b"].bias = -1.5
-        pred = predict_labels(model, np.zeros(5), fallback=False)
+        model.config = RunConfig(fallback=False)
+        pred = predict_labels(model, np.zeros(5))
         assert pred.labels == frozenset()
         assert pred.low_confidence is True
 
@@ -769,11 +771,12 @@ class TestScoreRows:
     @given(problem=scoring_problems(), fallback=st.booleans(), padded_ids=st.sampled_from([None, 3]))
     def test_batch_row_and_reference_agree(self, problem, fallback, padded_ids):
         model, rows = problem
+        model.config = dataclasses.replace(model.config, fallback=fallback)
         # padded_ids 3 splits a batch into blocks of a few rows
         with mock.patch.object(classifier_mod, "_PADDED_IDS",
                                padded_ids or classifier_mod._PADDED_IDS):
             batch = score_rows(model, rows)
-            predictions = predict_rows(model, rows, fallback)
+            predictions = predict_rows(model, rows)
         assert batch.shape == (len(rows), len(model.catalog.labels))
         n_words = len(model.vocabulary)
         for i, (ids, scaled) in enumerate(rows):
@@ -799,7 +802,7 @@ class TestScoreRows:
             assert predictions[i].labels == chosen
             assert predictions[i].low_confidence == low_confidence
             assert predictions[i].probabilities == probs
-            assert predictions[i] == predict_labels(model, dense, fallback)
+            assert predictions[i] == predict_labels(model, dense)
 
     def test_no_rows(self):
         model = zero_model()
@@ -813,16 +816,16 @@ class TestScoreRows:
         spec = SynthSpec(n_labels=3, turns_per_label=12, signal=0.6, multi_label_rate=0.3, seed=4)
         catalog = synth_catalog(spec)
         examples = modeling_examples(synth_corpus(spec), catalog)
-        model = train_model(examples, catalog, RunConfig(seed=4, slen_scope=scope))
+        model = train_model(examples, catalog, RunConfig(seed=4, slen_scope=scope, fallback=True))
         answers = {}
         for ex, ctx in zip(examples, example_contexts(examples, scope)):
             conv = ex.conversation
             if id(conv) not in answers:
-                answers[id(conv)] = predict_conversation(model, conv, fallback=True)
+                answers[id(conv)] = predict_conversation(model, conv)
                 assert [p is None for p in answers[id(conv)]] == [
                     turn.speaker != PARTICIPANT for turn in conv.turns]
             row = turn_row(*ctx, model.vocabulary, model.scaling)
-            assert predict_rows(model, [row], True)[0] == answers[id(conv)][ex.turn_index]
+            assert predict_rows(model, [row])[0] == answers[id(conv)][ex.turn_index]
         assert len(answers) > 1
 
     def test_stacked_once_and_not_persisted(self, tmp_path):
@@ -909,7 +912,7 @@ def reference_cross_validate(examples, catalog, config):
             yb = np.concatenate([np.ones(len(bal_pos)), np.zeros(len(bal_neg))])
             classifiers[name] = fit_binary(Xb, yb, config.hyperparams, seed, label=name)
         model = MultiLabelModel(classifiers, vocabulary, scaling, catalog, config=config)
-        predicted = [predict_labels(model, x, config.fallback).labels for x in X_test]
+        predicted = [predict_labels(model, x).labels for x in X_test]
         fold_rows.append(per_label_metrics([ex.labels for ex in test], predicted, catalog))
     return weighted_average(average_rows_across_folds(fold_rows)).f_measure
 

@@ -371,6 +371,45 @@ class TestTrainPredict:
         (record,) = [json.loads(line) for line in predict.stdout.strip().split("\n")]
         assert "confirmation" in record["labels"]
 
+    def test_model_fallback_applies_unless_a_flag_overrides_it(self, runner, tmp_path):
+        # a low-signal corpus, on which the threshold leaves some turn unlabelled
+        corpus, catalog = tmp_path / "corpus.jsonl", tmp_path / "catalog.json"
+        result = runner.invoke(main, ["--seed", "3", "synth-corpus", "--labels", "4",
+                                      "--turns-per-label", "20", "--signal", "0.3",
+                                      "--output", str(corpus), "--catalog-out", str(catalog)])
+        assert result.exit_code == 0, result.output
+        config = tmp_path / "config.json"
+        config.write_text('{"fallback": true}')
+        model_path = tmp_path / "model.json"
+        result = runner.invoke(main, ["--catalog", str(catalog), "--config", str(config), "train",
+                                      str(corpus), "--output", str(model_path)])
+        assert result.exit_code == 0, result.output
+        turns = [json.loads(line) for line in corpus.read_text().splitlines()]
+        keys = ("labels", "probabilities", "low_confidence")
+
+        def participant_records(*flag):
+            """predict's participant records under flag, after checking that
+            serve answers every turn alike and both echo the same fallback."""
+            predict = runner.invoke(main, ["--format", "machine", "predict", str(corpus),
+                                           "--model", str(model_path), *flag])
+            served = runner.invoke(main, ["serve", "--model", str(model_path), *flag],
+                                   input=corpus.read_text())
+            assert predict.exit_code == 0 and served.exit_code == 0, predict.output
+            records = {(r["conversation_id"], r["turn_index"]): r
+                       for r in map(json.loads, predict.stdout.splitlines())}
+            replies = [json.loads(line) for line in served.stdout.splitlines()]
+            assert len(replies) == len(turns) == len(records)
+            for turn, reply in zip(turns, replies):
+                record = records[turn["conversation_id"], turn["turn_index"]]
+                assert {k: reply[k] for k in keys} == {k: record[k] for k in keys}
+            (echo,) = {line for result in (predict, served) for line in result.stderr.splitlines()
+                       if line.startswith("# config: ")}
+            assert json.loads(echo.removeprefix("# config: "))["fallback"] == (flag == ())
+            return [r for r in records.values() if r["speaker"] == "participant"]
+
+        assert all(r["labels"] for r in participant_records())
+        assert any(not r["labels"] for r in participant_records("--no-fallback"))
+
     def test_predict_rejects_corrupt_model(self, runner, separable_corpus_files, tmp_path):
         corpus, _ = separable_corpus_files
         bad_model = tmp_path / "model.json"

@@ -506,7 +506,7 @@ class TestCrossValidate:
             picked.append(model.config.hyperparams.C)
             rows = [turn_row(tokens, raw, model.vocabulary, model.scaling)
                     for tokens, raw in example_contexts(test, config.slen_scope)]
-            predictions = predict_rows(model, rows, config.fallback)
+            predictions = predict_rows(model, rows)
             fold_rows.append(per_label_metrics([ex.labels for ex in test],
                                                [p.labels for p in predictions], catalog))
         assert picked == [0.1, 0.1, 10.0]

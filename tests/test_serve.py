@@ -1,9 +1,11 @@
+import contextlib
 import functools
 import io
 import json
 import os
 import signal
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -107,6 +109,35 @@ def read_all(sock):
         if not chunk:
             return data
         data += chunk
+
+
+@contextlib.contextmanager
+def running_server(engine):
+    server = ServeServer(("127.0.0.1", 0), engine)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+def wait_for_threads(count):
+    """Wait until no more than count threads are alive, so a connection's
+    handler thread has ended and freed its slot."""
+    deadline = time.monotonic() + 10
+    while threading.active_count() > count and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
+def roundtrip(server, lines):
+    """The reply lines to lines, sent on one new connection."""
+    with socket.create_connection(server.server_address, timeout=10) as sock:
+        sock.sendall("".join(line + "\n" for line in lines).encode())
+        sock.shutdown(socket.SHUT_WR)
+        return read_all(sock).decode().splitlines()
 
 
 class TestEngine:
@@ -324,16 +355,18 @@ class TestSessionTable:
         send("c", 4.0)
         assert list(engine._sessions) == ["a", "c"]  # b, least recently used, is gone
 
-        # malformed requests neither create a session nor evict one
+        # malformed requests neither create, evict nor refresh a session
         before = {cid: dict(vars(context)) for cid, context in engine._sessions.items()}
         for line in [request_line("d", "moderator", 5.0, "hi"), "{broken", "[1]",
                      request_line("e", "participant", float("nan"), "act0kw0"),
                      json.dumps({"conversation_id": "f", "speaker": "participant",
                                  "timestamp_s": 5.0, "text": 7}),
-                     request_line("c", "participant", 1.0, "backwards")]:
+                     request_line("c", "participant", 1.0, "backwards"),
+                     request_line("a", "participant", 2.0, "backwards")]:
             assert set(strict_loads(engine.handle_line(line))) == {"error"}
             assert {cid: dict(vars(context))
                     for cid, context in engine._sessions.items()} == before
+            assert list(engine._sessions) == ["a", "c"]
 
         # the evicted conversation starts again from an empty context, which
         # answers differently from b's old one
@@ -608,37 +641,53 @@ class TestTcp:
             server.server_close()
             thread.join(timeout=5)
 
+    def test_silent_connection_closed_after_the_idle_timeout(self, model, monkeypatch):
+        monkeypatch.setattr(serve, "IDLE_TIMEOUT_S", 0.2)
+        monkeypatch.setattr(serve, "MAX_CONNECTIONS", 1)
+        lines = [request_line("kept", "participant", 1.0, "act0kw0 words"),
+                 request_line("kept", "participant", 4.5, "act1kw1 more words")]
+        alone = ServeEngine(model)
+        expect = [alone.handle_line(line) for line in lines]
+        with running_server(ServeEngine(model)) as server:
+            idle = threading.active_count()
+            with socket.create_connection(server.server_address, timeout=5) as sock:
+                sock.sendall((lines[0] + "\n").encode())
+                started = time.monotonic()
+                replies = read_all(sock).decode().splitlines()  # then silent until EOF
+                assert time.monotonic() - started >= 0.15
+            assert replies == expect[:1]
+            wait_for_threads(idle)
+            # the one slot is free again, and the conversation the closed
+            # connection began goes on as on one connection
+            assert roundtrip(server, lines[1:]) == expect[1:]
+
+    def test_reset_connection_ends_without_a_traceback(self, model, monkeypatch, capfd):
+        monkeypatch.setattr(serve, "MAX_CONNECTIONS", 1)
+        burst = "".join(request_line("reset", "participant", float(i), "act0kw0") + "\n"
+                        for i in range(200))
+        with running_server(ServeEngine(model)) as server:
+            idle = threading.active_count()
+            sock = socket.create_connection(server.server_address, timeout=5)
+            sock.sendall(burst.encode())
+            assert sock.recv(1)  # being answered
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.close()  # a reset, with replies unread
+            wait_for_threads(idle)
+            (reply,) = roundtrip(server, [request_line("next", "participant", 0.0, "act0kw0")])
+            assert "labels" in strict_loads(reply)
+        err = capfd.readouterr().err
+        assert "Traceback" not in err and "Exception occurred" not in err
+
     def test_session_spans_connections(self, model):
-        engine = ServeEngine(model)
-        server = ServeServer(("127.0.0.1", 0), engine)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-
-        def roundtrip(line):
-            with socket.create_connection(server.server_address) as sock:
-                sock.sendall((line + "\n").encode())
-                sock.shutdown(socket.SHUT_WR)
-                data = b""
-                while True:
-                    chunk = sock.recv(4096)
-                    if not chunk:
-                        break
-                    data += chunk
-            return json.loads(data.decode())
-
-        try:
-            roundtrip(request_line("shared", "participant", 0.0, "act0kw0"))
-            out = roundtrip(request_line("shared", "participant", 4.5, "act1kw1 extra"))
-            conv = make_conversation(
-                "shared",
-                [("participant", 0.0, "act0kw0", []), ("participant", 4.5, "act1kw1 extra", [])],
-            )
-            expect = predict_conversation(model, conv)[1]
-            assert out["probabilities"] == pytest.approx(expect.probabilities)
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
+        with running_server(ServeEngine(model)) as server:
+            roundtrip(server, [request_line("shared", "participant", 0.0, "act0kw0")])
+            (out,) = roundtrip(server, [request_line("shared", "participant", 4.5, "act1kw1 extra")])
+        conv = make_conversation(
+            "shared",
+            [("participant", 0.0, "act0kw0", []), ("participant", 4.5, "act1kw1 extra", [])],
+        )
+        expect = predict_conversation(model, conv)[1]
+        assert json.loads(out)["probabilities"] == pytest.approx(expect.probabilities)
 
 
 FUZZ_CIDS = ("f1", "f2")
