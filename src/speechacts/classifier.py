@@ -269,12 +269,10 @@ def fit_binary_with_trace(
     X: np.ndarray,
     y: np.ndarray,
     hyperparams: Hyperparams = Hyperparams(),
-    seed: int = 0,
     label: str = "",
 ) -> tuple[BinaryClassifier, list[float]]:
     """Like :func:`fit_binary`, also returning the loss at the start and
     after each Newton step."""
-    del seed  # the fit is deterministic
     y = np.asarray(y, dtype=np.float64)
     if X.shape[0] != y.shape[0]:
         raise ValueError(f"dimension mismatch: {X.shape[0]} examples vs {y.shape[0]} targets")
@@ -282,10 +280,16 @@ def fit_binary_with_trace(
     if not zeros or not ones or zeros + ones != y.size:
         present = sorted(set(np.unique(y).tolist()))
         raise ValueError(f"targets must be 0 and 1, both present, got {present}")
+    return _newton_fit(_Design(X), y, hyperparams, label)
 
+
+def _newton_fit(
+    design: _Design, y: np.ndarray, hyperparams: Hyperparams, label: str
+) -> tuple[BinaryClassifier, list[float]]:
+    """:func:`fit_binary_with_trace` on a built operator and checked float
+    targets, so that fits on one matrix share one operator."""
     C, fit_bias = hyperparams.C, hyperparams.fit_bias
-    design = _Design(X)
-    w = np.zeros(X.shape[1], dtype=np.float64)
+    w = np.zeros(design.shape[1], dtype=np.float64)
     b = 0.0
     loss, grad_w, grad_b, p = _loss_terms(design, w, b, y, C)
     losses = [loss]
@@ -343,7 +347,7 @@ def fit_binary(
     tolerance, or after max_iterations Newton steps; the classifier records
     which. Deterministic; the seed is unused.
     """
-    return fit_binary_with_trace(X, y, hyperparams, seed, label)[0]
+    return fit_binary_with_trace(X, y, hyperparams, label)[0]
 
 
 @dataclass
@@ -503,7 +507,8 @@ def _fit_label(
         X_bal[n:] = oversample(X_bal[n_pos:n], -need, smote_k, seed)
     y_bal = np.zeros(len(X_bal))
     y_bal[:negatives] = 1.0
-    return [fit_binary(X_bal, y_bal, point, seed, label=name) for point in points]
+    design = _Design(X_bal)  # one nonzero scan for every point
+    return [_newton_fit(design, y_bal, point, name)[0] for point in points]
 
 
 # padded word ids per score_rows block: 2**16 ids gather 5.8 MB at 11 labels

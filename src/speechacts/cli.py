@@ -24,7 +24,7 @@ from .config import RunConfig, load_config
 from .corpus import LabelCatalog
 from .evaluate import cross_validate, rank_features_for_examples
 from .featurize import SLEN_SCOPES
-from .serve import ServeEngine, ServeServer, serve_stdio
+from .serve import ServeEngine, ServeServer, serve_stream
 from .synth import SynthSpec, synth_catalog, synth_corpus
 
 
@@ -307,7 +307,7 @@ def serve(ctx, model_path, port, host, fallback):
     """Long-running classify service speaking the line protocol."""
     engine = ServeEngine(_load_model(model_path, fallback))
     if port is None:
-        serve_stdio(engine, click.get_binary_stream("stdin"), sys.stdout)
+        serve_stream(engine, click.get_binary_stream("stdin"), click.get_binary_stream("stdout"))
         return
     server = ServeServer((host, port), engine)
     if threading.current_thread() is threading.main_thread():

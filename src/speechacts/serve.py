@@ -23,10 +23,12 @@ empty context if it sends again.
 from __future__ import annotations
 
 import contextlib
+import socket
 import socketserver
+import struct
 import threading
 from collections import OrderedDict
-from typing import IO, Iterator
+from typing import IO
 
 from .classifier import MultiLabelModel, predict_rows
 from .corpus import PARTICIPANT, decode_record, encode_record, turn_fields
@@ -36,6 +38,7 @@ from .reports import prediction_record
 # longest request line read, newline excluded
 MAX_LINE_BYTES = 1 << 20
 _LINE_TOO_LONG = encode_record({"error": f"request line longer than {MAX_LINE_BYTES} bytes"})
+_NOT_UTF8 = encode_record({"error": "request is not valid UTF-8"})
 # live conversations held: a two-speaker session takes about 830 B (tracemalloc),
 # so the table stays near 3.4 MB at the cap
 MAX_SESSIONS = 4096
@@ -89,38 +92,32 @@ class ServeEngine:
         return encode_record(response)
 
 
-def _reply(engine: ServeEngine, raw: bytes) -> str | None:
-    """The response line to one raw request line, or None for a blank line."""
-    try:
-        line = raw.decode("utf-8")
-    except UnicodeDecodeError:
-        return encode_record({"error": "request is not valid UTF-8"})
-    return engine.handle_line(line) if line.strip() else None
+def serve_stream(engine: ServeEngine, rfile: IO[bytes], wfile: IO[bytes]) -> int:
+    """Answer each request line of rfile on wfile until rfile ends; return
+    the number of replies.
 
-
-def _responses(engine: ServeEngine, stream: IO[bytes]) -> Iterator[str]:
-    """The response line to each request line of stream, blank lines skipped.
-
-    No more than MAX_LINE_BYTES of a line are held: a longer line is
-    answered with an error, and the rest of it is read and dropped.
+    Each non-blank line gets one ASCII reply line, flushed as it is written.
+    A line that is not UTF-8 is answered with an error, and so is one longer
+    than MAX_LINE_BYTES, of which no more than that is held: the rest of it
+    is read and dropped.
     """
-    while raw := stream.readline(MAX_LINE_BYTES + 1):
+    handled = 0
+    while raw := rfile.readline(MAX_LINE_BYTES + 1):
         if len(raw) > MAX_LINE_BYTES and not raw.endswith(b"\n"):
             while raw and not raw.endswith(b"\n"):
-                raw = stream.readline(MAX_LINE_BYTES + 1)
-            yield _LINE_TOO_LONG
-            continue
-        response = _reply(engine, raw)
-        if response is not None:
-            yield response
-
-
-def serve_stdio(engine: ServeEngine, stdin: IO[bytes], stdout: IO[str]) -> int:
-    """Process request lines sequentially until the input stream ends."""
-    handled = 0
-    for response in _responses(engine, stdin):
-        stdout.write(response + "\n")
-        stdout.flush()
+                raw = rfile.readline(MAX_LINE_BYTES + 1)
+            reply = _LINE_TOO_LONG
+        else:
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                reply = _NOT_UTF8
+            else:
+                if not line.strip():
+                    continue
+                reply = engine.handle_line(line)
+        wfile.write((reply + "\n").encode("ascii"))
+        wfile.flush()
         handled += 1
     return handled
 
@@ -131,11 +128,8 @@ class _LineHandler(socketserver.StreamRequestHandler):
     disable_nagle_algorithm = True
 
     def handle(self):
-        engine: ServeEngine = self.server.engine  # type: ignore[attr-defined]
         with contextlib.suppress(OSError):  # timed out, reset or gone: the connection ends
-            for response in _responses(engine, self.rfile):
-                self.wfile.write((response + "\n").encode("utf-8"))
-                self.wfile.flush()
+            serve_stream(self.server.engine, self.rfile, self.wfile)  # type: ignore[attr-defined]
 
 
 class ServeServer(socketserver.ThreadingTCPServer):
@@ -165,7 +159,11 @@ class ServeServer(socketserver.ThreadingTCPServer):
             self.shutdown_request(request)
             return
         try:
-            request.settimeout(IDLE_TIMEOUT_S)  # looked up at each accept
+            # kernel timeouts (settimeout would poll before each send and recv), read
+            # at each accept: an expired read ends the stream, an expired write raises
+            seconds, micros = divmod(round(IDLE_TIMEOUT_S * 1e6), 10**6)
+            for option in (socket.SO_RCVTIMEO, socket.SO_SNDTIMEO):
+                request.setsockopt(socket.SOL_SOCKET, option, struct.pack("@ll", seconds, micros))
             super().process_request(request, client_address)
         except BaseException:
             self._slots.release()  # no thread started to release it

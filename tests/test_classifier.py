@@ -613,6 +613,24 @@ class TestFitMultilabel:
             alone = fit_multilabel(data, dataclasses.replace(config, hyperparams=point))
             assert model_to_document(model) == model_to_document(alone)
 
+    @pytest.mark.parametrize("n_points", [1, 8])
+    def test_one_operator_per_fitted_label_whatever_the_points(self, monkeypatch, n_points):
+        data = toy_training_data(labels=("a", "b", "c"), n=20, seed=9)
+        data.label_sets = [ls - {"c"} for ls in data.label_sets]  # c is skipped
+        points = expand_grid(DEFAULT_GRID)[:n_points]
+        assert len(points) == n_points
+        built = []
+
+        class Counting(classifier_mod._Design):
+            def __init__(self, X):
+                super().__init__(X)
+                built.append(X.shape)
+
+        monkeypatch.setattr(classifier_mod, "_Design", Counting)
+        models = fit_multilabel_grid(data, RunConfig(seed=3, smote_k=2), points)
+        assert len(models) == n_points and all(set(m.classifiers) == {"a", "b"} for m in models)
+        assert len(built) == 2
+
     def test_empty_dataset_errors(self):
         data = toy_training_data()
         data.X = data.X[:0]

@@ -756,7 +756,7 @@ class TestErrorBoundary:
         def broken(*_):
             raise OSError(errno.EIO, "Input/output error")
 
-        monkeypatch.setattr("speechacts.cli.serve_stdio", broken)
+        monkeypatch.setattr("speechacts.cli.serve_stream", broken)
         result = runner.invoke(main, ["serve", "--model", str(model_path)], input="")
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
@@ -768,7 +768,7 @@ class TestErrorBoundary:
         def closed(*_):
             raise BrokenPipeError(errno.EPIPE, "Broken pipe")
 
-        monkeypatch.setattr("speechacts.cli.serve_stdio", closed)
+        monkeypatch.setattr("speechacts.cli.serve_stream", closed)
         result = runner.invoke(main, ["serve", "--model", str(model_path)], input="")
         assert result.exit_code == 1
         assert "error:" not in result.stderr

@@ -24,7 +24,7 @@ from speechacts.cli import main
 from speechacts.config import RunConfig
 from speechacts.corpus import SPEAKERS, TIMESTAMP_ERROR, modeling_examples, serialize_transcripts
 from speechacts.featurize import SLEN_SCOPES, ContextState
-from speechacts.serve import MAX_LINE_BYTES, ServeEngine, ServeServer, serve_stdio
+from speechacts.serve import MAX_LINE_BYTES, ServeEngine, ServeServer, serve_stream
 from speechacts.synth import SynthSpec, synth_catalog, synth_corpus
 
 from conftest import make_conversation
@@ -452,35 +452,36 @@ class TestStdio:
             request_line("s1", "assistant", 3.0, "reply words"),
             request_line("s1", "participant", 8.0, "act1kw0 stuff"),
         ]
-        stdout = io.StringIO()
-        handled = serve_stdio(ServeEngine(model), io.BytesIO(("\n".join(lines) + "\n").encode()),
-                              stdout)
-        out_lines = stdout.getvalue().strip().split("\n")
+        stdout = io.BytesIO()
+        handled = serve_stream(ServeEngine(model), io.BytesIO(("\n".join(lines) + "\n").encode()),
+                               stdout)
+        out_lines = stdout.getvalue().decode("ascii").strip().split("\n")
         assert handled == 3
         assert len(out_lines) == 3
         assert all("labels" in json.loads(line) for line in out_lines)
 
 
     def test_bad_utf8_lines_answered_like_tcp(self, model):
-        stdout = io.StringIO()
-        handled = serve_stdio(ServeEngine(model), io.BytesIO(b"\n".join(NOT_UTF8 + [VALID])), stdout)
+        stdout = io.BytesIO()
+        handled = serve_stream(ServeEngine(model), io.BytesIO(b"\n".join(NOT_UTF8 + [VALID])),
+                               stdout)
         assert handled == 3
-        assert stdout.getvalue().endswith("\n")
-        replies = [strict_loads(line) for line in stdout.getvalue().split("\n")[:-1]]
+        assert stdout.getvalue().endswith(b"\n")
+        replies = [strict_loads(line) for line in stdout.getvalue().split(b"\n")[:-1]]
         assert replies[:2] == [{"error": "request is not valid UTF-8"}] * 2
         assert "labels" in replies[2]
 
     def test_long_line_answered_and_skipped(self, model):
-        stdout = io.StringIO()
-        handled = serve_stdio(ServeEngine(model), io.BytesIO(b"\n".join(LONG_LINES) + b"\n"),
-                              stdout)
+        stdout = io.BytesIO()
+        handled = serve_stream(ServeEngine(model), io.BytesIO(b"\n".join(LONG_LINES) + b"\n"),
+                               stdout)
         assert handled == 3
         assert_long_line_skipped([strict_loads(line) for line in stdout.getvalue().splitlines()])
 
     def test_long_last_line_without_newline(self, model):
-        stdout = io.StringIO()
+        stdout = io.BytesIO()
         stream = io.BytesIO(VALID + b"\n" + b"x" * (3 * MAX_LINE_BYTES))
-        assert serve_stdio(ServeEngine(model), stream, stdout) == 2
+        assert serve_stream(ServeEngine(model), stream, stdout) == 2
         replies = [strict_loads(line) for line in stdout.getvalue().splitlines()]
         assert "labels" in replies[0] and "longer than" in replies[1]["error"]
 
@@ -661,6 +662,18 @@ class TestTcp:
             # connection began goes on as on one connection
             assert roundtrip(server, lines[1:]) == expect[1:]
 
+    def test_half_sent_line_answered_once_then_closed(self, model, monkeypatch):
+        monkeypatch.setattr(serve, "IDLE_TIMEOUT_S", 0.2)
+        half = request_line("half", "participant", 1.0, "act0kw0 words").encode()[:30]
+        with running_server(ServeEngine(model)) as server:
+            with socket.create_connection(server.server_address, timeout=5) as sock:
+                sock.sendall(half)  # then silent, the line never ended
+                started = time.monotonic()
+                replies = read_all(sock).decode("ascii").splitlines()
+                assert time.monotonic() - started >= 0.15
+        (reply,) = replies
+        assert set(strict_loads(reply)) == {"error"}
+
     def test_reset_connection_ends_without_a_traceback(self, model, monkeypatch, capfd):
         monkeypatch.setattr(serve, "MAX_CONNECTIONS", 1)
         burst = "".join(request_line("reset", "participant", float(i), "act0kw0") + "\n"
@@ -728,6 +741,17 @@ def fuzz_lines(draw):
     return lines
 
 
+# byte lines for both transports: arbitrary bytes, blank and non-UTF-8 lines,
+# requests, and lines at, past and far past the length cap
+STREAM_LINES = (
+    st.binary(max_size=40).map(lambda b: b.replace(b"\n", b""))
+    | st.sampled_from(NOT_UTF8 + LONG_LINES + [VALID, b"", b"  ", b"\r",
+                                               b" " * (MAX_LINE_BYTES + 1),
+                                               b"x" * (2 * MAX_LINE_BYTES)])
+    | fuzz_lines().map(lambda lines: "\n".join(lines).encode())
+)
+
+
 def is_blank(raw: bytes) -> bool:
     try:
         return not raw.decode("utf-8").strip()
@@ -759,12 +783,12 @@ class TestFuzz:
                 assert engine.handle_line(probe) == fresh.handle_line(probe)
                 accepted[cid].append(probe)
 
-        stdout = io.StringIO()
-        handled = serve_stdio(ServeEngine(model), io.BytesIO(("\n".join(lines) + "\n").encode()),
-                              stdout)
+        stdout = io.BytesIO()
+        handled = serve_stream(ServeEngine(model), io.BytesIO(("\n".join(lines) + "\n").encode()),
+                               stdout)
         non_blank = [line for line in "\n".join(lines).split("\n") if line.strip()]
         assert handled == len(non_blank)
-        replies = stdout.getvalue().split("\n")
+        replies = stdout.getvalue().decode("ascii").split("\n")
         assert replies.pop() == "" and len(replies) == handled
         assert all(isinstance(strict_loads(reply), dict) for reply in replies)
 
@@ -784,3 +808,21 @@ class TestFuzz:
         assert replies.pop() == ""
         assert len(replies) == sum(not is_blank(line) for line in raw)
         assert all(isinstance(strict_loads(reply), dict) for reply in replies)
+
+    @pytest.fixture(scope="class")
+    def own_server(self, model):
+        with running_server(ServeEngine(model)) as server:
+            yield server
+
+    @settings(max_examples=30, deadline=None)
+    @given(raw=st.lists(STREAM_LINES, min_size=1, max_size=8), end=st.sampled_from([b"\n", b""]))
+    def test_stdin_and_tcp_replies_byte_identical(self, own_server, model, raw, end):
+        stream = b"\n".join(raw) + end
+        stdout = io.BytesIO()
+        handled = serve_stream(ServeEngine(model), io.BytesIO(stream), stdout)
+        assert stdout.getvalue().count(b"\n") == handled
+        own_server.engine = ServeEngine(model)  # sessions start empty, as on stdin
+        with socket.create_connection(own_server.server_address, timeout=30) as sock:
+            sock.sendall(stream)
+            sock.shutdown(socket.SHUT_WR)
+            assert read_all(sock) == stdout.getvalue()
