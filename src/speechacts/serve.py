@@ -6,9 +6,11 @@ One JSON response per line: {labels, probabilities, low_confidence}, or
 Assistant lines extend the session's context but come back unclassified. A
 request line longer than ``MAX_LINE_BYTES`` (1 MiB) gets one {error} reply;
 the rest of it is read and dropped, never held whole, and the connection
-stays open. Over TCP, at most ``MAX_CONNECTIONS`` connections are served at
-once, and one more gets one {error} line and is closed; so is a connection
-silent for ``IDLE_TIMEOUT_S``, and one the client drops ends without a word.
+stays open. Input is read a chunk at a time, and the replies to the lines
+of one read go out in one write. Over TCP, at most ``MAX_CONNECTIONS``
+connections are served at once, and one more gets one {error} line and is
+closed; so is a connection silent for ``IDLE_TIMEOUT_S``, and one the client
+drops ends without a word.
 
 Sessions are keyed by conversation_id. Each is a constant-size
 ``ContextState``: running word-count sums and turn counts per speaker and in
@@ -96,35 +98,59 @@ def serve_stream(engine: ServeEngine, rfile: IO[bytes], wfile: IO[bytes]) -> int
     """Answer each request line of rfile on wfile until rfile ends; return
     the number of replies.
 
-    Each non-blank line gets one ASCII reply line, flushed as it is written.
-    A line that is not UTF-8 is answered with an error, and so is one longer
-    than MAX_LINE_BYTES, of which no more than that is held: the rest of it
-    is read and dropped.
+    Each non-blank line gets one ASCII reply line. rfile is read a chunk at
+    a time, whatever one ``read1`` returns, and the replies to that chunk's
+    lines go out in one write, flushed before the next read. A line that is
+    not UTF-8 is answered with an error, and so is one longer than
+    MAX_LINE_BYTES, of which no more than that is held: the rest of it is
+    read and dropped. An empty read ends the stream, and a line it cut short
+    is answered as if it had ended there; on a socket whose receive timeout
+    expired, that read is empty too.
     """
-    handled = 0
-    while raw := rfile.readline(MAX_LINE_BYTES + 1):
-        if len(raw) > MAX_LINE_BYTES and not raw.endswith(b"\n"):
-            while raw and not raw.endswith(b"\n"):
-                raw = rfile.readline(MAX_LINE_BYTES + 1)
-            reply = _LINE_TOO_LONG
+    held = bytearray()  # the start of a line whose newline has not come yet
+    dropping = False  # inside an over-long line, skipping to its newline
+    replies: list[str] = []  # to the current chunk's lines
+
+    def answer(piece: bytes, ended: bool) -> None:
+        nonlocal dropping
+        if dropping:
+            dropping = not ended
+        elif len(held) + len(piece) > MAX_LINE_BYTES:
+            held.clear()
+            dropping = not ended
+            replies.append(_LINE_TOO_LONG)
+        elif not ended:
+            held.extend(piece)
         else:
+            raw = held + piece if held else piece
+            held.clear()
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError:
-                reply = _NOT_UTF8
+                replies.append(_NOT_UTF8)
             else:
-                if not line.strip():
-                    continue
-                reply = engine.handle_line(line)
-        wfile.write((reply + "\n").encode("ascii"))
-        wfile.flush()
-        handled += 1
-    return handled
+                if line.strip():
+                    replies.append(engine.handle_line(line))
+
+    handled = 0
+    while True:
+        chunk = rfile.read1()
+        *lines, rest = chunk.split(b"\n")
+        for line in lines:
+            answer(line, True)
+        answer(rest, not chunk)
+        if replies:
+            wfile.write(("\n".join(replies) + "\n").encode("ascii"))
+            wfile.flush()
+            handled += len(replies)
+            replies.clear()
+        if not chunk:
+            return handled
 
 
 class _LineHandler(socketserver.StreamRequestHandler):
-    # each response is one small write; with Nagle on, a response waits for
-    # the client's ACK of the previous one, which lock-steps the connection
+    # each read's replies are one small write; with Nagle on, a write waits
+    # for the client's ACK of the previous one, which lock-steps the connection
     disable_nagle_algorithm = True
 
     def handle(self):

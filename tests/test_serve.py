@@ -3,6 +3,7 @@ import functools
 import io
 import json
 import os
+import re
 import signal
 import socket
 import struct
@@ -138,6 +139,33 @@ def roundtrip(server, lines):
         sock.sendall("".join(line + "\n" for line in lines).encode())
         sock.shutdown(socket.SHUT_WR)
         return read_all(sock).decode().splitlines()
+
+
+class ChunkedReader:
+    """A binary stream whose read1 returns the given chunks one at a time, as
+    a socket or a terminal does, then b"" for good."""
+
+    def __init__(self, chunks):
+        self.chunks = iter(chunks)
+        self.reads = 0
+
+    def read1(self, size=-1):
+        self.reads += 1
+        return next(self.chunks, b"")
+
+
+class WriteLog:
+    """A binary stream that keeps each write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return len(data)
+
+    def flush(self):
+        pass
 
 
 class TestEngine:
@@ -485,6 +513,24 @@ class TestStdio:
         replies = [strict_loads(line) for line in stdout.getvalue().splitlines()]
         assert "labels" in replies[0] and "longer than" in replies[1]["error"]
 
+    def test_burst_read_at_once_answered_in_one_write(self, model):
+        lines = [request_line(f"b{i % 3}", "participant", float(i), "act0kw0 words")
+                 for i in range(50)]
+        alone = ServeEngine(model)
+        out = WriteLog()
+        assert serve_stream(ServeEngine(model), io.BytesIO("".join(
+            line + "\n" for line in lines).encode()), out) == 50
+        (write,) = out.writes
+        assert write.decode("ascii").splitlines() == [alone.handle_line(line) for line in lines]
+
+    def test_line_cut_by_a_partial_read_answered_once(self, model):
+        # a terminal's read returns half a line at Ctrl-D, then the rest
+        line = request_line("tty", "participant", 1.0, "act0kw0 act1kw1 words")
+        out = WriteLog()
+        reader = ChunkedReader([line[:17].encode(), line[17:].encode() + b"\n"])
+        assert serve_stream(ServeEngine(model), reader, out) == 1
+        assert out.writes == [(ServeEngine(model).handle_line(line) + "\n").encode("ascii")]
+
     # strict UTF-8 stdin, and the C locale's stdin, which decodes with surrogateescape
     @pytest.mark.parametrize("env", [{"PYTHONIOENCODING": "utf-8:strict"}, {"LC_ALL": "C"}],
                              ids=["strict", "c-locale"])
@@ -674,6 +720,18 @@ class TestTcp:
         (reply,) = replies
         assert set(strict_loads(reply)) == {"error"}
 
+    def test_half_sent_line_closed_after_one_idle_period(self, model, monkeypatch):
+        monkeypatch.setattr(serve, "IDLE_TIMEOUT_S", 0.3)
+        half = request_line("half", "participant", 1.0, "act0kw0 words").encode()[:30]
+        with running_server(ServeEngine(model)) as server:
+            with socket.create_connection(server.server_address, timeout=5) as sock:
+                sock.sendall(half)  # then silent, the line never ended
+                started = time.monotonic()
+                replies = read_all(sock).decode("ascii").splitlines()
+                closed = time.monotonic() - started
+        assert len(replies) == 1
+        assert closed < 1.5 * serve.IDLE_TIMEOUT_S
+
     def test_reset_connection_ends_without_a_traceback(self, model, monkeypatch, capfd):
         monkeypatch.setattr(serve, "MAX_CONNECTIONS", 1)
         burst = "".join(request_line("reset", "participant", float(i), "act0kw0") + "\n"
@@ -826,3 +884,26 @@ class TestFuzz:
             sock.sendall(stream)
             sock.shutdown(socket.SHUT_WR)
             assert read_all(sock) == stdout.getvalue()
+
+    @settings(max_examples=40, deadline=None)
+    @given(raw=st.lists(STREAM_LINES, min_size=1, max_size=6), end=st.sampled_from([b"\n", b""]),
+           data=st.data())
+    def test_chunk_boundaries_change_no_reply(self, model, raw, end, data):
+        stream = b"\n".join(raw) + end
+        whole = io.BytesIO()
+        handled = serve_stream(ServeEngine(model), io.BytesIO(stream), whole)
+        # cuts anywhere, and next to each newline, where a line ends in one
+        # chunk or its newline opens the next
+        near_newlines = sorted({m.start() + d for m in re.finditer(b"\n", stream)
+                                for d in (0, 1) if 0 < m.start() + d < len(stream)})
+        cut = st.integers(0, len(stream))
+        if near_newlines:
+            cut |= st.sampled_from(near_newlines)
+        cuts = sorted({c for c in data.draw(st.lists(cut, max_size=16)) if 0 < c < len(stream)})
+        bounds = [0, *cuts, len(stream)]
+        reader = ChunkedReader([stream[a:b] for a, b in zip(bounds, bounds[1:]) if b > a])
+        out = WriteLog()
+        assert serve_stream(ServeEngine(model), reader, out) == handled
+        assert b"".join(out.writes) == whole.getvalue()
+        assert len(out.writes) <= reader.reads
+        assert all(write.endswith(b"\n") for write in out.writes)
