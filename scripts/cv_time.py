@@ -9,9 +9,10 @@ Each corpus is built by ``bench/inputs.py`` from a fixed seed:
 
 The run uses the default config with the corpus's fold seed (``paper`` uses
 study's); ``--tune`` turns tuning on, which makes it the nested CV of
-``evaluate --tune`` that the benchmark does not time. It prints the wall time
-and the sha256 of the machine-format report, and writes the report when
-``--report`` names a file.
+``evaluate --tune`` that the benchmark does not time. It prints the wall time,
+the process's peak resident set size and the sha256 of the machine-format
+report, which ends the line, and writes the report when ``--report`` names a
+file.
 
     python3 scripts/cv_time.py --corpus narrow|study|paper [--tune] [--report FILE]
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -76,8 +78,9 @@ def main() -> int:
     if args.report:
         args.report.write_text(text, encoding="utf-8")
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # Linux: KiB
     print(f"corpus {args.corpus}  tune {args.tune}  examples {len(examples)}  "
-          f"cv_s {elapsed:.2f}  report_sha256 {digest}")
+          f"cv_s {elapsed:.2f}  peak_rss_mb {peak_rss_mb:.1f}  report_sha256 {digest}")
     return 0
 
 

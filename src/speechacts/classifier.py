@@ -19,7 +19,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .balance import derive_seed, oversample
+from .balance import SparseRows, derive_seed, oversample, oversample_rows
 from .config import Hyperparams, RunConfig, config_from_dict, expand_grid, hyperparams_from_dict
 from .corpus import (PARTICIPANT, Conversation, LabelCatalog, ModelingExample, catalog_from_dict,
                      decode_record, read_document, write_document)
@@ -84,38 +84,56 @@ _NONZERO_COST = 30
 _PRODUCT_OVERHEAD = 40_000
 
 
+def _kernel(counts: np.ndarray, n: int, d: int) -> tuple[np.ndarray, bool]:
+    """The dense columns of an n x d matrix with these nonzeros per column,
+    and whether the bincount products pay for the other columns."""
+    dense = 2 * counts > n
+    nnz = int(counts[~dense].sum())
+    return dense, _NONZERO_COST * nnz + _PRODUCT_OVERHEAD < n * (d - int(dense.sum()))
+
+
 class _Design:
     """The design matrix X as the Newton solver multiplies by it, the only
     code that does: ``dot(v)`` is X @ v and ``tdot(r)`` is X.T @ r.
 
+    X comes dense or as its :class:`~speechacts.balance.SparseRows`.
     Columns nonzero in more than half the rows (the shallow features) form a
-    dense block. When the other columns are sparse enough to pay (see
-    _NONZERO_COST), their products run over the nonzeros' row, column and
-    value arrays with np.bincount, LIBLINEAR's sparse rows: each row's terms
-    sum in column order and each column's in row order, and the dense
-    block's BLAS product is added. Otherwise both products are X's own BLAS
-    calls, bit for bit.
+    dense block, in the Fortran order ``X[:, dense_columns]`` has. When the
+    other columns are sparse enough to pay (see _NONZERO_COST), their
+    products run over the nonzeros' row, column and value arrays with
+    np.bincount, LIBLINEAR's sparse rows: each row's terms sum in column
+    order and each column's in row order, and the dense block's BLAS product
+    is added. Otherwise both products are the dense X's own BLAS calls, bit
+    for bit. Both forms of one matrix therefore give the same products, but
+    for the sign of an exact zero where X holds a -0.0.
     """
 
-    def __init__(self, X: np.ndarray):
+    def __init__(self, X: np.ndarray | SparseRows):
         self.shape = n, d = X.shape
-        self.X = X
+        nonzeros = X if isinstance(X, SparseRows) else None
         # below this size the cost rule cannot pick sparse, so skip the scan
         self.sparse = False
-        if n * d <= _PRODUCT_OVERHEAD:
-            return
-        # nonzero of the flat mask: numpy's 2-D nonzero took 9x as long
-        rows, columns = np.divmod(np.flatnonzero(X != 0), d)
-        dense = 2 * np.bincount(columns, minlength=d) > n
-        sparse = ~dense[columns]
-        nnz = int(np.count_nonzero(sparse))
-        self.sparse = _NONZERO_COST * nnz + _PRODUCT_OVERHEAD < n * (d - int(dense.sum()))
+        if n * d > _PRODUCT_OVERHEAD:
+            if nonzeros is None:
+                # nonzero of the flat mask: numpy's 2-D nonzero took 9x as long
+                rows, columns = np.divmod(np.flatnonzero(X != 0), d)
+            else:
+                rows, columns = nonzeros.row_ids(), nonzeros.columns
+            dense, self.sparse = _kernel(np.bincount(columns, minlength=d), n, d)
         if not self.sparse:
+            self.X = X if nonzeros is None else nonzeros.toarray()
             return
         self.dense_columns = np.flatnonzero(dense)
-        self.dense = X[:, self.dense_columns]
+        sparse = ~dense[columns]
         self.rows, self.columns = rows[sparse], columns[sparse]
-        self.values = X[self.rows, self.columns].astype(np.float64, copy=False)
+        if nonzeros is None:
+            self.dense = X[:, self.dense_columns]
+            self.values = X[self.rows, self.columns].astype(np.float64, copy=False)
+            return
+        self.dense = np.zeros((len(self.dense_columns), n)).T
+        block_column = np.cumsum(dense) - 1
+        self.dense[rows[~sparse], block_column[columns[~sparse]]] = nonzeros.values[~sparse]
+        self.values = nonzeros.values[sparse]
 
     def dot(self, v: np.ndarray) -> np.ndarray:
         if not self.sparse:
@@ -450,10 +468,18 @@ def fit_multilabel_grid(
 
     Model j is the one ``fit_multilabel`` fits under ``points[j]``. Each
     label is SMOTE-balanced once for all points, since balancing depends on
-    ``smote_k`` and the seed but not on ``C`` or ``fit_bias``. The labels'
-    balanced matrices are built in turn in one buffer, so one is held at a
-    time and its pages are reused; a fresh matrix per label, freed before
-    the next, took four times the page faults of a study ``train``.
+    ``smote_k`` and the seed but not on ``C`` or ``fit_bias``.
+
+    When X's word columns take the bincount products, X's nonzeros are read
+    once, and each label's balanced view is built from them as nonzeros
+    (:func:`_balanced_rows`), which the design takes as they are: no dense
+    balanced matrix is built or scanned. Otherwise, as on narrow
+    vocabularies, the products are BLAS calls on a dense balanced matrix,
+    and the labels' matrices are built in turn in one buffer, so one is
+    held at a time and its pages are reused; a fresh matrix per label, freed
+    before the next, took four times the page faults of a study ``train``.
+    Either way the design applies its own rule to what it gets, so the
+    route changes only the time taken.
     """
     n = data.X.shape[0]
     if n == 0:
@@ -461,9 +487,15 @@ def fit_multilabel_grid(
     if len(data.label_sets) != n:
         raise ValueError("label_sets length does not match the design matrix")
 
+    X = np.asarray(data.X, dtype=np.float64)
+    d = X.shape[1]
+    # X's rule implies n * d, and so each balanced view's size, is above the overhead
+    if _kernel(np.count_nonzero(X, axis=0), n, d)[1]:
+        nonzeros, buffer = SparseRows.of(X), None
+    else:
+        nonzeros, buffer = None, np.empty((2 * n, d))  # holds any label's n + |need| rows
     fits: dict[str, list[BinaryClassifier]] = {}
     skipped: list[SkippedLabel] = []
-    buffer = np.empty((2 * n, data.X.shape[1]))  # holds any label's n + |need| rows
     for name in data.catalog.labels:
         member = np.array([name in ls for ls in data.label_sets])
         n_pos = int(member.sum())
@@ -472,8 +504,16 @@ def fit_multilabel_grid(
         elif n_pos == n:
             skipped.append(SkippedLabel(name, "no negative training examples"))
         else:
-            fits[name] = _fit_label(data.X, member, points, config.smote_k,
-                                    derive_seed(config.seed, name), name, buffer)
+            seed = derive_seed(config.seed, name)
+            balanced = (_balanced_matrix(X, member, config.smote_k, seed, buffer)
+                        if nonzeros is None else
+                        _balanced_rows(X, nonzeros, member, config.smote_k, seed))
+            # smote_balance's layout: positives, then negatives, each side's
+            # synthetic rows after its real ones
+            y = np.zeros(balanced.shape[0])
+            y[: max(n_pos, n - n_pos)] = 1.0
+            design = _Design(balanced)  # one operator for every point
+            fits[name] = [_newton_fit(design, y, point, name)[0] for point in points]
     return [
         MultiLabelModel(
             classifiers={name: fitted[j] for name, fitted in fits.items()},
@@ -487,16 +527,13 @@ def fit_multilabel_grid(
     ]
 
 
-def _fit_label(
-    X: np.ndarray, member: np.ndarray, points: Sequence[Hyperparams], smote_k: int, seed: int,
-    name: str, buffer: np.ndarray,
-) -> list[BinaryClassifier]:
-    """One label's classifier per point, all fit on its one SMOTE-balanced
-    view of X, which is built in the leading rows of buffer."""
+def _balanced_matrix(
+    X: np.ndarray, member: np.ndarray, smote_k: int, seed: int, buffer: np.ndarray
+) -> np.ndarray:
+    """One label's SMOTE-balanced view of X, built in the leading rows of
+    buffer."""
     n, n_pos = len(member), int(member.sum())
     need = (n - n_pos) - n_pos
-    # smote_balance's layout: positives, then negatives, each side's
-    # synthetic rows after its real ones
     X_bal = buffer[: n + abs(need)]
     negatives = n_pos + max(need, 0)
     np.compress(member, X, axis=0, out=X_bal[:n_pos])
@@ -505,10 +542,22 @@ def _fit_label(
         X_bal[n_pos:negatives] = oversample(X_bal[:n_pos], need, smote_k, seed)
     else:
         X_bal[n:] = oversample(X_bal[n_pos:n], -need, smote_k, seed)
-    y_bal = np.zeros(len(X_bal))
-    y_bal[:negatives] = 1.0
-    design = _Design(X_bal)  # one nonzero scan for every point
-    return [_newton_fit(design, y_bal, point, name)[0] for point in points]
+    return X_bal
+
+
+def _balanced_rows(
+    X: np.ndarray, nonzeros: SparseRows, member: np.ndarray, smote_k: int, seed: int
+) -> SparseRows:
+    """The nonzeros of :func:`_balanced_matrix`, from those of X. SMOTE's
+    neighbors are searched for in the minority's dense rows, as there."""
+    positives, negatives = np.flatnonzero(member), np.flatnonzero(~member)
+    need = len(negatives) - len(positives)
+    pos_rows, neg_rows = nonzeros.take(positives), nonzeros.take(negatives)
+    if need > 0:
+        synthetic = oversample_rows(X[positives], pos_rows, need, smote_k, seed)
+        return SparseRows.stack([pos_rows, synthetic, neg_rows])
+    synthetic = oversample_rows(X[negatives], neg_rows, -need, smote_k, seed)
+    return SparseRows.stack([pos_rows, neg_rows, synthetic])
 
 
 # padded word ids per score_rows block: 2**16 ids gather 5.8 MB at 11 labels

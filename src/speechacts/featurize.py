@@ -177,15 +177,26 @@ class ScalingParams:
 
 
 def fit_scaling(features: Sequence[ShallowFeatures]) -> ScalingParams:
-    """Mean and population std over training shallow features (never test ones)."""
+    """Mean and population std over training shallow features (never test ones).
+
+    A feature whose mean or std is not a finite float (timestamps near the
+    float limit, say) is a ValueError naming it.
+    """
     if not features:
         raise ValueError("cannot fit scaling on an empty training set")
     cols = list(zip(*(f.as_tuple() for f in features)))
     means = tuple(sum(c) / len(c) for c in cols)
-    stds = tuple(
-        math.sqrt(sum((v - m) ** 2 for v in c) / len(c)) for c, m in zip(cols, means)
-    )
-    return ScalingParams(means=means, stds=stds)
+    stds = []
+    for name, c, m in zip(SHALLOW_NAMES, cols, means):
+        try:
+            std = math.sqrt(sum((v - m) ** 2 for v in c) / len(c))
+        except OverflowError:  # a float ** 2 past the float limit raises
+            std = math.inf
+        if not (math.isfinite(m) and math.isfinite(std)):
+            raise ValueError(f"cannot scale shallow feature {name}: its training mean or "
+                             "standard deviation is not finite")
+        stds.append(std)
+    return ScalingParams(means=means, stds=tuple(stds))
 
 
 def turn_row(

@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from speechacts import classifier as classifier_mod
-from speechacts.balance import DenseExample, derive_seed, smote_balance
+from speechacts.balance import DenseExample, SparseRows, derive_seed, oversample, smote_balance
 from speechacts.classifier import (
     BinaryClassifier,
     ModelCorruptError,
@@ -229,6 +229,46 @@ class TestDesign:
         if sparse:  # the three Gaussian columns form the dense block
             assert design.dense_columns.tolist() == [d - 3, d - 2, d - 1]
             assert len(design.values) == np.count_nonzero(X[:, : d - 3])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 500),
+        d=st.integers(1, 500),
+        share=st.sampled_from([0.0, 0.01, 0.02, 0.1, 0.6]),
+        n_dense=st.integers(0, 3),
+        empty_rows=st.sampled_from([0.0, 0.3]),
+    )
+    # a study CV fold, and sizes either side of n * d == _PRODUCT_OVERHEAD
+    @example(seed=1, n=380, d=540, share=0.02, n_dense=3, empty_rows=0.0)
+    @example(seed=2, n=200, d=200, share=0.0, n_dense=3, empty_rows=0.3)
+    @example(seed=3, n=201, d=203, share=0.0, n_dense=3, empty_rows=0.0)
+    def test_entries_build_the_dense_operator(self, seed, n, d, share, n_dense, empty_rows):
+        rng = np.random.default_rng(seed)
+        # word entries 1 or an interpolated fraction, as in balanced rows
+        words = np.where(rng.random((n, d)) < 0.5, 1.0, rng.random((n, d)))
+        X = np.where(rng.random((n, d)) < share, words, 0.0)
+        X[:, d - min(n_dense, d):] = rng.normal(size=(n, min(n_dense, d)))
+        X[rng.random(n) < empty_rows] = 0.0
+        from_dense = classifier_mod._Design(X)
+        from_entries = classifier_mod._Design(SparseRows.of(X))
+        assert from_entries.shape == from_dense.shape == (n, d)
+        assert from_entries.sparse is from_dense.sparse
+        if not from_dense.sparse:
+            assert from_entries.X.flags.c_contiguous
+            assert from_entries.X.tobytes() == from_dense.X.tobytes()
+            return
+        assert from_entries.dense_columns.tobytes() == from_dense.dense_columns.tobytes()
+        # the dense block's memory order sets the summation order of its BLAS calls
+        assert from_entries.dense.strides == from_dense.dense.strides
+        assert from_entries.dense.dtype == from_dense.dense.dtype
+        assert from_entries.dense.tobytes("A") == from_dense.dense.tobytes("A")
+        for field in ("rows", "columns", "values"):
+            got, want = getattr(from_entries, field), getattr(from_dense, field)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
+        v, r = rng.normal(size=d), rng.normal(size=n)
+        assert from_entries.dot(v).tobytes() == from_dense.dot(v).tobytes()
+        assert from_entries.tdot(r).tobytes() == from_dense.tdot(r).tobytes()
 
 
 class TestFitBinary:
@@ -637,6 +677,162 @@ class TestFitMultilabel:
         data.label_sets = []
         with pytest.raises(ValueError):
             fit_multilabel(data, RunConfig())
+
+
+# classifier._fit_label as it was before each label's balanced view was built
+# from X's nonzeros, kept verbatim as the oracle of that route: a dense
+# balanced matrix, interpolated by oversample and scanned by _Design.
+
+
+def reference_fit_label(X, member, points, smote_k, seed, name, buffer):
+    n, n_pos = len(member), int(member.sum())
+    need = (n - n_pos) - n_pos
+    # smote_balance's layout: positives, then negatives, each side's
+    # synthetic rows after its real ones
+    X_bal = buffer[: n + abs(need)]
+    negatives = n_pos + max(need, 0)
+    np.compress(member, X, axis=0, out=X_bal[:n_pos])
+    np.compress(~member, X, axis=0, out=X_bal[negatives : negatives + n - n_pos])
+    if need > 0:
+        X_bal[n_pos:negatives] = oversample(X_bal[:n_pos], need, smote_k, seed)
+    else:
+        X_bal[n:] = oversample(X_bal[n_pos:n], -need, smote_k, seed)
+    y_bal = np.zeros(len(X_bal))
+    y_bal[:negatives] = 1.0
+    design = classifier_mod._Design(X_bal)  # one nonzero scan for every point
+    return [classifier_mod._newton_fit(design, y_bal, point, name)[0] for point in points]
+
+
+def reference_fit_multilabel_grid(data, config, points):
+    n = data.X.shape[0]
+    fits = {}
+    skipped = []
+    buffer = np.empty((2 * n, data.X.shape[1]))  # holds any label's n + |need| rows
+    for name in data.catalog.labels:
+        member = np.array([name in ls for ls in data.label_sets])
+        n_pos = int(member.sum())
+        if n_pos == 0:
+            skipped.append(classifier_mod.SkippedLabel(name, "no positive training examples"))
+        elif n_pos == n:
+            skipped.append(classifier_mod.SkippedLabel(name, "no negative training examples"))
+        else:
+            fits[name] = reference_fit_label(data.X, member, points, config.smote_k,
+                                             derive_seed(config.seed, name), name, buffer)
+    return [
+        MultiLabelModel(
+            classifiers={name: fitted[j] for name, fitted in fits.items()},
+            vocabulary=data.vocabulary,
+            scaling=data.scaling,
+            catalog=data.catalog,
+            skipped=list(skipped),
+            config=dataclasses.replace(config, hyperparams=point),
+        )
+        for j, point in enumerate(points)
+    ]
+
+
+def shaped_training_data(n, d, share, positives, seed=0):
+    """Word columns at the given share of nonzeros and three shallow
+    columns; label j is on positives[j] rows, drawn at random."""
+    rng = np.random.default_rng(seed)
+    X = word_matrix(rng, n, d, share)
+    labels = [f"l{j}" for j in range(len(positives))]
+    on = [set(rng.choice(n, count, replace=False).tolist()) for count in positives]
+    label_sets = [frozenset(name for name, rows in zip(labels, on) if i in rows) for i in range(n)]
+    return TrainingData(X=X, label_sets=label_sets, catalog=LabelCatalog(labels=tuple(labels)),
+                        vocabulary=Vocabulary.from_tokens([f"w{j}" for j in range(d - 3)]),
+                        scaling=ScalingParams((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)))
+
+
+class ZeroEveryOtherWeight:
+    """A generator whose interpolation weights are 0.0 at every even draw."""
+
+    def __init__(self, seed, default_rng=np.random.default_rng):
+        self.rng = default_rng(seed)
+
+    def integers(self, *args):
+        return self.rng.integers(*args)
+
+    def random(self, size):
+        r = self.rng.random(size)
+        r[::2] = 0.0
+        return r
+
+
+class TestBalancedRowsOracle:
+    """Models fit on balanced views built from X's nonzeros are byte for
+    byte those of the dense balanced matrices, whichever route a fit takes."""
+
+    POINTS = [Hyperparams(C=1.0), Hyperparams(C=0.1, fit_bias=False)]
+
+    def fit_both(self, data, monkeypatch, config=RunConfig(seed=3)):
+        built = []
+
+        class Spy(classifier_mod._Design):
+            def __init__(self, X):
+                super().__init__(X)
+                built.append((isinstance(X, SparseRows), self))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(classifier_mod, "_Design", Spy)
+            models = fit_multilabel_grid(data, config, self.POINTS)
+        reference = reference_fit_multilabel_grid(data, config, self.POINTS)
+        for got, want in zip(models, reference, strict=True):
+            assert model_to_document(got) == model_to_document(want)
+        # and each label's nonzeros are those the dense route scans
+        X = data.X.astype(np.float64)
+        nonzeros = SparseRows.of(X)
+        buffer = np.empty((2 * len(X), X.shape[1]))
+        for name in data.catalog.labels:
+            member = np.array([name in ls for ls in data.label_sets])
+            if 0 < member.sum() < len(member):
+                seed = derive_seed(config.seed, name)
+                got = classifier_mod._balanced_rows(X, nonzeros, member, config.smote_k, seed)
+                want = SparseRows.of(
+                    classifier_mod._balanced_matrix(X, member, config.smote_k, seed, buffer))
+                assert got.shape == want.shape
+                for field in ("indptr", "columns", "values"):
+                    assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+        return built
+
+    def test_study_shaped_fold_takes_the_entries(self, monkeypatch):
+        data = shaped_training_data(380, 540, 0.02, [4, 15, 40, 60, 90, 120, 185])
+        built = self.fit_both(data, monkeypatch)
+        assert len(built) == 7 and all(entries and design.sparse for entries, design in built)
+
+    def test_narrow_fold_keeps_the_dense_matrix(self, monkeypatch):
+        data = shaped_training_data(400, 111, 0.10, [30, 70, 140])
+        built = self.fit_both(data, monkeypatch)
+        assert len(built) == 3 and not any(entries or design.sparse for entries, design in built)
+
+    def test_negatives_as_the_minority(self, monkeypatch):
+        data = shaped_training_data(380, 540, 0.02, [250, 300, 379])
+        built = self.fit_both(data, monkeypatch)
+        assert len(built) == 3 and all(entries for entries, _ in built)
+
+    def test_one_row_minority(self, monkeypatch):
+        data = shaped_training_data(380, 540, 0.02, [1, 379])
+        built = self.fit_both(data, monkeypatch)
+        assert len(built) == 2 and all(entries for entries, _ in built)
+
+    def test_zero_interpolation_weight(self, monkeypatch):
+        data = shaped_training_data(380, 540, 0.02, [20, 100, 300])
+        monkeypatch.setattr(np.random, "default_rng", ZeroEveryOtherWeight)
+        assert np.random.default_rng(0).random(3)[0] == 0.0
+        built = self.fit_both(data, monkeypatch)
+        assert len(built) == 3 and all(entries for entries, _ in built)
+
+    def test_word_column_dense_in_the_balanced_rows(self, monkeypatch):
+        data = shaped_training_data(380, 540, 0.02, [60])
+        # a word on every positive and on a sixth of the negatives: under
+        # half of X's rows, over half of the balanced rows
+        member = np.array(["l0" in ls for ls in data.label_sets])
+        data.X[:, 7] = member | (np.arange(380) % 6 == 0)
+        assert 2 * np.count_nonzero(data.X[:, 7]) < 380
+        built = self.fit_both(data, monkeypatch)
+        [(entries, design)] = built
+        assert entries and design.sparse
+        assert design.dense_columns.tolist() == [7, 537, 538, 539]
 
 
 def zero_model(labels=("a", "b"), threshold=0.5):

@@ -783,6 +783,22 @@ class TestErrorBoundary:
         assert isinstance(result.exception, SystemExit)
         assert result.stderr == "error: cannot build this corpus\n"
 
+    @pytest.mark.parametrize("command", [["train", "--output", "m.json"], ["evaluate"]])
+    def test_timestamps_near_the_float_limit_exit_1(self, runner, tiny_corpus, tmp_path, command):
+        transcript, catalog = tiny_corpus
+        lines = Path(transcript).read_text().splitlines()
+        last = json.loads(lines[-2])  # the last participant turn
+        lines[-2] = json.dumps({**last, "timestamp_s": 1.5e308})
+        lines[-1] = json.dumps({**json.loads(lines[-1]), "timestamp_s": 1.5e308})
+        big = write_lines(tmp_path / "big.jsonl", lines)
+        assert runner.invoke(main, ["--catalog", catalog, "validate", big]).exit_code == 0
+        result = runner.invoke(main, ["--catalog", catalog, command[0], big,
+                                      *[str(tmp_path / a) if a.endswith(".json") else a
+                                        for a in command[1:]]])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: cannot scale shallow feature ppau_sf")
+
     def test_stratification_warning_is_one_line(self, runner, tmp_path):
         catalog = write_catalog(tmp_path / "catalog.json", ["a", "b", "c"])
         label_sets = ["b", "c", "abc", "ac", "b", "a", "a", "c", "b"]

@@ -264,6 +264,13 @@ class TestScaling:
         with pytest.raises(ValueError):
             fit_scaling([])
 
+    @pytest.mark.parametrize("ppau", [[0.0, 1.5e308], [1.5e308, 1.5e308], [0.0, float("inf")]])
+    def test_non_finite_statistic_names_the_feature(self, ppau):
+        # a deviation squared past the float limit raised OverflowError
+        feats = [ShallowFeatures(1.0, 2, p) for p in ppau]
+        with pytest.raises(ValueError, match="ppau_sf"):
+            fit_scaling(feats)
+
 
 class TestVectorize:
     def test_presence_not_counts(self):
