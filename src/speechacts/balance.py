@@ -23,10 +23,11 @@ The draws are three vectorized calls on one generator seeded per call: the
 start rows, the picks among each start's neighbors, and the interpolation
 weights. All rows are interpolated in one expression whose arithmetic per
 element is :func:`synthesize`'s, so each synthetic row is bitwise what
-:func:`synthesize` gives for its draws. :func:`oversample_rows` gives the
-same rows as their nonzeros, for a fit that holds its matrix as
-:class:`SparseRows`: the same draws, and each row's values computed only on
-the columns where its two endpoints are not both zero.
+:func:`synthesize` gives for its draws. :func:`oversample_rows` does the
+same for a fit that holds its matrix as :class:`SparseRows`, from the
+minority's nonzeros alone: the same draws, from the dense rows they make,
+and each row's values computed only on the columns where its two endpoints
+are not both zero.
 """
 
 from __future__ import annotations
@@ -223,11 +224,9 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
     return indptr
 
 
-def oversample_rows(minority: np.ndarray, rows: SparseRows, need: int, k: int = 5,
-                    seed: int = 0) -> SparseRows:
-    """The nonzeros of ``oversample(minority, need, k, seed)``, given
-    ``rows``, those of minority: the same draws from the same neighbors,
-    which are searched for in the dense rows.
+def oversample_rows(rows: SparseRows, need: int, k: int = 5, seed: int = 0) -> SparseRows:
+    """The nonzeros of ``oversample(rows.toarray(), need, k, seed)``: the
+    same draws from the same neighbors, searched for in those dense rows.
 
     A synthetic row lives on the union of the supports of its start row x
     and its neighbor nb, where it takes x + r * (nb - x), the IEEE
@@ -235,9 +234,9 @@ def oversample_rows(minority: np.ndarray, rows: SparseRows, need: int, k: int = 
     lacks. Values that come out exactly 0 (r = 0.0 can be drawn) are left
     out.
     """
-    if minority.shape[0] == 1 or need == 0:
+    if rows.shape[0] == 1 or need == 0:
         return rows.take(np.zeros(need, dtype=np.intp))
-    starts, neighbors, r = _draws(minority, need, k, seed)
+    starts, neighbors, r = _draws(rows.toarray(), need, k, seed)
     x, nb = rows.take(starts), rows.take(neighbors)
     # an entry's key orders it by synthetic row, then column
     d = rows.shape[1]

@@ -96,40 +96,34 @@ class _Design:
     """The design matrix X as the Newton solver multiplies by it, the only
     code that does: ``dot(v)`` is X @ v and ``tdot(r)`` is X.T @ r.
 
-    X comes dense or as its :class:`~speechacts.balance.SparseRows`.
-    Columns nonzero in more than half the rows (the shallow features) form a
-    dense block, in the Fortran order ``X[:, dense_columns]`` has. When the
-    other columns are sparse enough to pay (see _NONZERO_COST), their
-    products run over the nonzeros' row, column and value arrays with
-    np.bincount, LIBLINEAR's sparse rows: each row's terms sum in column
-    order and each column's in row order, and the dense block's BLAS product
-    is added. Otherwise both products are the dense X's own BLAS calls, bit
-    for bit. Both forms of one matrix therefore give the same products, but
-    for the sign of an exact zero where X holds a -0.0.
+    X comes dense or as its :class:`~speechacts.balance.SparseRows`. Columns
+    nonzero in more than half the rows (the shallow features) form a dense
+    block, held in Fortran order. When the other columns are sparse enough
+    to pay (see _NONZERO_COST), their products run over the nonzeros' row,
+    column and value arrays with np.bincount, LIBLINEAR's sparse rows: each
+    row's terms sum in column order and each column's in row order, and the
+    dense block's BLAS product is added. That operator is built only from
+    X's nonzeros, which a dense X is read into when it takes the bincount
+    products, so both forms of one matrix build the same one. Otherwise both
+    products are the dense X's own BLAS calls, bit for bit.
     """
 
     def __init__(self, X: np.ndarray | SparseRows):
         self.shape = n, d = X.shape
-        nonzeros = X if isinstance(X, SparseRows) else None
         # below this size the cost rule cannot pick sparse, so skip the scan
         self.sparse = False
         if n * d > _PRODUCT_OVERHEAD:
-            if nonzeros is None:
-                # nonzero of the flat mask: numpy's 2-D nonzero took 9x as long
-                rows, columns = np.divmod(np.flatnonzero(X != 0), d)
-            else:
-                rows, columns = nonzeros.row_ids(), nonzeros.columns
+            # nonzero of the flat mask: numpy's 2-D nonzero took 9x as long
+            columns = X.columns if isinstance(X, SparseRows) else np.flatnonzero(X != 0) % d
             dense, self.sparse = _kernel(np.bincount(columns, minlength=d), n, d)
         if not self.sparse:
-            self.X = X if nonzeros is None else nonzeros.toarray()
+            self.X = X.toarray() if isinstance(X, SparseRows) else X
             return
+        nonzeros = X if isinstance(X, SparseRows) else SparseRows.of(X)
+        rows, columns = nonzeros.row_ids(), nonzeros.columns
         self.dense_columns = np.flatnonzero(dense)
         sparse = ~dense[columns]
         self.rows, self.columns = rows[sparse], columns[sparse]
-        if nonzeros is None:
-            self.dense = X[:, self.dense_columns]
-            self.values = X[self.rows, self.columns].astype(np.float64, copy=False)
-            return
         self.dense = np.zeros((len(self.dense_columns), n)).T
         block_column = np.cumsum(dense) - 1
         self.dense[rows[~sparse], block_column[columns[~sparse]]] = nonzeros.values[~sparse]
@@ -283,34 +277,15 @@ def _newton_direction(
     return d_w, d_b
 
 
-def fit_binary_with_trace(
-    X: np.ndarray,
-    y: np.ndarray,
-    hyperparams: Hyperparams = Hyperparams(),
-    label: str = "",
-) -> tuple[BinaryClassifier, list[float]]:
-    """Like :func:`fit_binary`, also returning the loss at the start and
-    after each Newton step."""
-    y = np.asarray(y, dtype=np.float64)
-    if X.shape[0] != y.shape[0]:
-        raise ValueError(f"dimension mismatch: {X.shape[0]} examples vs {y.shape[0]} targets")
-    zeros, ones = np.count_nonzero(y == 0.0), np.count_nonzero(y == 1.0)
-    if not zeros or not ones or zeros + ones != y.size:
-        present = sorted(set(np.unique(y).tolist()))
-        raise ValueError(f"targets must be 0 and 1, both present, got {present}")
-    return _newton_fit(_Design(X), y, hyperparams, label)
-
-
 def _newton_fit(
     design: _Design, y: np.ndarray, hyperparams: Hyperparams, label: str
-) -> tuple[BinaryClassifier, list[float]]:
-    """:func:`fit_binary_with_trace` on a built operator and checked float
-    targets, so that fits on one matrix share one operator."""
+) -> BinaryClassifier:
+    """:func:`fit_binary` on a built operator and checked float targets, so
+    that fits on one matrix share one operator."""
     C, fit_bias = hyperparams.C, hyperparams.fit_bias
     w = np.zeros(design.shape[1], dtype=np.float64)
     b = 0.0
     loss, grad_w, grad_b, p = _loss_terms(design, w, b, y, C)
-    losses = [loss]
     iterations = 0
     while True:
         if not fit_bias:
@@ -334,9 +309,8 @@ def _newton_fit(
         if accepted is None:  # no decrease left that floating point can see
             break
         w, b, (loss, grad_w, grad_b, p) = accepted
-        losses.append(loss)
         iterations += 1
-    classifier = BinaryClassifier(
+    return BinaryClassifier(
         weights=w,
         bias=b,
         hyperparams=hyperparams,
@@ -346,7 +320,6 @@ def _newton_fit(
         grad_norm=grad_norm,
         converged=grad_norm <= hyperparams.tolerance,
     )
-    return classifier, losses
 
 
 def fit_binary(
@@ -365,7 +338,14 @@ def fit_binary(
     tolerance, or after max_iterations Newton steps; the classifier records
     which. Deterministic; the seed is unused.
     """
-    return fit_binary_with_trace(X, y, hyperparams, label)[0]
+    y = np.asarray(y, dtype=np.float64)
+    if X.shape[0] != y.shape[0]:
+        raise ValueError(f"dimension mismatch: {X.shape[0]} examples vs {y.shape[0]} targets")
+    zeros, ones = np.count_nonzero(y == 0.0), np.count_nonzero(y == 1.0)
+    if not zeros or not ones or zeros + ones != y.size:
+        present = sorted(set(np.unique(y).tolist()))
+        raise ValueError(f"targets must be 0 and 1, both present, got {present}")
+    return _newton_fit(_Design(X), y, hyperparams, label)
 
 
 @dataclass
@@ -478,8 +458,9 @@ def fit_multilabel_grid(
     and the labels' matrices are built in turn in one buffer, so one is
     held at a time and its pages are reused; a fresh matrix per label, freed
     before the next, took four times the page faults of a study ``train``.
-    Either way the design applies its own rule to what it gets, so the
-    route changes only the time taken.
+    Either way the design applies its own rule to what it gets, and builds
+    the same operator from both forms of one matrix, so the route changes
+    only the time taken.
     """
     n = data.X.shape[0]
     if n == 0:
@@ -507,13 +488,13 @@ def fit_multilabel_grid(
             seed = derive_seed(config.seed, name)
             balanced = (_balanced_matrix(X, member, config.smote_k, seed, buffer)
                         if nonzeros is None else
-                        _balanced_rows(X, nonzeros, member, config.smote_k, seed))
+                        _balanced_rows(nonzeros, member, config.smote_k, seed))
             # smote_balance's layout: positives, then negatives, each side's
             # synthetic rows after its real ones
             y = np.zeros(balanced.shape[0])
             y[: max(n_pos, n - n_pos)] = 1.0
             design = _Design(balanced)  # one operator for every point
-            fits[name] = [_newton_fit(design, y, point, name)[0] for point in points]
+            fits[name] = [_newton_fit(design, y, point, name) for point in points]
     return [
         MultiLabelModel(
             classifiers={name: fitted[j] for name, fitted in fits.items()},
@@ -546,17 +527,16 @@ def _balanced_matrix(
 
 
 def _balanced_rows(
-    X: np.ndarray, nonzeros: SparseRows, member: np.ndarray, smote_k: int, seed: int
+    nonzeros: SparseRows, member: np.ndarray, smote_k: int, seed: int
 ) -> SparseRows:
-    """The nonzeros of :func:`_balanced_matrix`, from those of X. SMOTE's
-    neighbors are searched for in the minority's dense rows, as there."""
+    """The nonzeros of :func:`_balanced_matrix`, from those of X."""
     positives, negatives = np.flatnonzero(member), np.flatnonzero(~member)
     need = len(negatives) - len(positives)
     pos_rows, neg_rows = nonzeros.take(positives), nonzeros.take(negatives)
     if need > 0:
-        synthetic = oversample_rows(X[positives], pos_rows, need, smote_k, seed)
+        synthetic = oversample_rows(pos_rows, need, smote_k, seed)
         return SparseRows.stack([pos_rows, synthetic, neg_rows])
-    synthetic = oversample_rows(X[negatives], neg_rows, -need, smote_k, seed)
+    synthetic = oversample_rows(neg_rows, -need, smote_k, seed)
     return SparseRows.stack([pos_rows, neg_rows, synthetic])
 
 

@@ -38,6 +38,8 @@ class TranscriptError(ValueError):
 
 
 TIMESTAMP_ERROR = "timestamp_s must be a finite number >= 0"
+# longest conversation_id, in characters: serve keeps one per session as its key
+MAX_CONVERSATION_ID = 256
 
 
 class _NotANumber(ValueError):
@@ -176,6 +178,8 @@ def turn_fields(record: dict) -> tuple[str, str, float, str]:
     cid = record.get("conversation_id")
     if not isinstance(cid, str) or not cid:
         raise ValueError("conversation_id must be a non-empty string")
+    if len(cid) > MAX_CONVERSATION_ID:
+        raise ValueError(f"conversation_id longer than {MAX_CONVERSATION_ID} characters")
     speaker = record.get("speaker")
     if speaker not in SPEAKERS:
         raise ValueError(f"unknown speaker {_quoted(speaker)}")

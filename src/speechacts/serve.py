@@ -12,7 +12,8 @@ connections are served at once, and one more gets one {error} line and is
 closed; so is a connection silent for ``IDLE_TIMEOUT_S``, and one the client
 drops ends without a word.
 
-Sessions are keyed by conversation_id. Each is a constant-size
+Sessions are keyed by conversation_id, of at most 256 characters (a longer
+one is an {error}). Each is a constant-size
 ``ContextState``: running word-count sums and turn counts per speaker and in
 total, and the last timestamp, which is all the causal shallow features
 need. Batch prediction advances the same state, so the same request stream
@@ -41,8 +42,9 @@ from .reports import prediction_record
 MAX_LINE_BYTES = 1 << 20
 _LINE_TOO_LONG = encode_record({"error": f"request line longer than {MAX_LINE_BYTES} bytes"})
 _NOT_UTF8 = encode_record({"error": "request is not valid UTF-8"})
-# live conversations held: a two-speaker session takes about 830 B (tracemalloc),
-# so the table stays near 3.4 MB at the cap
+# live conversations held: a two-speaker session, its id of at most 256
+# characters included, takes 0.9 KB (ASCII id) to 1.7 KB (4-byte characters)
+# by tracemalloc, so the table stays under 7 MB at the cap
 MAX_SESSIONS = 4096
 # open TCP connections served, one handler thread each; one more is refused
 MAX_CONNECTIONS = 64

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from speechacts.corpus import Conversation, LabelCatalog, Turn
@@ -31,3 +32,18 @@ def record_line(cid, idx, speaker, ts, text, labels=(), **extra):
     }
     rec.update(extra)
     return json.dumps(rec)
+
+
+class ZeroEveryOtherWeight:
+    """A generator whose interpolation weights are 0.0 at every even draw."""
+
+    def __init__(self, seed, default_rng=np.random.default_rng):
+        self.rng = default_rng(seed)
+
+    def integers(self, *args):
+        return self.rng.integers(*args)
+
+    def random(self, size):
+        r = self.rng.random(size)
+        r[::2] = 0.0
+        return r

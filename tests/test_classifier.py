@@ -21,7 +21,6 @@ from speechacts.classifier import (
     MultiLabelModel,
     TrainingData,
     fit_binary,
-    fit_binary_with_trace,
     fit_multilabel,
     fit_multilabel_grid,
     load_model,
@@ -58,7 +57,7 @@ from speechacts.featurize import (
 )
 from speechacts.synth import SynthSpec, synth_catalog, synth_corpus
 
-from conftest import make_conversation
+from conftest import ZeroEveryOtherWeight, make_conversation
 
 
 def finite_difference_gradient(w, b, X, y, C, h=1e-5):
@@ -250,25 +249,61 @@ class TestDesign:
         X = np.where(rng.random((n, d)) < share, words, 0.0)
         X[:, d - min(n_dense, d):] = rng.normal(size=(n, min(n_dense, d)))
         X[rng.random(n) < empty_rows] = 0.0
-        from_dense = classifier_mod._Design(X)
-        from_entries = classifier_mod._Design(SparseRows.of(X))
-        assert from_entries.shape == from_dense.shape == (n, d)
-        assert from_entries.sparse is from_dense.sparse
-        if not from_dense.sparse:
-            assert from_entries.X.flags.c_contiguous
-            assert from_entries.X.tobytes() == from_dense.X.tobytes()
+        want = ParentDenseDesign(X)
+        for got in (classifier_mod._Design(X), classifier_mod._Design(SparseRows.of(X))):
+            assert got.shape == want.shape == (n, d)
+            assert got.sparse is want.sparse
+            if not want.sparse:
+                assert got.X.flags.c_contiguous
+                assert got.X.tobytes() == want.X.tobytes()
+                continue
+            assert got.dense_columns.tobytes() == want.dense_columns.tobytes()
+            # the dense block's memory order sets the summation order of its BLAS calls
+            assert got.dense.strides == want.dense.strides
+            assert got.dense.dtype == want.dense.dtype
+            assert got.dense.tobytes("A") == want.dense.tobytes("A")
+            for field in ("rows", "columns", "values"):
+                got_field, want_field = getattr(got, field), getattr(want, field)
+                assert got_field.dtype == want_field.dtype, field
+                assert got_field.tobytes() == want_field.tobytes(), field
+            v, r = rng.normal(size=d), rng.normal(size=n)
+            assert got.dot(v).tobytes() == want.dot(v).tobytes()
+            assert got.tdot(r).tobytes() == want.tdot(r).tobytes()
+
+
+class ParentDenseDesign(classifier_mod._Design):
+    """_Design's build from a dense X as it was before the operator was
+    built only from nonzeros, kept verbatim as the oracle of that build:
+    the kernel from a scan of X != 0, the dense block gathered from X's
+    columns and the sparse values from X's entries."""
+
+    def __init__(self, X):
+        self.shape = n, d = X.shape
+        # below this size the cost rule cannot pick sparse, so skip the scan
+        self.sparse = False
+        if n * d > classifier_mod._PRODUCT_OVERHEAD:
+            # nonzero of the flat mask: numpy's 2-D nonzero took 9x as long
+            rows, columns = np.divmod(np.flatnonzero(X != 0), d)
+            dense, self.sparse = classifier_mod._kernel(np.bincount(columns, minlength=d), n, d)
+        if not self.sparse:
+            self.X = X
             return
-        assert from_entries.dense_columns.tobytes() == from_dense.dense_columns.tobytes()
-        # the dense block's memory order sets the summation order of its BLAS calls
-        assert from_entries.dense.strides == from_dense.dense.strides
-        assert from_entries.dense.dtype == from_dense.dense.dtype
-        assert from_entries.dense.tobytes("A") == from_dense.dense.tobytes("A")
-        for field in ("rows", "columns", "values"):
-            got, want = getattr(from_entries, field), getattr(from_dense, field)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
-        v, r = rng.normal(size=d), rng.normal(size=n)
-        assert from_entries.dot(v).tobytes() == from_dense.dot(v).tobytes()
-        assert from_entries.tdot(r).tobytes() == from_dense.tdot(r).tobytes()
+        self.dense_columns = np.flatnonzero(dense)
+        sparse = ~dense[columns]
+        self.rows, self.columns = rows[sparse], columns[sparse]
+        self.dense = X[:, self.dense_columns]
+        self.values = X[self.rows, self.columns].astype(np.float64, copy=False)
+
+
+def loss_trace(X, y, hyperparams, steps):
+    """The training loss at zero weights and after each of the first steps
+    Newton steps, each read from a fit capped at that many steps: the fit is
+    deterministic, so a capped fit stops on the same loss."""
+    start = loss_and_gradient(np.zeros(X.shape[1]), 0.0, X, y, hyperparams.C)[0]
+    return [start] + [
+        fit_binary(X, y, dataclasses.replace(hyperparams, max_iterations=k)).final_loss
+        for k in range(1, steps + 1)
+    ]
 
 
 class TestFitBinary:
@@ -305,8 +340,9 @@ class TestFitBinary:
         X = rng.normal(size=(40, 6)) * 3
         y = rng.integers(0, 2, size=40).astype(float)
         y[0], y[1] = 0.0, 1.0
-        clf, losses = fit_binary_with_trace(X, y, Hyperparams(max_iterations=200))
-        assert len(losses) == clf.iterations + 1 > 1
+        clf = fit_binary(X, y, Hyperparams(max_iterations=200))
+        assert clf.iterations > 0
+        losses = loss_trace(X, y, Hyperparams(max_iterations=200), clf.iterations)
         assert all(b <= a for a, b in zip(losses, losses[1:]))
         assert clf.final_loss == losses[-1]
 
@@ -326,11 +362,11 @@ class TestFitBinary:
 
     def test_diagnostics_of_a_converged_fit(self):
         X, y = self.separable()
-        clf, losses = fit_binary_with_trace(X, y, Hyperparams())
+        clf = fit_binary(X, y, Hyperparams())
         assert clf.converged
         assert 0 < clf.iterations < 50
         assert clf.grad_norm <= 1e-6
-        assert clf.final_loss == losses[-1] == loss_and_gradient(clf.weights, clf.bias, X, y, 1.0)[0]
+        assert clf.final_loss == loss_and_gradient(clf.weights, clf.bias, X, y, 1.0)[0]
 
     @pytest.mark.parametrize("fit_bias", [True, False])
     def test_sparse_kernel_fit_reaches_the_tolerance(self, fit_bias):
@@ -555,9 +591,10 @@ class TestNewtonOracle:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(classifier_mod, "_PRODUCT_OVERHEAD", -np.inf if sparse else np.inf)
             assert classifier_mod._Design(X).sparse is sparse
-            clf, losses = fit_binary_with_trace(X, y, hyperparams)
+            clf = fit_binary(X, y, hyperparams)
             (w, b, iterations, final_loss, grad_norm, converged), ref_losses = (
                 reference_newton_fit(X, y, hyperparams))
+            losses = loss_trace(X, y, hyperparams, iterations)
         assert clf.weights.tobytes() == w.tobytes()
         assert float_bytes(clf.bias) == float_bytes(b)
         assert clf.iterations == iterations
@@ -700,7 +737,7 @@ def reference_fit_label(X, member, points, smote_k, seed, name, buffer):
     y_bal = np.zeros(len(X_bal))
     y_bal[:negatives] = 1.0
     design = classifier_mod._Design(X_bal)  # one nonzero scan for every point
-    return [classifier_mod._newton_fit(design, y_bal, point, name)[0] for point in points]
+    return [classifier_mod._newton_fit(design, y_bal, point, name) for point in points]
 
 
 def reference_fit_multilabel_grid(data, config, points):
@@ -744,21 +781,6 @@ def shaped_training_data(n, d, share, positives, seed=0):
                         scaling=ScalingParams((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)))
 
 
-class ZeroEveryOtherWeight:
-    """A generator whose interpolation weights are 0.0 at every even draw."""
-
-    def __init__(self, seed, default_rng=np.random.default_rng):
-        self.rng = default_rng(seed)
-
-    def integers(self, *args):
-        return self.rng.integers(*args)
-
-    def random(self, size):
-        r = self.rng.random(size)
-        r[::2] = 0.0
-        return r
-
-
 class TestBalancedRowsOracle:
     """Models fit on balanced views built from X's nonzeros are byte for
     byte those of the dense balanced matrices, whichever route a fit takes."""
@@ -787,7 +809,7 @@ class TestBalancedRowsOracle:
             member = np.array([name in ls for ls in data.label_sets])
             if 0 < member.sum() < len(member):
                 seed = derive_seed(config.seed, name)
-                got = classifier_mod._balanced_rows(X, nonzeros, member, config.smote_k, seed)
+                got = classifier_mod._balanced_rows(nonzeros, member, config.smote_k, seed)
                 want = SparseRows.of(
                     classifier_mod._balanced_matrix(X, member, config.smote_k, seed, buffer))
                 assert got.shape == want.shape

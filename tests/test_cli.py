@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from speechacts.cli import main
+from speechacts.corpus import MAX_CONVERSATION_ID
 
 from conftest import record_line
 
@@ -138,12 +139,15 @@ class TestValidate:
 
     def test_huge_duplicate_id_error_is_bounded(self, runner, tmp_path):
         catalog = write_catalog(tmp_path / "catalog.json", ["qa"])
-        line = record_line("c" * 1_000_000, 0, "participant", 0.0, "x", ["qa"])
-        transcript = write_lines(tmp_path / "bad.jsonl", [line, line])
-        result = runner.invoke(main, ["--catalog", catalog, "validate", transcript])
-        assert result.exit_code == 1
-        assert result.stderr.startswith(f"error: {transcript}:2: duplicate turn")
-        assert len(result.stderr) - 2 * len(transcript) < 200
+        # the longest id a transcript may hold, then one far past it
+        for cid, error in [("c" * MAX_CONVERSATION_ID, ":2: duplicate turn"),
+                           ("c" * 1_000_000, ":1: conversation_id longer than 256")]:
+            line = record_line(cid, 0, "participant", 0.0, "x", ["qa"])
+            transcript = write_lines(tmp_path / "bad.jsonl", [line, line])
+            result = runner.invoke(main, ["--catalog", catalog, "validate", transcript])
+            assert result.exit_code == 1
+            assert result.stderr.startswith(f"error: {transcript}{error}")
+            assert len(result.stderr) - 2 * len(transcript) < 200
 
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_constant_in_extra_field_is_located_error(self, runner, tmp_path,

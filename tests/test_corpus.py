@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speechacts.corpus import (
+    MAX_CONVERSATION_ID,
     CatalogError,
     Conversation,
     LabelCatalog,
@@ -113,6 +114,15 @@ class TestParse:
         stream = io.StringIO(record_line("c1", 0, "participant", bad, "x", ["a"]))
         with pytest.raises(TranscriptError, match="timestamp"):
             parse_transcripts(stream, catalog_ab)
+
+    def test_conversation_id_past_the_cap_names_the_line(self, catalog_ab):
+        longest = "c" * MAX_CONVERSATION_ID
+        stream = io.StringIO(record_line(longest, 0, "participant", 0.0, "x", ["a"]) + "\n"
+                             + record_line(longest + "c", 0, "participant", 1.0, "y", ["a"]))
+        with pytest.raises(TranscriptError, match="conversation_id longer than 256") as err:
+            parse_transcripts(stream, catalog_ab, source="f.jsonl")
+        assert err.value.line_no == 2
+        assert str(err.value).startswith("f.jsonl:2: ")
 
     def test_missing_key_rejected(self, catalog_ab):
         rec = json.loads(record_line("c1", 0, "participant", 0.0, "x", ["a"]))

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,8 @@ from speechacts import serve
 from speechacts.classifier import predict_conversation, save_model, train_model
 from speechacts.cli import main
 from speechacts.config import RunConfig
-from speechacts.corpus import SPEAKERS, TIMESTAMP_ERROR, modeling_examples, serialize_transcripts
+from speechacts.corpus import (MAX_CONVERSATION_ID, SPEAKERS, TIMESTAMP_ERROR, modeling_examples,
+                               serialize_transcripts)
 from speechacts.featurize import SLEN_SCOPES, ContextState
 from speechacts.serve import MAX_LINE_BYTES, ServeEngine, ServeServer, serve_stream
 from speechacts.synth import SynthSpec, synth_catalog, synth_corpus
@@ -284,6 +286,16 @@ class TestEngine:
         expect = predict_conversation(model, conv)[0]
         assert got["probabilities"] == pytest.approx(expect.probabilities)
 
+    def test_conversation_id_past_the_cap_rejected(self, model):
+        engine = ServeEngine(model)
+        longest = "c" * MAX_CONVERSATION_ID
+        ok = strict_loads(engine.handle_line(request_line(longest, "participant", 1.0, "act0kw0")))
+        assert "labels" in ok
+        err = strict_loads(engine.handle_line(request_line(longest + "c", "participant", 2.0,
+                                                           "act0kw0")))
+        assert err == {"error": "conversation_id longer than 256 characters"}
+        assert list(engine._sessions) == [longest]
+
     def test_sessions_isolated(self, model):
         engine = ServeEngine(model)
         engine.handle_line(request_line("s1", "participant", 100.0, "act0kw0"))
@@ -387,6 +399,7 @@ class TestSessionTable:
         before = {cid: dict(vars(context)) for cid, context in engine._sessions.items()}
         for line in [request_line("d", "moderator", 5.0, "hi"), "{broken", "[1]",
                      request_line("e", "participant", float("nan"), "act0kw0"),
+                     request_line("g" * (MAX_CONVERSATION_ID + 1), "participant", 5.0, "act0kw0"),
                      json.dumps({"conversation_id": "f", "speaker": "participant",
                                  "timestamp_s": 5.0, "text": 7}),
                      request_line("c", "participant", 1.0, "backwards"),
@@ -411,6 +424,23 @@ class TestSessionTable:
         line = request_line("a", "participant", 13.0, "act2kw2")
         assert engine.handle_line(line) == ServeEngine(model).handle_line(line)
         assert list(engine._sessions) == ["c", "a"]
+
+    def test_full_table_of_the_longest_ids_is_bounded(self, model):
+        # ids of the longest length in 4-byte characters, the most a key holds
+        engine = ServeEngine(model)
+        lines = [request_line(f"{i:04d}" + "\U0001F600" * (MAX_CONVERSATION_ID - 4), speaker,
+                              1.0, "act0kw0 some words")
+                 for i in range(serve.MAX_SESSIONS) for speaker in SPEAKERS]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for line in lines:
+                engine.handle_line(line)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(engine._sessions) == serve.MAX_SESSIONS
+        assert held < 10 * 2**20
 
     def test_concurrent_requests_lose_no_update_and_keep_the_cap(self, model, monkeypatch):
         spec = SynthSpec(n_labels=3, turns_per_label=40, signal=1.0, seed=13,
