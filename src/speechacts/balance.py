@@ -12,12 +12,17 @@ Gram distances are fast but rounded differently from a direct norm, so they
 only shortlist: each row keeps the rows within a slack of its k-th Gram
 distance. The slack is twice a bound on the rounding error of both distance
 forms, ``O(d * eps * (|a|^2 + max |b|^2))`` plus an underflow term, which
-keeps every row the exact ranking would pick on the shortlist. A block's
-shortlisted pairs are then ranked in one stable sort, by row and then by the
-distance :func:`nearest_neighbors` computes (``norm(candidate - point)``,
-taken in chunks of gathered differences), so ties go to the lower index as
-before. The neighbor lists, tie order included, are therefore the same as a
-per-row scan over all other rows.
+keeps every row the exact ranking would pick on the shortlist. A row whose
+shortlist is exactly k rows, their Gram distances pairwise more than twice
+the slack apart, takes them in Gram order: gaps that wide leave the exact
+distances in the same strict order (see :func:`_neighborhoods`). On the
+bench corpora that is every row of a study ``evaluate`` and all but 39 of
+narrow's 5,684. The other rows' shortlisted pairs are ranked in one stable
+sort per block, by row and then by the distance :func:`nearest_neighbors`
+computes (``norm(candidate - point)``, taken in chunks of gathered
+differences), so ties go to the lower index as before. The neighbor lists,
+tie order included, are therefore the same as a per-row scan over all other
+rows.
 
 The draws are three vectorized calls on one generator seeded per call: the
 start rows, the picks among each start's neighbors, and the interpolation
@@ -102,7 +107,26 @@ def _pair_distances(values: np.ndarray, rows: np.ndarray, cands: np.ndarray) -> 
 def _neighborhoods(values: np.ndarray, k: int) -> np.ndarray:
     """Row ids of each row's k nearest other rows, one ``(m, k)`` row per
     row, as nearest_neighbors ranks them over all other rows; needs
-    1 <= k < len(values)."""
+    1 <= k < len(values).
+
+    Only the rows the Gram distances may order wrongly are re-ranked by
+    exact distance. Half the slack bounds how far a row's Gram squared
+    distance and its exact one (``norm``'s sum of squares, before the
+    square root) can differ, so the shortlist holds every row the exact
+    ranking picks, and a row whose shortlist holds exactly k rows picks
+    those. Say their sorted Gram distances are also pairwise more than a
+    margin of twice the slack apart. Then their exact squared distances
+    rise in the same order, each more than the slack above the one before.
+    Two correctly rounded square roots differ once their squares are more
+    than ``2 * eps`` times the larger apart, and the slack is far above
+    that: an exact squared distance is at most about
+    ``2 * (|a|^2 + max |b|^2)``, while the slack is at least
+    ``64 * eps`` times ``|a|^2 + max |b|^2``. So the exact distances
+    :func:`nearest_neighbors` sorts rise strictly in the Gram order, no
+    tie goes to the lower index, and the Gram order is the exact one. Every
+    other row, and any row with a NaN or infinite Gram gap, is ranked as
+    before, by its shortlisted exact distances.
+    """
     m, d = values.shape
     gram_rows = values.astype(np.float64, copy=False)  # the exact re-rank uses values as given
     sq = np.einsum("ij,ij->i", gram_rows, gram_rows)
@@ -121,15 +145,30 @@ def _neighborhoods(values: np.ndarray, k: int) -> np.ndarray:
         shortlist = ~(dist2 > (kth + slack[start:stop])[:, None])
         shortlist[block, start + block] = False
         rows, cands = np.nonzero(shortlist)
-        rows += start
+        # rows that shortlist exactly k rows, pairwise more than the margin apart
+        ordered = np.bincount(rows, minlength=len(block)) == k
+        near = cands[ordered[rows]].reshape(-1, k)
+        gram = dist2[np.flatnonzero(ordered)[:, None], near]
+        by_gram = np.argsort(gram, axis=1)
+        at = np.arange(len(near))[:, None]
+        near, gram = near[at, by_gram], gram[at, by_gram]
+        gaps = gram[:, 1:] - gram[:, :-1]
+        apart = ((gaps > 2.0 * slack[start:stop][ordered, None]) & (gaps < np.inf)).all(axis=1)
+        ordered[ordered] = apart
+        hoods[start:stop][ordered] = near[apart]
+        ranked = np.flatnonzero(~ordered)
+        if not len(ranked):
+            continue
+        keep = ~ordered[rows]
+        rows, cands = rows[keep] + start, cands[keep]
         dist = np.concatenate([
             _pair_distances(values, rows[lo:lo + pairs_per_chunk], cands[lo:lo + pairs_per_chunk])
             for lo in range(0, len(rows), pairs_per_chunk)
         ])
         # by row, then distance; the sort is stable, so ties keep the lower index
         order = np.lexsort((dist, rows))
-        first = np.searchsorted(rows, np.arange(start, stop))
-        hoods[start:stop] = cands[order[first[:, None] + np.arange(k)]]
+        first = np.searchsorted(rows, start + ranked)
+        hoods[start + ranked] = cands[order[first[:, None] + np.arange(k)]]
     return hoods
 
 

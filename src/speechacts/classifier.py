@@ -751,11 +751,16 @@ def _canonical(obj: dict) -> str:
 
 
 def model_to_document(model: MultiLabelModel) -> str:
-    """Serialize to the checksummed model-file document (byte-stable)."""
-    payload = _payload(model)
-    checksum = hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
-    doc = {"format_version": MODEL_FORMAT_VERSION, "checksum": checksum, "payload": payload}
-    return _canonical(doc) + "\n"
+    """Serialize to the checksummed model-file document (byte-stable).
+
+    The document is ``_canonical`` of ``{"format_version", "checksum",
+    "payload"}``. Its keys sort as checksum, format_version, payload, and a
+    nested value encodes as it does alone, so the payload is encoded once,
+    hashed and spliced in."""
+    payload = _canonical(_payload(model))
+    checksum = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return (f'{{"checksum":"{checksum}","format_version":{MODEL_FORMAT_VERSION},'
+            f'"payload":{payload}}}\n')
 
 
 def save_model(model: MultiLabelModel, path: Union[str, Path]) -> None:

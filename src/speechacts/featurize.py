@@ -233,10 +233,11 @@ def matrix_from_contexts(
     are: |vocabulary| word indicators then 3 scaled shallow features."""
     width = len(vocabulary) + N_SHALLOW
     X = np.zeros((len(contexts), width), dtype=np.float64)
-    for row, (tokens, shallow) in enumerate(contexts):
-        ids, scaled = turn_row(tokens, shallow, vocabulary, scaling)
-        X[row, ids] = 1.0
-        X[row, len(vocabulary):] = scaled
+    rows = [turn_row(tokens, shallow, vocabulary, scaling) for tokens, shallow in contexts]
+    counts = [len(ids) for ids, _ in rows]
+    words = itertools.chain.from_iterable(ids for ids, _ in rows)
+    X[np.repeat(np.arange(len(rows)), counts), np.fromiter(words, np.intp, sum(counts))] = 1.0
+    X[:, len(vocabulary):] = np.reshape([scaled for _, scaled in rows], (-1, N_SHALLOW))
     return X
 
 

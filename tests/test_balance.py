@@ -3,12 +3,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from speechacts import balance
 from speechacts.balance import (
+    _BLOCK_ROWS,
+    _GATHER_CELLS,
     REAL,
     SYNTHETIC,
     DenseExample,
     SparseRows,
     _neighborhoods,
+    _pair_distances,
     derive_seed,
     nearest_neighbors,
     oversample,
@@ -282,6 +286,65 @@ class TestGramRouteMatchesRowScan:
             oversample(np.zeros((2, 2)), 1, k=0)
         with pytest.raises(ValueError):
             oversample(np.zeros((2, 2)), -1)
+
+
+@pytest.fixture
+def rerank_calls(monkeypatch):
+    """The number of pairs each call of the exact re-rank is handed."""
+    calls = []
+
+    def counted(values, rows, cands):
+        calls.append(len(rows))
+        return _pair_distances(values, rows, cands)
+
+    monkeypatch.setattr(balance, "_pair_distances", counted)
+    return calls
+
+
+class TestRerankOnlyWhereGramMayMislead:
+    """Rows the Gram distances order beyond doubt skip the exact re-rank;
+    TestGramRouteMatchesRowScan holds both kinds of row to the row scan."""
+
+    def test_separated_rows_send_no_pairs(self, rerank_calls):
+        values = np.random.default_rng(2).normal(size=(300, 8))
+        got = _neighborhoods(values, 5)
+        assert rerank_calls == []
+        assert got.tolist() == reference_neighborhoods(values, 5)
+
+    def test_ties_send_pairs(self, rerank_calls):
+        # minorities()'s "ties" shape: coordinate swaps and duplicates of
+        # earlier rows, at exactly equal distances from them
+        rng = np.random.default_rng(4)
+        rows = np.hstack([(rng.random((30, 12)) < 0.3).astype(float),
+                          rng.choice([0.1, 0.3, 0.7, -0.2], size=(30, 3))])
+        for i in range(1, 30):
+            j = int(rng.integers(0, i))
+            rows[i] = rows[j] if i % 2 else rows[j][rng.permutation(15)]
+        got = _neighborhoods(rows, 3)
+        assert sum(rerank_calls) > 0
+        assert got.tolist() == reference_neighborhoods(rows, 3)
+
+    def test_infinite_gram_gap_is_reranked(self, rerank_calls):
+        # rows 0 and 1 lie 1.8e154 apart, whose square overflows in both
+        # distance forms, so each one's Gram gap to row 2 is infinite
+        values = np.array([[9e153], [-9e153], [1e150]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _neighborhoods(values, 2)
+            want = reference_neighborhoods(values, 2)
+        assert rerank_calls == [4]
+        assert got.tolist() == want
+
+    def test_rerank_chunks_still_split_inside_a_block(self, rerank_calls):
+        # test_rerank_chunks_split_inside_a_block's rows: its exact ties keep
+        # it re-ranking more pairs in one block than one gather chunk holds
+        rng = np.random.default_rng(5)
+        base = rng.choice([0.0, 0.5, 1.0], size=(5, 40))
+        values = base[rng.integers(0, 5, size=400)]
+        values[::37] += rng.normal(scale=1e-3, size=values[::37].shape)
+        _neighborhoods(values, 4)
+        blocks = -(-len(values) // _BLOCK_ROWS)
+        assert len(rerank_calls) > blocks  # some block took more than one call
+        assert max(rerank_calls) == _GATHER_CELLS // values.shape[1]  # a full chunk
 
 
 class TestOversampleRows:

@@ -1,10 +1,13 @@
 import dataclasses
 import errno
 import hashlib
+import importlib.util
 import json
 import math
 import re
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -1263,6 +1266,46 @@ class TestTune:
         examples, catalog = keyword_examples()
         with pytest.raises(ValueError):
             tune(examples, catalog, [], inner_folds=2, seed=0)
+
+
+def parent_model_document(model) -> str:
+    """The writer that encoded the payload twice, kept as the byte oracle."""
+    payload = classifier_mod._payload(model)
+    checksum = hashlib.sha256(classifier_mod._canonical(payload).encode("utf-8")).hexdigest()
+    doc = {"format_version": classifier_mod.MODEL_FORMAT_VERSION, "checksum": checksum,
+           "payload": payload}
+    return classifier_mod._canonical(doc) + "\n"
+
+
+def bench_model(corpus):
+    """The model ``train`` fits on a bench corpus, whose examples
+    ``scripts/cv_time.py`` builds, under the corpus's fold seed."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "cv_time.py"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys, "path", list(sys.path))  # the script puts src and bench first
+        spec = importlib.util.spec_from_file_location("cv_time", script)
+        cv_time = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(cv_time)
+    examples, catalog = cv_time.bench_corpus(corpus)
+    return train_model(examples, catalog, RunConfig(seed=cv_time.inputs.FOLD_SEED[corpus]))
+
+
+def skipping_model():
+    data = toy_training_data(labels=("a", "b", "c"), n=20, seed=9)
+    data.label_sets = [ls - {"c"} for ls in data.label_sets]
+    model = fit_multilabel(data, RunConfig(seed=3))
+    assert [s.label for s in model.skipped] == ["c"]
+    return model
+
+
+class TestModelDocument:
+    @pytest.mark.parametrize("make", [lambda: bench_model("study"), lambda: bench_model("narrow"),
+                                      skipping_model], ids=["study", "narrow", "skipped"])
+    def test_bytes_of_the_two_encode_writer(self, make):
+        model = make()
+        document = model_to_document(model)
+        assert document == parent_model_document(model)
+        assert model_to_document(model_from_document(document)) == document
 
 
 class TestPersistence:

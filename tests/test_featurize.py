@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from speechacts.corpus import (
@@ -15,6 +15,7 @@ from speechacts.corpus import (
 )
 from speechacts.featurize import (
     ANY_SPEAKER,
+    N_SHALLOW,
     SAME_SPEAKER,
     SLEN_SCOPES,
     ContextState,
@@ -309,6 +310,39 @@ class TestVectorize:
         assert ids == [1]
         assert dense[0] == 0.0 and dense[1] == 1.0
         assert dense[2:].tolist() == list(scaled)
+
+
+def reference_matrix(contexts, vocabulary, scaling):
+    """The row-by-row build that matrix_from_contexts replaced, kept as its oracle."""
+    X = np.zeros((len(contexts), len(vocabulary) + N_SHALLOW), dtype=np.float64)
+    for row, (tokens, shallow) in enumerate(contexts):
+        ids, scaled = turn_row(tokens, shallow, vocabulary, scaling)
+        X[row, ids] = 1.0
+        X[row, len(vocabulary):] = scaled
+    return X
+
+
+class TestMatrixMatchesRowBuild:
+    @settings(max_examples=60, deadline=None)
+    @given(texts=st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", "zz"]), max_size=8)
+                          .map(" ".join), max_size=12),
+           tokens=st.lists(st.sampled_from(["a", "b", "c", "d"]), unique=True))
+    @example(texts=[], tokens=["a", "b"])  # no contexts at all
+    @example(texts=[], tokens=[])
+    @example(texts=["zz zz", "", "zz"], tokens=["a", "b"])  # no in-vocabulary token on any turn
+    @example(texts=["b a b b", "a a a", "c zz c b", "", "c"], tokens=["c", "a", "b"])  # repeats
+    @example(texts=["a b"], tokens=[])  # an empty vocabulary
+    def test_bytes_equal(self, texts, tokens):
+        conv = make_conversation("c", [("participant", 3.0 * i, text, ["x"])
+                                       for i, text in enumerate(texts)])
+        contexts = list(conversation_context(conv))
+        vocab = Vocabulary.from_tokens(tokens)
+        scaling = ScalingParams(means=(1.0, 4.0, 2.0), stds=(0.5, 3.0, 0.0))
+        got = matrix_from_contexts(contexts, vocab, scaling)
+        want = reference_matrix(contexts, vocab, scaling)
+        assert got.shape == want.shape == (len(texts), len(vocab) + N_SHALLOW)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 class TestDatasetFeaturization:
