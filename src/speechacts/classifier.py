@@ -397,7 +397,10 @@ class StackedWeights:
     a bias. A skipped label's column is zero and its probability 0.0.
 
     The blocks keep at least two columns, since numpy sums the rows of a
-    one-column block pairwise rather than left to right.
+    one-column block pairwise rather than left to right. The shallow rows
+    and the bias are also kept as lists of Python floats, which a single
+    row's scoring reads (see :func:`score_rows`); the word block is not,
+    since that row takes only a few of its rows.
     """
 
     words: np.ndarray  # (vocabulary + 1) x columns
@@ -405,6 +408,8 @@ class StackedWeights:
     bias: np.ndarray  # columns
     n_labels: int
     skipped: list[int]  # columns of the labels without a classifier
+    shallow_lists: list[list[float]]  # shallow's rows
+    bias_list: list[float]
 
     @staticmethod
     def of(model: "MultiLabelModel") -> "StackedWeights":
@@ -422,7 +427,8 @@ class StackedWeights:
             words[:n_words, j] = clf.weights[:n_words]
             shallow[:, j] = clf.weights[n_words:]
             bias[j] = clf.bias
-        return StackedWeights(words, shallow, bias, len(labels), skipped)
+        return StackedWeights(words, shallow, bias, len(labels), skipped, shallow.tolist(),
+                              bias.tolist())
 
 
 @dataclass
@@ -572,6 +578,36 @@ def _probabilities(stack: StackedWeights, word_sums: np.ndarray, shallow: np.nda
     return probs
 
 
+def _row_probabilities(
+    stack: StackedWeights, ids: Sequence[int], scaled: Sequence[float]
+) -> list[float]:
+    """:func:`_probabilities` of one row in Python floats: the same IEEE
+    operations in the same order, and the exponentials from one np.exp call
+    (math.exp may differ from it in the last bit)."""
+    s0, s1, s2 = scaled
+    w0, w1, w2 = stack.shallow_lists
+    z = [((ws + s0 * a) + s1 * b) + s2 * c + bias
+         for ws, a, b, c, bias in zip(_word_sums(stack.words, [ids]).tolist(), w0, w1, w2,
+                                      stack.bias_list)]
+    ez = np.exp([-abs(v) for v in z]).tolist()
+    probs = [(1.0 if v >= 0 else e) / (e + 1.0) for v, e in zip(z, ez)]
+    for j in stack.skipped:
+        probs[j] = 0.0
+    return probs[: stack.n_labels]
+
+
+def _scores(model: MultiLabelModel, rows: Sequence[tuple]) -> list[list[float]]:
+    """:func:`score_rows` as lists: a single row through
+    :func:`_row_probabilities`, where numpy's fixed cost per call would
+    outweigh its arithmetic, and any other number through the arrays."""
+    stack = model.stacked
+    if len(rows) == 1:
+        return [_row_probabilities(stack, *rows[0])]
+    word_ids = [ids for ids, _ in rows]
+    shallow = np.asarray([scaled for _, scaled in rows], np.float64).reshape(len(rows), N_SHALLOW)
+    return _probabilities(stack, _word_sums(stack.words, word_ids), shallow).tolist()
+
+
 def score_rows(model: MultiLabelModel, rows: Sequence[tuple]) -> np.ndarray:
     """Per-label probabilities of n turns: n rows, one column per catalog
     label in catalog order; a skipped label's column is 0.0.
@@ -581,11 +617,12 @@ def score_rows(model: MultiLabelModel, rows: Sequence[tuple]) -> np.ndarray:
     its scaled shallow features. A row's probabilities do not depend on the
     other rows: its word weights are summed left to right in id order, then
     the three shallow terms and the bias are added one by one, whatever the
-    batch.
+    batch. A lone row, as serve scores, takes this arithmetic in Python
+    floats, which round each operation as numpy's float64 does, and its
+    exponentials from np.exp as the batch does; so its bits are the
+    batch's.
     """
-    word_ids = [ids for ids, _ in rows]
-    shallow = np.asarray([scaled for _, scaled in rows], np.float64).reshape(len(rows), N_SHALLOW)
-    return _probabilities(model.stacked, _word_sums(model.stacked.words, word_ids), shallow)
+    return np.array(_scores(model, rows), np.float64).reshape(len(rows), model.stacked.n_labels)
 
 
 def predict_proba(model: MultiLabelModel, vector: np.ndarray) -> dict[str, float]:
@@ -627,8 +664,7 @@ def predict_labels(model: MultiLabelModel, vector: np.ndarray) -> Prediction:
 def predict_rows(model: MultiLabelModel, rows: Sequence[tuple]) -> list[Prediction]:
     """:func:`predict_labels` of each turn that :func:`score_rows` takes."""
     labels = model.catalog.labels
-    return [_prediction(model, dict(zip(labels, row)))
-            for row in score_rows(model, rows).tolist()]
+    return [_prediction(model, dict(zip(labels, row))) for row in _scores(model, rows)]
 
 
 def predict_conversation(

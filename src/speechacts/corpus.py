@@ -14,6 +14,7 @@ import os
 import re
 import secrets
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Union
@@ -219,8 +220,12 @@ class LabelCatalog:
             if not _LABEL_RE.match(name):
                 raise CatalogError(f"invalid label name {name!r} (want lowercase [a-z][a-z0-9]*)")
 
-    @property
+    @cached_property
     def label_set(self) -> frozenset[str]:
+        """The labels as a set, built on first use and kept: parsing asks it
+        once per turn label and example selection once per turn. The cache
+        lives in the instance's ``__dict__``, outside the fields that
+        ``==``, ``hash`` and ``dataclasses.replace`` read."""
         return frozenset(self.labels)
 
     def allows(self, name: str) -> bool:

@@ -170,10 +170,12 @@ class ScalingParams:
     stds: tuple[float, float, float]
 
     def scale(self, shallow: ShallowFeatures) -> tuple[float, float, float]:
-        raw = shallow.as_tuple()
-        return tuple(
-            (v - m) / s if s > 0 else 0.0 for v, m, s in zip(raw, self.means, self.stds)
-        )
+        # (v - m) / s per feature, or 0.0 where s is not positive; written out,
+        # since every scored turn and matrix row calls it
+        (m0, m1, m2), (s0, s1, s2) = self.means, self.stds
+        return ((shallow.slen - m0) / s0 if s0 > 0 else 0.0,
+                (float(shallow.wc) - m1) / s1 if s1 > 0 else 0.0,
+                (shallow.ppau - m2) / s2 if s2 > 0 else 0.0)
 
 
 def fit_scaling(features: Sequence[ShallowFeatures]) -> ScalingParams:

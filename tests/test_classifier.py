@@ -956,9 +956,11 @@ class TestPredict:
 
 
 @st.composite
-def scoring_problems(draw):
+def scoring_problems(draw, extreme=False):
     """A small random model, and turns made from its vocabulary, tokens
-    outside it and repeats; some labels have no classifier."""
+    outside it and repeats; some labels have no classifier. With extreme
+    set, stds down to the least subnormal and pauses up to 1.7e308 scale
+    some features to +-inf, whose products with zero weights are NaN."""
     n_words = draw(st.integers(0, 24))  # numpy sums 8 or more values pairwise
     labels = tuple(f"l{j}" for j in range(draw(st.integers(1, 4))))
     weight = st.floats(-8.0, 8.0)  # -0.0 and subnormals too
@@ -970,19 +972,52 @@ def scoring_problems(draw):
     vocabulary = Vocabulary.from_tokens([f"w{j}" for j in range(n_words)])
     scaling = ScalingParams(
         means=tuple(draw(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))),
-        stds=tuple(draw(st.lists(st.just(0.0) | st.floats(0.1, 4.0), min_size=3, max_size=3))),
+        stds=tuple(draw(st.lists(st.just(0.0) | st.floats(0.1, 4.0)
+                                 | (st.sampled_from([5e-324, 1e-300]) if extreme else st.nothing()),
+                                 min_size=3, max_size=3))),
     )
     model = MultiLabelModel(classifiers, vocabulary, scaling, LabelCatalog(labels=labels),
                             config=RunConfig(threshold=draw(st.floats(0.05, 0.95))))
     token = st.sampled_from(vocabulary.token_list + ["oov", "zz"])
     turns = draw(st.lists(
         st.tuples(st.lists(token, max_size=30), st.floats(0.0, 5.0), st.integers(0, 40),
-                  st.floats(0.0, 100.0)),
+                  st.floats(0.0, 100.0) | (st.sampled_from([1e300, 1.7e308]) if extreme
+                                           else st.nothing())),
         min_size=1, max_size=8,
     ))
     rows = [turn_row(tokens, ShallowFeatures(slen, wc, ppau), vocabulary, scaling)
             for tokens, slen, wc, ppau in turns]
     return model, rows
+
+
+def edge_problem(labels, skipped=()):
+    """A model over two words, and rows with no token, an out-of-vocabulary
+    token or vocabulary words, whose shallow features are finite or scale
+    to -inf (a length of -1.7e308) or +inf (a pause of 1.7e308). The second
+    label's pause weight is 0.0, so its z is NaN where the pause is
+    infinite."""
+    vocabulary = Vocabulary.from_tokens(["w0", "w1"])
+    rng = np.random.default_rng(len(labels))
+    classifiers = {}
+    for j, name in enumerate(labels):
+        weights = rng.normal(scale=3.0, size=len(vocabulary) + 3)
+        if j == 1:
+            weights[-1] = 0.0
+        if name not in skipped:
+            classifiers[name] = BinaryClassifier(weights, float(rng.normal()), Hyperparams(), name)
+    scaling = ScalingParams(means=(0.5, 2.0, 0.5), stds=(0.25, 1.5, 0.5))
+    model = MultiLabelModel(classifiers, vocabulary, scaling, LabelCatalog(labels=labels))
+    rows = [turn_row(tokens, ShallowFeatures(slen, wc, ppau), vocabulary, scaling)
+            for tokens in ([], ["oov"], ["w1", "w0"], ["w0"])
+            for slen in (-1.7e308, 0.3, 1.9) for wc in (0, 7) for ppau in (0.4, 2.9, 1.7e308)]
+    return model, rows
+
+
+def prediction_bits(prediction):
+    """A prediction with its probabilities as bytes, so NaNs compare."""
+    probs = prediction.probabilities
+    return (sorted(prediction.labels), prediction.low_confidence, list(probs),
+            np.array(list(probs.values())).tobytes())
 
 
 def reference_probabilities(model, ids, scaled):
@@ -1042,6 +1077,39 @@ class TestScoreRows:
             assert predictions[i].low_confidence == low_confidence
             assert predictions[i].probabilities == probs
             assert predictions[i] == predict_labels(model, dense)
+            assert predict_rows(model, [rows[i]])[0] == predictions[i]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(problem=scoring_problems(extreme=True), fallback=st.booleans())
+    @example(problem=edge_problem(("l0",)), fallback=True)  # the stack pads to 2 columns
+    @example(problem=edge_problem(("l0", "l1", "l2")), fallback=False)
+    @example(problem=edge_problem(("l0", "l1", "l2"), skipped=("l0", "l2")), fallback=True)
+    def test_one_row_has_the_batch_bits(self, problem, fallback):
+        # a lone row is scored in Python floats, any other number of rows in
+        # numpy arrays; each row doubled makes every batch take the arrays
+        model, rows = problem
+        model.config = dataclasses.replace(model.config, fallback=fallback)
+        batch = score_rows(model, rows + rows)
+        predictions = predict_rows(model, rows + rows)
+        for i, row in enumerate(rows):
+            one = score_rows(model, [row])
+            assert one.shape == (1, len(model.catalog.labels))
+            assert one.tobytes() == batch[i].tobytes() == batch[len(rows) + i].tobytes()
+            assert prediction_bits(predict_rows(model, [row])[0]) == prediction_bits(predictions[i])
+
+    @pytest.mark.filterwarnings("ignore:invalid:RuntimeWarning")
+    def test_edge_problems_reach_the_edges(self):
+        model, rows = edge_problem(("l0", "l1", "l2"), skipped=("l0",))
+        assert sum(ids == [] for ids, _ in rows) == len(rows) // 2
+        assert -math.inf in {scaled[0] for _, scaled in rows}
+        assert math.inf in {scaled[2] for _, scaled in rows}
+        finite = [all(map(math.isfinite, scaled)) for _, scaled in rows]
+        assert sum(finite) == len(rows) * 4 // 9
+        probs = score_rows(model, rows)
+        assert not probs[:, 0].any()
+        assert np.isnan(probs[:, 1]).tolist() == [scaled[2] == math.inf for _, scaled in rows]
+        assert 0.0 < probs[finite, 1:].min() and probs[finite, 1:].max() < 1.0
 
     def test_no_rows(self):
         model = zero_model()

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 
@@ -46,6 +47,24 @@ class TestCatalog:
     def test_empty_rejected(self):
         with pytest.raises(CatalogError):
             LabelCatalog(labels=())
+
+    def test_label_set_built_once_outside_the_fields(self):
+        catalog = LabelCatalog(labels=("b", "a"), excluded=frozenset({"c"}))
+        labels = catalog.label_set
+        assert labels == frozenset({"a", "b"})
+        assert catalog.label_set is labels
+        assert catalog.allows("a") and catalog.allows("c") and not catalog.allows("d")
+        assert catalog.label_set is labels
+        fresh = LabelCatalog(labels=("b", "a"), excluded=frozenset({"c"}))
+        assert fresh == catalog and hash(fresh) == hash(catalog)
+        assert fresh.label_set is not labels
+        assert dataclasses.replace(catalog) == catalog
+        relabelled = dataclasses.replace(catalog, labels=("d",))
+        assert relabelled.label_set == frozenset({"d"})
+        assert relabelled != catalog and catalog.label_set is labels
+        assert [f.name for f in dataclasses.fields(catalog)] == ["labels", "excluded"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            catalog.labels = ("e",)
 
 
 class TestParse:

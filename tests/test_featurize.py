@@ -272,6 +272,19 @@ class TestScaling:
         with pytest.raises(ValueError, match="ppau_sf"):
             fit_scaling(feats)
 
+    @settings(max_examples=200, deadline=None)
+    @given(slen=st.floats(allow_nan=False), wc=st.integers(0, 2**60), ppau=st.floats(allow_nan=False),
+           means=st.tuples(*[st.floats(-1e300, 1e300)] * 3),
+           stds=st.tuples(*[st.sampled_from([0.0, -0.0, 5e-324]) | st.floats(1e-300, 1e300)] * 3))
+    def test_scale_is_the_per_feature_form(self, slen, wc, ppau, means, stds):
+        # the form scale had before it was written out per feature
+        shallow = ShallowFeatures(slen, wc, ppau)
+        expect = tuple((v - m) / s if s > 0 else 0.0
+                       for v, m, s in zip(shallow.as_tuple(), means, stds))
+        got = ScalingParams(means, stds).scale(shallow)
+        assert type(got) is tuple and all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == np.array(expect).tobytes()
+
 
 class TestVectorize:
     def test_presence_not_counts(self):
