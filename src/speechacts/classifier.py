@@ -22,7 +22,7 @@ import numpy as np
 from .balance import SparseRows, derive_seed, oversample, oversample_rows
 from .config import Hyperparams, RunConfig, config_from_dict, expand_grid, hyperparams_from_dict
 from .corpus import (PARTICIPANT, Conversation, LabelCatalog, ModelingExample, catalog_from_dict,
-                     decode_record, read_document, write_document)
+                     decode_record, read_document_text, write_document)
 from .featurize import (
     N_SHALLOW,
     ScalingParams,
@@ -811,7 +811,7 @@ def model_from_document(text: str) -> MultiLabelModel:
         doc = decode_record(text)
     except ValueError as exc:
         raise ModelCorruptError(f"model file is {exc}") from exc
-    return _model_from_json(doc)
+    return _model_from_json(doc, text)
 
 
 def load_model(path: Union[str, Path]) -> MultiLabelModel:
@@ -820,16 +820,22 @@ def load_model(path: Union[str, Path]) -> MultiLabelModel:
     JSON, or is tampered or malformed, is a :class:`ModelCorruptError`, one
     of another format version a :class:`ModelVersionError`; both name it."""
     try:
-        return _model_from_json(read_document(path))
+        return _model_from_json(*read_document_text(path))
     except ModelFormatError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
     except ValueError as exc:  # read_document's, which names the path
         raise ModelCorruptError(str(exc)) from exc
 
 
-def _model_from_json(doc) -> MultiLabelModel:
+def _model_from_json(doc, text: str | None = None) -> MultiLabelModel:
     """The model of a decoded model-file document: format version,
-    checksum and payload checked."""
+    checksum and payload checked.
+
+    When ``text``, the document as written, is exactly what
+    :func:`model_to_document` writes for the model its payload builds, that
+    model is the answer, for one payload encode: the full checks would pass
+    it, since canonical JSON decodes and re-encodes to itself. Any other
+    outcome, a failed build included, goes through the full checks."""
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise ModelCorruptError("model file lacks a format_version")
     version = doc["format_version"]
@@ -838,54 +844,18 @@ def _model_from_json(doc) -> MultiLabelModel:
     if "checksum" not in doc or "payload" not in doc:
         raise ModelCorruptError("model file lacks checksum or payload")
     payload = doc["payload"]
+    if text is not None and text.startswith('{"checksum":"') and text.endswith("}\n"):
+        try:
+            model = _model_from_payload(payload)
+        except Exception:  # judged, with its precedence, by the checks below
+            model = None
+        if model is not None and model_to_document(model) == text:
+            return model
     canonical = _canonical(payload)
     if hashlib.sha256(canonical.encode("utf-8")).hexdigest() != doc["checksum"]:
         raise ModelCorruptError("model file checksum mismatch")
-
     try:
-        catalog = catalog_from_dict(payload["catalog"])
-        if not all(isinstance(token, str) for token in payload["vocabulary"]):
-            raise ValueError("vocabulary tokens must be strings")
-        vocabulary = Vocabulary.from_tokens(payload["vocabulary"])
-        means, stds = (tuple(map(float, payload["scaling"][key])) for key in ("means", "stds"))
-        if len(means) != N_SHALLOW or len(stds) != N_SHALLOW:
-            raise ValueError(f"scaling must hold {N_SHALLOW} means and {N_SHALLOW} stds")
-        scaling = ScalingParams(means, stds)
-        # the stored threshold and scope pass the same checks as a run's
-        config = replace(config_from_dict(payload["config"]), threshold=payload["threshold"],
-                         slen_scope=payload["slen_scope"])
-        width = len(vocabulary) + N_SHALLOW
-        classifiers = {}
-        for name, blob in payload["classifiers"].items():
-            weights = np.asarray(blob["weights"], dtype=np.float64)
-            if weights.shape != (width,):
-                raise ModelCorruptError(
-                    f"classifier {name!r} has width {weights.shape}, expected ({width},)"
-                )
-            classifiers[name] = BinaryClassifier(
-                weights=weights,
-                bias=float(blob["bias"]),
-                hyperparams=hyperparams_from_dict(blob["hyperparams"]),
-                label=name,
-                iterations=int(blob["iterations"]),
-                final_loss=float(blob["final_loss"]),
-                grad_norm=float(blob["grad_norm"]),
-                converged=bool(blob["converged"]),
-            )
-        skipped = [SkippedLabel(s["label"], s["reason"]) for s in payload["skipped"]]
-        if not all(isinstance(s.label, str) and isinstance(s.reason, str) for s in skipped):
-            raise ValueError("skipped labels and reasons must be strings")
-        unknown = set(classifiers).union(s.label for s in skipped) - set(catalog.labels)
-        if unknown:
-            raise ValueError(f"labels {sorted(unknown)} are not in the catalog")
-        model = MultiLabelModel(
-            classifiers=classifiers,
-            vocabulary=vocabulary,
-            scaling=scaling,
-            catalog=catalog,
-            skipped=skipped,
-            config=config,
-        )
+        model = _model_from_payload(payload)
         # a field the loader coerced (a true bias, a string flag) writes back changed
         if _canonical(_payload(model)) != canonical:
             raise ValueError("it does not re-encode as written")
@@ -894,3 +864,52 @@ def _model_from_json(doc) -> MultiLabelModel:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelCorruptError(f"model payload malformed: {exc}") from exc
+
+
+def _model_from_payload(payload) -> MultiLabelModel:
+    """The model a model file's payload describes; a malformed payload
+    raises a KeyError, TypeError or ValueError (a ModelCorruptError for a
+    weight vector of the wrong width)."""
+    catalog = catalog_from_dict(payload["catalog"])
+    if not all(isinstance(token, str) for token in payload["vocabulary"]):
+        raise ValueError("vocabulary tokens must be strings")
+    vocabulary = Vocabulary.from_tokens(payload["vocabulary"])
+    means, stds = (tuple(map(float, payload["scaling"][key])) for key in ("means", "stds"))
+    if len(means) != N_SHALLOW or len(stds) != N_SHALLOW:
+        raise ValueError(f"scaling must hold {N_SHALLOW} means and {N_SHALLOW} stds")
+    scaling = ScalingParams(means, stds)
+    # the stored threshold and scope pass the same checks as a run's
+    config = replace(config_from_dict(payload["config"]), threshold=payload["threshold"],
+                     slen_scope=payload["slen_scope"])
+    width = len(vocabulary) + N_SHALLOW
+    classifiers = {}
+    for name, blob in payload["classifiers"].items():
+        weights = np.asarray(blob["weights"], dtype=np.float64)
+        if weights.shape != (width,):
+            raise ModelCorruptError(
+                f"classifier {name!r} has width {weights.shape}, expected ({width},)"
+            )
+        classifiers[name] = BinaryClassifier(
+            weights=weights,
+            bias=float(blob["bias"]),
+            hyperparams=hyperparams_from_dict(blob["hyperparams"]),
+            label=name,
+            iterations=int(blob["iterations"]),
+            final_loss=float(blob["final_loss"]),
+            grad_norm=float(blob["grad_norm"]),
+            converged=bool(blob["converged"]),
+        )
+    skipped = [SkippedLabel(s["label"], s["reason"]) for s in payload["skipped"]]
+    if not all(isinstance(s.label, str) and isinstance(s.reason, str) for s in skipped):
+        raise ValueError("skipped labels and reasons must be strings")
+    unknown = set(classifiers).union(s.label for s in skipped) - set(catalog.labels)
+    if unknown:
+        raise ValueError(f"labels {sorted(unknown)} are not in the catalog")
+    return MultiLabelModel(
+        classifiers=classifiers,
+        vocabulary=vocabulary,
+        scaling=scaling,
+        catalog=catalog,
+        skipped=skipped,
+        config=config,
+    )

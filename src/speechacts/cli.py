@@ -215,17 +215,18 @@ def predict(ctx, transcripts, model_path, fallback):
     machine = ctx.obj["format"] == reports.MACHINE
     for conv in conversations:
         # one scoring call and one write per conversation
-        lines = []
-        for turn, prediction in zip(conv.turns, predict_conversation(model, conv)):
-            record = {"conversation_id": conv.conversation_id, "turn_index": turn.turn_index,
-                      "speaker": turn.speaker, **reports.prediction_record(prediction)}
-            if machine:
-                lines.append(corpus_mod.encode_record(record))
-            else:
-                labels = ",".join(record["labels"]) or "-"
-                flag = " low-confidence" if record["low_confidence"] else ""
-                lines.append(f"{record['conversation_id']}#{record['turn_index']} "
-                             f"[{record['speaker']}] {labels}{flag}")
+        predictions = predict_conversation(model, conv)
+        if machine:
+            lines = reports.predict_lines(conv, predictions)
+        else:
+            lines = []
+            for turn, prediction in zip(conv.turns, predictions):
+                labels, flag = "-", ""
+                if prediction is not None:
+                    labels = ",".join(sorted(prediction.labels)) or "-"
+                    flag = " low-confidence" if prediction.low_confidence else ""
+                lines.append(f"{conv.conversation_id}#{turn.turn_index} "
+                             f"[{turn.speaker}] {labels}{flag}")
         click.echo("\n".join(lines))
 
 

@@ -26,6 +26,7 @@ SPEAKERS = (PARTICIPANT, ASSISTANT)
 _LABEL_RE = re.compile(r"^[a-z][a-z0-9]*$")
 
 _REQUIRED_KEYS = ("conversation_id", "turn_index", "speaker", "timestamp_s", "text", "labels")
+_REQUIRED_SET = frozenset(_REQUIRED_KEYS)
 
 
 class TranscriptError(ValueError):
@@ -63,6 +64,7 @@ def _finite_float(literal: str) -> float:
 # one decoder for every line: passing the hooks per call rebuilds the scanner
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_finite_float)
 _ENCODER = json.JSONEncoder(allow_nan=False)
+_JSON_SPACE = " \t\n\r"  # what JSON allows around a value; other Unicode space it does not
 
 
 def _field_holding_non_finite(line: str):
@@ -98,7 +100,11 @@ def decode_record(line: str):
     recursion limit.
     """
     try:
-        return _DECODER.decode(line)
+        # JSONDecoder.decode without its two whitespace regex matches
+        value, end = _DECODER.raw_decode(line, len(line) - len(line.lstrip(_JSON_SPACE)))
+        if end != len(line) and line[end:].strip(_JSON_SPACE):
+            raise json.JSONDecodeError("Extra data", line, end)
+        return value
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON ({exc.msg})") from exc
     except _NotANumber as exc:
@@ -122,9 +128,15 @@ def read_document(path: Union[str, Path]):
     """The JSON value a whole file holds, decoded as strictly as a
     transcript line (:func:`decode_record`); a file that is not UTF-8 or
     not valid JSON is a ValueError that names the path."""
+    return read_document_text(path)[0]
+
+
+def read_document_text(path: Union[str, Path]) -> tuple[object, str]:
+    """:func:`read_document`'s value, and the text it was decoded from."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return decode_record(fh.read())
+            text = fh.read()
+        return decode_record(text), text
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -222,8 +234,8 @@ class LabelCatalog:
 
     @cached_property
     def label_set(self) -> frozenset[str]:
-        """The labels as a set, built on first use and kept: parsing asks it
-        once per turn label and example selection once per turn. The cache
+        """The labels as a set, built on first use and kept: parsing and
+        example selection ask it once per turn. The cache
         lives in the instance's ``__dict__``, outside the fields that
         ``==``, ``hash`` and ``dataclasses.replace`` read."""
         return frozenset(self.labels)
@@ -322,8 +334,8 @@ def _parse_record(line: str, source: str, line_no: int, catalog: LabelCatalog) -
         raise TranscriptError(str(exc), source, line_no) from exc
     if not isinstance(obj, dict):
         raise TranscriptError("record is not an object", source, line_no)
-    missing = [k for k in _REQUIRED_KEYS if k not in obj]
-    if missing:
+    if not obj.keys() >= _REQUIRED_SET:
+        missing = [k for k in _REQUIRED_KEYS if k not in obj]
         raise TranscriptError(f"missing keys {missing}", source, line_no)
 
     try:
@@ -334,16 +346,22 @@ def _parse_record(line: str, source: str, line_no: int, catalog: LabelCatalog) -
     if not isinstance(idx, int) or isinstance(idx, bool) or idx < 0:
         raise TranscriptError("turn_index must be a non-negative integer", source, line_no)
     raw_labels = obj["labels"]
-    if not isinstance(raw_labels, list) or not all(isinstance(x, str) for x in raw_labels):
-        raise TranscriptError("labels must be an array of strings", source, line_no)
-    labels = frozenset(x.lower() for x in raw_labels)
-    unknown = sorted(x for x in labels if not catalog.allows(x))
-    if unknown:
-        raise TranscriptError(
-            f"labels not in catalog or excluded set: {_quoted(unknown)}", source, line_no
-        )
+    try:
+        if not isinstance(raw_labels, list):
+            raise TypeError
+        labels = frozenset(map(str.lower, raw_labels))  # a TypeError on a non-string
+    except TypeError:
+        raise TranscriptError("labels must be an array of strings", source, line_no) from None
+    if not labels <= catalog.label_set:
+        unknown = sorted(x for x in labels if not catalog.allows(x))
+        if unknown:
+            raise TranscriptError(
+                f"labels not in catalog or excluded set: {_quoted(unknown)}", source, line_no
+            )
 
-    extra = {k: v for k, v in obj.items() if k not in _REQUIRED_KEYS}
+    extra = {}
+    if len(obj) > len(_REQUIRED_KEYS):
+        extra = {k: v for k, v in obj.items() if k not in _REQUIRED_SET}
     return Turn(cid, idx, speaker, ts, text, labels, extra)
 
 
@@ -361,7 +379,7 @@ def _records(
                     f"not valid UTF-8: byte 0x{line[exc.start]:02x} at offset {exc.start}",
                     source, line_no,
                 ) from exc
-        if line.strip():
+        if line and not line.isspace():  # what str.strip() would empty
             yield _parse_record(line, source, line_no, catalog), source, line_no
 
 

@@ -104,8 +104,9 @@ class ContextState:
         if self.scope not in SLEN_SCOPES:
             raise ValueError(f"slen scope must be one of {SLEN_SCOPES}, got {self.scope!r}")
 
-    def observe(self, speaker: str, timestamp_s: float, wc: int) -> ShallowFeatures:
-        """Shallow features of this turn from the turns before it, then add it."""
+    def features(self, speaker: str, timestamp_s: float, wc: int) -> ShallowFeatures:
+        """Shallow features of this turn from the turns before it; the state
+        is left as it is."""
         ppau = timestamp_s - self.last_ts if self.last_ts is not None else 0.0
         if self.scope == ANY_SPEAKER:
             words, turns = self.total_words, self.total_turns
@@ -117,12 +118,21 @@ class ContextState:
         else:
             mean_wc = words / turns
             slen = wc / mean_wc if mean_wc > 0 else float(wc)
+        return ShallowFeatures(slen=slen, wc=wc, ppau=ppau)
+
+    def add(self, speaker: str, timestamp_s: float, wc: int) -> None:
+        """Count this turn into the context."""
         self.speaker_words[speaker] = self.speaker_words.get(speaker, 0) + wc
         self.speaker_turns[speaker] = self.speaker_turns.get(speaker, 0) + 1
         self.total_words += wc
         self.total_turns += 1
         self.last_ts = timestamp_s
-        return ShallowFeatures(slen=slen, wc=wc, ppau=ppau)
+
+    def observe(self, speaker: str, timestamp_s: float, wc: int) -> ShallowFeatures:
+        """Shallow features of this turn from the turns before it, then add it."""
+        shallow = self.features(speaker, timestamp_s, wc)
+        self.add(speaker, timestamp_s, wc)
+        return shallow
 
 
 def conversation_context(

@@ -9,14 +9,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .classifier import Prediction
-from .corpus import CorpusStats
+from .corpus import Conversation, CorpusStats, encode_record
 from .evaluate import FeatureRanking, MetricsReport, MetricsRow
 
 TABLE = "table"
 MACHINE = "machine"
 FORMATS = (TABLE, MACHINE)
+_UNCLASSIFIED = '"labels": [], "probabilities": {}, "low_confidence": false}'
 
 
 def _machine(doc: dict) -> str:
@@ -24,19 +26,36 @@ def _machine(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
 
 
-def prediction_record(prediction: Prediction | None) -> dict:
-    """The per-turn answer of ``predict`` and ``serve``.
+def prediction_json(prediction: Prediction | None, head: str = "{") -> str:
+    """The per-turn answer of ``predict`` and ``serve`` as one line of ASCII
+    JSON, written directly rather than through a dict.
 
     {labels (sorted), probabilities (catalog order), low_confidence}; an
     unclassified turn (``None``, an assistant turn) gets the empty record.
+    ``head`` opens the object and may carry members before these, ending in
+    ``", "``. The text is byte for byte what ``encode_record`` writes for the
+    same dict, and a non-finite probability raises its ValueError.
     """
     if prediction is None:
-        return {"labels": [], "probabilities": {}, "low_confidence": False}
-    return {
-        "labels": sorted(prediction.labels),
-        "probabilities": dict(prediction.probabilities),
-        "low_confidence": prediction.low_confidence,
-    }
+        return head + _UNCLASSIFIED
+    probs = prediction.probabilities
+    total = sum(probs.values())
+    if total - total != 0.0:  # a NaN or an infinity among them, or a sum past the float range
+        encode_record(probs)  # raises on a non-finite value as the encoder does
+    labels = ", ".join(map(_json_str, sorted(prediction.labels)))
+    members = ", ".join([f"{_json_str(name)}: {float.__repr__(p)}" for name, p in probs.items()])
+    flag = "true" if prediction.low_confidence else "false"
+    return f'{head}"labels": [{labels}], "probabilities": {{{members}}}, "low_confidence": {flag}}}'
+
+
+def predict_lines(conversation: Conversation, predictions: list[Prediction | None]) -> list[str]:
+    """The ``predict --format machine`` record of each turn: its
+    conversation_id, turn_index and speaker, then :func:`prediction_json`'s
+    members."""
+    opening = f'{{"conversation_id": {_json_str(conversation.conversation_id)}, "turn_index": '
+    return [prediction_json(prediction, f'{opening}{turn.turn_index}, '
+                                        f'"speaker": {_json_str(turn.speaker)}, ')
+            for turn, prediction in zip(conversation.turns, predictions)]
 
 
 def _config_header(config: dict | None) -> list[str]:

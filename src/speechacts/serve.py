@@ -1,8 +1,10 @@
 """Line-delimited classification service with per-conversation sessions.
 
 One JSON request per line: {conversation_id, speaker, timestamp_s, text}.
-One JSON response per line: {labels, probabilities, low_confidence}, or
-{error} for a malformed request (which leaves the session untouched).
+One JSON response per line: {labels, probabilities, low_confidence}, byte
+for byte the body of ``predict``'s record of the same turn, or {error} for
+a malformed request or a turn whose scores are not finite (either leaves
+the session table untouched).
 Assistant lines extend the session's context but come back unclassified. A
 request line longer than ``MAX_LINE_BYTES`` (1 MiB) gets one {error} reply;
 the rest of it is read and dropped, never held whole, and the connection
@@ -36,19 +38,27 @@ from typing import IO
 from .classifier import MultiLabelModel, predict_rows
 from .corpus import PARTICIPANT, decode_record, encode_record, turn_fields
 from .featurize import ContextState, tokenize, turn_row
-from .reports import prediction_record
+from .reports import prediction_json
+
+
+def _error(message: str) -> str:
+    return encode_record({"error": message})
+
 
 # longest request line read, newline excluded
 MAX_LINE_BYTES = 1 << 20
-_LINE_TOO_LONG = encode_record({"error": f"request line longer than {MAX_LINE_BYTES} bytes"})
-_NOT_UTF8 = encode_record({"error": "request is not valid UTF-8"})
+_LINE_TOO_LONG = _error(f"request line longer than {MAX_LINE_BYTES} bytes")
+_NOT_UTF8 = _error("request is not valid UTF-8")
+_NOT_AN_OBJECT = _error("request is not an object")
+_NOT_FINITE = _error("the turn's label probabilities are not finite numbers")
+_UNCLASSIFIED = prediction_json(None)
 # live conversations held: a two-speaker session, its id of at most 256
 # characters included, takes 0.9 KB (ASCII id) to 1.7 KB (4-byte characters)
 # by tracemalloc, so the table stays under 7 MB at the cap
 MAX_SESSIONS = 4096
 # open TCP connections served, one handler thread each; one more is refused
 MAX_CONNECTIONS = 64
-_TOO_MANY_CONNECTIONS = encode_record({"error": "too many open connections; try again later"})
+_TOO_MANY_CONNECTIONS = _error("too many open connections; try again later")
 IDLE_TIMEOUT_S = 300  # seconds a connection may wait on a read or write before it is closed
 
 
@@ -62,38 +72,51 @@ class ServeEngine:
         self._sessions: OrderedDict[str, ContextState] = OrderedDict()
         self._lock = threading.Lock()
 
-    def handle_request(self, request: dict) -> dict:
+    def handle_request(self, request: dict) -> str:
+        """The reply line to one decoded request. A request answered with an
+        {error} leaves the session table as it was: its keys, their order
+        and each context. So a participant turn is scored before its
+        context takes it in, and scores that are not finite get an error."""
         try:
             cid, speaker, seconds, text = turn_fields(request)
         except ValueError as exc:
-            return {"error": str(exc)}
+            return _error(str(exc))
         tokens = tokenize(text)
+        wc = len(tokens)
         with self._lock:
             context = self._sessions.get(cid)
-            if context is None:
+            new = context is None
+            if new:
+                context = ContextState(self.model.config.slen_scope)
+            elif context.last_ts is not None and seconds < context.last_ts:
+                return _error(f"timestamp_s {seconds} precedes the session's last turn")
+            if speaker == PARTICIPANT:
+                row = turn_row(tokens, context.features(speaker, seconds, wc),
+                               self.model.vocabulary, self.model.scaling)
+                prediction = predict_rows(self.model, [row])[0]
+                try:
+                    reply = prediction_json(prediction)
+                except ValueError:  # a NaN or infinite probability, which JSON cannot hold
+                    return _NOT_FINITE
+            else:
+                reply = _UNCLASSIFIED
+            if new:
                 if len(self._sessions) >= MAX_SESSIONS:
                     self._sessions.popitem(last=False)
-                context = self._sessions[cid] = ContextState(self.model.config.slen_scope)
-            if context.last_ts is not None and seconds < context.last_ts:
-                return {"error": f"timestamp_s {seconds} precedes the session's last turn"}
-            self._sessions.move_to_end(cid)
-            shallow = context.observe(speaker, seconds, len(tokens))
-        if speaker != PARTICIPANT:
-            return prediction_record(None)
-        row = turn_row(tokens, shallow, self.model.vocabulary, self.model.scaling)
-        return prediction_record(predict_rows(self.model, [row])[0])
+                self._sessions[cid] = context
+            else:
+                self._sessions.move_to_end(cid)
+            context.add(speaker, seconds, wc)
+        return reply
 
     def handle_line(self, line: str) -> str:
         try:
             request = decode_record(line)
         except ValueError as exc:
-            response = {"error": str(exc)}
-        else:
-            if not isinstance(request, dict):
-                response = {"error": "request is not an object"}
-            else:
-                response = self.handle_request(request)
-        return encode_record(response)
+            return _error(str(exc))
+        if not isinstance(request, dict):
+            return _NOT_AN_OBJECT
+        return self.handle_request(request)
 
 
 def serve_stream(engine: ServeEngine, rfile: IO[bytes], wfile: IO[bytes]) -> int:

@@ -1149,6 +1149,15 @@ def rechecksummed(payload) -> str:
                        "checksum": hashlib.sha256(canonical.encode()).hexdigest()})
 
 
+def spliced(payload) -> str:
+    """payload in the model writer's exact layout, canonically encoded and
+    checksummed over that text, so a loader that trusts the layout sees a
+    document it could have written."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    checksum = hashlib.sha256(canonical.encode()).hexdigest()
+    return f'{{"checksum":"{checksum}","format_version":2,"payload":{canonical}}}\n'
+
+
 def first_classifier(payload) -> dict:
     return next(iter(payload["classifiers"].values()))
 
@@ -1516,6 +1525,54 @@ class TestPersistence:
         with pytest.raises(ModelCorruptError) as info:
             load_model(path)
         assert str(info.value).startswith(f"{path}: {reason}")
+
+    def test_writer_layout_loads_with_one_encode(self, tmp_path, monkeypatch):
+        model, _ = self.trained_model()
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        calls = []
+        encode = classifier_mod._canonical
+        monkeypatch.setattr(classifier_mod, "_canonical", lambda obj: calls.append(1) or encode(obj))
+        loaded = load_model(path)
+        assert len(calls) == 1
+        assert model_to_document(loaded) == path.read_text()
+        assert len(calls) == 2
+        assert spliced(json.loads(path.read_text())["payload"]) == path.read_text()
+
+    def test_pretty_printed_file_loads(self, tmp_path):
+        model, _ = self.trained_model()
+        document = model_to_document(model)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(json.loads(document), indent=2))
+        assert model_to_document(load_model(path)) == document
+
+    def test_weight_spelled_as_an_integer_in_the_writer_layout(self, tmp_path):
+        payload = json.loads(model_to_document(self.trained_model()[0]))["payload"]
+        first_classifier(payload)["weights"][0] = 1
+        path = tmp_path / "model.json"
+        path.write_text(spliced(payload))
+        assert '"weights":[1,' in path.read_text()
+        with pytest.raises(ModelCorruptError, match=f"^{re.escape(str(path))}: model payload "
+                                                    "malformed: it does not re-encode as written"):
+            load_model(path)
+
+    def test_tampered_weight_in_the_writer_layout(self, tmp_path):
+        document = model_to_document(self.trained_model()[0])
+        weight = first_classifier(json.loads(document)["payload"])["weights"][0]
+        tampered = document.replace(f'"weights":[{weight!r},', f'"weights":[{weight + 1.0!r},', 1)
+        assert tampered != document
+        path = tmp_path / "model.json"
+        path.write_text(tampered)
+        with pytest.raises(ModelCorruptError,
+                           match=f"^{re.escape(str(path))}: model file checksum mismatch"):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit", COERCED_PAYLOADS.values(), ids=COERCED_PAYLOADS)
+    def test_coerced_field_rejected_in_the_writer_layout(self, edit):
+        payload = json.loads(model_to_document(self.trained_model()[0]))["payload"]
+        edit(payload)
+        with pytest.raises(ModelCorruptError, match="^model payload malformed: "):
+            model_from_document(spliced(payload))
 
     def test_model_bytes_deterministic(self):
         model_a, _ = self.trained_model(seed=6)

@@ -3,15 +3,18 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from speechacts import corpus as corpus_mod
 from speechacts.corpus import (
     MAX_CONVERSATION_ID,
+    SPEAKERS,
     CatalogError,
     Conversation,
     LabelCatalog,
     TranscriptError,
+    Turn,
     corpus_stats,
     load_transcripts,
     modeling_examples,
@@ -175,6 +178,179 @@ class TestParse:
         p2.write_text(record_line("c1", 1, "assistant", 2.0, "y", []) + "\n")
         convs = load_transcripts([p1, p2], catalog_ab)
         assert len(convs) == 1 and len(convs[0].turns) == 2
+
+
+def reference_decode(line):
+    """``decode_record`` as it was, through ``JSONDecoder.decode``: the
+    reference the streamlined parser is held to."""
+    try:
+        return corpus_mod._DECODER.decode(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not valid JSON ({exc.msg})") from exc
+    except corpus_mod._NotANumber as exc:
+        what = str(exc)
+        field = corpus_mod._field_holding_non_finite(line)
+        if field is not None:
+            what = f"{corpus_mod._quoted(field)}: {what}"
+        raise ValueError(f"not valid JSON ({what})") from exc
+    except ValueError as exc:
+        raise ValueError(f"not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise ValueError("not valid JSON (nested too deeply)") from exc
+
+
+def reference_record(line, source, line_no, catalog):
+    """``_parse_record`` as it was: list and generator checks, and the extra
+    dict built for every record."""
+    required = ("conversation_id", "turn_index", "speaker", "timestamp_s", "text", "labels")
+    try:
+        obj = reference_decode(line)
+    except ValueError as exc:
+        raise TranscriptError(str(exc), source, line_no) from exc
+    if not isinstance(obj, dict):
+        raise TranscriptError("record is not an object", source, line_no)
+    missing = [k for k in required if k not in obj]
+    if missing:
+        raise TranscriptError(f"missing keys {missing}", source, line_no)
+    try:
+        cid, speaker, ts, text = corpus_mod.turn_fields(obj)
+    except ValueError as exc:
+        raise TranscriptError(str(exc), source, line_no) from exc
+    idx = obj["turn_index"]
+    if not isinstance(idx, int) or isinstance(idx, bool) or idx < 0:
+        raise TranscriptError("turn_index must be a non-negative integer", source, line_no)
+    raw_labels = obj["labels"]
+    if not isinstance(raw_labels, list) or not all(isinstance(x, str) for x in raw_labels):
+        raise TranscriptError("labels must be an array of strings", source, line_no)
+    labels = frozenset(x.lower() for x in raw_labels)
+    unknown = sorted(x for x in labels if not catalog.allows(x))
+    if unknown:
+        raise TranscriptError(
+            f"labels not in catalog or excluded set: {corpus_mod._quoted(unknown)}", source, line_no
+        )
+    extra = {k: v for k, v in obj.items() if k not in required}
+    return Turn(cid, idx, speaker, ts, text, labels, extra)
+
+
+def reference_parse(lines, catalog):
+    return corpus_mod._group([(reference_record(line, "<stream>", n, catalog), "<stream>", n)
+                              for n, line in enumerate(lines, start=1) if line.strip()])
+
+
+def outcome(parse, lines, catalog):
+    try:
+        return parse(lines, catalog)
+    except TranscriptError as exc:
+        return f"TranscriptError: {exc}"
+
+
+PLACEHOLDER = '"@@"'
+CATALOG_AB = LabelCatalog(labels=("a", "b"), excluded=frozenset({"setup"}))
+JSON_SPACE = st.text(st.sampled_from(" \t\n\r"), min_size=1, max_size=3)
+OTHER_SPACE = st.sampled_from(["\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"])
+# literals Python's json reads as NaN or infinity, an integer past the digit
+# limit, and nesting past the recursion limit
+BAD_LITERALS = st.sampled_from(["NaN", "Infinity", "-Infinity", "1e999", "-1e999", "1" * 4400,
+                                "[" * 3000, "[" * 3000 + "]" * 3000])
+ODD_VALUES = st.sampled_from([None, True, False, -1, 1.5, "1", "", [], {}, ["a"], {"a": 1}, 10**30])
+
+
+@st.composite
+def mutated_line(draw):
+    """One transcript line: a valid record, or one with a single mutation
+    aimed at one of the parser's error branches (or one it lets through)."""
+    rec = {
+        "conversation_id": draw(st.sampled_from(["c1", "c2"])),
+        "turn_index": draw(st.integers(0, 4)),
+        "speaker": draw(st.sampled_from(SPEAKERS)),
+        "timestamp_s": draw(st.floats(0.0, 100.0) | st.integers(0, 100)),
+        "text": draw(st.text(max_size=6)),
+        "labels": draw(st.lists(st.sampled_from(["a", "B", "setup", "SETUP"]), max_size=3)),
+    }
+    literal = None
+    kind = draw(st.sampled_from([
+        "valid", "bad_json", "lead_json_space", "trail_json_space", "lead_other_space",
+        "trail_other_space", "trailing_data", "bad_literal", "missing", "odd_index",
+        "odd_labels", "label_not_string", "unknown_label", "extra", "odd_field", "not_object",
+        "blank"]))
+    key = draw(st.sampled_from(sorted(rec)))
+    if kind == "bad_literal":
+        literal = draw(BAD_LITERALS)
+        where = draw(st.sampled_from(["field", "extra", "nested"]))
+        if where == "field":
+            rec[key] = "@@"
+        elif where == "extra":
+            rec["x"] = "@@"
+        else:
+            rec["x"] = {"y": ["@@"]}
+    elif kind == "missing":
+        for name in draw(st.sets(st.sampled_from(sorted(rec)), min_size=1)):
+            del rec[name]
+    elif kind == "odd_index":
+        rec["turn_index"] = draw(st.sampled_from([True, False, -1, -7, 1.0, "1", None]))
+    elif kind == "odd_labels":
+        rec["labels"] = draw(st.sampled_from(["a", {"a": 1}, 3, None, True]))
+    elif kind == "label_not_string":
+        rec["labels"] = rec["labels"] + [draw(st.sampled_from([1, None, ["a"], True, 1.5]))]
+    elif kind == "unknown_label":
+        rec["labels"] = rec["labels"] + draw(st.lists(st.sampled_from(["zz", "Q", "a b"]),
+                                                      min_size=1))
+    elif kind == "extra":
+        rec.update(draw(st.dictionaries(st.text(max_size=3), ODD_VALUES, min_size=1)))
+    elif kind == "odd_field":
+        rec[key] = draw(ODD_VALUES)
+    line = json.dumps(rec, ensure_ascii=draw(st.booleans()))
+    if literal is not None:
+        line = line.replace(PLACEHOLDER, literal)
+    if kind == "bad_json":
+        cut = draw(st.integers(0, len(line) - 1))
+        line = line[:cut] + draw(st.sampled_from(["", "{", "}", ",", ":", "'"])) + line[cut + 1:]
+    elif kind == "lead_json_space":
+        line = draw(JSON_SPACE) + line
+    elif kind == "trail_json_space":
+        line = line + draw(JSON_SPACE)
+    elif kind == "lead_other_space":
+        line = draw(OTHER_SPACE) + line
+    elif kind == "trail_other_space":
+        line = line + draw(OTHER_SPACE)
+    elif kind == "trailing_data":
+        line = line + draw(JSON_SPACE | st.just("")) + draw(st.sampled_from(["x", "{}", "1", ",",
+                                                                             "]", '"s"']))
+    elif kind == "not_object":
+        line = draw(st.sampled_from(["[1]", "5", '"s"', "null", "[]", "true"]))
+    elif kind == "blank":
+        line = draw(st.sampled_from(["", " ", "\t\r\n", "\x0c", "\u3000", "\x85 "]))
+    return line
+
+
+class TestParseEquivalence:
+    @settings(max_examples=400, deadline=None)
+    @given(lines=st.lists(mutated_line(), min_size=1, max_size=4))
+    @example(lines=['{"conversation_id": "c1", "turn_index": 0, "speaker": "assistant", '
+                    '"timestamp_s": 1, "text": "", "labels": ["SETUP"], "k": [1e999]}'])
+    @example(lines=["\x0c{}", "{} \x0b", " \t{}\r\n"])
+    def test_parse_matches_the_reference(self, lines):
+        assert (outcome(parse_transcripts, lines, CATALOG_AB)
+                == outcome(reference_parse, lines, CATALOG_AB))
+
+    def test_mutations_reach_every_error_branch(self):
+        """The generator's lines reach each message the parser can give."""
+        seen = set()
+
+        @settings(max_examples=800, deadline=None, database=None, derandomize=True)
+        @given(line=mutated_line())
+        def collect(line):
+            got = outcome(reference_parse, [line], CATALOG_AB)
+            if isinstance(got, str):
+                seen.add(got.split("<stream>:1: ", 1)[1])
+
+        collect()
+        for message in ["not valid JSON", "record is not an object", "missing keys",
+                        "turn_index must be a non-negative integer",
+                        "labels must be an array of strings", "labels not in catalog or excluded set",
+                        "conversation_id must be a non-empty string", "unknown speaker",
+                        corpus_mod.TIMESTAMP_ERROR, "text must be a string"]:
+            assert any(got.startswith(message) for got in seen), message
 
 
 class TestRoundTrip:

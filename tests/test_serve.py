@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import functools
 import io
 import json
@@ -14,6 +15,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ from speechacts.cli import main
 from speechacts.config import RunConfig
 from speechacts.corpus import (MAX_CONVERSATION_ID, SPEAKERS, TIMESTAMP_ERROR, modeling_examples,
                                serialize_transcripts)
-from speechacts.featurize import SLEN_SCOPES, ContextState
+from speechacts.featurize import SLEN_SCOPES, ContextState, ScalingParams
 from speechacts.serve import MAX_LINE_BYTES, ServeEngine, ServeServer, serve_stream
 from speechacts.synth import SynthSpec, synth_catalog, synth_corpus
 
@@ -40,6 +42,16 @@ def model():
     catalog = synth_catalog(spec)
     examples = modeling_examples(conversations, catalog)
     return train_model(examples, catalog, RunConfig(seed=5))
+
+
+def zero_pause_model(model):
+    """model with every pause weight 0.0 and a pause std of 0.25, so a pause
+    near the float limit scales to +inf, and inf * 0.0 makes each label's
+    probability NaN."""
+    classifiers = {name: dataclasses.replace(clf, weights=np.append(clf.weights[:-1], 0.0))
+                   for name, clf in model.classifiers.items()}
+    scaling = ScalingParams(model.scaling.means, model.scaling.stds[:-1] + (0.25,))
+    return dataclasses.replace(model, classifiers=classifiers, scaling=scaling)
 
 
 def request_line(cid, speaker, ts, text):
@@ -368,6 +380,44 @@ class TestStreamEquivalence:
                 assert isinstance(value, (int, float, str)), name
         assert context.total_turns == len(conv.turns)
 
+    @pytest.mark.parametrize("fallback", [False, True], ids=["no-fallback", "fallback"])
+    def test_serve_replies_are_predict_record_bodies_byte_for_byte(self, tmp_path, fallback):
+        spec = SynthSpec(n_labels=3, turns_per_label=30, signal=0.5, seed=17)
+        conversations = synth_corpus(spec)
+        catalog = synth_catalog(spec)
+        model = train_model(modeling_examples(conversations, catalog), catalog,
+                            RunConfig(seed=17, fallback=fallback))
+        model_path = tmp_path / "model.json"
+        save_model(model, model_path)
+        odd = 'id "quoted" \\ \x01 caf\u00e9 \U0001F600'  # escaped in predict's records
+        for turn in conversations[0].turns:
+            turn.conversation_id = odd
+        conversations[0].conversation_id = odd
+        transcript = tmp_path / "requests.jsonl"
+        transcript.write_text(serialize_transcripts(conversations), encoding="utf-8")
+        predicted = CliRunner().invoke(main, ["--format", "machine", "predict", str(transcript),
+                                              "--model", str(model_path)])
+        assert predicted.exit_code == 0, predicted.output
+        records = predicted.stdout.splitlines()
+
+        turns = [turn for conv in conversations for turn in conv.turns]
+        requests = "".join(request_line(t.conversation_id, t.speaker, t.timestamp_s, t.text) + "\n"
+                           for t in turns)
+        stdout = io.BytesIO()
+        serve_stream(ServeEngine(model), io.BytesIO(requests.encode()), stdout)
+        replies = stdout.getvalue().decode("ascii").splitlines()
+        assert len(records) == len(replies) == len(turns)
+        for turn, record, reply in zip(turns, records, replies):
+            head = json.dumps({"conversation_id": turn.conversation_id,
+                               "turn_index": turn.turn_index, "speaker": turn.speaker})[:-1] + ", "
+            assert record.startswith(head)
+            assert reply == "{" + record[len(head):]
+        # both labelling rules are reached: a confident turn, and an unsure
+        # one that gets the argmax label or none
+        bodies = [json.loads(reply) for reply in replies]
+        assert any(body["labels"] and not body["low_confidence"] for body in bodies)
+        assert any(body["low_confidence"] and bool(body["labels"]) == fallback for body in bodies)
+
 
 class TestSessionTable:
     def test_least_recently_used_evicted_at_the_cap(self, model, monkeypatch):
@@ -424,6 +474,54 @@ class TestSessionTable:
         line = request_line("a", "participant", 13.0, "act2kw2")
         assert engine.handle_line(line) == ServeEngine(model).handle_line(line)
         assert list(engine._sessions) == ["c", "a"]
+
+    def test_non_finite_score_answered_with_an_error_session_unchanged(self, model, monkeypatch):
+        monkeypatch.setattr(serve, "MAX_SESSIONS", 2)
+        nan_pause = zero_pause_model(model)
+        # every pause scales to +inf, the first turn's 0.0 too
+        scaling = ScalingParams(nan_pause.scaling.means[:-1] + (-1.7e308,), nan_pause.scaling.stds)
+        nan_always = dataclasses.replace(nan_pause, scaling=scaling)
+        for scored, cids in [(nan_pause, ("a",)), (nan_always, ("a", "c"))]:
+            engine = ServeEngine(scored)
+            for line in [request_line("a", "assistant", 1.0, "act0kw0 words"),
+                         request_line("b", "assistant", 2.0, "a reply")]:
+                engine.handle_line(line)
+            before = {cid: dict(vars(context)) for cid, context in engine._sessions.items()}
+            # a known session, and a new one that would evict a
+            nan_lines = [request_line(cid, "participant", 1.7e308, "act0kw0") for cid in cids]
+            next_line = request_line("a", "assistant", 3.0, "more")
+            stdout = io.BytesIO()
+            raw = ("\n".join(nan_lines + [next_line]) + "\n").encode()
+            assert serve_stream(engine, io.BytesIO(raw), stdout) == len(cids) + 1
+            replies = [strict_loads(line) for line in stdout.getvalue().decode("ascii").splitlines()]
+            for reply in replies[:-1]:
+                assert reply == {"error": "the turn's label probabilities are not finite numbers"}
+            assert replies[-1] == {"labels": [], "probabilities": {}, "low_confidence": False}
+            # only the last line moved the table, as if the others never came
+            replayed = ServeEngine(scored)
+            for line in [request_line("a", "assistant", 1.0, "act0kw0 words"),
+                         request_line("b", "assistant", 2.0, "a reply"), next_line]:
+                replayed.handle_line(line)
+            assert list(engine._sessions) == ["b", "a"]
+            assert vars(engine._sessions["b"]) == before["b"]
+            assert ({cid: vars(c) for cid, c in engine._sessions.items()}
+                    == {cid: vars(c) for cid, c in replayed._sessions.items()})
+        # the pause model still scores an ordinary participant turn
+        assert set(strict_loads(ServeEngine(nan_pause).handle_line(
+            request_line("a", "participant", 1.0, "act0kw0")))) == {"labels", "probabilities",
+                                                                      "low_confidence"}
+
+    def test_predict_of_a_non_finite_score_exits_1(self, model, tmp_path):
+        model_path = tmp_path / "model.json"
+        save_model(zero_pause_model(model), model_path)
+        conv = make_conversation("s1", [("participant", 1.0, "act0kw0", []),
+                                        ("participant", 1.7e308, "act0kw0", [])])
+        transcript = tmp_path / "t.jsonl"
+        transcript.write_text(serialize_transcripts([conv]), encoding="utf-8")
+        result = CliRunner().invoke(main, ["--format", "machine", "predict", str(transcript),
+                                           "--model", str(model_path)])
+        assert result.exit_code == 1
+        assert "not JSON compliant" in result.output
 
     def test_full_table_of_the_longest_ids_is_bounded(self, model):
         # ids of the longest length in 4-byte characters, the most a key holds
