@@ -643,28 +643,44 @@ def predict_proba(model: MultiLabelModel, vector: np.ndarray) -> dict[str, float
     return dict(zip(model.catalog.labels, probs[0].tolist()))
 
 
-def _prediction(model: MultiLabelModel, probs: dict[str, float]) -> Prediction:
-    chosen = frozenset(name for name, p in probs.items() if p >= model.config.threshold)
-    if chosen or not model.config.fallback:
-        return Prediction(probs, chosen, low_confidence=not chosen)
-    best = max(model.catalog.labels, key=lambda name: probs[name])
-    return Prediction(probs, frozenset({best}), low_confidence=True)
+def label_positions(model: MultiLabelModel, row: Sequence[float]) -> tuple[list[int], bool]:
+    """The labelling rule over one turn's probabilities, in catalog order:
+    the chosen labels' catalog positions, in label-name order, and the
+    low-confidence flag.
+
+    A label is chosen when its probability reaches the model's
+    config.threshold. None chosen flags low confidence; with config.fallback
+    set, the first highest probability in catalog order is chosen then.
+    """
+    config = model.config
+    threshold = config.threshold
+    chosen = [j for j in model.catalog.name_order if row[j] >= threshold]
+    if chosen or not config.fallback:
+        return chosen, not chosen
+    return [max(range(len(row)), key=row.__getitem__)], True
+
+
+def _prediction(model: MultiLabelModel, row: list[float]) -> Prediction:
+    chosen, low_confidence = label_positions(model, row)
+    labels = model.catalog.labels
+    return Prediction(dict(zip(labels, row)), frozenset([labels[j] for j in chosen]),
+                      low_confidence)
 
 
 def predict_labels(model: MultiLabelModel, vector: np.ndarray) -> Prediction:
-    """Threshold the per-label probabilities into a label set.
+    """Threshold the per-label probabilities into a label set
+    (:func:`label_positions`).
 
     An empty set flags low confidence; with the model's config.fallback set
     it is replaced by the single most probable label (catalog order breaks
     exact ties).
     """
-    return _prediction(model, predict_proba(model, vector))
+    return _prediction(model, list(predict_proba(model, vector).values()))
 
 
 def predict_rows(model: MultiLabelModel, rows: Sequence[tuple]) -> list[Prediction]:
     """:func:`predict_labels` of each turn that :func:`score_rows` takes."""
-    labels = model.catalog.labels
-    return [_prediction(model, dict(zip(labels, row))) for row in _scores(model, rows)]
+    return [_prediction(model, row) for row in _scores(model, rows)]
 
 
 def predict_conversation(
@@ -862,14 +878,15 @@ def _model_from_json(doc, text: str | None = None) -> MultiLabelModel:
         return model
     except ModelFormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelCorruptError(f"model payload malformed: {exc}") from exc
 
 
 def _model_from_payload(payload) -> MultiLabelModel:
     """The model a model file's payload describes; a malformed payload
-    raises a KeyError, TypeError or ValueError (a ModelCorruptError for a
-    weight vector of the wrong width)."""
+    raises a KeyError, TypeError or ValueError, or an OverflowError for a
+    number past the float range (a ModelCorruptError for a weight vector of
+    the wrong width)."""
     catalog = catalog_from_dict(payload["catalog"])
     if not all(isinstance(token, str) for token in payload["vocabulary"]):
         raise ValueError("vocabulary tokens must be strings")

@@ -240,6 +240,12 @@ class LabelCatalog:
         ``==``, ``hash`` and ``dataclasses.replace`` read."""
         return frozenset(self.labels)
 
+    @cached_property
+    def name_order(self) -> tuple[int, ...]:
+        """The labels' positions sorted by name, the order a turn's chosen
+        labels are written in; kept as :attr:`label_set` is."""
+        return tuple(sorted(range(len(self.labels)), key=self.labels.__getitem__))
+
     def allows(self, name: str) -> bool:
         return name in self.label_set or name in self.excluded
 

@@ -6,9 +6,11 @@ the effective run configuration for provenance.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict
+from typing import Collection
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .classifier import Prediction
@@ -26,26 +28,60 @@ def _machine(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
 
 
-def prediction_json(prediction: Prediction | None, head: str = "{") -> str:
+class AnswerText:
+    """What the answer writer needs of one catalog, computed once: the
+    label names (catalog order), each quoted as JSON, each position by name,
+    and each probability's key, ``"name": ``."""
+
+    def __init__(self, names: tuple[str, ...]):
+        self.names = names
+        self.quoted = [_json_str(name) for name in names]
+        self.position = {name: j for j, name in enumerate(names)}
+        self.keys = [f"{quoted}: " for quoted in self.quoted]
+
+
+@functools.lru_cache(maxsize=32)
+def answer_text(names: tuple[str, ...]) -> AnswerText:
+    """The :class:`AnswerText` of the label names ``names``, kept per tuple."""
+    return AnswerText(names)
+
+
+def answer_json(text: AnswerText, row: Collection[float], chosen: list[int],
+                low_confidence: bool, head: str = "{") -> str:
     """The per-turn answer of ``predict`` and ``serve`` as one line of ASCII
     JSON, written directly rather than through a dict.
 
-    {labels (sorted), probabilities (catalog order), low_confidence}; an
-    unclassified turn (``None``, an assistant turn) gets the empty record.
-    ``head`` opens the object and may carry members before these, ending in
-    ``", "``. The text is byte for byte what ``encode_record`` writes for the
-    same dict, and a non-finite probability raises its ValueError.
+    ``row`` holds the turn's probabilities (floats, each written as
+    ``float.__repr__`` writes it) in the order of ``text.names``, and
+    ``chosen`` the positions of its labels in name order
+    (:func:`~speechacts.classifier.label_positions`). The object is {labels,
+    probabilities, low_confidence}; ``head`` opens it and may carry members
+    before these, ending in ``", "``. The text is byte for byte what
+    ``encode_record`` writes for the same dict, and a non-finite probability
+    raises its ValueError.
     """
+    total = sum(row)
+    if total - total != 0.0:  # a NaN or an infinity among them, or a sum past the float range
+        encode_record(dict(zip(text.names, row)))  # raises on a non-finite value as the encoder does
+    quoted = text.quoted
+    labels = ", ".join([quoted[j] for j in chosen])
+    # joined, not %-formatted: a % result keeps its writer's over-allocated
+    # block, which raised serve's peak RSS
+    members = ", ".join(map(str.__add__, text.keys, map(float.__repr__, row)))
+    flag = "true" if low_confidence else "false"
+    return f'{head}"labels": [{labels}], "probabilities": {{{members}}}, "low_confidence": {flag}}}'
+
+
+def prediction_json(prediction: Prediction | None, head: str = "{") -> str:
+    """:func:`answer_json` of a :class:`~speechacts.classifier.Prediction`,
+    whose labels are among its probabilities' names; an unclassified turn
+    (``None``, an assistant turn) gets the empty record."""
     if prediction is None:
         return head + _UNCLASSIFIED
     probs = prediction.probabilities
-    total = sum(probs.values())
-    if total - total != 0.0:  # a NaN or an infinity among them, or a sum past the float range
-        encode_record(probs)  # raises on a non-finite value as the encoder does
-    labels = ", ".join(map(_json_str, sorted(prediction.labels)))
-    members = ", ".join([f"{_json_str(name)}: {float.__repr__(p)}" for name, p in probs.items()])
-    flag = "true" if prediction.low_confidence else "false"
-    return f'{head}"labels": [{labels}], "probabilities": {{{members}}}, "low_confidence": {flag}}}'
+    text = answer_text(tuple(probs))
+    chosen = [text.position[name] for name in sorted(prediction.labels)]
+    return answer_json(text, probs.values(), chosen, prediction.low_confidence, head)
 
 
 def predict_lines(conversation: Conversation, predictions: list[Prediction | None]) -> list[str]:

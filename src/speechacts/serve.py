@@ -35,10 +35,10 @@ import threading
 from collections import OrderedDict
 from typing import IO
 
-from .classifier import MultiLabelModel, predict_rows
+from .classifier import MultiLabelModel, _scores, label_positions
 from .corpus import PARTICIPANT, decode_record, encode_record, turn_fields
 from .featurize import ContextState, tokenize, turn_row
-from .reports import prediction_json
+from .reports import answer_json, answer_text, prediction_json
 
 
 def _error(message: str) -> str:
@@ -69,6 +69,7 @@ class ServeEngine:
     def __init__(self, model: MultiLabelModel):
         self.model = model
         model.stacked  # stack the weights before the first request
+        self._text = answer_text(model.catalog.labels)
         self._sessions: OrderedDict[str, ContextState] = OrderedDict()
         self._lock = threading.Lock()
 
@@ -76,7 +77,9 @@ class ServeEngine:
         """The reply line to one decoded request. A request answered with an
         {error} leaves the session table as it was: its keys, their order
         and each context. So a participant turn is scored before its
-        context takes it in, and scores that are not finite get an error."""
+        context takes it in, and scores that are not finite get an error.
+        The reply is written from the turn's probability row by the
+        labelling rule and the writer that ``predict`` records use."""
         try:
             cid, speaker, seconds, text = turn_fields(request)
         except ValueError as exc:
@@ -93,9 +96,10 @@ class ServeEngine:
             if speaker == PARTICIPANT:
                 row = turn_row(tokens, context.features(speaker, seconds, wc),
                                self.model.vocabulary, self.model.scaling)
-                prediction = predict_rows(self.model, [row])[0]
+                (probs,) = _scores(self.model, [row])
+                chosen, low_confidence = label_positions(self.model, probs)
                 try:
-                    reply = prediction_json(prediction)
+                    reply = answer_json(self._text, probs, chosen, low_confidence)
                 except ValueError:  # a NaN or infinite probability, which JSON cannot hold
                     return _NOT_FINITE
             else:
@@ -216,7 +220,13 @@ class ServeServer(socketserver.ThreadingTCPServer):
             for option in (socket.SO_RCVTIMEO, socket.SO_SNDTIMEO):
                 request.setsockopt(socket.SOL_SOCKET, option, struct.pack("@ll", seconds, micros))
             super().process_request(request, client_address)
-        except BaseException:
+        # Exception, not BaseException: a KeyboardInterrupt (SIGINT, or
+        # SIGTERM under the CLI) can arrive in Thread.start after the thread
+        # has started, and that thread frees the slot itself. A second
+        # release raises ValueError, which socketserver logs and serves on,
+        # so the interrupt would be lost. The interrupt stops the server, so
+        # a slot it leaves held is not needed.
+        except Exception:
             self._slots.release()  # no thread started to release it
             raise
 

@@ -1174,6 +1174,14 @@ COERCED_PAYLOADS = {
         labels=[name.upper() for name in p["catalog"]["labels"]]),
 }
 
+# payload edits holding an integer past the float range where a float belongs
+OUT_OF_RANGE_PAYLOADS = {
+    "bias": lambda p: first_classifier(p).update(bias=10**400),
+    "weight": lambda p: first_classifier(p)["weights"].__setitem__(0, -(10**400)),
+    "final-loss": lambda p: first_classifier(p).update(final_loss=10**400),
+    "scaling-mean": lambda p: p["scaling"]["means"].__setitem__(1, 10**400),
+}
+
 
 def keyword_examples(n_per_label=10):
     """Participant turns where each label is flagged by its own keyword."""
@@ -1573,6 +1581,15 @@ class TestPersistence:
         edit(payload)
         with pytest.raises(ModelCorruptError, match="^model payload malformed: "):
             model_from_document(spliced(payload))
+
+    @pytest.mark.parametrize("layout", [rechecksummed, spliced], ids=["loose", "writer"])
+    @pytest.mark.parametrize("edit", OUT_OF_RANGE_PAYLOADS.values(), ids=OUT_OF_RANGE_PAYLOADS)
+    def test_number_past_the_float_range_is_corrupt(self, edit, layout):
+        payload = json.loads(model_to_document(self.trained_model()[0]))["payload"]
+        edit(payload)
+        with pytest.raises(ModelCorruptError,
+                           match="^model payload malformed: int too large to convert to float"):
+            model_from_document(layout(payload))
 
     def test_model_bytes_deterministic(self):
         model_a, _ = self.trained_model(seed=6)

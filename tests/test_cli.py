@@ -1,10 +1,15 @@
 import errno
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import speechacts
 from speechacts.cli import main
 from speechacts.corpus import MAX_CONVERSATION_ID
 
@@ -719,6 +724,29 @@ class TestDocumentFiles:
         assert error.startswith(f"error: {model}: {reason}")
         assert result.stderr == error + "\n"
         assert "Traceback" not in result.output
+
+    def test_number_past_the_float_range_in_a_model_is_one_error_line(self, tiny_corpus,
+                                                                      tmp_path):
+        # a bias of 10**400 under a checksum made anew, run as the console
+        # script is, where an escaped exception prints a traceback
+        transcript, catalog = tiny_corpus
+        model = tmp_path / "model.json"
+        train = CliRunner().invoke(main, ["--catalog", catalog, "train", transcript,
+                                          "--output", str(model)])
+        assert train.exit_code == 0, train.output
+        payload = json.loads(model.read_text())["payload"]
+        next(iter(payload["classifiers"].values()))["bias"] = 10**400
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        model.write_text(json.dumps({"checksum": hashlib.sha256(canonical.encode()).hexdigest(),
+                                     "format_version": 2, "payload": payload}))
+        env = {**os.environ, "PYTHONPATH": str(Path(speechacts.__file__).resolve().parents[1])}
+        result = subprocess.run([sys.executable, "-m", "speechacts.cli", "predict", transcript,
+                                 "--model", str(model)], capture_output=True, text=True, env=env,
+                                timeout=120)
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert [line for line in result.stderr.splitlines() if line.startswith("error:")] == [
+            f"error: {model}: model payload malformed: int too large to convert to float"]
 
     @pytest.mark.parametrize("command", ["evaluate", "synth-corpus"])
     def test_failed_write_keeps_earlier_file(self, runner, separable_corpus_files, tmp_path,

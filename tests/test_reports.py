@@ -1,12 +1,19 @@
+import json
 import math
+from json.encoder import encode_basestring_ascii as _json_str
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from speechacts.classifier import Prediction
-from speechacts.corpus import Conversation, Turn, encode_record
+from speechacts import serve
+from speechacts.classifier import MultiLabelModel, Prediction, _prediction
+from speechacts.config import RunConfig
+from speechacts.corpus import Conversation, LabelCatalog, Turn, encode_record
+from speechacts.featurize import ScalingParams, Vocabulary
 from speechacts.reports import predict_lines, prediction_json
+from speechacts.serve import ServeEngine
 
 
 def prediction_record(prediction):
@@ -79,3 +86,111 @@ def test_non_finite_probability_raises_as_the_encoder(bad, others):
 def test_finite_probabilities_whose_sum_overflows_are_written():
     prediction = Prediction({"a": 1.7e308, "b": 1.7e308}, frozenset({"a"}), False)
     assert prediction_json(prediction) == encode_record(prediction_record(prediction))
+
+
+# The labelling rule and the writer as they were before serve answered from
+# the probability row: a Prediction built from a dict, and written from it.
+
+def reference_prediction(model, probs):
+    chosen = frozenset(name for name, p in probs.items() if p >= model.config.threshold)
+    if chosen or not model.config.fallback:
+        return Prediction(probs, chosen, low_confidence=not chosen)
+    best = max(model.catalog.labels, key=lambda name: probs[name])
+    return Prediction(probs, frozenset({best}), low_confidence=True)
+
+
+def reference_prediction_json(prediction, head="{"):
+    if prediction is None:
+        return head + '"labels": [], "probabilities": {}, "low_confidence": false}'
+    probs = prediction.probabilities
+    total = sum(probs.values())
+    if total - total != 0.0:
+        encode_record(probs)
+    labels = ", ".join(map(_json_str, sorted(prediction.labels)))
+    members = ", ".join([f"{_json_str(name)}: {float.__repr__(p)}" for name, p in probs.items()])
+    flag = "true" if prediction.low_confidence else "false"
+    return f'{head}"labels": [{labels}], "probabilities": {{{members}}}, "low_confidence": {flag}}}'
+
+
+def rule_model(names, threshold, fallback):
+    """A model whose catalog and labelling rule are these, with no
+    classifiers: its rows come from the test, not from scoring."""
+    return MultiLabelModel(classifiers={}, vocabulary=Vocabulary.from_tokens([]),
+                           scaling=ScalingParams((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+                           catalog=LabelCatalog(tuple(names)),
+                           config=RunConfig(threshold=threshold, fallback=fallback))
+
+
+TURN = json.dumps({"conversation_id": "c", "speaker": "participant", "timestamp_s": 1.0,
+                   "text": "a turn"})
+
+
+def served(model, row):
+    """The reply serve writes for a participant turn whose probabilities are
+    row, and whether the turn left its session table empty."""
+    engine = ServeEngine(model)
+    with mock.patch.object(serve, "_scores", lambda _, rows: [list(row)]):
+        reply = engine.handle_line(TURN)
+    return reply, not engine._sessions
+
+
+@st.composite
+def scored_turns(draw):
+    """A rule model and one probability row for its catalog: values at 0.0,
+    1.0, the threshold and its neighbours, the least subnormal and 17-digit
+    decimals; sometimes all under the threshold, sometimes tied for the
+    maximum, and sometimes with skipped labels' 0.0."""
+    # catalogs of 1 to 11 labels, whose name order is seldom their order
+    names = draw(st.lists(st.from_regex(r"[a-z][a-z0-9]{0,2}", fullmatch=True), unique=True,
+                          min_size=1, max_size=11))
+    threshold = draw(st.sampled_from([0.5, 1 / 3, 5e-324, 0.9999999999999999])
+                     | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    below, above = math.nextafter(threshold, 0.0), math.nextafter(threshold, 1.0)
+    value = st.sampled_from([0.0, 1.0, threshold, below, above, 5e-324, 0.30000000000000004,
+                             0.12345678901234568, 0.9999999999999999]) | st.floats(0.0, 1.0)
+    row = [draw(value) for _ in names]
+    positions = st.sampled_from(range(len(names)))
+    if draw(st.booleans()):  # nothing reaches the threshold
+        row = [min(p, below) for p in row]
+    if draw(st.booleans()):  # several labels share the maximum
+        for j in draw(st.sets(positions, min_size=2 if len(names) > 1 else 1)):
+            row[j] = max(row)
+    for j in draw(st.sets(positions)):  # skipped labels
+        row[j] = 0.0
+    return rule_model(names, threshold, draw(st.booleans())), row
+
+
+HEADS = st.sampled_from(["{", '{"conversation_id": "c%s", "turn_index": 7, '
+                              '"speaker": "participant", '])
+
+
+@settings(max_examples=300, deadline=None)
+@given(turn=scored_turns(), head=HEADS)
+@example(turn=(rule_model(["b", "a", "c"], 0.5, True), [0.25, 0.25, 0.125]), head="{")
+@example(turn=(rule_model(["zz", "b", "a1"], 0.5, False), [0.5, 0.75, 1.0]), head="{")
+def test_rule_and_writer_answer_as_the_reference(turn, head):
+    model, row = turn
+    expected = reference_prediction(model, dict(zip(model.catalog.labels, row)))
+    text = reference_prediction_json(expected, head)
+    prediction = _prediction(model, list(row))
+    assert prediction == expected
+    assert list(prediction.probabilities) == list(model.catalog.labels)
+    assert prediction_json(prediction, head) == text
+    assert prediction_json(expected, head) == text
+    if head == "{":
+        assert served(model, row) == (text, False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(turn=scored_turns(), bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+       data=st.data())
+def test_non_finite_row_raises_as_the_encoder_and_serve_refuses_it(turn, bad, data):
+    model, row = turn
+    row[data.draw(st.sampled_from(range(len(row))))] = bad
+    with pytest.raises(ValueError) as expected:
+        reference_prediction_json(reference_prediction(model, dict(zip(model.catalog.labels, row))))
+    with pytest.raises(ValueError) as got:
+        prediction_json(_prediction(model, list(row)))
+    assert str(got.value) == str(expected.value)
+    assert served(model, row) == (serve._NOT_FINITE, True)
+

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import dataclasses
 import functools
 import io
@@ -7,12 +8,14 @@ import os
 import re
 import signal
 import socket
+import socketserver
 import struct
 import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +23,11 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant, precondition,
+                                 rule)
 
 import speechacts
-from speechacts import serve
+from speechacts import classifier, serve
 from speechacts.classifier import predict_conversation, save_model, train_model
 from speechacts.cli import main
 from speechacts.config import RunConfig
@@ -35,13 +40,18 @@ from speechacts.synth import SynthSpec, synth_catalog, synth_corpus
 from conftest import make_conversation
 
 
-@pytest.fixture(scope="module")
-def model():
+@functools.cache
+def trained_model():
     spec = SynthSpec(n_labels=3, turns_per_label=15, signal=1.0, seed=5)
     conversations = synth_corpus(spec)
     catalog = synth_catalog(spec)
     examples = modeling_examples(conversations, catalog)
     return train_model(examples, catalog, RunConfig(seed=5))
+
+
+@pytest.fixture(scope="module")
+def model():
+    return trained_model()
 
 
 def zero_pause_model(model):
@@ -816,6 +826,38 @@ class TestTcp:
             server.server_close()
             thread.join(timeout=5)
 
+    def test_interrupt_after_the_handler_thread_started_is_raised(self, model, monkeypatch):
+        # SIGINT, or SIGTERM under the CLI, can land in Thread.start after the
+        # handler thread has served and freed its slot; the interrupt must
+        # still stop the server, not turn into a logged ValueError
+        served = threading.Event()
+        serve_connection = ServeServer.process_request_thread
+        start_thread = socketserver.ThreadingMixIn.process_request
+
+        def serve_then_flag(self, request, client_address):
+            try:
+                serve_connection(self, request, client_address)
+            finally:
+                served.set()
+
+        def interrupted_start(self, request, client_address):
+            start_thread(self, request, client_address)
+            assert served.wait(10)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ServeServer, "process_request_thread", serve_then_flag)
+        monkeypatch.setattr(socketserver.ThreadingMixIn, "process_request", interrupted_start)
+        server = ServeServer(("127.0.0.1", 0), ServeEngine(model))
+        try:
+            with socket.create_connection(server.server_address, timeout=10) as sock:
+                sock.sendall((request_line("k", "participant", 1.0, "act0kw0") + "\n").encode())
+                sock.shutdown(socket.SHUT_WR)
+                with pytest.raises(KeyboardInterrupt):
+                    server.handle_request()
+                assert "labels" in strict_loads(read_all(sock).decode())
+        finally:
+            server.server_close()
+
     def test_silent_connection_closed_after_the_idle_timeout(self, model, monkeypatch):
         monkeypatch.setattr(serve, "IDLE_TIMEOUT_S", 0.2)
         monkeypatch.setattr(serve, "MAX_CONNECTIONS", 1)
@@ -1035,3 +1077,190 @@ class TestFuzz:
         assert b"".join(out.writes) == whole.getvalue()
         assert len(out.writes) <= reader.reads
         assert all(write.endswith(b"\n") for write in out.writes)
+
+
+class TestTraceContract:
+    """What the benchmark's traced run relies on: it wraps
+    ``ServeEngine.handle_line`` on the class and matches one call to each
+    request line, by the line text it was given, and it divides
+    ``model_to_document``'s output by its calls in ``train``."""
+
+    LINES = [request_line("t1", "participant", 1.0, "act0kw0 words"), "",
+             request_line("t2", "assistant", 2.0, "a reply"), "   ", "{broken", "[1]",
+             request_line("t1", "participant", 0.5, "backwards"),
+             request_line("t2", "participant", 3.0, "act1kw1 act2kw2"), "\t",
+             request_line("t1", "assistant", 4.0, "more")]
+
+    @pytest.mark.parametrize("reads", ["one line", "many lines", "cut"])
+    def test_one_handle_line_call_per_request_line(self, model, monkeypatch, reads):
+        calls = []
+        original = ServeEngine.handle_line
+
+        @functools.wraps(original)
+        def traced(*args, **kwargs):
+            calls.append((args, kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ServeEngine, "handle_line", traced)
+        raw = [line.encode() + b"\n" for line in self.LINES]
+        stream = b"".join(raw)
+        chunks = {"one line": raw, "many lines": [stream[:len(stream) // 2], stream[len(stream) // 2:]],
+                  "cut": [stream[i:i + 37] for i in range(0, len(stream), 37)]}[reads]
+        engine = ServeEngine(model)
+        out = io.BytesIO()
+        requests = [line for line in self.LINES if line.strip()]
+        assert serve_stream(engine, ChunkedReader(chunks), out) == len(requests)
+        assert [(args[0], args[1:], kwargs) for args, kwargs in calls] == [
+            (engine, (line,), {}) for line in requests]
+        alone = ServeEngine(model)
+        assert out.getvalue().decode("ascii").splitlines() == [
+            alone.handle_line(line) for line in requests]
+
+    def test_save_model_encodes_once(self, model, monkeypatch, tmp_path):
+        calls = []
+        original = classifier.model_to_document
+
+        def traced(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(classifier, "model_to_document", traced)
+        save_model(model, tmp_path / "model.json")
+        assert calls == [(model,)]
+        assert (tmp_path / "model.json").read_text() == original(model)
+
+
+MACHINE_WORDS = ["act0kw0", "act1kw1", "act2kw2", "act0kw1", "words", "more", "x"]
+
+
+class ServeMachine(RuleBasedStateMachine):
+    """One engine under a small session cap, driven by interleaved turns of
+    a few conversations and by requests it must refuse, against a model of
+    its table: per conversation, the lines accepted since it last entered
+    the table, in least-recently-used order.
+
+    The model is :func:`zero_pause_model`'s, so a turn timed near the float
+    limit scores NaN in a known session."""
+
+    def __init__(self):
+        super().__init__()
+        self.model = zero_pause_model(trained_model())
+        self.engine = ServeEngine(self.model)
+        self.accepted: OrderedDict[str, list[tuple[str, float]]] = OrderedDict()
+        self.cids: list[str] = []
+        self.saved_cap = serve.MAX_SESSIONS
+
+    @initialize(cap=st.integers(2, 4), conversations=st.integers(3, 5))
+    def start(self, cap, conversations):
+        serve.MAX_SESSIONS = cap
+        self.cids = [f"c{i}" for i in range(conversations)]
+
+    def teardown(self):
+        serve.MAX_SESSIONS = self.saved_cap
+
+    def replayed(self, lines):
+        """A fresh engine that saw only these lines, and its last reply."""
+        fresh = ServeEngine(self.model)
+        replies = [fresh.handle_line(line) for line in lines]
+        return fresh, replies[-1] if replies else None
+
+    def expect(self, cid, line, seconds):
+        """The reply to an accepted line, and the table's model after it."""
+        _, reply = self.replayed([old for old, _ in self.accepted.get(cid, [])] + [line])
+        assert set(strict_loads(reply)) != {"error"}
+        if cid in self.accepted:
+            self.accepted.move_to_end(cid)
+        elif len(self.accepted) >= serve.MAX_SESSIONS:
+            self.accepted.popitem(last=False)
+        self.accepted.setdefault(cid, []).append((line, seconds))
+        return reply
+
+    def draw_turn(self, data):
+        cid = data.draw(st.sampled_from(self.cids))
+        last = self.accepted[cid][-1][1] if cid in self.accepted else 0.0
+        seconds = last + data.draw(st.sampled_from([0.0, 0.5, 3.0, 40.0]))
+        text = " ".join(data.draw(st.lists(st.sampled_from(MACHINE_WORDS), max_size=4)))
+        line = request_line(cid, data.draw(st.sampled_from(SPEAKERS)), seconds, text)
+        return cid, line, seconds
+
+    def refused(self, request, reply=None):
+        """Send a request line (or a decoded request) that must get an
+        error, and check that the table did not move."""
+        before = [(cid, copy.deepcopy(vars(context)))
+                  for cid, context in self.engine._sessions.items()]
+        got = (self.engine.handle_request(request) if isinstance(request, dict)
+               else self.engine.handle_line(request))
+        assert set(strict_loads(got)) == {"error"}
+        if reply is not None:
+            assert got == reply
+        assert [(cid, vars(context)) for cid, context in self.engine._sessions.items()] == before
+
+    @rule(data=st.data())
+    def turn(self, data):
+        cid, line, seconds = self.draw_turn(data)
+        expected = self.expect(cid, line, seconds)
+        assert self.engine.handle_line(line) == expected
+
+    @rule(data=st.data(), count=st.integers(1, 3))
+    def turns_through_a_stream(self, data, count):
+        """A few turns sent as one stream, read in chunks cut at drawn points."""
+        lines, expected = [], []
+        for _ in range(count):
+            cid, line, seconds = self.draw_turn(data)
+            lines.append(line)
+            expected.append(self.expect(cid, line, seconds))
+        stream = "".join(line + "\n" for line in lines).encode()
+        cuts = sorted(set(data.draw(st.lists(st.integers(1, len(stream) - 1), max_size=4))))
+        bounds = [0, *cuts, len(stream)]
+        out = io.BytesIO()
+        reader = ChunkedReader([stream[a:b] for a, b in zip(bounds, bounds[1:])])
+        assert serve_stream(self.engine, reader, out) == count
+        assert out.getvalue().decode("ascii").splitlines() == expected
+
+    @precondition(lambda self: any(lines[-1][1] > 0 for lines in self.accepted.values()))
+    @rule(data=st.data())
+    def backwards(self, data):
+        cid = data.draw(st.sampled_from([cid for cid, lines in self.accepted.items()
+                                         if lines[-1][1] > 0]))
+        seconds = self.accepted[cid][-1][1] / 2
+        self.refused(request_line(cid, data.draw(st.sampled_from(SPEAKERS)), seconds, "act0kw0"),
+                     serve._error(f"timestamp_s {seconds} precedes the session's last turn"))
+
+    @rule(line=st.sampled_from(["{broken", "[1]", "null", '"text"', "{}",
+                                request_line("c0", "moderator", 1.0, "hi"),
+                                request_line("c1", "participant", float("nan"), "act0kw0"),
+                                request_line("c2", "participant", -1.0, "act0kw0")]))
+    def malformed(self, line):
+        self.refused(line)
+
+    @rule(cid=st.sampled_from(["c0", "c1", "c2"]),
+          seconds=st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+    def non_finite_timestamp(self, cid, seconds):
+        # no JSON line holds one, since the decoder refuses NaN and Infinity,
+        # so the decoded request goes in
+        self.refused({"conversation_id": cid, "speaker": "participant", "timestamp_s": seconds,
+                      "text": "act0kw0"}, serve._error(TIMESTAMP_ERROR))
+
+    @rule(speaker=st.sampled_from(SPEAKERS))
+    def long_id(self, speaker):
+        self.refused(request_line("c" * (MAX_CONVERSATION_ID + 1), speaker, 1.0, "act0kw0"),
+                     serve._error(f"conversation_id longer than {MAX_CONVERSATION_ID} characters"))
+
+    @precondition(lambda self: self.accepted)
+    @rule(data=st.data())
+    def non_finite_score(self, data):
+        cid = data.draw(st.sampled_from(list(self.accepted)))
+        self.refused(request_line(cid, "participant", 1.7e308, "act0kw0"), serve._NOT_FINITE)
+
+    @invariant()
+    def table_is_the_reference(self):
+        sessions = self.engine._sessions
+        assert len(sessions) <= serve.MAX_SESSIONS
+        assert list(sessions) == list(self.accepted)
+        for cid, lines in self.accepted.items():
+            fresh, _ = self.replayed([line for line, _ in lines])
+            assert vars(sessions[cid]) == vars(fresh._sessions[cid])
+
+
+TestServeMachine = ServeMachine.TestCase
+TestServeMachine.settings = settings(max_examples=50, stateful_step_count=30, deadline=None)
