@@ -398,9 +398,9 @@ class StackedWeights:
 
     The blocks keep at least two columns, since numpy sums the rows of a
     one-column block pairwise rather than left to right. The shallow rows
-    and the bias are also kept as lists of Python floats, which a single
-    row's scoring reads (see :func:`score_rows`); the word block is not,
-    since that row takes only a few of its rows.
+    and the bias are also kept as lists of Python floats, which
+    :func:`score_rows` reads for a lone row instead of the arrays; the word
+    block is not, since that row takes only a few of its rows.
     """
 
     words: np.ndarray  # (vocabulary + 1) x columns
@@ -433,6 +433,8 @@ class StackedWeights:
 
 @dataclass
 class Prediction:
+    """A turn's answer as the dense reference :func:`predict_labels` gives it."""
+
     probabilities: dict[str, float]
     labels: frozenset[str]
     low_confidence: bool
@@ -596,21 +598,9 @@ def _row_probabilities(
     return probs[: stack.n_labels]
 
 
-def _scores(model: MultiLabelModel, rows: Sequence[tuple]) -> list[list[float]]:
-    """:func:`score_rows` as lists: a single row through
-    :func:`_row_probabilities`, where numpy's fixed cost per call would
-    outweigh its arithmetic, and any other number through the arrays."""
-    stack = model.stacked
-    if len(rows) == 1:
-        return [_row_probabilities(stack, *rows[0])]
-    word_ids = [ids for ids, _ in rows]
-    shallow = np.asarray([scaled for _, scaled in rows], np.float64).reshape(len(rows), N_SHALLOW)
-    return _probabilities(stack, _word_sums(stack.words, word_ids), shallow).tolist()
-
-
-def score_rows(model: MultiLabelModel, rows: Sequence[tuple]) -> np.ndarray:
-    """Per-label probabilities of n turns: n rows, one column per catalog
-    label in catalog order; a skipped label's column is 0.0.
+def score_rows(model: MultiLabelModel, rows: Sequence[tuple]) -> list[list[float]]:
+    """Per-label probabilities of n turns: one row of floats per turn, one
+    per catalog label in catalog order; a skipped label's is 0.0.
 
     Each row is a :func:`~speechacts.featurize.turn_row` result: the
     ascending column ids of the turn's distinct in-vocabulary tokens, and
@@ -618,11 +608,17 @@ def score_rows(model: MultiLabelModel, rows: Sequence[tuple]) -> np.ndarray:
     other rows: its word weights are summed left to right in id order, then
     the three shallow terms and the bias are added one by one, whatever the
     batch. A lone row, as serve scores, takes this arithmetic in Python
-    floats, which round each operation as numpy's float64 does, and its
-    exponentials from np.exp as the batch does; so its bits are the
-    batch's.
+    floats (:func:`_row_probabilities`), where numpy's fixed cost per call
+    would outweigh its arithmetic; Python rounds each operation as numpy's
+    float64 does, and the exponentials come from np.exp as the batch's do,
+    so its bits are the batch's.
     """
-    return np.array(_scores(model, rows), np.float64).reshape(len(rows), model.stacked.n_labels)
+    stack = model.stacked
+    if len(rows) == 1:
+        return [_row_probabilities(stack, *rows[0])]
+    word_ids = [ids for ids, _ in rows]
+    shallow = np.asarray([scaled for _, scaled in rows], np.float64).reshape(len(rows), N_SHALLOW)
+    return _probabilities(stack, _word_sums(stack.words, word_ids), shallow).tolist()
 
 
 def predict_proba(model: MultiLabelModel, vector: np.ndarray) -> dict[str, float]:
@@ -660,13 +656,6 @@ def label_positions(model: MultiLabelModel, row: Sequence[float]) -> tuple[list[
     return [max(range(len(row)), key=row.__getitem__)], True
 
 
-def _prediction(model: MultiLabelModel, row: list[float]) -> Prediction:
-    chosen, low_confidence = label_positions(model, row)
-    labels = model.catalog.labels
-    return Prediction(dict(zip(labels, row)), frozenset([labels[j] for j in chosen]),
-                      low_confidence)
-
-
 def predict_labels(model: MultiLabelModel, vector: np.ndarray) -> Prediction:
     """Threshold the per-label probabilities into a label set
     (:func:`label_positions`).
@@ -675,26 +664,25 @@ def predict_labels(model: MultiLabelModel, vector: np.ndarray) -> Prediction:
     it is replaced by the single most probable label (catalog order breaks
     exact ties).
     """
-    return _prediction(model, list(predict_proba(model, vector).values()))
-
-
-def predict_rows(model: MultiLabelModel, rows: Sequence[tuple]) -> list[Prediction]:
-    """:func:`predict_labels` of each turn that :func:`score_rows` takes."""
-    return [_prediction(model, row) for row in _scores(model, rows)]
+    probs = predict_proba(model, vector)
+    chosen, low_confidence = label_positions(model, list(probs.values()))
+    labels = model.catalog.labels
+    return Prediction(probs, frozenset([labels[j] for j in chosen]), low_confidence)
 
 
 def predict_conversation(
     model: MultiLabelModel, conversation: Conversation
-) -> list[Prediction | None]:
-    """Each turn's prediction as ``predict`` writes it and ``serve`` answers
-    it: one context pass over the conversation and one :func:`predict_rows`
-    call for its participant turns; None for every other turn."""
+) -> list[list[float] | None]:
+    """Each turn's probability row as ``predict`` writes it and ``serve``
+    answers it: one context pass over the conversation and one
+    :func:`score_rows` call for its participant turns; None for every other
+    turn."""
     scored = [turn.speaker == PARTICIPANT for turn in conversation.turns]
     contexts = conversation_context(conversation, model.config.slen_scope)
     rows = [turn_row(tokens, shallow, model.vocabulary, model.scaling)
             for is_scored, (tokens, shallow) in zip(scored, contexts) if is_scored]
-    predictions = iter(predict_rows(model, rows))
-    return [next(predictions) if is_scored else None for is_scored in scored]
+    probabilities = iter(score_rows(model, rows))
+    return [next(probabilities) if is_scored else None for is_scored in scored]
 
 
 def tune(

@@ -19,7 +19,8 @@ import click
 
 from . import corpus as corpus_mod
 from . import reports
-from .classifier import load_model, predict_conversation, save_model, train_model
+from .classifier import (label_positions, load_model, predict_conversation, save_model,
+                         train_model)
 from .config import RunConfig, load_config
 from .corpus import LabelCatalog
 from .evaluate import cross_validate, rank_features_for_examples
@@ -213,18 +214,21 @@ def predict(ctx, transcripts, model_path, fallback):
     model = _load_model(model_path, fallback)
     conversations = _read_corpus(transcripts, model.catalog)
     machine = ctx.obj["format"] == reports.MACHINE
+    names = model.catalog.labels
+    text = reports.AnswerText(names)
     for conv in conversations:
         # one scoring call and one write per conversation
-        predictions = predict_conversation(model, conv)
+        rows = predict_conversation(model, conv)
         if machine:
-            lines = reports.predict_lines(conv, predictions)
+            lines = reports.predict_lines(model, text, conv, rows)
         else:
             lines = []
-            for turn, prediction in zip(conv.turns, predictions):
+            for turn, row in zip(conv.turns, rows):
                 labels, flag = "-", ""
-                if prediction is not None:
-                    labels = ",".join(sorted(prediction.labels)) or "-"
-                    flag = " low-confidence" if prediction.low_confidence else ""
+                if row is not None:
+                    chosen, low_confidence = label_positions(model, row)
+                    labels = ",".join([names[j] for j in chosen]) or "-"
+                    flag = " low-confidence" if low_confidence else ""
                 lines.append(f"{conv.conversation_id}#{turn.turn_index} "
                              f"[{turn.speaker}] {labels}{flag}")
         click.echo("\n".join(lines))

@@ -331,7 +331,8 @@ def cross_validate_grid(
     The fold plan, and per fold the vocabulary, scaling, matrices, each
     label's SMOTE (:func:`~speechacts.classifier.fit_contexts`) and the
     held-out rows, are built once for all points; per point only the
-    per-label fits and one :func:`~speechacts.classifier.predict_rows` run.
+    per-label fits and one :func:`~speechacts.classifier.score_rows` call
+    run, whose rows :func:`~speechacts.classifier.label_positions` labels.
     With config.tune set (nested cross-validation) each fold fits the point
     its inner search picks instead, so ``points`` must then be a single point.
     """
@@ -346,6 +347,7 @@ def cross_validate_grid(
             stacklevel=3,
         )
     fold_rows: list[list[list[MetricsRow]]] = [[] for _ in points]
+    names = catalog.labels
     for fold in range(config.n_folds):
         train, test = _split(plan, fold, examples)
         train_contexts, test_contexts = _split(plan, fold, contexts)
@@ -354,7 +356,8 @@ def cross_validate_grid(
         gold = [ex.labels for ex in test]
         held_out = [turn_row(tokens, raw, vocabulary, scaling) for tokens, raw in test_contexts]
         for rows, model in zip(fold_rows, models):
-            predicted = [p.labels for p in clf_mod.predict_rows(model, held_out)]
+            predicted = [frozenset([names[j] for j in clf_mod.label_positions(model, probs)[0]])
+                         for probs in clf_mod.score_rows(model, held_out)]
             rows.append(per_label_metrics(gold, predicted, catalog))
     reports = []
     for rows_per_fold in fold_rows:

@@ -6,21 +6,21 @@ the effective run configuration for provenance.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import asdict
 from typing import Collection
 from json.encoder import encode_basestring_ascii as _json_str
 
-from .classifier import Prediction
+from .classifier import MultiLabelModel, label_positions
 from .corpus import Conversation, CorpusStats, encode_record
 from .evaluate import FeatureRanking, MetricsReport, MetricsRow
 
 TABLE = "table"
 MACHINE = "machine"
 FORMATS = (TABLE, MACHINE)
-_UNCLASSIFIED = '"labels": [], "probabilities": {}, "low_confidence": false}'
+# the answer's members for a turn that is not scored (an assistant turn)
+UNCLASSIFIED = '"labels": [], "probabilities": {}, "low_confidence": false}'
 
 
 def _machine(doc: dict) -> str:
@@ -30,20 +30,13 @@ def _machine(doc: dict) -> str:
 
 class AnswerText:
     """What the answer writer needs of one catalog, computed once: the
-    label names (catalog order), each quoted as JSON, each position by name,
-    and each probability's key, ``"name": ``."""
+    label names (catalog order), each quoted as JSON, and each probability's
+    key, ``"name": ``."""
 
     def __init__(self, names: tuple[str, ...]):
         self.names = names
         self.quoted = [_json_str(name) for name in names]
-        self.position = {name: j for j, name in enumerate(names)}
         self.keys = [f"{quoted}: " for quoted in self.quoted]
-
-
-@functools.lru_cache(maxsize=32)
-def answer_text(names: tuple[str, ...]) -> AnswerText:
-    """The :class:`AnswerText` of the label names ``names``, kept per tuple."""
-    return AnswerText(names)
 
 
 def answer_json(text: AnswerText, row: Collection[float], chosen: list[int],
@@ -72,26 +65,22 @@ def answer_json(text: AnswerText, row: Collection[float], chosen: list[int],
     return f'{head}"labels": [{labels}], "probabilities": {{{members}}}, "low_confidence": {flag}}}'
 
 
-def prediction_json(prediction: Prediction | None, head: str = "{") -> str:
-    """:func:`answer_json` of a :class:`~speechacts.classifier.Prediction`,
-    whose labels are among its probabilities' names; an unclassified turn
-    (``None``, an assistant turn) gets the empty record."""
-    if prediction is None:
-        return head + _UNCLASSIFIED
-    probs = prediction.probabilities
-    text = answer_text(tuple(probs))
-    chosen = [text.position[name] for name in sorted(prediction.labels)]
-    return answer_json(text, probs.values(), chosen, prediction.low_confidence, head)
-
-
-def predict_lines(conversation: Conversation, predictions: list[Prediction | None]) -> list[str]:
+def predict_lines(model: MultiLabelModel, text: AnswerText, conversation: Conversation,
+                  rows: list[list[float] | None]) -> list[str]:
     """The ``predict --format machine`` record of each turn: its
-    conversation_id, turn_index and speaker, then :func:`prediction_json`'s
-    members."""
+    conversation_id, turn_index and speaker, then the answer
+    :func:`answer_json` writes of its probability row under
+    :func:`~speechacts.classifier.label_positions`, or the unclassified
+    answer for a turn without one (None)."""
     opening = f'{{"conversation_id": {_json_str(conversation.conversation_id)}, "turn_index": '
-    return [prediction_json(prediction, f'{opening}{turn.turn_index}, '
-                                        f'"speaker": {_json_str(turn.speaker)}, ')
-            for turn, prediction in zip(conversation.turns, predictions)]
+    lines = []
+    for turn, row in zip(conversation.turns, rows):
+        head = f'{opening}{turn.turn_index}, "speaker": {_json_str(turn.speaker)}, '
+        if row is None:
+            lines.append(head + UNCLASSIFIED)
+        else:
+            lines.append(answer_json(text, row, *label_positions(model, row), head))
+    return lines
 
 
 def _config_header(config: dict | None) -> list[str]:

@@ -35,10 +35,10 @@ import threading
 from collections import OrderedDict
 from typing import IO
 
-from .classifier import MultiLabelModel, _scores, label_positions
+from .classifier import MultiLabelModel, label_positions, score_rows
 from .corpus import PARTICIPANT, decode_record, encode_record, turn_fields
 from .featurize import ContextState, tokenize, turn_row
-from .reports import answer_json, answer_text, prediction_json
+from .reports import UNCLASSIFIED, AnswerText, answer_json
 
 
 def _error(message: str) -> str:
@@ -51,7 +51,7 @@ _LINE_TOO_LONG = _error(f"request line longer than {MAX_LINE_BYTES} bytes")
 _NOT_UTF8 = _error("request is not valid UTF-8")
 _NOT_AN_OBJECT = _error("request is not an object")
 _NOT_FINITE = _error("the turn's label probabilities are not finite numbers")
-_UNCLASSIFIED = prediction_json(None)
+_UNCLASSIFIED = "{" + UNCLASSIFIED
 # live conversations held: a two-speaker session, its id of at most 256
 # characters included, takes 0.9 KB (ASCII id) to 1.7 KB (4-byte characters)
 # by tracemalloc, so the table stays under 7 MB at the cap
@@ -69,7 +69,7 @@ class ServeEngine:
     def __init__(self, model: MultiLabelModel):
         self.model = model
         model.stacked  # stack the weights before the first request
-        self._text = answer_text(model.catalog.labels)
+        self._text = AnswerText(model.catalog.labels)
         self._sessions: OrderedDict[str, ContextState] = OrderedDict()
         self._lock = threading.Lock()
 
@@ -96,7 +96,7 @@ class ServeEngine:
             if speaker == PARTICIPANT:
                 row = turn_row(tokens, context.features(speaker, seconds, wc),
                                self.model.vocabulary, self.model.scaling)
-                (probs,) = _scores(self.model, [row])
+                (probs,) = score_rows(self.model, [row])
                 chosen, low_confidence = label_positions(self.model, probs)
                 try:
                     reply = answer_json(self._text, probs, chosen, low_confidence)

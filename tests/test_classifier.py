@@ -22,10 +22,12 @@ from speechacts.classifier import (
     ModelCorruptError,
     ModelVersionError,
     MultiLabelModel,
+    Prediction,
     TrainingData,
     fit_binary,
     fit_multilabel,
     fit_multilabel_grid,
+    label_positions,
     load_model,
     loss_and_gradient,
     model_from_document,
@@ -33,7 +35,6 @@ from speechacts.classifier import (
     predict_conversation,
     predict_labels,
     predict_proba,
-    predict_rows,
     save_model,
     score_rows,
     sigmoid,
@@ -1013,11 +1014,9 @@ def edge_problem(labels, skipped=()):
     return model, rows
 
 
-def prediction_bits(prediction):
-    """A prediction with its probabilities as bytes, so NaNs compare."""
-    probs = prediction.probabilities
-    return (sorted(prediction.labels), prediction.low_confidence, list(probs),
-            np.array(list(probs.values())).tobytes())
+def row_bits(row):
+    """A probability row as bytes, so NaNs compare."""
+    return np.array(row, np.float64).tobytes()
 
 
 def reference_probabilities(model, ids, scaled):
@@ -1050,14 +1049,15 @@ class TestScoreRows:
         with mock.patch.object(classifier_mod, "_PADDED_IDS",
                                padded_ids or classifier_mod._PADDED_IDS):
             batch = score_rows(model, rows)
-            predictions = predict_rows(model, rows)
-        assert batch.shape == (len(rows), len(model.catalog.labels))
+        labels = model.catalog.labels
+        assert [len(row) for row in batch] == [len(labels)] * len(rows)
+        assert all(type(p) is float for row in batch for p in row)
         n_words = len(model.vocabulary)
         for i, (ids, scaled) in enumerate(rows):
-            one = score_rows(model, [rows[i]])[0]
-            assert batch[i].tobytes() == one.tobytes()
+            (one,) = score_rows(model, [rows[i]])
+            assert row_bits(batch[i]) == row_bits(one)
             reference = reference_probabilities(model, ids, scaled)
-            assert batch[i].tolist() == reference
+            assert batch[i] == reference
             dense = np.zeros(model.feature_width)
             dense[ids] = 1.0
             dense[n_words:] = scaled
@@ -1072,12 +1072,11 @@ class TestScoreRows:
             chosen = {name for name, p in probs.items() if p >= model.config.threshold}
             low_confidence = not chosen
             if low_confidence and fallback:
-                chosen = {max(model.catalog.labels, key=probs.get)}
-            assert predictions[i].labels == chosen
-            assert predictions[i].low_confidence == low_confidence
-            assert predictions[i].probabilities == probs
-            assert predictions[i] == predict_labels(model, dense)
-            assert predict_rows(model, [rows[i]])[0] == predictions[i]
+                chosen = {max(labels, key=probs.get)}
+            positions, low = label_positions(model, batch[i])
+            assert [labels[j] for j in positions] == sorted(chosen)
+            assert low == low_confidence
+            assert predict_labels(model, dense) == Prediction(probs, frozenset(chosen), low)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     @settings(max_examples=150, deadline=None)
@@ -1091,12 +1090,11 @@ class TestScoreRows:
         model, rows = problem
         model.config = dataclasses.replace(model.config, fallback=fallback)
         batch = score_rows(model, rows + rows)
-        predictions = predict_rows(model, rows + rows)
         for i, row in enumerate(rows):
-            one = score_rows(model, [row])
-            assert one.shape == (1, len(model.catalog.labels))
-            assert one.tobytes() == batch[i].tobytes() == batch[len(rows) + i].tobytes()
-            assert prediction_bits(predict_rows(model, [row])[0]) == prediction_bits(predictions[i])
+            (one,) = score_rows(model, [row])
+            assert len(one) == len(model.catalog.labels)
+            assert row_bits(one) == row_bits(batch[i]) == row_bits(batch[len(rows) + i])
+            assert label_positions(model, one) == label_positions(model, batch[i])
 
     @pytest.mark.filterwarnings("ignore:invalid:RuntimeWarning")
     def test_edge_problems_reach_the_edges(self):
@@ -1106,15 +1104,14 @@ class TestScoreRows:
         assert math.inf in {scaled[2] for _, scaled in rows}
         finite = [all(map(math.isfinite, scaled)) for _, scaled in rows]
         assert sum(finite) == len(rows) * 4 // 9
-        probs = score_rows(model, rows)
+        probs = np.array(score_rows(model, rows))
         assert not probs[:, 0].any()
         assert np.isnan(probs[:, 1]).tolist() == [scaled[2] == math.inf for _, scaled in rows]
         assert 0.0 < probs[finite, 1:].min() and probs[finite, 1:].max() < 1.0
 
     def test_no_rows(self):
         model = zero_model()
-        assert score_rows(model, []).shape == (0, 2)
-        assert predict_rows(model, []) == []
+        assert score_rows(model, []) == []
 
     @pytest.mark.parametrize("scope", SLEN_SCOPES)
     def test_cv_row_is_scored_as_predict_answers_the_turn(self, scope):
@@ -1132,7 +1129,7 @@ class TestScoreRows:
                 assert [p is None for p in answers[id(conv)]] == [
                     turn.speaker != PARTICIPANT for turn in conv.turns]
             row = turn_row(*ctx, model.vocabulary, model.scaling)
-            assert predict_rows(model, [row])[0] == answers[id(conv)][ex.turn_index]
+            assert score_rows(model, [row]) == [answers[id(conv)][ex.turn_index]]
         assert len(answers) > 1
 
     def test_stacked_once_and_not_persisted(self, tmp_path):

@@ -419,6 +419,47 @@ class TestTrainPredict:
         assert all(r["labels"] for r in participant_records())
         assert any(not r["labels"] for r in participant_records("--no-fallback"))
 
+    def test_table_lines_follow_the_machine_records(self, runner, tmp_path):
+        # a low-signal corpus with multi-label turns, then a conversation of
+        # assistant turns only, whose scoring call takes no rows
+        corpus, catalog = tmp_path / "corpus.jsonl", tmp_path / "catalog.json"
+        result = runner.invoke(main, ["--seed", "3", "synth-corpus", "--labels", "4",
+                                      "--turns-per-label", "20", "--signal", "0.3",
+                                      "--multi-label-rate", "0.5",
+                                      "--output", str(corpus), "--catalog-out", str(catalog)])
+        assert result.exit_code == 0, result.output
+        # labels listed against their name order, which the table follows
+        labels = json.loads(catalog.read_text())["labels"]
+        write_catalog(catalog, reversed(labels))
+        model_path = tmp_path / "model.json"
+        result = runner.invoke(main, ["--catalog", str(catalog), "train", str(corpus),
+                                      "--threshold", "0.7", "--output", str(model_path)])
+        assert result.exit_code == 0, result.output
+        with corpus.open("a") as out:
+            out.writelines(record_line("only-assistant", i, "assistant", 3.0 * i, "reply words")
+                           + "\n" for i in range(3))
+        reached = set()
+        for flag in ("--fallback", "--no-fallback"):
+            runs = [runner.invoke(main, [*fmt, "predict", str(corpus), "--model", str(model_path),
+                                         flag])
+                    for fmt in (["--format", "machine"], [])]
+            assert all(run.exit_code == 0 for run in runs), runs[0].output + runs[1].output
+            records = [json.loads(line) for line in runs[0].stdout.splitlines()]
+            table = runs[1].stdout.splitlines()
+            assert len(table) == len(records)
+            for line, record in zip(table, records):
+                labels = ",".join(sorted(record["labels"])) or "-"
+                low = " low-confidence" if record["low_confidence"] else ""
+                assert line == (f"{record['conversation_id']}#{record['turn_index']} "
+                                f"[{record['speaker']}] {labels}{low}")
+                if record["speaker"] == "participant":
+                    reached.add((flag, len(record["labels"]), record["low_confidence"]))
+            assert table[-3:] == [f"only-assistant#{i} [assistant] -" for i in range(3)]
+        # each rule outcome: under the threshold with and without the fallback,
+        # one label and several above it
+        assert {("--fallback", 1, True), ("--no-fallback", 0, True),
+                ("--no-fallback", 1, False), ("--no-fallback", 2, False)} <= reached
+
     def test_predict_rejects_corrupt_model(self, runner, separable_corpus_files, tmp_path):
         corpus, _ = separable_corpus_files
         bad_model = tmp_path / "model.json"

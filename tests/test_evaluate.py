@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from speechacts import classifier as classifier_mod
-from speechacts.classifier import model_to_document, predict_rows, train_model
+from speechacts.classifier import label_positions, model_to_document, score_rows, train_model
 from speechacts.config import RunConfig
 from speechacts.corpus import PARTICIPANT, LabelCatalog, modeling_examples
 from speechacts.evaluate import (
@@ -506,9 +506,9 @@ class TestCrossValidate:
             picked.append(model.config.hyperparams.C)
             rows = [turn_row(tokens, raw, model.vocabulary, model.scaling)
                     for tokens, raw in example_contexts(test, config.slen_scope)]
-            predictions = predict_rows(model, rows)
-            fold_rows.append(per_label_metrics([ex.labels for ex in test],
-                                               [p.labels for p in predictions], catalog))
+            predicted = [frozenset(catalog.labels[j] for j in label_positions(model, probs)[0])
+                         for probs in score_rows(model, rows)]
+            fold_rows.append(per_label_metrics([ex.labels for ex in test], predicted, catalog))
         assert picked == [0.1, 0.1, 10.0]
         rows = average_rows_across_folds(fold_rows)
         report = cross_validate(examples, catalog, config)

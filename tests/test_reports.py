@@ -8,23 +8,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from speechacts import serve
-from speechacts.classifier import MultiLabelModel, Prediction, _prediction
+from speechacts.classifier import MultiLabelModel, Prediction, label_positions
 from speechacts.config import RunConfig
 from speechacts.corpus import Conversation, LabelCatalog, Turn, encode_record
 from speechacts.featurize import ScalingParams, Vocabulary
-from speechacts.reports import predict_lines, prediction_json
+from speechacts.reports import AnswerText, answer_json, predict_lines
 from speechacts.serve import ServeEngine
 
 
-def prediction_record(prediction):
+def answer_record(names, row, chosen, low_confidence):
     """The per-turn answer as a dict, the form ``predict`` and ``serve``
     once built and encoded; the writer's text is held to its encoding."""
-    if prediction is None:
-        return {"labels": [], "probabilities": {}, "low_confidence": False}
     return {
-        "labels": sorted(prediction.labels),
-        "probabilities": dict(prediction.probabilities),
-        "low_confidence": prediction.low_confidence,
+        "labels": sorted(names[j] for j in chosen),
+        "probabilities": dict(zip(names, row)),
+        "low_confidence": low_confidence,
     }
 
 
@@ -39,23 +37,26 @@ NAMES = st.from_regex(r"[a-z][a-z0-9]{0,6}", fullmatch=True) | ODD_TEXT
 
 
 @st.composite
-def predictions(draw, names=NAMES):
-    catalog = draw(st.lists(names, unique=True, max_size=8))
-    probabilities = {name: draw(PROBABILITIES) for name in catalog}
-    labels = frozenset(draw(st.sets(st.sampled_from(catalog)))) if catalog else frozenset()
+def answers(draw, names=NAMES):
+    """A catalog, a probability row over it, chosen positions in label-name
+    order (none, some or all) and a low-confidence flag."""
+    catalog = tuple(draw(st.lists(names, unique=True, max_size=8)))
+    row = [draw(PROBABILITIES) for _ in catalog]
+    chosen = draw(st.sets(st.sampled_from(range(len(catalog))))) if catalog else set()
     if catalog and draw(st.booleans()):
-        labels = frozenset(catalog)  # the full label set
-    return Prediction(probabilities, labels, draw(st.booleans()))
+        chosen = set(range(len(catalog)))  # the full label set
+    chosen = sorted(chosen, key=catalog.__getitem__)
+    return catalog, row, chosen, draw(st.booleans())
 
 
 @settings(max_examples=150, deadline=None)
-@given(prediction=st.none() | predictions())
-@example(prediction=None)
-@example(prediction=Prediction({}, frozenset(), True))
-@example(prediction=Prediction({"b": 5e-324, "a": 1.0, "c": 0.30000000000000004},
-                               frozenset({"c", "a", "b"}), False))
-def test_writer_is_the_encoder_byte_for_byte(prediction):
-    assert prediction_json(prediction) == encode_record(prediction_record(prediction))
+@given(answer=answers())
+@example(answer=((), [], [], True))
+@example(answer=(("b", "a", "c"), [5e-324, 1.0, 0.30000000000000004], [1, 0, 2], False))
+def test_writer_is_the_encoder_byte_for_byte(answer):
+    names, row, chosen, low_confidence = answer
+    assert (answer_json(AnswerText(names), row, chosen, low_confidence)
+            == encode_record(answer_record(*answer)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -63,33 +64,40 @@ def test_writer_is_the_encoder_byte_for_byte(prediction):
 @example(cid='"\\\x01é\U0001F600', start=2**63, data=None)
 def test_predict_line_is_the_encoded_record(cid, start, data):
     speakers = ["participant", "assistant", "participant"]
-    chosen = [data.draw(st.none() | predictions()) if data else None for _ in speakers]
+    model, row = data.draw(scored_turns()) if data else (rule_model(["b", "a"], 0.5, False),
+                                                         [0.75, 1.0])
+    rows = [row, None, data.draw(st.permutations(row)) if data else row]
     turns = [Turn(cid, start + i, speaker, 0.0, "") for i, speaker in enumerate(speakers)]
-    lines = predict_lines(Conversation(cid, turns), chosen)
-    assert lines == [encode_record({"conversation_id": cid, "turn_index": turn.turn_index,
-                                    "speaker": turn.speaker, **prediction_record(prediction)})
-                     for turn, prediction in zip(turns, chosen)]
+    lines = predict_lines(model, AnswerText(model.catalog.labels), Conversation(cid, turns), rows)
+    expected = []
+    for turn, probs in zip(turns, rows):
+        answer = {"labels": [], "probabilities": {}, "low_confidence": False}
+        if probs is not None:
+            answer = answer_record(model.catalog.labels, probs, *label_positions(model, probs))
+        expected.append(encode_record({"conversation_id": cid, "turn_index": turn.turn_index,
+                                       "speaker": turn.speaker, **answer}))
+    assert lines == expected
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("others", [[], [0.5], [1e308, 1e308]])
 def test_non_finite_probability_raises_as_the_encoder(bad, others):
-    probabilities = {f"l{i}": p for i, p in enumerate(others + [bad])}
-    prediction = Prediction(probabilities, frozenset(), True)
+    names, row = tuple(f"l{i}" for i in range(len(others) + 1)), others + [bad]
     with pytest.raises(ValueError) as expected:
-        encode_record(prediction_record(prediction))
+        encode_record(answer_record(names, row, [], True))
     with pytest.raises(ValueError) as got:
-        prediction_json(prediction)
+        answer_json(AnswerText(names), row, [], True)
     assert str(got.value) == str(expected.value)
 
 
 def test_finite_probabilities_whose_sum_overflows_are_written():
-    prediction = Prediction({"a": 1.7e308, "b": 1.7e308}, frozenset({"a"}), False)
-    assert prediction_json(prediction) == encode_record(prediction_record(prediction))
+    answer = (("a", "b"), [1.7e308, 1.7e308], [0], False)
+    assert answer_json(AnswerText(answer[0]), *answer[1:]) == encode_record(answer_record(*answer))
 
 
-# The labelling rule and the writer as they were before serve answered from
-# the probability row: a Prediction built from a dict, and written from it.
+# The labelling rule and the writer as they were before predict and serve
+# answered from the probability row: a Prediction built from a dict, and
+# written from it.
 
 def reference_prediction(model, probs):
     chosen = frozenset(name for name, p in probs.items() if p >= model.config.threshold)
@@ -129,7 +137,7 @@ def served(model, row):
     """The reply serve writes for a participant turn whose probabilities are
     row, and whether the turn left its session table empty."""
     engine = ServeEngine(model)
-    with mock.patch.object(serve, "_scores", lambda _, rows: [list(row)]):
+    with mock.patch.object(serve, "score_rows", lambda _, rows: [list(row)]):
         reply = engine.handle_line(TURN)
     return reply, not engine._sessions
 
@@ -170,15 +178,18 @@ HEADS = st.sampled_from(["{", '{"conversation_id": "c%s", "turn_index": 7, '
 @example(turn=(rule_model(["zz", "b", "a1"], 0.5, False), [0.5, 0.75, 1.0]), head="{")
 def test_rule_and_writer_answer_as_the_reference(turn, head):
     model, row = turn
-    expected = reference_prediction(model, dict(zip(model.catalog.labels, row)))
+    names = model.catalog.labels
+    expected = reference_prediction(model, dict(zip(names, row)))
     text = reference_prediction_json(expected, head)
-    prediction = _prediction(model, list(row))
-    assert prediction == expected
-    assert list(prediction.probabilities) == list(model.catalog.labels)
-    assert prediction_json(prediction, head) == text
-    assert prediction_json(expected, head) == text
+    chosen, low_confidence = label_positions(model, row)
+    assert [names[j] for j in chosen] == sorted(expected.labels)
+    assert low_confidence == expected.low_confidence
+    assert answer_json(AnswerText(names), row, chosen, low_confidence, head) == text
     if head == "{":
         assert served(model, row) == (text, False)
+    else:  # predict's record of the same turn
+        turn = Turn("c%s", 7, "participant", 0.0, "")
+        assert predict_lines(model, AnswerText(names), Conversation("c%s", [turn]), [row]) == [text]
 
 
 @settings(max_examples=100, deadline=None)
@@ -190,7 +201,11 @@ def test_non_finite_row_raises_as_the_encoder_and_serve_refuses_it(turn, bad, da
     with pytest.raises(ValueError) as expected:
         reference_prediction_json(reference_prediction(model, dict(zip(model.catalog.labels, row))))
     with pytest.raises(ValueError) as got:
-        prediction_json(_prediction(model, list(row)))
+        answer_json(AnswerText(model.catalog.labels), row, *label_positions(model, row))
+    assert str(got.value) == str(expected.value)
+    with pytest.raises(ValueError) as got:
+        conversation = Conversation("c", [Turn("c", 0, "participant", 0.0, "")])
+        predict_lines(model, AnswerText(model.catalog.labels), conversation, [row])
     assert str(got.value) == str(expected.value)
     assert served(model, row) == (serve._NOT_FINITE, True)
 
