@@ -46,7 +46,6 @@ from .evaluate import (
 from .featurize import (
     ContextState,
     ScalingParams,
-    ShallowFeatures,
     Vocabulary,
     conversation_context,
     fit_scaling,

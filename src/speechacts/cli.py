@@ -19,8 +19,7 @@ import click
 
 from . import corpus as corpus_mod
 from . import reports
-from .classifier import (label_positions, load_model, predict_conversation, save_model,
-                         train_model)
+from .classifier import load_model, predict_conversation, save_model, train_model
 from .config import RunConfig, load_config
 from .corpus import LabelCatalog
 from .evaluate import cross_validate, rank_features_for_examples
@@ -213,25 +212,12 @@ def predict(ctx, transcripts, model_path, fallback):
     """Classify the participant turns of a transcript, one record per turn."""
     model = _load_model(model_path, fallback)
     conversations = _read_corpus(transcripts, model.catalog)
-    machine = ctx.obj["format"] == reports.MACHINE
-    names = model.catalog.labels
-    text = reports.AnswerText(names)
+    write = (reports.predict_lines if ctx.obj["format"] == reports.MACHINE
+             else reports.predict_table_lines)
+    text = reports.AnswerText(model.catalog.labels)
     for conv in conversations:
         # one scoring call and one write per conversation
-        rows = predict_conversation(model, conv)
-        if machine:
-            lines = reports.predict_lines(model, text, conv, rows)
-        else:
-            lines = []
-            for turn, row in zip(conv.turns, rows):
-                labels, flag = "-", ""
-                if row is not None:
-                    chosen, low_confidence = label_positions(model, row)
-                    labels = ",".join([names[j] for j in chosen]) or "-"
-                    flag = " low-confidence" if low_confidence else ""
-                lines.append(f"{conv.conversation_id}#{turn.turn_index} "
-                             f"[{turn.speaker}] {labels}{flag}")
-        click.echo("\n".join(lines))
+        click.echo("\n".join(write(model, text, conv, predict_conversation(model, conv))))
 
 
 @main.command()
@@ -279,20 +265,8 @@ def rank_features_cmd(ctx, transcripts, label_name, top_n, printed_order, slen_s
     catalog = _load_catalog(ctx)
     config = _effective_config(ctx, slen_scope=slen_scope)
     examples = _read_examples(transcripts, catalog, "rank")
-    rankings = []
-    if label_name:
-        rankings.append(rank_features_for_examples(examples, catalog, label_name.lower(),
-                                                   top_n, config.slen_scope))
-    else:
-        for name in catalog.labels:
-            if any(name in ex.labels for ex in examples) and not all(
-                name in ex.labels for ex in examples
-            ):
-                rankings.append(rank_features_for_examples(examples, catalog, name,
-                                                           top_n, config.slen_scope))
-            else:
-                click.echo(f"warning: skipping {name}: needs both positive and "
-                           f"negative examples", err=True)
+    labels = [label_name.lower()] if label_name else catalog.labels
+    rankings = rank_features_for_examples(examples, catalog, labels, top_n, config.slen_scope)
     config_dict = _config_echo(ctx, config)
     if ctx.obj["format"] == reports.MACHINE:
         click.echo(reports.ranking_machine(rankings, config_dict), nl=False)

@@ -439,14 +439,27 @@ def rank_features(
 def rank_features_for_examples(
     examples: Sequence[ModelingExample],
     catalog: LabelCatalog,
-    label: str,
+    labels: Sequence[str],
     top_n: int = 10,
     scope: str = "same",
-) -> FeatureRanking:
-    """Featurize the whole dataset and rank its columns for one label."""
-    if label not in catalog.label_set:
-        raise ValueError(f"label {label!r} is not in the catalog")
+) -> list[FeatureRanking]:
+    """Featurize the whole dataset once and rank its columns for each of
+    ``labels``, in that order. A label without both positive and negative
+    examples is skipped with a warning; one not in the catalog is a
+    ValueError."""
+    for label in labels:
+        if label not in catalog.label_set:
+            raise ValueError(f"label {label!r} is not in the catalog")
     contexts = example_contexts(examples, scope)
     vocabulary, scaling = fit_from_contexts(contexts)
     X = matrix_from_contexts(contexts, vocabulary, scaling)
-    return rank_features(X, [ex.labels for ex in examples], feature_names(vocabulary), label, top_n)
+    names = feature_names(vocabulary)
+    label_sets = [ex.labels for ex in examples]
+    rankings = []
+    for label in labels:
+        if any(label in ls for ls in label_sets) and not all(label in ls for ls in label_sets):
+            rankings.append(rank_features(X, label_sets, names, label, top_n))
+        else:
+            warnings.warn(f"skipping {label}: needs both positive and negative examples",
+                          stacklevel=2)
+    return rankings

@@ -73,16 +73,6 @@ class Vocabulary:
         return Vocabulary({tok: i for i, tok in enumerate(ordered)})
 
 
-@dataclass(frozen=True)
-class ShallowFeatures:
-    slen: float
-    wc: int
-    ppau: float
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.slen, float(self.wc), self.ppau)
-
-
 @dataclass
 class ContextState:
     """Running context of one conversation, constant in size.
@@ -104,9 +94,9 @@ class ContextState:
         if self.scope not in SLEN_SCOPES:
             raise ValueError(f"slen scope must be one of {SLEN_SCOPES}, got {self.scope!r}")
 
-    def features(self, speaker: str, timestamp_s: float, wc: int) -> ShallowFeatures:
-        """Shallow features of this turn from the turns before it; the state
-        is left as it is."""
+    def features(self, speaker: str, timestamp_s: float, wc: int) -> tuple[float, float, float]:
+        """Shallow features of this turn from the turns before it, as
+        ``(slen, float(wc), ppau)``; the state is left as it is."""
         ppau = timestamp_s - self.last_ts if self.last_ts is not None else 0.0
         if self.scope == ANY_SPEAKER:
             words, turns = self.total_words, self.total_turns
@@ -118,7 +108,7 @@ class ContextState:
         else:
             mean_wc = words / turns
             slen = wc / mean_wc if mean_wc > 0 else float(wc)
-        return ShallowFeatures(slen=slen, wc=wc, ppau=ppau)
+        return (slen, float(wc), ppau)
 
     def add(self, speaker: str, timestamp_s: float, wc: int) -> None:
         """Count this turn into the context."""
@@ -128,7 +118,7 @@ class ContextState:
         self.total_turns += 1
         self.last_ts = timestamp_s
 
-    def observe(self, speaker: str, timestamp_s: float, wc: int) -> ShallowFeatures:
+    def observe(self, speaker: str, timestamp_s: float, wc: int) -> tuple[float, float, float]:
         """Shallow features of this turn from the turns before it, then add it."""
         shallow = self.features(speaker, timestamp_s, wc)
         self.add(speaker, timestamp_s, wc)
@@ -137,7 +127,7 @@ class ContextState:
 
 def conversation_context(
     conversation: Conversation, scope: str = SAME_SPEAKER
-) -> Iterator[tuple[list[str], ShallowFeatures]]:
+) -> Iterator[tuple[list[str], tuple[float, float, float]]]:
     """(tokens, shallow features) of each turn, in turn order.
 
     Tokenizes every turn once and carries the context forward, so T turns
@@ -147,7 +137,8 @@ def conversation_context(
     return _advance(conversation.turns, state)
 
 
-def _advance(turns, state: ContextState) -> Iterator[tuple[list[str], ShallowFeatures]]:
+def _advance(turns,
+             state: ContextState) -> Iterator[tuple[list[str], tuple[float, float, float]]]:
     for turn in turns:
         tokens = tokenize(turn.text)
         yield tokens, state.observe(turn.speaker, turn.timestamp_s, len(tokens))
@@ -155,7 +146,7 @@ def _advance(turns, state: ContextState) -> Iterator[tuple[list[str], ShallowFea
 
 def example_contexts(
     examples: Sequence[ModelingExample], scope: str
-) -> list[tuple[list[str], ShallowFeatures]]:
+) -> list[tuple[list[str], tuple[float, float, float]]]:
     """(tokens, shallow features) per example.
 
     Each conversation's context runs once, up to the last turn any of the
@@ -179,16 +170,16 @@ class ScalingParams:
     means: tuple[float, float, float]
     stds: tuple[float, float, float]
 
-    def scale(self, shallow: ShallowFeatures) -> tuple[float, float, float]:
+    def scale(self, shallow: tuple[float, float, float]) -> tuple[float, float, float]:
         # (v - m) / s per feature, or 0.0 where s is not positive; written out,
         # since every scored turn and matrix row calls it
-        (m0, m1, m2), (s0, s1, s2) = self.means, self.stds
-        return ((shallow.slen - m0) / s0 if s0 > 0 else 0.0,
-                (float(shallow.wc) - m1) / s1 if s1 > 0 else 0.0,
-                (shallow.ppau - m2) / s2 if s2 > 0 else 0.0)
+        (slen, wc, ppau), (m0, m1, m2), (s0, s1, s2) = shallow, self.means, self.stds
+        return ((slen - m0) / s0 if s0 > 0 else 0.0,
+                (wc - m1) / s1 if s1 > 0 else 0.0,
+                (ppau - m2) / s2 if s2 > 0 else 0.0)
 
 
-def fit_scaling(features: Sequence[ShallowFeatures]) -> ScalingParams:
+def fit_scaling(features: Sequence[tuple[float, float, float]]) -> ScalingParams:
     """Mean and population std over training shallow features (never test ones).
 
     A feature whose mean or std is not a finite float (timestamps near the
@@ -196,7 +187,7 @@ def fit_scaling(features: Sequence[ShallowFeatures]) -> ScalingParams:
     """
     if not features:
         raise ValueError("cannot fit scaling on an empty training set")
-    cols = list(zip(*(f.as_tuple() for f in features)))
+    cols = list(zip(*features))
     means = tuple(sum(c) / len(c) for c in cols)
     stds = []
     for name, c, m in zip(SHALLOW_NAMES, cols, means):
@@ -213,7 +204,7 @@ def fit_scaling(features: Sequence[ShallowFeatures]) -> ScalingParams:
 
 def turn_row(
     tokens: Iterable[str],
-    shallow: ShallowFeatures,
+    shallow: tuple[float, float, float],
     vocabulary: Vocabulary,
     scaling: ScalingParams,
 ) -> tuple[list[int], tuple[float, float, float]]:
@@ -224,7 +215,7 @@ def turn_row(
 
 
 def fit_from_contexts(
-    contexts: Sequence[tuple[list[str], ShallowFeatures]]
+    contexts: Sequence[tuple[list[str], tuple[float, float, float]]]
 ) -> tuple[Vocabulary, ScalingParams]:
     """Vocabulary and scaling from the training split's :func:`example_contexts`.
 
@@ -237,7 +228,7 @@ def fit_from_contexts(
 
 
 def matrix_from_contexts(
-    contexts: Sequence[tuple[list[str], ShallowFeatures]],
+    contexts: Sequence[tuple[list[str], tuple[float, float, float]]],
     vocabulary: Vocabulary,
     scaling: ScalingParams,
 ) -> np.ndarray:

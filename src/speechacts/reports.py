@@ -10,7 +10,7 @@ import json
 import math
 from dataclasses import asdict
 from typing import Collection
-from json.encoder import encode_basestring_ascii as _json_str
+from json.encoder import encode_basestring, encode_basestring_ascii as _json_str
 
 from .classifier import MultiLabelModel, label_positions
 from .corpus import Conversation, CorpusStats, encode_record
@@ -80,6 +80,26 @@ def predict_lines(model: MultiLabelModel, text: AnswerText, conversation: Conver
             lines.append(head + UNCLASSIFIED)
         else:
             lines.append(answer_json(text, row, *label_positions(model, row), head))
+    return lines
+
+
+def predict_table_lines(model: MultiLabelModel, text: AnswerText, conversation: Conversation,
+                        rows: list[list[float] | None]) -> list[str]:
+    """The ``predict --format table`` line of each turn: ``cid#index
+    [speaker] labels``, the labels of its probability row under
+    :func:`~speechacts.classifier.label_positions` joined by ``,`` (``-``
+    for none, or for a turn without a row), then `` low-confidence`` when
+    that flag is set. The id is written JSON-escaped without its quotes, so
+    a control character in it cannot break the line."""
+    cid = encode_basestring(conversation.conversation_id)[1:-1]
+    lines = []
+    for turn, row in zip(conversation.turns, rows):
+        labels, flag = "-", ""
+        if row is not None:
+            chosen, low_confidence = label_positions(model, row)
+            labels = ",".join([text.names[j] for j in chosen]) or "-"
+            flag = " low-confidence" if low_confidence else ""
+        lines.append(f"{cid}#{turn.turn_index} [{turn.speaker}] {labels}{flag}")
     return lines
 
 

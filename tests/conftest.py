@@ -1,9 +1,41 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from speechacts.corpus import Conversation, LabelCatalog, Turn
+
+# The command line as a shell runs it: the installed console script when one
+# is on PATH, else the module. Either way PYTHONPATH is this checkout's src/,
+# so an install of other code cannot stand in for the code under test.
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+SCRIPT = shutil.which("speechacts")
+CLI = [SCRIPT] if SCRIPT else [sys.executable, "-m", "speechacts.cli"]
+
+
+def cli_process(*args, env=None, **popen) -> subprocess.Popen:
+    """The CLI started on args as a process; env adds to this process's
+    environment, and the other keywords go to ``subprocess.Popen``."""
+    return subprocess.Popen([*CLI, *map(str, args)],
+                            env={**os.environ, **(env or {}), "PYTHONPATH": SRC}, **popen)
+
+
+def run_cli(*args, input=b"", env=None) -> subprocess.CompletedProcess:
+    """The CLI run on args to its end with input on stdin; stdout and stderr
+    are bytes."""
+    pipe = subprocess.PIPE
+    with cli_process(*args, env=env, stdin=pipe, stdout=pipe, stderr=pipe) as proc:
+        try:
+            stdout, stderr = proc.communicate(input, timeout=120)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            raise
+    return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
 
 
 @pytest.fixture

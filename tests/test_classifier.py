@@ -54,7 +54,6 @@ from speechacts.evaluate import (
 from speechacts.featurize import (
     SLEN_SCOPES,
     ScalingParams,
-    ShallowFeatures,
     Vocabulary,
     example_contexts,
     turn_row,
@@ -986,7 +985,7 @@ def scoring_problems(draw, extreme=False):
                                            else st.nothing())),
         min_size=1, max_size=8,
     ))
-    rows = [turn_row(tokens, ShallowFeatures(slen, wc, ppau), vocabulary, scaling)
+    rows = [turn_row(tokens, (slen, float(wc), ppau), vocabulary, scaling)
             for tokens, slen, wc, ppau in turns]
     return model, rows
 
@@ -1008,7 +1007,7 @@ def edge_problem(labels, skipped=()):
             classifiers[name] = BinaryClassifier(weights, float(rng.normal()), Hyperparams(), name)
     scaling = ScalingParams(means=(0.5, 2.0, 0.5), stds=(0.25, 1.5, 0.5))
     model = MultiLabelModel(classifiers, vocabulary, scaling, LabelCatalog(labels=labels))
-    rows = [turn_row(tokens, ShallowFeatures(slen, wc, ppau), vocabulary, scaling)
+    rows = [turn_row(tokens, (slen, float(wc), ppau), vocabulary, scaling)
             for tokens in ([], ["oov"], ["w1", "w0"], ["w0"])
             for slen in (-1.7e308, 0.3, 1.9) for wc in (0, 7) for ppau in (0.4, 2.9, 1.7e308)]
     return model, rows

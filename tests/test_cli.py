@@ -1,19 +1,15 @@
 import errno
 import hashlib
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-import speechacts
 from speechacts.cli import main
 from speechacts.corpus import MAX_CONVERSATION_ID
 
-from conftest import record_line
+from conftest import record_line, run_cli
 
 
 @pytest.fixture
@@ -460,6 +456,24 @@ class TestTrainPredict:
         assert {("--fallback", 1, True), ("--no-fallback", 0, True),
                 ("--no-fallback", 1, False), ("--no-fallback", 2, False)} <= reached
 
+    def test_table_id_with_a_newline_keeps_one_line_per_turn(self, runner, tiny_corpus,
+                                                              tmp_path):
+        transcript, catalog = tiny_corpus
+        model = tmp_path / "model.json"
+        train = runner.invoke(main, ["--catalog", catalog, "train", transcript,
+                                     "--output", str(model)])
+        assert train.exit_code == 0, train.output
+        speakers = ("participant", "assistant", "participant")
+        odd = write_lines(tmp_path / "odd.jsonl", [
+            record_line("x\ny#1 [participant] act0", i, speaker, 2.0 * i, "alphaword topic1")
+            for i, speaker in enumerate(speakers)])
+        result = runner.invoke(main, ["predict", odd, "--model", str(model)])
+        assert result.exit_code == 0, result.output
+        table = result.stdout.splitlines()
+        assert len(table) == 3
+        for i, (line, speaker) in enumerate(zip(table, speakers)):
+            assert line.startswith(f"x\\ny#1 [participant] act0#{i} [{speaker}] ")
+
     def test_predict_rejects_corrupt_model(self, runner, separable_corpus_files, tmp_path):
         corpus, _ = separable_corpus_files
         bad_model = tmp_path / "model.json"
@@ -544,6 +558,19 @@ class TestRankFeatures:
             return [part.strip().split(" ")[0] for part in line.split(",")]
 
         assert names(fwd.output) == list(reversed(names(rev.output)))
+
+    def test_label_without_positives_skipped_with_a_warning(self, runner,
+                                                             separable_corpus_files, tmp_path):
+        corpus, _ = separable_corpus_files
+        catalog = write_catalog(tmp_path / "catalog.json", ["act0", "unused", "act1", "act2"])
+        result = runner.invoke(
+            main, ["--catalog", catalog, "--format", "machine", "rank-features", corpus],
+        )
+        assert result.exit_code == 0, result.output
+        assert [r["label"] for r in json.loads(result.stdout)["rankings"]] == [
+            "act0", "act1", "act2"]
+        assert result.stderr.splitlines() == [
+            "warning: skipping unused: needs both positive and negative examples"]
 
     def test_unknown_label_fails(self, runner, separable_corpus_files):
         corpus, catalog = separable_corpus_files
@@ -780,13 +807,11 @@ class TestDocumentFiles:
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         model.write_text(json.dumps({"checksum": hashlib.sha256(canonical.encode()).hexdigest(),
                                      "format_version": 2, "payload": payload}))
-        env = {**os.environ, "PYTHONPATH": str(Path(speechacts.__file__).resolve().parents[1])}
-        result = subprocess.run([sys.executable, "-m", "speechacts.cli", "predict", transcript,
-                                 "--model", str(model)], capture_output=True, text=True, env=env,
-                                timeout=120)
+        result = run_cli("predict", transcript, "--model", model)
+        stderr = result.stderr.decode()
         assert result.returncode == 1
-        assert "Traceback" not in result.stderr
-        assert [line for line in result.stderr.splitlines() if line.startswith("error:")] == [
+        assert "Traceback" not in stderr
+        assert [line for line in stderr.splitlines() if line.startswith("error:")] == [
             f"error: {model}: model payload malformed: int too large to convert to float"]
 
     @pytest.mark.parametrize("command", ["evaluate", "synth-corpus"])

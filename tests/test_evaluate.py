@@ -636,7 +636,7 @@ class TestRankFeatures:
 
     def test_dedicated_keyword_ranked_first(self):
         examples, catalog = self.intro_examples()
-        ranking = rank_features_for_examples(examples, catalog, "introduction", top_n=10)
+        (ranking,) = rank_features_for_examples(examples, catalog, ["introduction"], top_n=10)
         assert ranking.ranked[0][0] == "hello"
 
     def test_top_n_larger_than_feature_count(self):
@@ -655,17 +655,27 @@ class TestRankFeatures:
 
     def test_shuffle_invariance(self):
         examples, catalog = self.intro_examples()
-        baseline = rank_features_for_examples(examples, catalog, "introduction")
+        (baseline,) = rank_features_for_examples(examples, catalog, ["introduction"])
         rng = np.random.default_rng(4)
         shuffled = [examples[i] for i in rng.permutation(len(examples))]
-        again = rank_features_for_examples(shuffled, catalog, "introduction")
+        (again,) = rank_features_for_examples(shuffled, catalog, ["introduction"])
         assert [n for n, _ in baseline.ranked] == [n for n, _ in again.ranked]
         assert [s for _, s in baseline.ranked] == pytest.approx([s for _, s in again.ranked])
+
+    def test_labels_ranked_in_the_order_given_one_sided_skipped(self):
+        examples, _ = self.intro_examples()
+        catalog = LabelCatalog(labels=("introduction", "question", "unused"))
+        with pytest.warns(UserWarning) as caught:
+            rankings = rank_features_for_examples(examples, catalog,
+                                                  ["question", "unused", "introduction"])
+        assert [r.label for r in rankings] == ["question", "introduction"]
+        assert [str(w.message) for w in caught] == [
+            "skipping unused: needs both positive and negative examples"]
 
     def test_unknown_label(self):
         examples, catalog = self.intro_examples()
         with pytest.raises(ValueError):
-            rank_features_for_examples(examples, catalog, "nolabel")
+            rank_features_for_examples(examples, catalog, ["introduction", "nolabel"])
 
     def test_label_without_positives(self):
         X = np.array([[1.0], [0.0]])
@@ -675,6 +685,6 @@ class TestRankFeatures:
 
     def test_shallow_feature_names_in_ranking(self):
         examples, catalog = self.intro_examples()
-        ranking = rank_features_for_examples(examples, catalog, "introduction", top_n=0)
+        (ranking,) = rank_features_for_examples(examples, catalog, ["introduction"], top_n=0)
         names = {name for name, _ in ranking.ranked}
         assert {"slen_sf", "wc_sf", "ppau_sf"} <= names

@@ -20,7 +20,6 @@ from speechacts.featurize import (
     SLEN_SCOPES,
     ContextState,
     ScalingParams,
-    ShallowFeatures,
     Vocabulary,
     conversation_context,
     example_contexts,
@@ -42,7 +41,7 @@ def shallow_of(conversation, turn_index, scope=SAME_SPEAKER):
 
 def vocabulary_of(texts):
     """The vocabulary :func:`fit_from_contexts` fits on turns with these texts."""
-    return fit_from_contexts([(tokenize(text), ShallowFeatures(1.0, 0, 0.0)) for text in texts])[0]
+    return fit_from_contexts([(tokenize(text), (1.0, 0.0, 0.0)) for text in texts])[0]
 
 
 def fit_examples(examples):
@@ -99,14 +98,11 @@ class TestShallow:
         conv = make_conversation(
             "c1", [("participant", 10.0, "one two", ["a"]), ("participant", 14.5, "three", ["a"])]
         )
-        assert shallow_of(conv, 1).ppau == 4.5
+        assert shallow_of(conv, 1)[2] == 4.5
 
     def test_first_turn_boundaries(self):
         conv = make_conversation("c1", [("participant", 3.0, "one two three four five six", ["a"])])
-        sf = shallow_of(conv, 0)
-        assert sf.wc == 6
-        assert sf.ppau == 0.0
-        assert sf.slen == 1.0
+        assert shallow_of(conv, 0) == (1.0, 6.0, 0.0)
 
     def test_slen_same_speaker_mean(self):
         conv = make_conversation(
@@ -118,7 +114,7 @@ class TestShallow:
                 ("participant", 3.0, "1 2 3 4 5 6 7 8 9 10", ["a"]),   # wc 10
             ],
         )
-        assert shallow_of(conv, 3).slen == pytest.approx(10 / 5)
+        assert shallow_of(conv, 3)[0] == pytest.approx(10 / 5)
 
     def test_slen_any_speaker_scope(self):
         conv = make_conversation(
@@ -129,20 +125,20 @@ class TestShallow:
                 ("participant", 2.0, "1 2 3 4 5 6", ["a"]),  # wc 6
             ],
         )
-        assert shallow_of(conv, 2, ANY_SPEAKER).slen == pytest.approx(6 / 3)
-        assert shallow_of(conv, 2).slen == pytest.approx(6 / 4)
+        assert shallow_of(conv, 2, ANY_SPEAKER)[0] == pytest.approx(6 / 3)
+        assert shallow_of(conv, 2)[0] == pytest.approx(6 / 4)
 
     def test_slen_zero_mean_falls_back_to_wc(self):
         conv = make_conversation(
             "c1", [("participant", 0.0, "???", ["a"]), ("participant", 1.0, "x y z", ["a"])]
         )
-        assert shallow_of(conv, 1).slen == 3.0
+        assert shallow_of(conv, 1)[0] == 3.0
 
     def test_ppau_uses_any_speaker(self):
         conv = make_conversation(
             "c1", [("assistant", 0.0, "hi", []), ("participant", 7.25, "q", ["a"])]
         )
-        assert shallow_of(conv, 1).ppau == 7.25
+        assert shallow_of(conv, 1)[2] == 7.25
 
     def test_out_of_range(self):
         conv = make_conversation("c1", [("participant", 0.0, "x", ["a"])])
@@ -176,7 +172,7 @@ def prefix_scan_shallow(conversation, turn_index, scope):
     else:
         mean_wc = sum(prior) / len(prior)
         slen = wc / mean_wc if mean_wc > 0 else float(wc)
-    return ShallowFeatures(slen=slen, wc=wc, ppau=ppau)
+    return (slen, float(wc), ppau)
 
 
 _WORDS = st.sampled_from(["a", "Bb", "c3", "??", "x-y", "", "long words here", "9"])
@@ -205,7 +201,7 @@ class TestRunningContext:
             assert tokens == tokenize(conv.turns[i].text)
             expected = prefix_scan_shallow(conv, i, scope)
             assert shallow == expected
-            assert type(shallow.ppau) is type(expected.ppau)
+            assert type(shallow[2]) is type(expected[2])
         # examples in any order, each turn's context from one run per conversation
         examples = [ModelingExample(conv, i, frozenset()) for i in reversed(range(len(conv.turns)))]
         assert example_contexts(examples, scope) == contexts[::-1]
@@ -268,7 +264,7 @@ class TestScaling:
     @pytest.mark.parametrize("ppau", [[0.0, 1.5e308], [1.5e308, 1.5e308], [0.0, float("inf")]])
     def test_non_finite_statistic_names_the_feature(self, ppau):
         # a deviation squared past the float limit raised OverflowError
-        feats = [ShallowFeatures(1.0, 2, p) for p in ppau]
+        feats = [(1.0, 2.0, p) for p in ppau]
         with pytest.raises(ValueError, match="ppau_sf"):
             fit_scaling(feats)
 
@@ -278,9 +274,8 @@ class TestScaling:
            stds=st.tuples(*[st.sampled_from([0.0, -0.0, 5e-324]) | st.floats(1e-300, 1e300)] * 3))
     def test_scale_is_the_per_feature_form(self, slen, wc, ppau, means, stds):
         # the form scale had before it was written out per feature
-        shallow = ShallowFeatures(slen, wc, ppau)
-        expect = tuple((v - m) / s if s > 0 else 0.0
-                       for v, m, s in zip(shallow.as_tuple(), means, stds))
+        shallow = (slen, float(wc), ppau)
+        expect = tuple((v - m) / s if s > 0 else 0.0 for v, m, s in zip(shallow, means, stds))
         got = ScalingParams(means, stds).scale(shallow)
         assert type(got) is tuple and all(type(v) is float for v in got)
         assert np.array(got).tobytes() == np.array(expect).tobytes()
@@ -301,7 +296,7 @@ class TestVectorize:
         tokens, shallow = next(conversation_context(conv))
         ids, _ = turn_row(tokens, shallow, vocab, scaling)
         assert ids == []
-        assert shallow.wc == 1
+        assert shallow[1] == 1.0
 
     def test_z_score_arithmetic(self):
         scaling = ScalingParams(means=(0.0, 5.0, 0.0), stds=(1.0, 2.5, 1.0))

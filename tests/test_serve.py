@@ -4,7 +4,6 @@ import dataclasses
 import functools
 import io
 import json
-import os
 import re
 import signal
 import socket
@@ -16,7 +15,6 @@ import threading
 import time
 import tracemalloc
 from collections import OrderedDict
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +24,6 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant, precondition,
                                  rule)
 
-import speechacts
 from speechacts import classifier, serve
 from speechacts.classifier import label_positions, predict_conversation, save_model, train_model
 from speechacts.cli import main
@@ -37,7 +34,7 @@ from speechacts.featurize import SLEN_SCOPES, ContextState, ScalingParams
 from speechacts.serve import MAX_LINE_BYTES, ServeEngine, ServeServer, serve_stream
 from speechacts.synth import SynthSpec, synth_catalog, synth_corpus
 
-from conftest import make_conversation
+from conftest import cli_process, make_conversation, run_cli
 
 
 @functools.cache
@@ -684,13 +681,8 @@ class TestStdio:
     def test_bad_utf8_lines_answered_by_the_command(self, model, tmp_path, env):
         model_path = tmp_path / "model.json"
         save_model(model, model_path)
-        package_root = Path(speechacts.__file__).resolve().parents[1]
-        env = {**os.environ, **env, "PYTHONPATH": str(package_root)}
-        done = subprocess.run(
-            [sys.executable, "-m", "speechacts.cli", "serve", "--model", str(model_path)],
-            input=b"\n".join(NOT_UTF8 + [VALID]) + b"\n", capture_output=True, env=env,
-            timeout=120,
-        )
+        done = run_cli("serve", "--model", model_path,
+                       input=b"\n".join(NOT_UTF8 + [VALID]) + b"\n", env=env)
         assert done.returncode == 0, done.stderr.decode(errors="replace")
         assert b"Traceback" not in done.stderr
         replies = [strict_loads(line) for line in done.stdout.decode("ascii").split("\n")[:-1]]
@@ -779,13 +771,8 @@ class TestTcp:
     def test_sigterm_exits_cleanly(self, model, tmp_path):
         model_path = tmp_path / "model.json"
         save_model(model, model_path)
-        package_root = Path(speechacts.__file__).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": str(package_root)}
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "speechacts.cli", "serve", "--model", str(model_path),
-             "--port", "0"],
-            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env,
-        )
+        proc = cli_process("serve", "--model", model_path, "--port", 0,
+                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
         try:
             stderr = b""
             while b"listening on" not in stderr:
