@@ -16,6 +16,12 @@ file.
 
     python3 scripts/cv_time.py --corpus narrow|study|paper [--tune] [--report FILE]
 
+The six reports (each corpus, plain and ``--tune``) are tier-1 pins: the
+table ``CV_REPORT_SHA256`` in ``tests/test_evaluate.py`` holds their digests
+and checks them through ``cross_validate_corpus``, the function ``main``
+calls. A change that moves a report on purpose re-pins its row there and
+records the report's rows before and after in CHANGES.md.
+
 For where the time goes, run it under cProfile:
 
     python3 -m cProfile -s cumulative scripts/cv_time.py --corpus paper | head -40
@@ -30,6 +36,7 @@ import resource
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,6 +68,31 @@ def bench_corpus(corpus: str):
     return modeling_examples(parse_transcripts(lines, catalog), catalog), catalog
 
 
+def fold_seed(corpus: str) -> int:
+    return inputs.FOLD_SEED["narrow" if corpus == "narrow" else "study"]
+
+
+class CVRun(NamedTuple):
+    examples: int
+    cv_s: float  # the cross-validation's wall time, corpus building left out
+    report: str  # the machine-format CV report
+
+    @property
+    def digest(self) -> str:
+        return hashlib.sha256(self.report.encode("utf-8")).hexdigest()
+
+
+def cross_validate_corpus(corpus: str, tune: bool) -> CVRun:
+    """The cross-validation of a bench corpus under the default config and
+    the corpus's fold seed, nested when ``tune``."""
+    examples, catalog = bench_corpus(corpus)
+    config = RunConfig(seed=fold_seed(corpus), tune=tune)
+    start = time.perf_counter()
+    report = cross_validate(examples, catalog, config)
+    elapsed = time.perf_counter() - start
+    return CVRun(len(examples), elapsed, reports.metrics_machine(report, config.as_dict()))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--corpus", choices=CORPORA, required=True)
@@ -68,19 +100,12 @@ def main() -> int:
     parser.add_argument("--report", type=Path, help="write the machine-format CV report here")
     args = parser.parse_args()
 
-    examples, catalog = bench_corpus(args.corpus)
-    fold_seed = inputs.FOLD_SEED["narrow" if args.corpus == "narrow" else "study"]
-    config = RunConfig(seed=fold_seed, tune=args.tune)
-    start = time.perf_counter()
-    report = cross_validate(examples, catalog, config)
-    elapsed = time.perf_counter() - start
-    text = reports.metrics_machine(report, config.as_dict())
+    run = cross_validate_corpus(args.corpus, args.tune)
     if args.report:
-        args.report.write_text(text, encoding="utf-8")
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        args.report.write_text(run.report, encoding="utf-8")
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # Linux: KiB
-    print(f"corpus {args.corpus}  tune {args.tune}  examples {len(examples)}  "
-          f"cv_s {elapsed:.2f}  peak_rss_mb {peak_rss_mb:.1f}  report_sha256 {digest}")
+    print(f"corpus {args.corpus}  tune {args.tune}  examples {run.examples}  "
+          f"cv_s {run.cv_s:.2f}  peak_rss_mb {peak_rss_mb:.1f}  report_sha256 {run.digest}")
     return 0
 
 

@@ -187,7 +187,9 @@ def train(ctx, transcripts, model_path, tune, smote_k, threshold, slen_scope):
     catalog = _load_catalog(ctx)
     config = _effective_config(ctx, tune=tune, smote_k=smote_k,
                                threshold=threshold, slen_scope=slen_scope)
-    model = train_model(_read_examples(transcripts, catalog, "train"), catalog, config)
+    examples = _read_examples(transcripts, catalog, "train")
+    corpus_mod.check_writable(model_path)
+    model = train_model(examples, catalog, config)
     for skip in model.skipped:
         click.echo(f"warning: skipped label {skip.label}: {skip.reason}", err=True)
     for name, clf in model.classifiers.items():
@@ -239,6 +241,8 @@ def evaluate(ctx, transcripts, folds, tune, smote_k, threshold, fallback, slen_s
     config = _effective_config(ctx, n_folds=folds, tune=tune, smote_k=smote_k,
                                threshold=threshold, fallback=fallback, slen_scope=slen_scope)
     examples = _read_examples(transcripts, catalog, "evaluate")
+    if out_path:
+        corpus_mod.check_writable(out_path)
     report = cross_validate(examples, catalog, config)
     config_dict = _config_echo(ctx, config)
     machine_doc = reports.metrics_machine(report, config_dict)

@@ -141,12 +141,29 @@ def read_document_text(path: Union[str, Path]) -> tuple[object, str]:
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def _beside(path: Union[str, Path]) -> str:
+    """A fresh temp file name in path's directory."""
+    return f"{os.path.abspath(path)}.{secrets.token_hex(4)}.tmp"
+
+
+def check_writable(path: Union[str, Path]) -> None:
+    """Raise the ``OSError`` that :func:`write_document` would raise for
+    want of a directory it can write path's temp file in, without touching
+    path, so that a command fails before its work and not after it."""
+    tmp_path = _beside(path)
+    try:
+        open(tmp_path, "x").close()
+        os.unlink(tmp_path)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
+
+
 def write_document(path: Union[str, Path], text: str) -> None:
     """Write text to path atomically: into a temp file beside it that then
     replaces it, so a failed write leaves the path as it was and no temp
     file behind. Write errors name the path."""
     # opened like any output file, so its mode follows the umask
-    tmp_path = f"{os.path.abspath(path)}.{secrets.token_hex(4)}.tmp"
+    tmp_path = _beside(path)
     try:
         fh = open(tmp_path, "x", encoding="utf-8")
         try:

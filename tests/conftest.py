@@ -1,3 +1,5 @@
+import functools
+import importlib.util
 import json
 import os
 import shutil
@@ -13,7 +15,8 @@ from speechacts.corpus import Conversation, LabelCatalog, Turn
 # The command line as a shell runs it: the installed console script when one
 # is on PATH, else the module. Either way PYTHONPATH is this checkout's src/,
 # so an install of other code cannot stand in for the code under test.
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 SCRIPT = shutil.which("speechacts")
 CLI = [SCRIPT] if SCRIPT else [sys.executable, "-m", "speechacts.cli"]
 
@@ -36,6 +39,21 @@ def run_cli(*args, input=b"", env=None) -> subprocess.CompletedProcess:
             proc.kill()
             raise
     return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
+
+
+CV_TIME = ROOT / "scripts" / "cv_time.py"
+
+
+@functools.cache
+def cv_time():
+    """``scripts/cv_time.py`` as a module, loaded once; the ``sys.path``
+    entries it puts first (the checkout's src and bench) are taken back."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys, "path", list(sys.path))
+        spec = importlib.util.spec_from_file_location("cv_time", CV_TIME)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

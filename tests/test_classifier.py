@@ -1,13 +1,10 @@
 import dataclasses
 import errno
 import hashlib
-import importlib.util
 import json
 import math
 import re
-import sys
 import tracemalloc
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -60,7 +57,7 @@ from speechacts.featurize import (
 )
 from speechacts.synth import SynthSpec, synth_catalog, synth_corpus
 
-from conftest import ZeroEveryOtherWeight, make_conversation
+from conftest import ZeroEveryOtherWeight, cv_time, make_conversation
 
 
 def finite_difference_gradient(w, b, X, y, C, h=1e-5):
@@ -1361,14 +1358,9 @@ def parent_model_document(model) -> str:
 def bench_model(corpus):
     """The model ``train`` fits on a bench corpus, whose examples
     ``scripts/cv_time.py`` builds, under the corpus's fold seed."""
-    script = Path(__file__).resolve().parents[1] / "scripts" / "cv_time.py"
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sys, "path", list(sys.path))  # the script puts src and bench first
-        spec = importlib.util.spec_from_file_location("cv_time", script)
-        cv_time = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(cv_time)
-    examples, catalog = cv_time.bench_corpus(corpus)
-    return train_model(examples, catalog, RunConfig(seed=cv_time.inputs.FOLD_SEED[corpus]))
+    script = cv_time()
+    examples, catalog = script.bench_corpus(corpus)
+    return train_model(examples, catalog, RunConfig(seed=script.fold_seed(corpus)))
 
 
 def skipping_model():

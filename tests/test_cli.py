@@ -835,6 +835,26 @@ class TestDocumentFiles:
         assert target.read_text() == "earlier\n"
         assert [p.name for p in target.parent.iterdir()] == ["target.json"]
 
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_unwritable_output_fails_before_the_fit(self, runner, separable_corpus_files,
+                                                    tmp_path, monkeypatch, command):
+        # the output's directory is probed once the transcripts are read, so
+        # a missing one costs no fit and no cross-validation
+        corpus, catalog = separable_corpus_files
+
+        def unreached(*args, **kwargs):
+            raise AssertionError("fitted for an unwritable --output")
+
+        monkeypatch.setattr("speechacts.cli.train_model", unreached)
+        monkeypatch.setattr("speechacts.cli.cross_validate", unreached)
+        target = tmp_path / "no_such_dir" / "out.json"
+        result = runner.invoke(main, ["--catalog", catalog, command, corpus,
+                                      "--output", str(target)])
+        assert result.exit_code == 2
+        assert result.stderr.splitlines() == [
+            f"error: [Errno {errno.ENOENT}] No such file or directory: {str(target)!r}"]
+        assert not target.parent.exists()
+
 
 class TestErrorBoundary:
     """Every command runs inside one boundary: any ValueError exits 1, any

@@ -1,8 +1,11 @@
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -31,7 +34,7 @@ from speechacts.evaluate import (
 from speechacts.featurize import example_contexts, turn_row
 from speechacts.synth import SynthSpec, synth_catalog, synth_corpus
 
-from conftest import make_conversation
+from conftest import CV_TIME, cv_time, make_conversation
 
 PUBLISHED_ROWS = [
     MetricsRow("apianswer", 0.93, 0.76, 0.83, 24.6),
@@ -313,6 +316,39 @@ class TestOutputDigests:
         assert len(kernels) == 5 * 3 and all(kernels)
         assert (hashlib.sha256(json.dumps(row, sort_keys=True).encode()).hexdigest()
                 == "d544e0bcb23969db8453ecb493f5ed3b7892e69018c0aced3ac9f005419fb95b")
+
+
+# sha256 of the machine-format CV report of each bench corpus of
+# scripts/cv_time.py, plain and nested (--tune), under the corpus's fold seed;
+# paper is the study-shaped corpus at the paper's size, whose fits take the
+# bincount products. These reports hold across CPUs, so the table passes under
+# OPENBLAS_CORETYPE=Haswell with numpy's AVX-512 dispatch targets off too. A
+# change that moves a report on purpose re-pins its row here and records the
+# report's rows before and after in CHANGES.md.
+CV_REPORT_SHA256 = {
+    ("narrow", False): "f714fb63f26d96a3c3b1bb5555ef3333441fb061d82ea321dca090359df586c9",
+    ("narrow", True): "99a05f68edf776aef0129d72ce1dd5fb0199b7169169f08442987be3fed70aca",
+    ("study", False): "8afa5d7dae623a72a933f81f374d3b622da948ad1ac34e415401e12b37bd186e",
+    ("study", True): "20426f74122bcbd6f631a90edc7cb2c50831b84433b2565297cf69008c058ae6",
+    ("paper", False): "5b9365028e573fd99ef7261dc593b4eb4a38b1d76aca760d976c57f5756c3776",
+    ("paper", True): "7bb2607106a695d4606a3fe2266a02929af3748c706e79c3cb367447243ff39c",
+}
+
+
+class TestCVReportDigests:
+    @pytest.mark.parametrize("corpus, tune", CV_REPORT_SHA256,
+                             ids=[f"{c}-tune" if t else c for c, t in CV_REPORT_SHA256])
+    def test_report_matches_its_pin(self, corpus, tune):
+        run = cv_time().cross_validate_corpus(corpus, tune)
+        assert run.digest == CV_REPORT_SHA256[corpus, tune]
+
+    def test_every_corpus_is_pinned_plain_and_nested(self):
+        assert set(CV_REPORT_SHA256) == set(itertools.product(cv_time().CORPORA, (False, True)))
+
+    def test_script_prints_the_pinned_digest(self):
+        run = subprocess.run([sys.executable, str(CV_TIME), "--corpus", "narrow"],
+                             capture_output=True, text=True, timeout=120, check=True)
+        assert run.stdout.split()[-2:] == ["report_sha256", CV_REPORT_SHA256["narrow", False]]
 
 
 def confusion_oracle(gold, predicted, name):
