@@ -12,7 +12,8 @@ study's); ``--tune`` turns tuning on, which makes it the nested CV of
 ``evaluate --tune`` that the benchmark does not time. It prints the wall time,
 the process's peak resident set size and the sha256 of the machine-format
 report, which ends the line, and writes the report when ``--report`` names a
-file.
+file. A report path it cannot write fails before the cross-validation, with one
+``error:`` line and exit code 2, as the CLI's I/O errors do.
 
     python3 scripts/cv_time.py --corpus narrow|study|paper [--tune] [--report FILE]
 
@@ -47,7 +48,8 @@ import inputs  # noqa: E402
 
 from speechacts import reports  # noqa: E402
 from speechacts.config import RunConfig  # noqa: E402
-from speechacts.corpus import LabelCatalog, modeling_examples, parse_transcripts  # noqa: E402
+from speechacts.corpus import (  # noqa: E402
+    LabelCatalog, check_writable, modeling_examples, parse_transcripts, write_document)
 from speechacts.evaluate import cross_validate  # noqa: E402
 
 PAPER_SHAPE = inputs.StudyShape(conversations=30, turns_min=85, turns_max=95)
@@ -93,16 +95,22 @@ def cross_validate_corpus(corpus: str, tune: bool) -> CVRun:
     return CVRun(len(examples), elapsed, reports.metrics_machine(report, config.as_dict()))
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--corpus", choices=CORPORA, required=True)
     parser.add_argument("--tune", action="store_true", help="nested CV, as evaluate --tune")
     parser.add_argument("--report", type=Path, help="write the machine-format CV report here")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
-    run = cross_validate_corpus(args.corpus, args.tune)
-    if args.report:
-        args.report.write_text(run.report, encoding="utf-8")
+    try:
+        if args.report:
+            check_writable(args.report)  # fail before the cross-validation, not after it
+        run = cross_validate_corpus(args.corpus, args.tune)
+        if args.report:
+            write_document(args.report, run.report)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # Linux: KiB
     print(f"corpus {args.corpus}  tune {args.tune}  examples {run.examples}  "
           f"cv_s {run.cv_s:.2f}  peak_rss_mb {peak_rss_mb:.1f}  report_sha256 {run.digest}")

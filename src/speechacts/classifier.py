@@ -22,7 +22,7 @@ import numpy as np
 from .balance import SparseRows, derive_seed, oversample, oversample_rows
 from .config import Hyperparams, RunConfig, config_from_dict, expand_grid, hyperparams_from_dict
 from .corpus import (PARTICIPANT, Conversation, LabelCatalog, ModelingExample, catalog_from_dict,
-                     decode_record, read_document_text, write_document)
+                     catalog_to_dict, decode_record, read_document_text, write_document)
 from .featurize import (
     N_SHALLOW,
     ScalingParams,
@@ -689,11 +689,10 @@ def tune(
     examples: Sequence[ModelingExample],
     catalog: LabelCatalog,
     grid: Sequence[Hyperparams],
-    inner_folds: int = 3,
-    seed: int = 0,
-    base_config: RunConfig = RunConfig(),
+    config: RunConfig = RunConfig(),
 ) -> Hyperparams:
-    """Grid search scored by inner-cross-validated weighted F-measure.
+    """Grid search scored by inner-cross-validated weighted F-measure, over
+    ``config.inner_folds`` folds under ``config.seed``.
 
     The inner folds re-fit vocabulary, scaling, and SMOTE per fold, so the
     search never sees its own validation turns. Ties prefer the smaller C,
@@ -707,7 +706,6 @@ def tune(
     """
     from . import evaluate  # deferred: evaluate drives this module's fits
 
-    config = replace(base_config, inner_folds=inner_folds, seed=seed)
     contexts = example_contexts(examples, config.slen_scope)
     return evaluate.tune_on_contexts(examples, contexts, catalog, grid, config)
 
@@ -759,10 +757,7 @@ def train_model(
 
 def _payload(model: MultiLabelModel) -> dict:
     return {
-        "catalog": {
-            "labels": list(model.catalog.labels),
-            "excluded": sorted(model.catalog.excluded),
-        },
+        "catalog": catalog_to_dict(model.catalog),
         "vocabulary": model.vocabulary.token_list,
         "scaling": {"means": list(model.scaling.means), "stds": list(model.scaling.stds)},
         # echoed from config for readers of the file that skip config

@@ -164,9 +164,8 @@ def synth_corpus_cmd(ctx, n_labels, turns_per_label, signal, multi_label_rate, o
     conversations = synth_corpus(spec)
     corpus_mod.write_document(output, corpus_mod.serialize_transcripts(conversations))
     if catalog_out:
-        catalog = synth_catalog(spec)
-        corpus_mod.write_document(
-            catalog_out, json.dumps({"labels": list(catalog.labels), "excluded": []}) + "\n")
+        catalog = corpus_mod.catalog_to_dict(synth_catalog(spec))
+        corpus_mod.write_document(catalog_out, json.dumps(catalog) + "\n")
     click.echo(f"wrote {sum(len(c.turns) for c in conversations)} turns "
                f"({len(conversations)} conversations) to {output}", err=True)
 

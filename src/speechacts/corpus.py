@@ -288,6 +288,11 @@ def catalog_from_dict(obj: dict) -> LabelCatalog:
     )
 
 
+def catalog_to_dict(catalog: LabelCatalog) -> dict:
+    """The catalog as the document :func:`catalog_from_dict` reads."""
+    return {"labels": list(catalog.labels), "excluded": sorted(catalog.excluded)}
+
+
 def load_catalog(path: Union[str, Path]) -> LabelCatalog:
     return catalog_from_dict(read_document(path))
 

@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from speechacts import classifier as classifier_mod
+from speechacts import evaluate as evaluate_mod
 from speechacts.balance import DenseExample, SparseRows, derive_seed, oversample, smote_balance
 from speechacts.classifier import (
     BinaryClassifier,
@@ -1287,7 +1288,8 @@ class TestTune:
     def test_matches_one_cross_validation_per_point(self, problem):
         examples, catalog, grid, inner_folds, seed, config = problem
         chosen, scores = reference_tune(examples, catalog, grid, inner_folds, seed, config)
-        assert tune(examples, catalog, grid, inner_folds, seed, config) == chosen
+        tuned = dataclasses.replace(config, inner_folds=inner_folds, seed=seed)
+        assert tune(examples, catalog, grid, tuned) == chosen
         inner = dataclasses.replace(config, n_folds=inner_folds, seed=seed)
         reports = cross_validate_grid(examples, example_contexts(examples, config.slen_scope),
                                       catalog, inner, grid)
@@ -1313,37 +1315,45 @@ class TestTune:
 
         train_model(examples, catalog, config)  # first-call allocations stay out of the peak
         fit_peak = peak(lambda: train_model(examples, catalog, config))
-        tune_peak = peak(lambda: tune(examples, catalog, expand_grid(DEFAULT_GRID), 3, 1, config))
+        tune_peak = peak(lambda: tune(examples, catalog, expand_grid(DEFAULT_GRID), config))
         assert tune_peak <= 1.5 * fit_peak
 
     def test_single_point_returned(self):
         examples, catalog = keyword_examples()
         point = Hyperparams(C=3.0)
-        assert tune(examples, catalog, [point], inner_folds=2, seed=0) == point
+        assert tune(examples, catalog, [point], RunConfig(inner_folds=2)) == point
 
     def test_underfit_grid_point_loses(self):
         examples, catalog = noisy_keyword_examples()
         weak = Hyperparams(C=1e-6, max_iterations=3)
         strong = Hyperparams(C=1.0, max_iterations=300)
-        best = tune(examples, catalog, [weak, strong], inner_folds=2, seed=0)
+        best = tune(examples, catalog, [weak, strong], RunConfig(inner_folds=2))
         assert best == strong
 
     def test_tie_prefers_smaller_c(self):
         examples, catalog = keyword_examples()
         a = Hyperparams(C=10.0)
         b = Hyperparams(C=0.5)
-        best = tune(examples, catalog, [a, a, b, b], inner_folds=2, seed=0)
+        best = tune(examples, catalog, [a, a, b, b], RunConfig(inner_folds=2))
         assert best.C == 0.5
 
     def test_too_few_examples(self):
         examples, catalog = keyword_examples(n_per_label=1)
         with pytest.raises(ValueError):
-            tune(examples, catalog, [Hyperparams()], inner_folds=3, seed=0)
+            tune(examples, catalog, [Hyperparams()])
+
+    def test_searches_under_the_config_seed_and_inner_folds(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(evaluate_mod, "tune_on_contexts",
+                            lambda examples, contexts, catalog, grid, config: seen.append(config))
+        examples, catalog = keyword_examples()
+        tune(examples, catalog, [Hyperparams()], RunConfig(seed=7, inner_folds=4))
+        assert [(c.seed, c.inner_folds) for c in seen] == [(7, 4)]
 
     def test_empty_grid(self):
         examples, catalog = keyword_examples()
         with pytest.raises(ValueError):
-            tune(examples, catalog, [], inner_folds=2, seed=0)
+            tune(examples, catalog, [], RunConfig(inner_folds=2))
 
 
 def parent_model_document(model) -> str:

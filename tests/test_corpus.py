@@ -51,6 +51,12 @@ class TestCatalog:
         with pytest.raises(CatalogError):
             LabelCatalog(labels=())
 
+    def test_document_round_trips(self):
+        catalog = LabelCatalog(labels=("b", "a"), excluded=frozenset({"d", "c"}))
+        document = corpus_mod.catalog_to_dict(catalog)
+        assert document == {"labels": ["b", "a"], "excluded": ["c", "d"]}
+        assert corpus_mod.catalog_from_dict(document) == catalog
+
     def test_label_set_built_once_outside_the_fields(self):
         catalog = LabelCatalog(labels=("b", "a"), excluded=frozenset({"c"}))
         labels = catalog.label_set

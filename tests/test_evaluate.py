@@ -228,62 +228,82 @@ class TestStratificationRegression:
             assert abs(got - v.ideal_share) > 1
 
 
-class TestOutputDigests:
-    # the model file, with SMOTE's three vectorized draws, and the CV
-    # avg/total row under the table planner's folds; any byte drift shows
-    # here.
-    # The first corpus balances positives, the second (each label on 101 of
-    # 120 turns) negatives.
-    @pytest.mark.parametrize(
-        "spec, model_digest, row_digest",
-        [
-            (
-                SynthSpec(n_labels=5, turns_per_label=40, signal=0.6, multi_label_rate=0.2, seed=3),
-                "51c51ab553a74ee7e77f0e1fb7b7e0106a3db0a317423c4df448091d5fff41a8",
-                "836ca7482c6ffff03a57ac24c43dfbde8af0651f438c740ee9cb3827bb8772e0",
-            ),
-            (
-                SynthSpec(n_labels=2, turns_per_label=60, signal=0.5, multi_label_rate=0.7, seed=5),
-                "5f60f721ea0df73464a695660fef266ba8c971e961f005a152e69a61268053cd",
-                "50dfa54f9b98b2e0973609afed562730853bfbc4de1506e7c68d609363dcecdf",
-            ),
-        ],
-    )
-    def test_golden_model_and_cv_row(self, spec, model_digest, row_digest):
-        catalog = synth_catalog(spec)
-        examples = modeling_examples(synth_corpus(spec), catalog)
-        config = RunConfig(seed=2)
-        document = model_to_document(train_model(examples, catalog, config))
-        assert hashlib.sha256(document.encode()).hexdigest() == model_digest
-        row = dataclasses.asdict(cross_validate(examples, catalog, config).average_row)
-        assert hashlib.sha256(json.dumps(row, sort_keys=True).encode()).hexdigest() == row_digest
+def synth_examples(spec):
+    catalog = synth_catalog(spec)
+    return modeling_examples(synth_corpus(spec), catalog), catalog
 
-    # train --tune's model file and nested CV's avg/total row, as the
-    # per-grid-point cross_validate loop produced them; the first corpus
-    # tunes to C=0.1 without a bias, the second to C=0.1 with a bias
-    @pytest.mark.parametrize(
-        "spec, model_digest, row_digest",
-        [
-            (
-                SynthSpec(n_labels=3, turns_per_label=24, signal=0.5, multi_label_rate=0.3, seed=6),
-                "176691e7567b0c5c9679dedf43221ceb0b9c2893ffc9734cfd291a18430beca5",
-                "b9f4a734c8891c1fdb5eaf960017dc4f08b9b359b3ee884f3538b8d87cc85caa",
-            ),
-            (
-                SynthSpec(n_labels=4, turns_per_label=20, signal=0.4, multi_label_rate=0.3, seed=8),
-                "72742dfdee602a25380919ff813e43d7c567282f46e843d691c61b024c3742cb",
-                "b2b0c07235be3c6c325d0a8878f4f36abefd4dfd84caab7e99313f92f945ebc5",
-            ),
-        ],
-    )
-    def test_golden_tuned_model_and_nested_cv_row(self, spec, model_digest, row_digest):
-        catalog = synth_catalog(spec)
-        examples = modeling_examples(synth_corpus(spec), catalog)
-        document = model_to_document(train_model(examples, catalog, RunConfig(seed=2, tune=True)))
-        assert hashlib.sha256(document.encode()).hexdigest() == model_digest
-        config = RunConfig(seed=2, tune=True, n_folds=3, fallback=True)
-        row = dataclasses.asdict(cross_validate(examples, catalog, config).average_row)
-        assert hashlib.sha256(json.dumps(row, sort_keys=True).encode()).hexdigest() == row_digest
+
+def model_file(spec, config):
+    return model_to_document(train_model(*synth_examples(spec), config))
+
+
+def cv_row(spec, config):
+    row = cross_validate(*synth_examples(spec), config).average_row
+    return json.dumps(dataclasses.asdict(row), sort_keys=True)
+
+
+def cv_report(corpus, tune):
+    return cv_time().cross_validate_corpus(corpus, tune).report
+
+
+def pin(name, *values, marks=()):
+    return pytest.param(*values, id=name, marks=marks)
+
+
+# sha256 of each pinned output: a model file; a CV avg/total row; the CV report
+# of each bench corpus of scripts/cv_time.py, plain and --tune. FIVE balances
+# positives, TWO (each label on 101 of 120 turns) negatives; train --tune picks
+# C=0.1 on THREE without a bias, on FOUR with one. Only same_kernel rows follow
+# the BLAS and numpy kernels (a model file's last bits do); CI's non-AVX-512 job
+# runs the rest. A change that moves an output re-pins it and says why in CHANGES.md.
+FIVE = SynthSpec(n_labels=5, turns_per_label=40, signal=0.6, multi_label_rate=0.2, seed=3)
+TWO = SynthSpec(n_labels=2, turns_per_label=60, signal=0.5, multi_label_rate=0.7, seed=5)
+THREE = SynthSpec(n_labels=3, turns_per_label=24, signal=0.5, multi_label_rate=0.3, seed=6)
+FOUR = SynthSpec(n_labels=4, turns_per_label=20, signal=0.4, multi_label_rate=0.3, seed=8)
+PLAIN, TUNED = RunConfig(seed=2), RunConfig(seed=2, tune=True)
+NESTED = RunConfig(seed=2, tune=True, n_folds=3, fallback=True)
+SAME_KERNEL = pytest.mark.same_kernel
+OUTPUT_PINS = [
+    pin("model-five-labels", model_file, FIVE, PLAIN,
+        "51c51ab553a74ee7e77f0e1fb7b7e0106a3db0a317423c4df448091d5fff41a8", marks=SAME_KERNEL),
+    pin("cv-row-five-labels", cv_row, FIVE, PLAIN,
+        "836ca7482c6ffff03a57ac24c43dfbde8af0651f438c740ee9cb3827bb8772e0"),
+    pin("model-two-labels", model_file, TWO, PLAIN,
+        "5f60f721ea0df73464a695660fef266ba8c971e961f005a152e69a61268053cd", marks=SAME_KERNEL),
+    pin("cv-row-two-labels", cv_row, TWO, PLAIN,
+        "50dfa54f9b98b2e0973609afed562730853bfbc4de1506e7c68d609363dcecdf"),
+    pin("tuned-model-three-labels", model_file, THREE, TUNED,
+        "176691e7567b0c5c9679dedf43221ceb0b9c2893ffc9734cfd291a18430beca5", marks=SAME_KERNEL),
+    pin("nested-cv-row-three-labels", cv_row, THREE, NESTED,
+        "b9f4a734c8891c1fdb5eaf960017dc4f08b9b359b3ee884f3538b8d87cc85caa"),
+    pin("tuned-model-four-labels", model_file, FOUR, TUNED,
+        "72742dfdee602a25380919ff813e43d7c567282f46e843d691c61b024c3742cb", marks=SAME_KERNEL),
+    pin("nested-cv-row-four-labels", cv_row, FOUR, NESTED,
+        "b2b0c07235be3c6c325d0a8878f4f36abefd4dfd84caab7e99313f92f945ebc5"),
+    pin("cv-report-narrow", cv_report, "narrow", False,
+        "f714fb63f26d96a3c3b1bb5555ef3333441fb061d82ea321dca090359df586c9"),
+    pin("cv-report-narrow-tune", cv_report, "narrow", True,
+        "99a05f68edf776aef0129d72ce1dd5fb0199b7169169f08442987be3fed70aca"),
+    pin("cv-report-study", cv_report, "study", False,
+        "8afa5d7dae623a72a933f81f374d3b622da948ad1ac34e415401e12b37bd186e"),
+    pin("cv-report-study-tune", cv_report, "study", True,
+        "20426f74122bcbd6f631a90edc7cb2c50831b84433b2565297cf69008c058ae6"),
+    pin("cv-report-paper", cv_report, "paper", False,
+        "5b9365028e573fd99ef7261dc593b4eb4a38b1d76aca760d976c57f5756c3776"),
+    pin("cv-report-paper-tune", cv_report, "paper", True,
+        "7bb2607106a695d4606a3fe2266a02929af3748c706e79c3cb367447243ff39c"),
+]
+
+
+class TestOutputDigests:
+    @pytest.mark.parametrize("output, subject, setting, digest", OUTPUT_PINS)
+    def test_output_matches_its_pin(self, output, subject, setting, digest):
+        assert hashlib.sha256(output(subject, setting).encode()).hexdigest() == digest
+
+    def test_only_model_files_depend_on_the_kernel(self):
+        # CI's non-AVX-512 job skips same_kernel rows; a CV row marked so goes unchecked there
+        marked = {row.id for row in OUTPUT_PINS if any(m.name == "same_kernel" for m in row.marks)}
+        assert marked <= {row.id for row in OUTPUT_PINS if row.values[0] is model_file}
 
     # The synth corpora above have 60 filler words, so their fits multiply
     # by X through BLAS. Here each participant turn gets 6 more words from
@@ -318,37 +338,26 @@ class TestOutputDigests:
                 == "d544e0bcb23969db8453ecb493f5ed3b7892e69018c0aced3ac9f005419fb95b")
 
 
-# sha256 of the machine-format CV report of each bench corpus of
-# scripts/cv_time.py, plain and nested (--tune), under the corpus's fold seed;
-# paper is the study-shaped corpus at the paper's size, whose fits take the
-# bincount products. These reports hold across CPUs, so the table passes under
-# OPENBLAS_CORETYPE=Haswell with numpy's AVX-512 dispatch targets off too. A
-# change that moves a report on purpose re-pins its row here and records the
-# report's rows before and after in CHANGES.md.
-CV_REPORT_SHA256 = {
-    ("narrow", False): "f714fb63f26d96a3c3b1bb5555ef3333441fb061d82ea321dca090359df586c9",
-    ("narrow", True): "99a05f68edf776aef0129d72ce1dd5fb0199b7169169f08442987be3fed70aca",
-    ("study", False): "8afa5d7dae623a72a933f81f374d3b622da948ad1ac34e415401e12b37bd186e",
-    ("study", True): "20426f74122bcbd6f631a90edc7cb2c50831b84433b2565297cf69008c058ae6",
-    ("paper", False): "5b9365028e573fd99ef7261dc593b4eb4a38b1d76aca760d976c57f5756c3776",
-    ("paper", True): "7bb2607106a695d4606a3fe2266a02929af3748c706e79c3cb367447243ff39c",
-}
-
-
 class TestCVReportDigests:
-    @pytest.mark.parametrize("corpus, tune", CV_REPORT_SHA256,
-                             ids=[f"{c}-tune" if t else c for c, t in CV_REPORT_SHA256])
-    def test_report_matches_its_pin(self, corpus, tune):
-        run = cv_time().cross_validate_corpus(corpus, tune)
-        assert run.digest == CV_REPORT_SHA256[corpus, tune]
-
     def test_every_corpus_is_pinned_plain_and_nested(self):
-        assert set(CV_REPORT_SHA256) == set(itertools.product(cv_time().CORPORA, (False, True)))
+        reports = [row.values[1:3] for row in OUTPUT_PINS if row.values[0] is cv_report]
+        assert sorted(reports) == sorted(itertools.product(cv_time().CORPORA, (False, True)))
 
     def test_script_prints_the_pinned_digest(self):
         run = subprocess.run([sys.executable, str(CV_TIME), "--corpus", "narrow"],
                              capture_output=True, text=True, timeout=120, check=True)
-        assert run.stdout.split()[-2:] == ["report_sha256", CV_REPORT_SHA256["narrow", False]]
+        pinned = next(row.values[3] for row in OUTPUT_PINS if row.id == "cv-report-narrow")
+        assert run.stdout.split()[-2:] == ["report_sha256", pinned]
+
+    def test_unwritable_report_fails_before_the_cross_validation(self, monkeypatch, tmp_path,
+                                                                 capsys):
+        script, runs = cv_time(), []
+        monkeypatch.setattr(script, "cross_validate_corpus", lambda *args: runs.append(args))
+        report = tmp_path / "missing" / "report.txt"
+        assert script.main(["--corpus", "narrow", "--report", str(report)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and str(report) in line
+        assert runs == []
 
 
 def confusion_oracle(gold, predicted, name):
