@@ -18,7 +18,7 @@ file. A report path it cannot write fails before the cross-validation, with one
     python3 scripts/cv_time.py --corpus narrow|study|paper [--tune] [--report FILE]
 
 The six reports (each corpus, plain and ``--tune``) are tier-1 pins: the
-table ``CV_REPORT_SHA256`` in ``tests/test_evaluate.py`` holds their digests
+table ``OUTPUT_PINS`` in ``tests/test_evaluate.py`` holds their digests
 and checks them through ``cross_validate_corpus``, the function ``main``
 calls. A change that moves a report on purpose re-pins its row there and
 records the report's rows before and after in CHANGES.md.

@@ -28,11 +28,10 @@ The draws are three vectorized calls on one generator seeded per call: the
 start rows, the picks among each start's neighbors, and the interpolation
 weights. All rows are interpolated in one expression whose arithmetic per
 element is :func:`synthesize`'s, so each synthetic row is bitwise what
-:func:`synthesize` gives for its draws. :func:`oversample_rows` does the
-same for a fit that holds its matrix as :class:`SparseRows`, from the
-minority's nonzeros alone: the same draws, from the dense rows they make,
-and each row's values computed only on the columns where its two endpoints
-are not both zero.
+:func:`synthesize` gives for its draws. A fit whose products run over X's
+nonzeros builds no synthetic row: it takes the same draws (:func:`_draws`)
+and interpolates each row's products instead
+(``speechacts.classifier._SmoteView``).
 """
 
 from __future__ import annotations
@@ -233,22 +232,6 @@ class SparseRows:
         """The row of each entry."""
         return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
 
-    def take(self, ids: np.ndarray) -> "SparseRows":
-        """The rows ``ids``, in that order."""
-        starts = self.indptr[ids]
-        counts = self.indptr[ids + 1] - starts
-        indptr = _offsets(counts)
-        at = np.arange(indptr[-1]) + np.repeat(starts - indptr[:-1], counts)
-        return SparseRows((len(ids), self.shape[1]), indptr, self.columns[at], self.values[at])
-
-    @staticmethod
-    def stack(blocks: list["SparseRows"]) -> "SparseRows":
-        """The blocks' rows, one block after another."""
-        counts = np.concatenate([np.diff(block.indptr) for block in blocks])
-        return SparseRows((len(counts), blocks[0].shape[1]), _offsets(counts),
-                          np.concatenate([block.columns for block in blocks]),
-                          np.concatenate([block.values for block in blocks]))
-
     def toarray(self) -> np.ndarray:
         """The dense matrix, in C order."""
         X = np.zeros(self.shape)
@@ -261,41 +244,6 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
     indptr = np.zeros(len(counts) + 1, dtype=np.intp)
     np.cumsum(counts, out=indptr[1:])
     return indptr
-
-
-def oversample_rows(rows: SparseRows, need: int, k: int = 5, seed: int = 0) -> SparseRows:
-    """The nonzeros of ``oversample(rows.toarray(), need, k, seed)``: the
-    same draws from the same neighbors, searched for in those dense rows.
-
-    A synthetic row lives on the union of the supports of its start row x
-    and its neighbor nb, where it takes x + r * (nb - x), the IEEE
-    operations of the dense expression, with 0 for a column one of the two
-    lacks. Values that come out exactly 0 (r = 0.0 can be drawn) are left
-    out.
-    """
-    if rows.shape[0] == 1 or need == 0:
-        return rows.take(np.zeros(need, dtype=np.intp))
-    starts, neighbors, r = _draws(rows.toarray(), need, k, seed)
-    x, nb = rows.take(starts), rows.take(neighbors)
-    # an entry's key orders it by synthetic row, then column
-    d = rows.shape[1]
-    keys = np.concatenate([x.row_ids() * d + x.columns, nb.row_ids() * d + nb.columns])
-    # each half of keys ascends, so the stable sort is a merge of two runs
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    slot = np.empty_like(order)
-    slot[order] = np.cumsum(first) - 1
-    union = ordered[first]
-    x_values, nb_values = np.zeros(len(union)), np.zeros(len(union))
-    x_values[slot[: len(x.columns)]] = x.values
-    nb_values[slot[len(x.columns):]] = nb.values
-    row, columns = np.divmod(union, d)
-    values = x_values + r[row] * (nb_values - x_values)
-    kept = values != 0
-    return SparseRows((need, rows.shape[1]), _offsets(np.bincount(row[kept], minlength=need)),
-                      columns[kept], values[kept])
 
 
 def smote_balance(

@@ -19,7 +19,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .balance import SparseRows, derive_seed, oversample, oversample_rows
+from .balance import SparseRows, _draws, derive_seed, oversample
 from .config import Hyperparams, RunConfig, config_from_dict, expand_grid, hyperparams_from_dict
 from .corpus import (PARTICIPANT, Conversation, LabelCatalog, ModelingExample, catalog_from_dict,
                      catalog_to_dict, decode_record, read_document_text, write_document)
@@ -147,8 +147,8 @@ class _Design:
 
 
 # The bit-identity rule of the solver below. Its results are pinned byte for
-# byte (the model-file digests of tests/test_evaluate.py::TestOutputDigests and
-# the CV report digests in CI), so a rewrite must perform the same IEEE
+# byte (the model-file and CV report rows of OUTPUT_PINS in
+# tests/test_evaluate.py), so a rewrite must perform the same IEEE
 # operation on the same operands in the same order. These forms keep the bits:
 # `a += b` for `a + b` on an array nothing else holds; `a *= c; a += b` for
 # `b + c * a`, since IEEE addition and multiplication commute; math.sqrt for
@@ -458,17 +458,16 @@ def fit_multilabel_grid(
     label is SMOTE-balanced once for all points, since balancing depends on
     ``smote_k`` and the seed but not on ``C`` or ``fit_bias``.
 
-    When X's word columns take the bincount products, X's nonzeros are read
-    once, and each label's balanced view is built from them as nonzeros
-    (:func:`_balanced_rows`), which the design takes as they are: no dense
-    balanced matrix is built or scanned. Otherwise, as on narrow
-    vocabularies, the products are BLAS calls on a dense balanced matrix,
-    and the labels' matrices are built in turn in one buffer, so one is
-    held at a time and its pages are reused; a fresh matrix per label, freed
-    before the next, took four times the page faults of a study ``train``.
-    Either way the design applies its own rule to what it gets, and builds
-    the same operator from both forms of one matrix, so the route changes
-    only the time taken.
+    When X's word columns take the bincount products, X's operator is built
+    once, and each label is fit on a :class:`_SmoteView` over it: no
+    synthetic row, and no balanced matrix, is built. Its products equal
+    those of the balanced rows up to rounding, so the fitted weights differ
+    from a dense build's in their last bits. Otherwise, as on narrow
+    vocabularies, each label's balanced matrix is built and its design
+    applies its own rule to it; the labels' matrices are built in turn in
+    one buffer, so one is held at a time and its pages are reused; a fresh
+    matrix per label, freed before the next, took four times the page
+    faults of a study ``train``.
     """
     n = data.X.shape[0]
     if n == 0:
@@ -478,11 +477,11 @@ def fit_multilabel_grid(
 
     X = np.asarray(data.X, dtype=np.float64)
     d = X.shape[1]
-    # X's rule implies n * d, and so each balanced view's size, is above the overhead
+    # the shared operator applies this rule to X again, and agrees
     if _kernel(np.count_nonzero(X, axis=0), n, d)[1]:
-        nonzeros, buffer = SparseRows.of(X), None
+        shared, buffer = _Design(SparseRows.of(X)), None
     else:
-        nonzeros, buffer = None, np.empty((2 * n, d))  # holds any label's n + |need| rows
+        shared, buffer = None, np.empty((2 * n, d))  # holds any label's n + |need| rows
     fits: dict[str, list[BinaryClassifier]] = {}
     skipped: list[SkippedLabel] = []
     for name in data.catalog.labels:
@@ -494,14 +493,14 @@ def fit_multilabel_grid(
             skipped.append(SkippedLabel(name, "no negative training examples"))
         else:
             seed = derive_seed(config.seed, name)
-            balanced = (_balanced_matrix(X, member, config.smote_k, seed, buffer)
-                        if nonzeros is None else
-                        _balanced_rows(nonzeros, member, config.smote_k, seed))
+            # one operator for every point
+            design = (_Design(_balanced_matrix(X, member, config.smote_k, seed, buffer))
+                      if shared is None else
+                      _SmoteView(shared, X, member, config.smote_k, seed))
             # smote_balance's layout: positives, then negatives, each side's
             # synthetic rows after its real ones
-            y = np.zeros(balanced.shape[0])
+            y = np.zeros(design.shape[0])
             y[: max(n_pos, n - n_pos)] = 1.0
-            design = _Design(balanced)  # one operator for every point
             fits[name] = [_newton_fit(design, y, point, name) for point in points]
     return [
         MultiLabelModel(
@@ -534,18 +533,51 @@ def _balanced_matrix(
     return X_bal
 
 
-def _balanced_rows(
-    nonzeros: SparseRows, member: np.ndarray, smote_k: int, seed: int
-) -> SparseRows:
-    """The nonzeros of :func:`_balanced_matrix`, from those of X."""
-    positives, negatives = np.flatnonzero(member), np.flatnonzero(~member)
-    need = len(negatives) - len(positives)
-    pos_rows, neg_rows = nonzeros.take(positives), nonzeros.take(negatives)
-    if need > 0:
-        synthetic = oversample_rows(pos_rows, need, smote_k, seed)
-        return SparseRows.stack([pos_rows, synthetic, neg_rows])
-    synthetic = oversample_rows(neg_rows, -need, smote_k, seed)
-    return SparseRows.stack([pos_rows, neg_rows, synthetic])
+class _SmoteView:
+    """The products of :func:`_balanced_matrix`'s rows, over X's operator
+    and with no synthetic row built.
+
+    A synthetic row is x_s + r * (x_nb - x_s) over two minority rows of X,
+    drawn as :func:`~speechacts.balance.oversample` draws them. So ``dot(v)``
+    takes z = X v once and gives the synthetic row z_s + r * (z_nb - z_s),
+    and ``tdot(c)`` folds each synthetic row's entry of c into its start and
+    its neighbour, (1 - r) c and r c, before one product with X.T. Both
+    equal the balanced rows' products up to rounding, not bit for bit.
+    """
+
+    def __init__(self, design: _Design, X: np.ndarray, member: np.ndarray, smote_k: int,
+                 seed: int):
+        positives, negatives = np.flatnonzero(member), np.flatnonzero(~member)
+        need = len(negatives) - len(positives)
+        minority, at = (positives, len(positives)) if need > 0 else (negatives, len(member))
+        need = abs(need)
+        if len(minority) == 1 or need == 0:  # oversample's duplicates
+            starts = neighbors = np.zeros(need, dtype=np.intp)
+            r = np.zeros(need)
+        else:
+            starts, neighbors, r = _draws(X[minority], need, smote_k, seed)
+        real = np.concatenate([positives, negatives])
+        # X's row for each balanced row: a synthetic row's start
+        self.rows = np.concatenate([real[:at], minority[starts], real[at:]])
+        self.neighbors, self.r = minority[neighbors], r
+        self.synthetic = slice(at, at + need)
+        # tdot's fold: row i's entry of c, times keep[i], goes to X's row
+        # rows[i], and a synthetic row's, times r, also to its neighbour
+        self.targets = np.concatenate([self.rows, self.neighbors])
+        self.keep = np.ones(len(self.rows))
+        self.keep[self.synthetic] -= r
+        self.design, self.shape = design, (len(self.rows), X.shape[1])
+
+    def dot(self, v: np.ndarray) -> np.ndarray:
+        z = self.design.dot(v)
+        out = z[self.rows]
+        start = out[self.synthetic]
+        start += self.r * (z[self.neighbors] - start)
+        return out
+
+    def tdot(self, c: np.ndarray) -> np.ndarray:
+        weights = np.concatenate([c * self.keep, self.r * c[self.synthetic]])
+        return self.design.tdot(np.bincount(self.targets, weights, self.design.shape[0]))
 
 
 # padded word ids per score_rows block: 2**16 ids gather 5.8 MB at 11 labels

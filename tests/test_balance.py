@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speechacts import balance
@@ -10,18 +10,14 @@ from speechacts.balance import (
     REAL,
     SYNTHETIC,
     DenseExample,
-    SparseRows,
     _neighborhoods,
     _pair_distances,
     derive_seed,
     nearest_neighbors,
     oversample,
-    oversample_rows,
     smote_balance,
     synthesize,
 )
-
-from conftest import ZeroEveryOtherWeight
 
 
 def dense(*rows):
@@ -345,36 +341,6 @@ class TestRerankOnlyWhereGramMayMislead:
         blocks = -(-len(values) // _BLOCK_ROWS)
         assert len(rerank_calls) > blocks  # some block took more than one call
         assert max(rerank_calls) == _GATHER_CELLS // values.shape[1]  # a full chunk
-
-
-class TestOversampleRows:
-    """oversample_rows gives the nonzeros of oversample's rows, byte for byte."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        values=st.one_of(minorities(), minorities().map(lambda values: values[:1])),
-        signed_zeros=st.booleans(),
-        need=st.integers(min_value=0, max_value=40),
-        k=st.integers(min_value=1, max_value=6),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-        zero_weights=st.booleans(),
-    )
-    @example(values=np.array([[0.0, -1.5, 2.0]]), signed_zeros=True, need=4, k=5, seed=0,
-             zero_weights=False)
-    @example(values=np.eye(4), signed_zeros=False, need=0, k=2, seed=1, zero_weights=False)
-    @example(values=np.array([[1.0, -2.0], [0.5, 0.0], [-1.0, 3.0]]), signed_zeros=True, need=12,
-             k=2, seed=7, zero_weights=True)
-    def test_nonzeros_of_the_dense_rows(self, values, signed_zeros, need, k, seed, zero_weights):
-        if signed_zeros:  # a negative times 0.0 is -0.0, which neither form holds
-            values = values * (np.arange(values.size).reshape(values.shape) % 3 != 0)
-        with pytest.MonkeyPatch.context() as patch:
-            if zero_weights:  # r = 0.0 leaves exact zeros in the interpolation
-                patch.setattr(np.random, "default_rng", ZeroEveryOtherWeight)
-            got = oversample_rows(SparseRows.of(values), need, k, seed)
-            want = SparseRows.of(oversample(values, need, k, seed))
-        assert got.shape == want.shape == (need, values.shape[1])
-        for field in ("indptr", "columns", "values"):
-            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
 
 
 def test_derive_seed_stable_and_distinct():

@@ -718,7 +718,7 @@ class TestFitMultilabel:
 
 
 # classifier._fit_label as it was before each label's balanced view was built
-# from X's nonzeros, kept verbatim as the oracle of that route: a dense
+# from X's nonzeros, kept verbatim as the oracle of the dense route: a dense
 # balanced matrix, interpolated by oversample and scanned by _Design.
 
 
@@ -782,68 +782,146 @@ def shaped_training_data(n, d, share, positives, seed=0):
                         scaling=ScalingParams((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)))
 
 
+def assert_view_matches_balanced_rows(view, X, member, smote_k, seed, rng):
+    """The view's products are those of _balanced_matrix's rows within
+    their rounding.
+
+    A real row's product sums d terms, so as in
+    TestDesign::test_products_match_blas two summation orders differ by at
+    most d * eps of its terms' magnitudes. A synthetic row x_s + r (x_nb -
+    x_s) adds three rounded operations to each side, on terms of at most
+    |x_s| + |x_nb| in magnitude, which twice the minority's largest entry in
+    each column bounds: (d + 4) * eps of that. X.T c sums each column's N
+    terms on the balanced rows; the view sums at most N when it folds c and
+    n more in X.T, each within half an eps per term, so 2 * N * eps of the
+    same magnitudes bounds the difference.
+    """
+    n, d = X.shape
+    X_bal = classifier_mod._balanced_matrix(X, member, smote_k, seed, np.empty((2 * n, d)))
+    assert view.shape == X_bal.shape
+    n_pos = int(member.sum())
+    need = n - 2 * n_pos
+    synthetic = slice(n_pos, n - n_pos) if need > 0 else slice(n, n - need)
+    minority = member if need > 0 else ~member
+    reach = np.abs(X_bal)
+    reach[synthetic] = 2 * np.abs(X[minority]).max(axis=0)
+    v, c = rng.normal(size=d), rng.normal(size=len(X_bal))
+    eps = np.finfo(np.float64).eps
+    dot, tdot = view.dot(v), view.tdot(c)
+    assert dot.shape == (len(X_bal),) and tdot.shape == (d,)
+    assert np.all(np.abs(dot - X_bal @ v) <= (d + 4) * eps * (reach @ np.abs(v)))
+    assert np.all(np.abs(tdot - X_bal.T @ c) <= 2 * len(X_bal) * eps * (reach.T @ np.abs(c)))
+
+
 class TestBalancedRowsOracle:
-    """Models fit on balanced views built from X's nonzeros are byte for
-    byte those of the dense balanced matrices, whichever route a fit takes."""
+    """On the bincount route each label fits on a view over X's one
+    operator, whose products are held to the balanced rows that
+    _balanced_matrix materializes; the dense route fits on those rows."""
 
     POINTS = [Hyperparams(C=1.0), Hyperparams(C=0.1, fit_bias=False)]
 
-    def fit_both(self, data, monkeypatch, config=RunConfig(seed=3)):
-        built = []
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        member=st.lists(st.booleans(), min_size=2, max_size=40).filter(
+            lambda m: 0 < sum(m) < len(m)),
+        d=st.integers(1, 30),
+        share=st.sampled_from([0.05, 0.2, 0.6]),
+        n_dense=st.integers(0, 3),
+        smote_k=st.integers(1, 6),
+        sparse=st.booleans(),
+        zero_weights=st.booleans(),
+        crowded=st.booleans(),
+    )
+    @example(seed=0, member=[True] + [False] * 9, d=5, share=0.2, n_dense=1, smote_k=5, sparse=True,
+             zero_weights=False, crowded=False)  # a one-row positive minority
+    @example(seed=1, member=[True] * 9 + [False], d=5, share=0.2, n_dense=1, smote_k=5, sparse=True,
+             zero_weights=False, crowded=False)  # a one-row negative minority
+    @example(seed=2, member=[True, False] * 5, d=5, share=0.2, n_dense=1, smote_k=2, sparse=True,
+             zero_weights=False, crowded=False)  # need = 0
+    @example(seed=3, member=[True] * 4 + [False] * 20, d=8, share=0.2, n_dense=1, smote_k=2,
+             sparse=True, zero_weights=True, crowded=True)
+    @example(seed=4, member=[True] * 20 + [False] * 4, d=8, share=0.2, n_dense=1, smote_k=2,
+             sparse=False, zero_weights=True, crowded=False)
+    def test_view_products_match_the_balanced_rows(self, seed, member, d, share, n_dense, smote_k,
+                                                   sparse, zero_weights, crowded):
+        rng = np.random.default_rng(seed)
+        member = np.array(member)
+        n = len(member)
+        X = np.where(rng.random((n, d)) < share, rng.uniform(-5.0, 5.0, (n, d)), 0.0)
+        X[:, d - min(n_dense, d):] = rng.uniform(1.0, 5.0, (n, min(n_dense, d)))
+        if crowded:  # on every positive and a sixth of the negatives: dense in the balanced rows
+            X[:, 0] = member | (np.arange(n) % 6 == 0)
+        with pytest.MonkeyPatch.context() as patch:
+            # both kernels of X's operator, whatever the size
+            patch.setattr(classifier_mod, "_PRODUCT_OVERHEAD", -np.inf if sparse else np.inf)
+            design = classifier_mod._Design(SparseRows.of(X))
+            if zero_weights:  # r = 0.0 makes a synthetic row its start row
+                patch.setattr(np.random, "default_rng", ZeroEveryOtherWeight)
+            view = classifier_mod._SmoteView(design, X, member, smote_k, seed)
+            assert design.sparse is sparse
+            assert_view_matches_balanced_rows(view, X, member, smote_k, seed, rng)
 
-        class Spy(classifier_mod._Design):
+    def fit_views(self, data, monkeypatch, config=RunConfig(seed=3)):
+        """Fits data under POINTS, holding each label's view to its balanced
+        rows; returns the designs built, with whether each was built from
+        nonzeros, the views and the models."""
+        built, views = [], []
+
+        class DesignSpy(classifier_mod._Design):
             def __init__(self, X):
                 super().__init__(X)
                 built.append((isinstance(X, SparseRows), self))
 
+        class ViewSpy(classifier_mod._SmoteView):
+            def __init__(self, design, X, member, smote_k, seed):
+                super().__init__(design, X, member, smote_k, seed)
+                views.append((self, X, member, smote_k, seed))
+
         with monkeypatch.context() as patch:
-            patch.setattr(classifier_mod, "_Design", Spy)
+            patch.setattr(classifier_mod, "_Design", DesignSpy)
+            patch.setattr(classifier_mod, "_SmoteView", ViewSpy)
             models = fit_multilabel_grid(data, config, self.POINTS)
-        reference = reference_fit_multilabel_grid(data, config, self.POINTS)
-        for got, want in zip(models, reference, strict=True):
-            assert model_to_document(got) == model_to_document(want)
-        # and each label's nonzeros are those the dense route scans
-        X = data.X.astype(np.float64)
-        nonzeros = SparseRows.of(X)
-        buffer = np.empty((2 * len(X), X.shape[1]))
-        for name in data.catalog.labels:
-            member = np.array([name in ls for ls in data.label_sets])
-            if 0 < member.sum() < len(member):
-                seed = derive_seed(config.seed, name)
-                got = classifier_mod._balanced_rows(nonzeros, member, config.smote_k, seed)
-                want = SparseRows.of(
-                    classifier_mod._balanced_matrix(X, member, config.smote_k, seed, buffer))
-                assert got.shape == want.shape
-                for field in ("indptr", "columns", "values"):
-                    assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
-        return built
+        rng = np.random.Generator(np.random.PCG64(0))  # default_rng may be patched
+        for view, *label in views:
+            assert view.design is built[0][1]
+            assert_view_matches_balanced_rows(view, *label, rng)
+        return built, views, models
 
     def test_study_shaped_fold_takes_the_entries(self, monkeypatch):
         data = shaped_training_data(380, 540, 0.02, [4, 15, 40, 60, 90, 120, 185])
-        built = self.fit_both(data, monkeypatch)
-        assert len(built) == 7 and all(entries and design.sparse for entries, design in built)
+        built, views, _ = self.fit_views(data, monkeypatch)
+        [(entries, design)] = built
+        assert entries and design.sparse and len(views) == 7
 
     def test_narrow_fold_keeps_the_dense_matrix(self, monkeypatch):
         data = shaped_training_data(400, 111, 0.10, [30, 70, 140])
-        built = self.fit_both(data, monkeypatch)
-        assert len(built) == 3 and not any(entries or design.sparse for entries, design in built)
+        built, views, models = self.fit_views(data, monkeypatch)
+        assert len(built) == 3 and not views
+        assert not any(entries or design.sparse for entries, design in built)
+        # fit on the balanced rows themselves, so the dense route keeps its bits
+        reference = reference_fit_multilabel_grid(data, RunConfig(seed=3), self.POINTS)
+        for got, want in zip(models, reference, strict=True):
+            assert model_to_document(got) == model_to_document(want)
 
     def test_negatives_as_the_minority(self, monkeypatch):
         data = shaped_training_data(380, 540, 0.02, [250, 300, 379])
-        built = self.fit_both(data, monkeypatch)
-        assert len(built) == 3 and all(entries for entries, _ in built)
+        built, views, _ = self.fit_views(data, monkeypatch)
+        assert len(built) == 1 and len(views) == 3
+        assert all(view.synthetic.start == 380 for view, *_ in views)
 
     def test_one_row_minority(self, monkeypatch):
         data = shaped_training_data(380, 540, 0.02, [1, 379])
-        built = self.fit_both(data, monkeypatch)
-        assert len(built) == 2 and all(entries for entries, _ in built)
+        built, views, _ = self.fit_views(data, monkeypatch)
+        assert len(built) == 1 and len(views) == 2
 
     def test_zero_interpolation_weight(self, monkeypatch):
         data = shaped_training_data(380, 540, 0.02, [20, 100, 300])
         monkeypatch.setattr(np.random, "default_rng", ZeroEveryOtherWeight)
         assert np.random.default_rng(0).random(3)[0] == 0.0
-        built = self.fit_both(data, monkeypatch)
-        assert len(built) == 3 and all(entries for entries, _ in built)
+        built, views, _ = self.fit_views(data, monkeypatch)
+        assert len(built) == 1 and len(views) == 3
+        assert all((view.r[::2] == 0.0).all() for view, *_ in views)
 
     def test_word_column_dense_in_the_balanced_rows(self, monkeypatch):
         data = shaped_training_data(380, 540, 0.02, [60])
@@ -852,10 +930,11 @@ class TestBalancedRowsOracle:
         member = np.array(["l0" in ls for ls in data.label_sets])
         data.X[:, 7] = member | (np.arange(380) % 6 == 0)
         assert 2 * np.count_nonzero(data.X[:, 7]) < 380
-        built = self.fit_both(data, monkeypatch)
+        built, views, _ = self.fit_views(data, monkeypatch)
         [(entries, design)] = built
-        assert entries and design.sparse
-        assert design.dense_columns.tolist() == [7, 537, 538, 539]
+        assert entries and design.sparse and len(views) == 1
+        # X's operator splits the columns by X's rule
+        assert design.dense_columns.tolist() == [537, 538, 539]
 
 
 def zero_model(labels=("a", "b"), threshold=0.5):
