@@ -12,8 +12,12 @@ study's); ``--tune`` turns tuning on, which makes it the nested CV of
 ``evaluate --tune`` that the benchmark does not time. It prints the wall time,
 the process's peak resident set size and the sha256 of the machine-format
 report, which ends the line, and writes the report when ``--report`` names a
-file. A report path it cannot write fails before the cross-validation, with one
-``error:`` line and exit code 2, as the CLI's I/O errors do.
+file. Its ``peak_rss_mb`` is comparable across commits only under a fixed
+``MALLOC_MMAP_THRESHOLD_`` (say 131072): otherwise glibc raises its mmap
+threshold when a large temporary is freed, and the figure follows that
+allocator layout as much as the arrays a fit holds. A report path it cannot
+write, an existing directory included, fails before the cross-validation,
+with one ``error:`` line and exit code 2, as the CLI's I/O errors do.
 
     python3 scripts/cv_time.py --corpus narrow|study|paper [--tune] [--report FILE]
 

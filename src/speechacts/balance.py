@@ -208,44 +208,6 @@ def _draws(values: np.ndarray, need: int, k: int, seed: int) -> tuple[np.ndarray
     return starts, hoods[starts, picks], r
 
 
-@dataclass(frozen=True)
-class SparseRows:
-    """The nonzeros of an n x d float matrix, row by row: row i's columns,
-    ascending, are ``columns[indptr[i]:indptr[i + 1]]``, with their values
-    alongside. Zeros of either sign are left out."""
-
-    shape: tuple[int, int]
-    indptr: np.ndarray
-    columns: np.ndarray
-    values: np.ndarray
-
-    @staticmethod
-    def of(X: np.ndarray) -> "SparseRows":
-        """The nonzeros of the dense matrix X."""
-        n, d = X.shape
-        flat = np.flatnonzero(X)
-        rows, columns = np.divmod(flat, d)
-        return SparseRows((n, d), _offsets(np.bincount(rows, minlength=n)), columns,
-                          X.ravel()[flat])
-
-    def row_ids(self) -> np.ndarray:
-        """The row of each entry."""
-        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-
-    def toarray(self) -> np.ndarray:
-        """The dense matrix, in C order."""
-        X = np.zeros(self.shape)
-        X[self.row_ids(), self.columns] = self.values
-        return X
-
-
-def _offsets(counts: np.ndarray) -> np.ndarray:
-    """Row pointers of rows holding counts entries each."""
-    indptr = np.zeros(len(counts) + 1, dtype=np.intp)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr
-
-
 def smote_balance(
     positives: list[DenseExample],
     negatives: list[DenseExample],

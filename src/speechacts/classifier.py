@@ -19,7 +19,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .balance import SparseRows, _draws, derive_seed, oversample
+from .balance import _draws, derive_seed, oversample
 from .config import Hyperparams, RunConfig, config_from_dict, expand_grid, hyperparams_from_dict
 from .corpus import (PARTICIPANT, Conversation, LabelCatalog, ModelingExample, catalog_from_dict,
                      catalog_to_dict, decode_record, read_document_text, write_document)
@@ -96,38 +96,33 @@ class _Design:
     """The design matrix X as the Newton solver multiplies by it, the only
     code that does: ``dot(v)`` is X @ v and ``tdot(r)`` is X.T @ r.
 
-    X comes dense or as its :class:`~speechacts.balance.SparseRows`. Columns
-    nonzero in more than half the rows (the shallow features) form a dense
-    block, held in Fortran order. When the other columns are sparse enough
-    to pay (see _NONZERO_COST), their products run over the nonzeros' row,
-    column and value arrays with np.bincount, LIBLINEAR's sparse rows: each
-    row's terms sum in column order and each column's in row order, and the
-    dense block's BLAS product is added. That operator is built only from
-    X's nonzeros, which a dense X is read into when it takes the bincount
-    products, so both forms of one matrix build the same one. Otherwise both
-    products are the dense X's own BLAS calls, bit for bit.
+    Columns nonzero in more than half the rows (the shallow features) form a
+    dense block, gathered from X in Fortran order. When the other columns
+    are sparse enough to pay (see _NONZERO_COST), their products run over
+    the nonzeros' row, column and value arrays with np.bincount, LIBLINEAR's
+    sparse rows: each row's terms sum in column order and each column's in
+    row order, and the dense block's BLAS product is added. One scan of
+    X != 0 gives the nonzeros, in row-major order, and the column counts the
+    rule reads. Otherwise both products are X's own BLAS calls, bit for bit.
     """
 
-    def __init__(self, X: np.ndarray | SparseRows):
+    def __init__(self, X: np.ndarray):
         self.shape = n, d = X.shape
         # below this size the cost rule cannot pick sparse, so skip the scan
         self.sparse = False
         if n * d > _PRODUCT_OVERHEAD:
             # nonzero of the flat mask: numpy's 2-D nonzero took 9x as long
-            columns = X.columns if isinstance(X, SparseRows) else np.flatnonzero(X != 0) % d
+            flat = np.flatnonzero(X != 0)
+            rows, columns = np.divmod(flat, d)
             dense, self.sparse = _kernel(np.bincount(columns, minlength=d), n, d)
         if not self.sparse:
-            self.X = X.toarray() if isinstance(X, SparseRows) else X
+            self.X = X
             return
-        nonzeros = X if isinstance(X, SparseRows) else SparseRows.of(X)
-        rows, columns = nonzeros.row_ids(), nonzeros.columns
         self.dense_columns = np.flatnonzero(dense)
         sparse = ~dense[columns]
         self.rows, self.columns = rows[sparse], columns[sparse]
-        self.dense = np.zeros((len(self.dense_columns), n)).T
-        block_column = np.cumsum(dense) - 1
-        self.dense[rows[~sparse], block_column[columns[~sparse]]] = nonzeros.values[~sparse]
-        self.values = nonzeros.values[sparse]
+        self.dense = X[:, self.dense_columns]
+        self.values = X.ravel()[flat[sparse]]
 
     def dot(self, v: np.ndarray) -> np.ndarray:
         if not self.sparse:
@@ -458,16 +453,16 @@ def fit_multilabel_grid(
     label is SMOTE-balanced once for all points, since balancing depends on
     ``smote_k`` and the seed but not on ``C`` or ``fit_bias``.
 
-    When X's word columns take the bincount products, X's operator is built
-    once, and each label is fit on a :class:`_SmoteView` over it: no
-    synthetic row, and no balanced matrix, is built. Its products equal
-    those of the balanced rows up to rounding, so the fitted weights differ
-    from a dense build's in their last bits. Otherwise, as on narrow
-    vocabularies, each label's balanced matrix is built and its design
-    applies its own rule to it; the labels' matrices are built in turn in
-    one buffer, so one is held at a time and its pages are reused; a fresh
-    matrix per label, freed before the next, took four times the page
-    faults of a study ``train``.
+    X's operator is built once, and its kernel picks the route. When X's
+    word columns take the bincount products, each label is fit on a
+    :class:`_SmoteView` over that operator: no synthetic row, and no
+    balanced matrix, is built. Its products equal those of the balanced
+    rows up to rounding, so the fitted weights differ from a dense build's
+    in their last bits. Otherwise, as on narrow vocabularies, each label's
+    balanced matrix is built and its design applies its own rule to it; the
+    labels' matrices are built in turn in one buffer, so one is held at a
+    time and its pages are reused; a fresh matrix per label, freed before
+    the next, took four times the page faults of a study ``train``.
     """
     n = data.X.shape[0]
     if n == 0:
@@ -476,12 +471,9 @@ def fit_multilabel_grid(
         raise ValueError("label_sets length does not match the design matrix")
 
     X = np.asarray(data.X, dtype=np.float64)
-    d = X.shape[1]
-    # the shared operator applies this rule to X again, and agrees
-    if _kernel(np.count_nonzero(X, axis=0), n, d)[1]:
-        shared, buffer = _Design(SparseRows.of(X)), None
-    else:
-        shared, buffer = None, np.empty((2 * n, d))  # holds any label's n + |need| rows
+    shared = _Design(X)
+    # holds any label's n + |need| balanced rows
+    buffer = None if shared.sparse else np.empty((2 * n, X.shape[1]))
     fits: dict[str, list[BinaryClassifier]] = {}
     skipped: list[SkippedLabel] = []
     for name in data.catalog.labels:
@@ -494,9 +486,8 @@ def fit_multilabel_grid(
         else:
             seed = derive_seed(config.seed, name)
             # one operator for every point
-            design = (_Design(_balanced_matrix(X, member, config.smote_k, seed, buffer))
-                      if shared is None else
-                      _SmoteView(shared, X, member, config.smote_k, seed))
+            design = (_SmoteView(shared, X, member, config.smote_k, seed) if shared.sparse else
+                      _Design(_balanced_matrix(X, member, config.smote_k, seed, buffer)))
             # smote_balance's layout: positives, then negatives, each side's
             # synthetic rows after its real ones
             y = np.zeros(design.shape[0])

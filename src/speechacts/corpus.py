@@ -8,6 +8,7 @@ interleave conversations; ordering within a conversation is by turn_index.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -148,7 +149,8 @@ def _beside(path: Union[str, Path]) -> str:
 
 def check_writable(path: Union[str, Path]) -> None:
     """Raise the ``OSError`` that :func:`write_document` would raise for
-    want of a directory it can write path's temp file in, without touching
+    want of a directory it can write path's temp file in, or for a
+    directory at path, which the temp file cannot replace, without touching
     path, so that a command fails before its work and not after it."""
     tmp_path = _beside(path)
     try:
@@ -156,6 +158,8 @@ def check_writable(path: Union[str, Path]) -> None:
         os.unlink(tmp_path)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
+    if os.path.isdir(path) and not os.path.islink(path):  # os.replace replaces a link to one
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
 
 
 def write_document(path: Union[str, Path], text: str) -> None:

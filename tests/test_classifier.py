@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from speechacts import classifier as classifier_mod
 from speechacts import evaluate as evaluate_mod
-from speechacts.balance import DenseExample, SparseRows, derive_seed, oversample, smote_balance
+from speechacts.balance import DenseExample, derive_seed, oversample, smote_balance
 from speechacts.classifier import (
     BinaryClassifier,
     ModelCorruptError,
@@ -250,33 +250,31 @@ class TestDesign:
         X = np.where(rng.random((n, d)) < share, words, 0.0)
         X[:, d - min(n_dense, d):] = rng.normal(size=(n, min(n_dense, d)))
         X[rng.random(n) < empty_rows] = 0.0
-        want = ParentDenseDesign(X)
-        for got in (classifier_mod._Design(X), classifier_mod._Design(SparseRows.of(X))):
-            assert got.shape == want.shape == (n, d)
-            assert got.sparse is want.sparse
-            if not want.sparse:
-                assert got.X.flags.c_contiguous
-                assert got.X.tobytes() == want.X.tobytes()
-                continue
-            assert got.dense_columns.tobytes() == want.dense_columns.tobytes()
-            # the dense block's memory order sets the summation order of its BLAS calls
-            assert got.dense.strides == want.dense.strides
-            assert got.dense.dtype == want.dense.dtype
-            assert got.dense.tobytes("A") == want.dense.tobytes("A")
-            for field in ("rows", "columns", "values"):
-                got_field, want_field = getattr(got, field), getattr(want, field)
-                assert got_field.dtype == want_field.dtype, field
-                assert got_field.tobytes() == want_field.tobytes(), field
-            v, r = rng.normal(size=d), rng.normal(size=n)
-            assert got.dot(v).tobytes() == want.dot(v).tobytes()
-            assert got.tdot(r).tobytes() == want.tdot(r).tobytes()
+        want, got = ParentDenseDesign(X), classifier_mod._Design(X)
+        assert got.shape == want.shape == (n, d)
+        assert got.sparse is want.sparse
+        if not want.sparse:
+            assert got.X.flags.c_contiguous
+            assert got.X.tobytes() == want.X.tobytes()
+            return
+        assert got.dense_columns.tobytes() == want.dense_columns.tobytes()
+        # the dense block's memory order sets the summation order of its BLAS calls
+        assert got.dense.strides == want.dense.strides
+        assert got.dense.dtype == want.dense.dtype
+        assert got.dense.tobytes("A") == want.dense.tobytes("A")
+        for field in ("rows", "columns", "values"):
+            got_field, want_field = getattr(got, field), getattr(want, field)
+            assert got_field.dtype == want_field.dtype, field
+            assert got_field.tobytes() == want_field.tobytes(), field
+        v, r = rng.normal(size=d), rng.normal(size=n)
+        assert got.dot(v).tobytes() == want.dot(v).tobytes()
+        assert got.tdot(r).tobytes() == want.tdot(r).tobytes()
 
 
 class ParentDenseDesign(classifier_mod._Design):
-    """_Design's build from a dense X as it was before the operator was
-    built only from nonzeros, kept verbatim as the oracle of that build:
-    the kernel from a scan of X != 0, the dense block gathered from X's
-    columns and the sparse values from X's entries."""
+    """_Design's build from a dense X, kept verbatim as the oracle of that
+    build: the kernel from a scan of X != 0, the dense block gathered from
+    X's columns and the sparse values from X's entries."""
 
     def __init__(self, X):
         self.shape = n, d = X.shape
@@ -707,7 +705,7 @@ class TestFitMultilabel:
         monkeypatch.setattr(classifier_mod, "_Design", Counting)
         models = fit_multilabel_grid(data, RunConfig(seed=3, smote_k=2), points)
         assert len(models) == n_points and all(set(m.classifiers) == {"a", "b"} for m in models)
-        assert len(built) == 2
+        assert len(built) == 3  # X's, which picks the route, and one per fitted label
 
     def test_empty_dataset_errors(self):
         data = toy_training_data()
@@ -855,7 +853,7 @@ class TestBalancedRowsOracle:
         with pytest.MonkeyPatch.context() as patch:
             # both kernels of X's operator, whatever the size
             patch.setattr(classifier_mod, "_PRODUCT_OVERHEAD", -np.inf if sparse else np.inf)
-            design = classifier_mod._Design(SparseRows.of(X))
+            design = classifier_mod._Design(X)
             if zero_weights:  # r = 0.0 makes a synthetic row its start row
                 patch.setattr(np.random, "default_rng", ZeroEveryOtherWeight)
             view = classifier_mod._SmoteView(design, X, member, smote_k, seed)
@@ -864,14 +862,13 @@ class TestBalancedRowsOracle:
 
     def fit_views(self, data, monkeypatch, config=RunConfig(seed=3)):
         """Fits data under POINTS, holding each label's view to its balanced
-        rows; returns the designs built, with whether each was built from
-        nonzeros, the views and the models."""
+        rows; returns the designs built, the views and the models."""
         built, views = [], []
 
         class DesignSpy(classifier_mod._Design):
             def __init__(self, X):
                 super().__init__(X)
-                built.append((isinstance(X, SparseRows), self))
+                built.append(self)
 
         class ViewSpy(classifier_mod._SmoteView):
             def __init__(self, design, X, member, smote_k, seed):
@@ -884,21 +881,34 @@ class TestBalancedRowsOracle:
             models = fit_multilabel_grid(data, config, self.POINTS)
         rng = np.random.Generator(np.random.PCG64(0))  # default_rng may be patched
         for view, *label in views:
-            assert view.design is built[0][1]
+            assert view.design is built[0]
             assert_view_matches_balanced_rows(view, *label, rng)
         return built, views, models
 
     def test_study_shaped_fold_takes_the_entries(self, monkeypatch):
         data = shaped_training_data(380, 540, 0.02, [4, 15, 40, 60, 90, 120, 185])
         built, views, _ = self.fit_views(data, monkeypatch)
-        [(entries, design)] = built
-        assert entries and design.sparse and len(views) == 7
+        [design] = built
+        assert design.sparse and len(views) == 7
+
+    def test_kernel_rule_runs_once_on_x(self, monkeypatch):
+        data = shaped_training_data(380, 540, 0.02, [4, 15, 40, 60, 90, 120, 185])
+        shapes, kernel = [], classifier_mod._kernel
+
+        def spy(counts, n, d):
+            shapes.append((n, d))
+            return kernel(counts, n, d)
+
+        monkeypatch.setattr(classifier_mod, "_kernel", spy)
+        fit_multilabel_grid(data, RunConfig(seed=3), self.POINTS)
+        assert shapes == [data.X.shape]
 
     def test_narrow_fold_keeps_the_dense_matrix(self, monkeypatch):
         data = shaped_training_data(400, 111, 0.10, [30, 70, 140])
         built, views, models = self.fit_views(data, monkeypatch)
-        assert len(built) == 3 and not views
-        assert not any(entries or design.sparse for entries, design in built)
+        # X's operator, which picks the route, and one per label
+        assert len(built) == 4 and not views
+        assert not any(design.sparse for design in built)
         # fit on the balanced rows themselves, so the dense route keeps its bits
         reference = reference_fit_multilabel_grid(data, RunConfig(seed=3), self.POINTS)
         for got, want in zip(models, reference, strict=True):
@@ -931,8 +941,8 @@ class TestBalancedRowsOracle:
         data.X[:, 7] = member | (np.arange(380) % 6 == 0)
         assert 2 * np.count_nonzero(data.X[:, 7]) < 380
         built, views, _ = self.fit_views(data, monkeypatch)
-        [(entries, design)] = built
-        assert entries and design.sparse and len(views) == 1
+        [design] = built
+        assert design.sparse and len(views) == 1
         # X's operator splits the columns by X's rule
         assert design.dense_columns.tolist() == [537, 538, 539]
 

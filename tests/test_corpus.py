@@ -524,3 +524,20 @@ def test_offsets_from_absolute():
     (rebased,) = offsets_from_absolute([conv])
     assert [t.timestamp_s for t in rebased.turns] == [0.0, 4.5]
     assert offsets_from_absolute([Conversation("e", [])]) == [Conversation("e", [])]
+
+
+class TestCheckWritable:
+    def test_directory_raises_what_write_document_raises(self, tmp_path):
+        with pytest.raises(IsADirectoryError) as written:
+            corpus_mod.write_document(tmp_path, "x")
+        with pytest.raises(IsADirectoryError) as checked:
+            corpus_mod.check_writable(tmp_path)
+        assert str(checked.value) == str(written.value)
+
+    def test_link_to_a_directory_is_replaced(self, tmp_path):
+        (tmp_path / "dir").mkdir()
+        link = tmp_path / "link"
+        link.symlink_to("dir")
+        corpus_mod.check_writable(link)
+        corpus_mod.write_document(link, "x")
+        assert not link.is_symlink() and link.read_text() == "x"

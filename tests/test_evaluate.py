@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import functools
 import hashlib
 import itertools
@@ -357,6 +358,16 @@ class TestCVReportDigests:
         assert script.main(["--corpus", "narrow", "--report", str(report)]) == 2
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ") and str(report) in line
+        assert runs == []
+
+    def test_report_path_of_a_directory_fails_before_the_cross_validation(self, monkeypatch,
+                                                                          tmp_path, capsys):
+        script, runs = cv_time(), []
+        monkeypatch.setattr(script, "cross_validate_corpus", lambda *args: runs.append(args))
+        assert script.main(["--corpus", "narrow", "--report", str(tmp_path)]) == 2
+        # the error write_document gives after the cross-validation
+        assert capsys.readouterr().err == (
+            f"error: [Errno {errno.EISDIR}] Is a directory: {str(tmp_path)!r}\n")
         assert runs == []
 
 
