@@ -28,10 +28,9 @@ The draws are three vectorized calls on one generator seeded per call: the
 start rows, the picks among each start's neighbors, and the interpolation
 weights. All rows are interpolated in one expression whose arithmetic per
 element is :func:`synthesize`'s, so each synthetic row is bitwise what
-:func:`synthesize` gives for its draws. A fit whose products run over X's
-nonzeros builds no synthetic row: it takes the same draws (:func:`_draws`)
-and interpolates each row's products instead
-(``speechacts.classifier._SmoteView``).
+:func:`synthesize` gives for its draws. Training takes the same draws
+(:func:`_draws`) in ``speechacts.classifier._SmoteView``, which writes the
+rows in this arithmetic, or interpolates their products over X's nonzeros.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .balance import _draws, derive_seed, oversample
+from .balance import _draws, derive_seed
 from .config import Hyperparams, RunConfig, config_from_dict, expand_grid, hyperparams_from_dict
 from .corpus import (PARTICIPANT, Conversation, LabelCatalog, ModelingExample, catalog_from_dict,
                      catalog_to_dict, decode_record, read_document_text, write_document)
@@ -453,16 +453,13 @@ def fit_multilabel_grid(
     label is SMOTE-balanced once for all points, since balancing depends on
     ``smote_k`` and the seed but not on ``C`` or ``fit_bias``.
 
-    X's operator is built once, and its kernel picks the route. When X's
-    word columns take the bincount products, each label is fit on a
-    :class:`_SmoteView` over that operator: no synthetic row, and no
-    balanced matrix, is built. Its products equal those of the balanced
-    rows up to rounding, so the fitted weights differ from a dense build's
-    in their last bits. Otherwise, as on narrow vocabularies, each label's
-    balanced matrix is built and its design applies its own rule to it; the
-    labels' matrices are built in turn in one buffer, so one is held at a
-    time and its pages are reused; a fresh matrix per label, freed before
-    the next, took four times the page faults of a study ``train``.
+    X's operator is built once and its kernel picks the route, which picks
+    only each label's operator: the label's :class:`_SmoteView` itself on
+    the bincount route, where no synthetic row is built and the weights
+    differ from a dense build's in their last bits; otherwise, as on narrow
+    vocabularies, the design of the balanced rows the view writes, each
+    label's in turn in one buffer whose pages are reused (a fresh matrix per
+    label took four times the page faults of a study ``train``).
     """
     n = data.X.shape[0]
     if n == 0:
@@ -484,15 +481,10 @@ def fit_multilabel_grid(
         elif n_pos == n:
             skipped.append(SkippedLabel(name, "no negative training examples"))
         else:
-            seed = derive_seed(config.seed, name)
+            view = _SmoteView(shared, X, member, config.smote_k, derive_seed(config.seed, name))
             # one operator for every point
-            design = (_SmoteView(shared, X, member, config.smote_k, seed) if shared.sparse else
-                      _Design(_balanced_matrix(X, member, config.smote_k, seed, buffer)))
-            # smote_balance's layout: positives, then negatives, each side's
-            # synthetic rows after its real ones
-            y = np.zeros(design.shape[0])
-            y[: max(n_pos, n - n_pos)] = 1.0
-            fits[name] = [_newton_fit(design, y, point, name) for point in points]
+            design = view if shared.sparse else _Design(view.write(buffer))
+            fits[name] = [_newton_fit(design, view.y, point, name) for point in points]
     return [
         MultiLabelModel(
             classifiers={name: fitted[j] for name, fitted in fits.items()},
@@ -506,34 +498,19 @@ def fit_multilabel_grid(
     ]
 
 
-def _balanced_matrix(
-    X: np.ndarray, member: np.ndarray, smote_k: int, seed: int, buffer: np.ndarray
-) -> np.ndarray:
-    """One label's SMOTE-balanced view of X, built in the leading rows of
-    buffer."""
-    n, n_pos = len(member), int(member.sum())
-    need = (n - n_pos) - n_pos
-    X_bal = buffer[: n + abs(need)]
-    negatives = n_pos + max(need, 0)
-    np.compress(member, X, axis=0, out=X_bal[:n_pos])
-    np.compress(~member, X, axis=0, out=X_bal[negatives : negatives + n - n_pos])
-    if need > 0:
-        X_bal[n_pos:negatives] = oversample(X_bal[:n_pos], need, smote_k, seed)
-    else:
-        X_bal[n:] = oversample(X_bal[n_pos:n], -need, smote_k, seed)
-    return X_bal
-
-
 class _SmoteView:
-    """The products of :func:`_balanced_matrix`'s rows, over X's operator
-    and with no synthetic row built.
+    """One label's SMOTE-balanced rows of X, the one code that lays them
+    out: positives, then negatives, each side's synthetic rows after its
+    real ones, as :func:`~speechacts.balance.smote_balance` returns them,
+    with their targets ``y``.
 
     A synthetic row is x_s + r * (x_nb - x_s) over two minority rows of X,
-    drawn as :func:`~speechacts.balance.oversample` draws them. So ``dot(v)``
-    takes z = X v once and gives the synthetic row z_s + r * (z_nb - z_s),
-    and ``tdot(c)`` folds each synthetic row's entry of c into its start and
-    its neighbour, (1 - r) c and r c, before one product with X.T. Both
-    equal the balanced rows' products up to rounding, not bit for bit.
+    drawn as :func:`~speechacts.balance.oversample` draws them, and
+    :meth:`write` builds the rows bit for bit as oversample does. Over X's
+    operator no row is built: ``dot(v)`` takes z = X v once and gives
+    z_s + r * (z_nb - z_s), and ``tdot(c)`` folds a synthetic row's entry of
+    c into its start and its neighbour, (1 - r) c and r c, before one
+    product with X.T. Both equal the balanced rows' products up to rounding.
     """
 
     def __init__(self, design: _Design, X: np.ndarray, member: np.ndarray, smote_k: int,
@@ -542,22 +519,39 @@ class _SmoteView:
         need = len(negatives) - len(positives)
         minority, at = (positives, len(positives)) if need > 0 else (negatives, len(member))
         need = abs(need)
-        if len(minority) == 1 or need == 0:  # oversample's duplicates
+        # oversample copies a lone minority row: r = 0 would turn a -0.0 into +0.0
+        self.drawn = len(minority) > 1 and need > 0
+        if self.drawn:
+            starts, neighbors, r = _draws(X[minority], need, smote_k, seed)
+        else:
             starts = neighbors = np.zeros(need, dtype=np.intp)
             r = np.zeros(need)
-        else:
-            starts, neighbors, r = _draws(X[minority], need, smote_k, seed)
         real = np.concatenate([positives, negatives])
         # X's row for each balanced row: a synthetic row's start
         self.rows = np.concatenate([real[:at], minority[starts], real[at:]])
         self.neighbors, self.r = minority[neighbors], r
         self.synthetic = slice(at, at + need)
-        # tdot's fold: row i's entry of c, times keep[i], goes to X's row
-        # rows[i], and a synthetic row's, times r, also to its neighbour
-        self.targets = np.concatenate([self.rows, self.neighbors])
-        self.keep = np.ones(len(self.rows))
-        self.keep[self.synthetic] -= r
-        self.design, self.shape = design, (len(self.rows), X.shape[1])
+        self.y = np.zeros(len(self.rows))
+        self.y[: max(len(positives), len(negatives))] = 1.0
+        self.X, self.design, self.shape = X, design, (len(self.rows), X.shape[1])
+
+    def write(self, buffer: np.ndarray) -> np.ndarray:
+        """The balanced rows themselves, written in the leading rows of buffer."""
+        out = buffer[: len(self.rows)]
+        # the rows are in range; take's default mode, "raise", buffers its output
+        np.take(self.X, self.rows, axis=0, out=out, mode="clip")
+        if self.drawn:
+            start = out[self.synthetic]
+            start += self.r[:, None] * (self.X[self.neighbors] - start)
+        return out
+
+    @cached_property
+    def _fold(self) -> tuple[np.ndarray, np.ndarray]:
+        # row i's entry of c, times keep[i], goes to X's row rows[i], and a
+        # synthetic row's, times r, also to its neighbour (BLAS fits skip it)
+        keep = np.ones(len(self.rows))
+        keep[self.synthetic] -= self.r
+        return np.concatenate([self.rows, self.neighbors]), keep
 
     def dot(self, v: np.ndarray) -> np.ndarray:
         z = self.design.dot(v)
@@ -567,8 +561,9 @@ class _SmoteView:
         return out
 
     def tdot(self, c: np.ndarray) -> np.ndarray:
-        weights = np.concatenate([c * self.keep, self.r * c[self.synthetic]])
-        return self.design.tdot(np.bincount(self.targets, weights, self.design.shape[0]))
+        targets, keep = self._fold
+        weights = np.concatenate([c * keep, self.r * c[self.synthetic]])
+        return self.design.tdot(np.bincount(targets, weights, self.design.shape[0]))
 
 
 # padded word ids per score_rows block: 2**16 ids gather 5.8 MB at 11 labels

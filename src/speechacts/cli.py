@@ -56,10 +56,7 @@ def _read_corpus(paths, catalog):
     report = corpus_mod.validate(conversations)
     if not report.ok:
         for v in report.violations:
-            click.echo(
-                f"violation: {v.conversation_id} turn {v.turn_index}: {v.invariant}: {v.message}",
-                err=True,
-            )
+            click.echo(f"violation: {reports.violation_line(v)}", err=True)
         _fail(1, f"{len(report.violations)} validation violation(s)")
     return conversations
 
@@ -124,7 +121,7 @@ def validate(ctx, transcripts):
     conversations = corpus_mod.load_transcripts(transcripts, _load_catalog(ctx))
     report = corpus_mod.validate(conversations)
     for v in report.violations:
-        click.echo(f"{v.conversation_id} turn {v.turn_index}: {v.invariant}: {v.message}")
+        click.echo(reports.violation_line(v))
     click.echo(f"{len(report.violations)} violations")
     sys.exit(0 if report.ok else 1)
 

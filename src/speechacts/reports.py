@@ -13,7 +13,7 @@ from typing import Collection
 from json.encoder import encode_basestring, encode_basestring_ascii as _json_str
 
 from .classifier import MultiLabelModel, label_positions
-from .corpus import Conversation, CorpusStats, encode_record
+from .corpus import Conversation, CorpusStats, Violation, encode_record
 from .evaluate import FeatureRanking, MetricsReport, MetricsRow
 
 TABLE = "table"
@@ -37,6 +37,15 @@ class AnswerText:
         self.names = names
         self.quoted = [_json_str(name) for name in names]
         self.keys = [f"{quoted}: " for quoted in self.quoted]
+
+
+def line_id(conversation_id: str) -> str:
+    """The id JSON-escaped without its quotes: no control character breaks a line."""
+    return encode_basestring(conversation_id)[1:-1]
+
+
+def violation_line(v: Violation) -> str:
+    return f"{line_id(v.conversation_id)} turn {v.turn_index}: {v.invariant}: {v.message}"
 
 
 def answer_json(text: AnswerText, row: Collection[float], chosen: list[int],
@@ -89,9 +98,8 @@ def predict_table_lines(model: MultiLabelModel, text: AnswerText, conversation: 
     [speaker] labels``, the labels of its probability row under
     :func:`~speechacts.classifier.label_positions` joined by ``,`` (``-``
     for none, or for a turn without a row), then `` low-confidence`` when
-    that flag is set. The id is written JSON-escaped without its quotes, so
-    a control character in it cannot break the line."""
-    cid = encode_basestring(conversation.conversation_id)[1:-1]
+    that flag is set. The id is written as :func:`line_id` writes it."""
+    cid = line_id(conversation.conversation_id)
     lines = []
     for turn, row in zip(conversation.turns, rows):
         labels, flag = "-", ""

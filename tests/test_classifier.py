@@ -717,10 +717,11 @@ class TestFitMultilabel:
 
 # classifier._fit_label as it was before each label's balanced view was built
 # from X's nonzeros, kept verbatim as the oracle of the dense route: a dense
-# balanced matrix, interpolated by oversample and scanned by _Design.
+# balanced matrix, interpolated by oversample and scanned by _Design. It
+# shares no code with _SmoteView's layout.
 
 
-def reference_fit_label(X, member, points, smote_k, seed, name, buffer):
+def reference_balanced_matrix(X, member, smote_k, seed, buffer):
     n, n_pos = len(member), int(member.sum())
     need = (n - n_pos) - n_pos
     # smote_balance's layout: positives, then negatives, each side's
@@ -733,8 +734,13 @@ def reference_fit_label(X, member, points, smote_k, seed, name, buffer):
         X_bal[n_pos:negatives] = oversample(X_bal[:n_pos], need, smote_k, seed)
     else:
         X_bal[n:] = oversample(X_bal[n_pos:n], -need, smote_k, seed)
+    return X_bal
+
+
+def reference_fit_label(X, member, points, smote_k, seed, name, buffer):
+    X_bal = reference_balanced_matrix(X, member, smote_k, seed, buffer)
     y_bal = np.zeros(len(X_bal))
-    y_bal[:negatives] = 1.0
+    y_bal[: len(X_bal) // 2] = 1.0  # the sides are balanced
     design = classifier_mod._Design(X_bal)  # one nonzero scan for every point
     return [classifier_mod._newton_fit(design, y_bal, point, name) for point in points]
 
@@ -781,8 +787,8 @@ def shaped_training_data(n, d, share, positives, seed=0):
 
 
 def assert_view_matches_balanced_rows(view, X, member, smote_k, seed, rng):
-    """The view's products are those of _balanced_matrix's rows within
-    their rounding.
+    """The view's products are those of reference_balanced_matrix's rows
+    within their rounding.
 
     A real row's product sums d terms, so as in
     TestDesign::test_products_match_blas two summation orders differ by at
@@ -795,7 +801,7 @@ def assert_view_matches_balanced_rows(view, X, member, smote_k, seed, rng):
     same magnitudes bounds the difference.
     """
     n, d = X.shape
-    X_bal = classifier_mod._balanced_matrix(X, member, smote_k, seed, np.empty((2 * n, d)))
+    X_bal = reference_balanced_matrix(X, member, smote_k, seed, np.empty((2 * n, d)))
     assert view.shape == X_bal.shape
     n_pos = int(member.sum())
     need = n - 2 * n_pos
@@ -814,7 +820,8 @@ def assert_view_matches_balanced_rows(view, X, member, smote_k, seed, rng):
 class TestBalancedRowsOracle:
     """On the bincount route each label fits on a view over X's one
     operator, whose products are held to the balanced rows that
-    _balanced_matrix materializes; the dense route fits on those rows."""
+    reference_balanced_matrix materializes; the dense route fits on the rows
+    the view writes, which are those rows bit for bit."""
 
     POINTS = [Hyperparams(C=1.0), Hyperparams(C=0.1, fit_bias=False)]
 
@@ -906,13 +913,43 @@ class TestBalancedRowsOracle:
     def test_narrow_fold_keeps_the_dense_matrix(self, monkeypatch):
         data = shaped_training_data(400, 111, 0.10, [30, 70, 140])
         built, views, models = self.fit_views(data, monkeypatch)
-        # X's operator, which picks the route, and one per label
-        assert len(built) == 4 and not views
+        # X's operator, which picks the route, and one per label, each over
+        # the rows its label's view writes
+        assert len(built) == 4 and len(views) == 3
         assert not any(design.sparse for design in built)
         # fit on the balanced rows themselves, so the dense route keeps its bits
         reference = reference_fit_multilabel_grid(data, RunConfig(seed=3), self.POINTS)
         for got, want in zip(models, reference, strict=True):
             assert model_to_document(got) == model_to_document(want)
+
+    def test_narrow_fold_edge_cases_keep_the_reference_rows(self, monkeypatch):
+        # l0 has one positive and l2 one negative, each row with -0.0 entries,
+        # which oversample copies without interpolating; l1 needs no row
+        data = shaped_training_data(400, 111, 0.10, [1, 200, 399])
+        (lone_pos,) = [i for i, ls in enumerate(data.label_sets) if "l0" in ls]
+        (lone_neg,) = [i for i, ls in enumerate(data.label_sets) if "l2" not in ls]
+        for i in (lone_pos, lone_neg):
+            data.X[i, data.X[i] == 0.0] = -0.0
+        assert np.signbit(data.X[lone_pos]).sum() > 10
+        matrices = []
+
+        class DesignSpy(classifier_mod._Design):
+            def __init__(self, X):
+                super().__init__(X)
+                matrices.append(X.copy())  # the buffer is rewritten per label
+
+        monkeypatch.setattr(classifier_mod, "_Design", DesignSpy)
+        models = fit_multilabel_grid(data, RunConfig(seed=3), self.POINTS)
+        got, matrices[:] = matrices[1:], []  # after X's own operator
+        reference = reference_fit_multilabel_grid(data, RunConfig(seed=3), self.POINTS)
+        assert len(got) == len(matrices) == 3
+        for rows, want in zip(got, matrices):
+            assert rows.tobytes() == want.tobytes()
+        # the lone rows' copies, -0.0 entries included
+        assert got[0][:399].tobytes() == np.tile(data.X[lone_pos], (399, 1)).tobytes()
+        assert got[2][399:].tobytes() == np.tile(data.X[lone_neg], (399, 1)).tobytes()
+        for a, b in zip(models, reference, strict=True):
+            assert model_to_document(a) == model_to_document(b)
 
     def test_negatives_as_the_minority(self, monkeypatch):
         data = shaped_training_data(380, 540, 0.02, [250, 300, 379])

@@ -74,6 +74,24 @@ class TestValidate:
         assert "empty_text" in result.output
         assert "2 violations" in result.output
 
+    def test_id_with_a_newline_keeps_one_line_per_violation(self, runner, tmp_path):
+        catalog = write_catalog(tmp_path / "catalog.json", ["qa"])
+        cid = "x\ny 0: contiguous_index: fake"
+        transcript = write_lines(tmp_path / "odd.jsonl", [
+            record_line(cid, 0, "participant", 1.0, "fine", ["qa"]),
+            record_line(cid, 2, "participant", 2.0, "gap", ["qa"]),
+        ])
+        line = ("x\\ny 0: contiguous_index: fake turn 2: contiguous_index: "
+                "expected turn_index 1, found 2")
+        result = runner.invoke(main, ["--catalog", catalog, "validate", transcript])
+        assert result.exit_code == 1
+        assert result.stdout.splitlines() == [line, "1 violations"]
+        result = runner.invoke(main, ["--catalog", catalog, "train", transcript,
+                                      "--output", str(tmp_path / "model.json")])
+        assert result.exit_code == 1
+        assert result.stderr.splitlines() == [f"violation: {line}",
+                                              "error: 1 validation violation(s)"]
+
     def test_missing_file(self, runner, tmp_path):
         catalog = write_catalog(tmp_path / "catalog.json", ["qa"])
         result = runner.invoke(main, ["--catalog", catalog, "validate", str(tmp_path / "nope.jsonl")])
