@@ -107,6 +107,7 @@ class _Design:
     """
 
     def __init__(self, X: np.ndarray):
+        self.X = X
         self.shape = n, d = X.shape
         # below this size the cost rule cannot pick sparse, so skip the scan
         self.sparse = False
@@ -116,7 +117,6 @@ class _Design:
             rows, columns = np.divmod(flat, d)
             dense, self.sparse = _kernel(np.bincount(columns, minlength=d), n, d)
         if not self.sparse:
-            self.X = X
             return
         self.dense_columns = np.flatnonzero(dense)
         sparse = ~dense[columns]
@@ -453,13 +453,13 @@ def fit_multilabel_grid(
     label is SMOTE-balanced once for all points, since balancing depends on
     ``smote_k`` and the seed but not on ``C`` or ``fit_bias``.
 
-    X's operator is built once and its kernel picks the route, which picks
-    only each label's operator: the label's :class:`_SmoteView` itself on
-    the bincount route, where no synthetic row is built and the weights
-    differ from a dense build's in their last bits; otherwise, as on narrow
-    vocabularies, the design of the balanced rows the view writes, each
-    label's in turn in one buffer whose pages are reused (a fresh matrix per
-    label took four times the page faults of a study ``train``).
+    X's operator is built once, and its kernel rule picks the route for
+    every label, which fits on its :class:`_SmoteView` over that operator:
+    on the bincount route no synthetic row is built, and the weights differ
+    from a dense build's in their last bits; on the BLAS route, as on narrow
+    vocabularies, the views write the balanced rows, each label's in turn
+    in one buffer whose pages are reused (a fresh matrix per label took four
+    times the page faults of a study ``train``).
     """
     n = data.X.shape[0]
     if n == 0:
@@ -481,10 +481,10 @@ def fit_multilabel_grid(
         elif n_pos == n:
             skipped.append(SkippedLabel(name, "no negative training examples"))
         else:
-            view = _SmoteView(shared, X, member, config.smote_k, derive_seed(config.seed, name))
+            view = _SmoteView(shared, member, config.smote_k, derive_seed(config.seed, name), buffer)
             # one operator for every point
-            design = view if shared.sparse else _Design(view.write(buffer))
-            fits[name] = [_newton_fit(design, view.y, point, name) for point in points]
+            fits[name] = [_newton_fit(view, view.y, point, name) for point in points]
+            del view  # freed before the next label's rows are written
     return [
         MultiLabelModel(
             classifiers={name: fitted[j] for name, fitted in fits.items()},
@@ -499,61 +499,58 @@ def fit_multilabel_grid(
 
 
 class _SmoteView:
-    """One label's SMOTE-balanced rows of X, the one code that lays them
-    out: positives, then negatives, each side's synthetic rows after its
-    real ones, as :func:`~speechacts.balance.smote_balance` returns them,
-    with their targets ``y``.
+    """One label's SMOTE-balanced rows of X as the solver multiplies by
+    them, and the one code that lays them out: positives, then negatives,
+    each side's synthetic rows after its real ones, as
+    :func:`~speechacts.balance.smote_balance` returns them, with targets ``y``.
 
     A synthetic row is x_s + r * (x_nb - x_s) over two minority rows of X,
-    drawn as :func:`~speechacts.balance.oversample` draws them, and
-    :meth:`write` builds the rows bit for bit as oversample does. Over X's
-    operator no row is built: ``dot(v)`` takes z = X v once and gives
-    z_s + r * (z_nb - z_s), and ``tdot(c)`` folds a synthetic row's entry of
-    c into its start and its neighbour, (1 - r) c and r c, before one
-    product with X.T. Both equal the balanced rows' products up to rounding.
+    drawn as :func:`~speechacts.balance.oversample` draws them. X's operator
+    ``design`` picks the route. On the BLAS route the rows are written in
+    ``buffer``, bit for bit as oversample builds them, and multiplied by
+    BLAS. On the bincount route none is built: ``dot(v)`` takes z = X v once
+    and gives z_s + r * (z_nb - z_s), and ``tdot(c)`` folds a synthetic
+    row's entry of c into its start and its neighbour, (1 - r) c and r c,
+    before one product with X.T. Both equal the rows' products up to rounding.
     """
 
-    def __init__(self, design: _Design, X: np.ndarray, member: np.ndarray, smote_k: int,
-                 seed: int):
+    def __init__(self, design: _Design, member: np.ndarray, smote_k: int, seed: int,
+                 buffer: np.ndarray | None):
         positives, negatives = np.flatnonzero(member), np.flatnonzero(~member)
         need = len(negatives) - len(positives)
         minority, at = (positives, len(positives)) if need > 0 else (negatives, len(member))
         need = abs(need)
         # oversample copies a lone minority row: r = 0 would turn a -0.0 into +0.0
-        self.drawn = len(minority) > 1 and need > 0
-        if self.drawn:
-            starts, neighbors, r = _draws(X[minority], need, smote_k, seed)
+        drawn = len(minority) > 1 and need > 0
+        if drawn:
+            starts, neighbors, r = _draws(design.X[minority], need, smote_k, seed)
         else:
             starts = neighbors = np.zeros(need, dtype=np.intp)
             r = np.zeros(need)
-        real = np.concatenate([positives, negatives])
         # X's row for each balanced row: a synthetic row's start
-        self.rows = np.concatenate([real[:at], minority[starts], real[at:]])
+        self.rows = np.insert(np.concatenate([positives, negatives]), at, minority[starts])
         self.neighbors, self.r = minority[neighbors], r
         self.synthetic = slice(at, at + need)
         self.y = np.zeros(len(self.rows))
         self.y[: max(len(positives), len(negatives))] = 1.0
-        self.X, self.design, self.shape = X, design, (len(self.rows), X.shape[1])
-
-    def write(self, buffer: np.ndarray) -> np.ndarray:
-        """The balanced rows themselves, written in the leading rows of buffer."""
-        out = buffer[: len(self.rows)]
-        # the rows are in range; take's default mode, "raise", buffers its output
-        np.take(self.X, self.rows, axis=0, out=out, mode="clip")
-        if self.drawn:
-            start = out[self.synthetic]
-            start += self.r[:, None] * (self.X[self.neighbors] - start)
-        return out
-
-    @cached_property
-    def _fold(self) -> tuple[np.ndarray, np.ndarray]:
-        # row i's entry of c, times keep[i], goes to X's row rows[i], and a
-        # synthetic row's, times r, also to its neighbour (BLAS fits skip it)
-        keep = np.ones(len(self.rows))
-        keep[self.synthetic] -= self.r
-        return np.concatenate([self.rows, self.neighbors]), keep
+        self.design, self.shape = design, (len(self.rows), design.shape[1])
+        del positives, negatives, minority, starts, neighbors  # freed before the rows are written
+        if design.sparse:
+            # row i's entry of c, times keep[i], goes to X's row rows[i], and a
+            # synthetic row's, times r, also to its neighbour
+            self.keep = np.ones(len(self.rows))
+            self.keep[self.synthetic] -= r
+            self.targets = np.concatenate([self.rows, self.neighbors])
+        else:
+            # the rows are in range; take's default mode, "raise", buffers its output
+            self.X = np.take(design.X, self.rows, axis=0, out=buffer[: len(self.rows)], mode="clip")
+            if drawn:
+                start = self.X[self.synthetic]
+                start += r[:, None] * (design.X[self.neighbors] - start)
 
     def dot(self, v: np.ndarray) -> np.ndarray:
+        if not self.design.sparse:
+            return self.X @ v
         z = self.design.dot(v)
         out = z[self.rows]
         start = out[self.synthetic]
@@ -561,9 +558,10 @@ class _SmoteView:
         return out
 
     def tdot(self, c: np.ndarray) -> np.ndarray:
-        targets, keep = self._fold
-        weights = np.concatenate([c * keep, self.r * c[self.synthetic]])
-        return self.design.tdot(np.bincount(targets, weights, self.design.shape[0]))
+        if not self.design.sparse:
+            return self.X.T @ c
+        weights = np.concatenate([c * self.keep, self.r * c[self.synthetic]])
+        return self.design.tdot(np.bincount(self.targets, weights, self.design.shape[0]))
 
 
 # padded word ids per score_rows block: 2**16 ids gather 5.8 MB at 11 labels

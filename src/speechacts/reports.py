@@ -21,6 +21,8 @@ MACHINE = "machine"
 FORMATS = (TABLE, MACHINE)
 # the answer's members for a turn that is not scored (an assistant turn)
 UNCLASSIFIED = '"labels": [], "probabilities": {}, "low_confidence": false}'
+# U+0085, U+2028 and U+2029, which JSON leaves raw and str.splitlines breaks at
+_LINE_BREAKS = {0x85: "\\u0085", 0x2028: "\\u2028", 0x2029: "\\u2029"}
 
 
 def _machine(doc: dict) -> str:
@@ -39,9 +41,9 @@ class AnswerText:
         self.keys = [f"{quoted}: " for quoted in self.quoted]
 
 
-def line_id(conversation_id: str) -> str:
-    """The id JSON-escaped without its quotes: no control character breaks a line."""
-    return encode_basestring(conversation_id)[1:-1]
+def line_id(text: str) -> str:
+    """The text JSON-escaped without its quotes, and _LINE_BREAKS escaped: no line breaks."""
+    return encode_basestring(text)[1:-1].translate(_LINE_BREAKS)
 
 
 def violation_line(v: Violation) -> str:
@@ -123,7 +125,7 @@ def _config_header(config: dict | None) -> list[str]:
             )
         else:
             parts.append(f"{key}={value}")
-    return [f"# config: {' '.join(parts)}"]
+    return [f"# config: {line_id(' '.join(parts))}"]
 
 
 def _row_cells(row: MetricsRow) -> list[str]:

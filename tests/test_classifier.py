@@ -705,7 +705,7 @@ class TestFitMultilabel:
         monkeypatch.setattr(classifier_mod, "_Design", Counting)
         models = fit_multilabel_grid(data, RunConfig(seed=3, smote_k=2), points)
         assert len(models) == n_points and all(set(m.classifiers) == {"a", "b"} for m in models)
-        assert len(built) == 3  # X's, which picks the route, and one per fitted label
+        assert len(built) == 1  # X's, which picks the route; each fitted label's is its view
 
     def test_empty_dataset_errors(self):
         data = toy_training_data()
@@ -818,10 +818,11 @@ def assert_view_matches_balanced_rows(view, X, member, smote_k, seed, rng):
 
 
 class TestBalancedRowsOracle:
-    """On the bincount route each label fits on a view over X's one
-    operator, whose products are held to the balanced rows that
-    reference_balanced_matrix materializes; the dense route fits on the rows
-    the view writes, which are those rows bit for bit."""
+    """Each label fits on its view over X's one operator, whose products
+    are held to the balanced rows that reference_balanced_matrix
+    materializes: on the bincount route the view interpolates X's products;
+    on the dense route it writes those rows bit for bit and multiplies by
+    them."""
 
     POINTS = [Hyperparams(C=1.0), Hyperparams(C=0.1, fit_bias=False)]
 
@@ -863,7 +864,8 @@ class TestBalancedRowsOracle:
             design = classifier_mod._Design(X)
             if zero_weights:  # r = 0.0 makes a synthetic row its start row
                 patch.setattr(np.random, "default_rng", ZeroEveryOtherWeight)
-            view = classifier_mod._SmoteView(design, X, member, smote_k, seed)
+            # the dense route writes the rows here; the bincount route builds none
+            view = classifier_mod._SmoteView(design, member, smote_k, seed, np.empty((2 * n, d)))
             assert design.sparse is sparse
             assert_view_matches_balanced_rows(view, X, member, smote_k, seed, rng)
 
@@ -871,6 +873,7 @@ class TestBalancedRowsOracle:
         """Fits data under POINTS, holding each label's view to its balanced
         rows; returns the designs built, the views and the models."""
         built, views = [], []
+        rng = np.random.Generator(np.random.PCG64(0))  # default_rng may be patched
 
         class DesignSpy(classifier_mod._Design):
             def __init__(self, X):
@@ -878,18 +881,17 @@ class TestBalancedRowsOracle:
                 built.append(self)
 
         class ViewSpy(classifier_mod._SmoteView):
-            def __init__(self, design, X, member, smote_k, seed):
-                super().__init__(design, X, member, smote_k, seed)
-                views.append((self, X, member, smote_k, seed))
+            def __init__(self, design, member, smote_k, seed, buffer):
+                super().__init__(design, member, smote_k, seed, buffer)
+                views.append(self)
+                assert self.design is built[0]
+                # before the next label's rows overwrite the buffer
+                assert_view_matches_balanced_rows(self, design.X, member, smote_k, seed, rng)
 
         with monkeypatch.context() as patch:
             patch.setattr(classifier_mod, "_Design", DesignSpy)
             patch.setattr(classifier_mod, "_SmoteView", ViewSpy)
             models = fit_multilabel_grid(data, config, self.POINTS)
-        rng = np.random.Generator(np.random.PCG64(0))  # default_rng may be patched
-        for view, *label in views:
-            assert view.design is built[0]
-            assert_view_matches_balanced_rows(view, *label, rng)
         return built, views, models
 
     def test_study_shaped_fold_takes_the_entries(self, monkeypatch):
@@ -898,8 +900,12 @@ class TestBalancedRowsOracle:
         [design] = built
         assert design.sparse and len(views) == 7
 
-    def test_kernel_rule_runs_once_on_x(self, monkeypatch):
-        data = shaped_training_data(380, 540, 0.02, [4, 15, 40, 60, 90, 120, 185])
+    @pytest.mark.parametrize("shape", [
+        (380, 540, 0.02, [4, 15, 40, 60, 90, 120, 185]),  # study-shaped: the bincount route
+        (400, 111, 0.10, [30, 70, 140]),  # narrow-shaped: the BLAS route
+    ], ids=["study", "narrow"])
+    def test_kernel_rule_runs_once_on_x(self, monkeypatch, shape):
+        data = shaped_training_data(*shape)
         shapes, kernel = [], classifier_mod._kernel
 
         def spy(counts, n, d):
@@ -913,10 +919,10 @@ class TestBalancedRowsOracle:
     def test_narrow_fold_keeps_the_dense_matrix(self, monkeypatch):
         data = shaped_training_data(400, 111, 0.10, [30, 70, 140])
         built, views, models = self.fit_views(data, monkeypatch)
-        # X's operator, which picks the route, and one per label, each over
-        # the rows its label's view writes
-        assert len(built) == 4 and len(views) == 3
-        assert not any(design.sparse for design in built)
+        # X's operator, which picks the route; each label fits on the rows its
+        # view writes
+        [design] = built
+        assert not design.sparse and len(views) == 3
         # fit on the balanced rows themselves, so the dense route keeps its bits
         reference = reference_fit_multilabel_grid(data, RunConfig(seed=3), self.POINTS)
         for got, want in zip(models, reference, strict=True):
@@ -931,16 +937,21 @@ class TestBalancedRowsOracle:
         for i in (lone_pos, lone_neg):
             data.X[i, data.X[i] == 0.0] = -0.0
         assert np.signbit(data.X[lone_pos]).sum() > 10
-        matrices = []
+        got, matrices = [], []  # copies: the buffer is rewritten per label
+
+        class ViewSpy(classifier_mod._SmoteView):
+            def __init__(self, *args):
+                super().__init__(*args)
+                got.append(self.X.copy())
 
         class DesignSpy(classifier_mod._Design):
             def __init__(self, X):
                 super().__init__(X)
-                matrices.append(X.copy())  # the buffer is rewritten per label
+                matrices.append(X.copy())
 
-        monkeypatch.setattr(classifier_mod, "_Design", DesignSpy)
+        monkeypatch.setattr(classifier_mod, "_SmoteView", ViewSpy)
         models = fit_multilabel_grid(data, RunConfig(seed=3), self.POINTS)
-        got, matrices[:] = matrices[1:], []  # after X's own operator
+        monkeypatch.setattr(classifier_mod, "_Design", DesignSpy)
         reference = reference_fit_multilabel_grid(data, RunConfig(seed=3), self.POINTS)
         assert len(got) == len(matrices) == 3
         for rows, want in zip(got, matrices):
@@ -951,11 +962,36 @@ class TestBalancedRowsOracle:
         for a, b in zip(models, reference, strict=True):
             assert model_to_document(a) == model_to_document(b)
 
+    def test_former_third_product_form_keeps_blas(self, monkeypatch):
+        # X's rule takes BLAS, where each label's balanced rows (180 x 500 and
+        # 140 x 500) would take the bincount products by their own rule
+        data, config = shaped_training_data(100, 500, 0.01, (10, 30)), RunConfig(seed=3)
+        for name in data.catalog.labels:
+            member = np.array([name in ls for ls in data.label_sets])
+            rows = reference_balanced_matrix(data.X, member, config.smote_k,
+                                             derive_seed(config.seed, name), np.empty((200, 500)))
+            assert classifier_mod._Design(rows).sparse
+        shapes, kernel = [], classifier_mod._kernel
+
+        def spy(counts, n, d):
+            shapes.append((n, d))
+            return kernel(counts, n, d)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(classifier_mod, "_kernel", spy)
+            models = fit_multilabel_grid(data, config, self.POINTS)
+        assert shapes == [data.X.shape]
+        # the reference's per-label designs, held to BLAS
+        monkeypatch.setattr(classifier_mod, "_PRODUCT_OVERHEAD", np.inf)
+        reference = reference_fit_multilabel_grid(data, config, self.POINTS)
+        for got, want in zip(models, reference, strict=True):
+            assert model_to_document(got) == model_to_document(want)
+
     def test_negatives_as_the_minority(self, monkeypatch):
         data = shaped_training_data(380, 540, 0.02, [250, 300, 379])
         built, views, _ = self.fit_views(data, monkeypatch)
         assert len(built) == 1 and len(views) == 3
-        assert all(view.synthetic.start == 380 for view, *_ in views)
+        assert all(view.synthetic.start == 380 for view in views)
 
     def test_one_row_minority(self, monkeypatch):
         data = shaped_training_data(380, 540, 0.02, [1, 379])
@@ -968,7 +1004,7 @@ class TestBalancedRowsOracle:
         assert np.random.default_rng(0).random(3)[0] == 0.0
         built, views, _ = self.fit_views(data, monkeypatch)
         assert len(built) == 1 and len(views) == 3
-        assert all((view.r[::2] == 0.0).all() for view, *_ in views)
+        assert all((view.r[::2] == 0.0).all() for view in views)
 
     def test_word_column_dense_in_the_balanced_rows(self, monkeypatch):
         data = shaped_training_data(380, 540, 0.02, [60])

@@ -76,13 +76,14 @@ class TestValidate:
 
     def test_id_with_a_newline_keeps_one_line_per_violation(self, runner, tmp_path):
         catalog = write_catalog(tmp_path / "catalog.json", ["qa"])
-        cid = "x\ny 0: contiguous_index: fake"
+        # each a line boundary to str.splitlines
+        cid = "x\ny\x85z\u2028w\u2029v 0: contiguous_index: fake"
         transcript = write_lines(tmp_path / "odd.jsonl", [
             record_line(cid, 0, "participant", 1.0, "fine", ["qa"]),
             record_line(cid, 2, "participant", 2.0, "gap", ["qa"]),
         ])
-        line = ("x\\ny 0: contiguous_index: fake turn 2: contiguous_index: "
-                "expected turn_index 1, found 2")
+        line = ("x\\ny\\u0085z\\u2028w\\u2029v 0: contiguous_index: fake turn 2: "
+                "contiguous_index: expected turn_index 1, found 2")
         result = runner.invoke(main, ["--catalog", catalog, "validate", transcript])
         assert result.exit_code == 1
         assert result.stdout.splitlines() == [line, "1 violations"]
@@ -218,6 +219,17 @@ class TestStats:
         assert doc["label_counts"] == {"qa": 6, "qb": 6}
         assert doc["per_speaker_turn_counts"]["assistant"] == 12
         assert "config" in doc
+
+    def test_catalog_path_with_a_newline_keeps_one_header_line(self, runner, tiny_corpus,
+                                                               tmp_path):
+        transcript, catalog = tiny_corpus
+        odd = tmp_path / "cat\nfake: line\u2028.json"
+        odd.write_text(Path(catalog).read_text())
+        result = runner.invoke(main, ["--catalog", str(odd), "stats", transcript])
+        assert result.exit_code == 0
+        header, first = result.stdout.splitlines()[:2]
+        assert header.startswith(f"# config: catalog={tmp_path}/cat\\nfake: line\\u2028.json ")
+        assert first == "conversations: 1"
 
 
 class TestSynthCorpus:

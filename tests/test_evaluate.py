@@ -7,16 +7,20 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from speechacts import classifier as classifier_mod
 from speechacts.classifier import label_positions, model_to_document, score_rows, train_model
+from speechacts.cli import main
 from speechacts.config import RunConfig
 from speechacts.corpus import PARTICIPANT, LabelCatalog, modeling_examples
 from speechacts.evaluate import (
@@ -247,16 +251,50 @@ def cv_report(corpus, tune):
     return cv_time().cross_validate_corpus(corpus, tune).report
 
 
+@functools.cache
+def bench_outputs(workload):
+    """A workload's seed-1 model files and ``predict.jsonl`` as
+    ``bench/pipeline.py`` writes them: the bench's CLI arguments on the files
+    of ``bench/inputs.py``, run in-process."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        files = cv_time().inputs.make_inputs(workload, 1, out)
+        head = ["--catalog", str(files.catalog)] if files.catalog else []
+        head += ["--seed", str(files.fold_seed)]
+        tuned, model = str(out / "tuned_model.json"), str(out / "model.json")
+        runs = [CliRunner().invoke(main, head + args) for args in (
+            ["train", str(files.tune_corpus), "--tune", "--output", tuned],
+            ["train", str(files.corpus), "--output", model],
+            ["--format", "machine", "predict", str(files.requests), "--model", model])]
+        assert [run.exit_code for run in runs] == [0, 0, 0], [run.output for run in runs]
+        return {"tuned_model.json": Path(tuned).read_text(encoding="utf-8"),
+                "model.json": Path(model).read_text(encoding="utf-8"),
+                "predict.jsonl": runs[-1].stdout}
+
+
+def bench_output(workload, name):
+    """One of :func:`bench_outputs`, or "labels": the predict records
+    without their probabilities, one sorted-key JSON line each."""
+    outputs = bench_outputs(workload)
+    if name != "labels":
+        return outputs[name]
+    records = map(json.loads, outputs["predict.jsonl"].splitlines())
+    return "".join(json.dumps({k: v for k, v in record.items() if k != "probabilities"},
+                              sort_keys=True) + "\n" for record in records)
+
+
 def pin(name, *values, marks=()):
     return pytest.param(*values, id=name, marks=marks)
 
 
 # sha256 of each pinned output: a model file; a CV avg/total row; the CV report
-# of each bench corpus of scripts/cv_time.py, plain and --tune. FIVE balances
-# positives, TWO (each label on 101 of 120 turns) negatives; train --tune picks
-# C=0.1 on THREE without a bias, on FOUR with one. Only same_kernel rows follow
-# the BLAS and numpy kernels (a model file's last bits do); CI's non-AVX-512 job
-# runs the rest. A change that moves an output re-pins it and says why in CHANGES.md.
+# of each bench corpus of scripts/cv_time.py, plain and --tune; each bench
+# workload's seed-1 model files, predict.jsonl and predicted labels. FIVE
+# balances positives, TWO (each label on 101 of 120 turns) negatives; train
+# --tune picks C=0.1 on THREE without a bias, on FOUR with one. Only same_kernel
+# rows follow the BLAS and numpy kernels (the last bits of a model file's
+# weights and of predict's probabilities do); CI's non-AVX-512 job runs the
+# rest. A change that moves an output re-pins it and says why in CHANGES.md.
 FIVE = SynthSpec(n_labels=5, turns_per_label=40, signal=0.6, multi_label_rate=0.2, seed=3)
 TWO = SynthSpec(n_labels=2, turns_per_label=60, signal=0.5, multi_label_rate=0.7, seed=5)
 THREE = SynthSpec(n_labels=3, turns_per_label=24, signal=0.5, multi_label_rate=0.3, seed=6)
@@ -293,6 +331,22 @@ OUTPUT_PINS = [
         "5b9365028e573fd99ef7261dc593b4eb4a38b1d76aca760d976c57f5756c3776"),
     pin("cv-report-paper-tune", cv_report, "paper", True,
         "7bb2607106a695d4606a3fe2266a02929af3748c706e79c3cb367447243ff39c"),
+    pin("bench-study-model", bench_output, "study", "model.json",
+        "a259141870e801d1e30a7d2d1d5d93b2dd536f76d046ef2a0e2d7c8d09a85ab8", marks=SAME_KERNEL),
+    pin("bench-study-tuned-model", bench_output, "study", "tuned_model.json",
+        "193c406f1be4d68e1603e6e08f776cb58748f6f700dce978fdfb8a65e26a617b", marks=SAME_KERNEL),
+    pin("bench-study-predict", bench_output, "study", "predict.jsonl",
+        "b87982b7ca429d1224f768fab1df58e6923ebe61882b58adaba88365fdf97af4", marks=SAME_KERNEL),
+    pin("bench-study-labels", bench_output, "study", "labels",
+        "984fc5807ea0b5c9587f1faecc62fe9f36f443757ff3edf525592f623d6cde54"),
+    pin("bench-narrow-model", bench_output, "narrow", "model.json",
+        "4c4c0fa1f4db1699bca150c38a7399d57b992c25c9033aeb5697b87fd108e982", marks=SAME_KERNEL),
+    pin("bench-narrow-tuned-model", bench_output, "narrow", "tuned_model.json",
+        "c3b576b45601634faea6a3dce278278004803313862eef83593fc624a6761628", marks=SAME_KERNEL),
+    pin("bench-narrow-predict", bench_output, "narrow", "predict.jsonl",
+        "e55a6332e2b00bec689ae7b6f000c1c2fe1b9d74f1430690791fd9c3f47fe0d8", marks=SAME_KERNEL),
+    pin("bench-narrow-labels", bench_output, "narrow", "labels",
+        "ee125f1b9dbdf52b9dccbf7e531639c18a7b694c3aa595c13fe0c48b961f4b62"),
 ]
 
 
@@ -302,9 +356,12 @@ class TestOutputDigests:
         assert hashlib.sha256(output(subject, setting).encode()).hexdigest() == digest
 
     def test_only_model_files_depend_on_the_kernel(self):
-        # CI's non-AVX-512 job skips same_kernel rows; a CV row marked so goes unchecked there
+        # CI's non-AVX-512 job skips same_kernel rows; a CV or label row marked
+        # so goes unchecked there. The bench's byte outputs hold weights and
+        # probabilities to the last bit; its label rows do not.
         marked = {row.id for row in OUTPUT_PINS if any(m.name == "same_kernel" for m in row.marks)}
-        assert marked <= {row.id for row in OUTPUT_PINS if row.values[0] is model_file}
+        assert marked <= {row.id for row in OUTPUT_PINS if row.values[0] is model_file
+                          or row.values[0] is bench_output and row.values[2] != "labels"}
 
     # The synth corpora above have 60 filler words, so their fits multiply
     # by X through BLAS. Here each participant turn gets 6 more words from
