@@ -4,16 +4,13 @@ from .balance import DenseExample, nearest_neighbors, oversample, smote_balance,
 from .classifier import (
     BinaryClassifier,
     MultiLabelModel,
-    Prediction,
     TrainingData,
     fit_binary,
     fit_multilabel,
     load_model,
-    predict_labels,
     predict_proba,
     save_model,
     train_model,
-    tune,
 )
 from .config import Hyperparams, RunConfig
 from .corpus import (
@@ -27,7 +24,6 @@ from .corpus import (
     load_transcripts,
     modeling_examples,
     parse_transcripts,
-    select_examples,
     serialize_transcripts,
     validate,
 )

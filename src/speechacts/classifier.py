@@ -426,15 +426,6 @@ class StackedWeights:
                               bias.tolist())
 
 
-@dataclass
-class Prediction:
-    """A turn's answer as the dense reference :func:`predict_labels` gives it."""
-
-    probabilities: dict[str, float]
-    labels: frozenset[str]
-    low_confidence: bool
-
-
 def fit_multilabel(data: TrainingData, config: RunConfig) -> MultiLabelModel:
     """Binary relevance: balance and fit one classifier per catalog label.
 
@@ -672,20 +663,6 @@ def label_positions(model: MultiLabelModel, row: Sequence[float]) -> tuple[list[
     return [max(range(len(row)), key=row.__getitem__)], True
 
 
-def predict_labels(model: MultiLabelModel, vector: np.ndarray) -> Prediction:
-    """Threshold the per-label probabilities into a label set
-    (:func:`label_positions`).
-
-    An empty set flags low confidence; with the model's config.fallback set
-    it is replaced by the single most probable label (catalog order breaks
-    exact ties).
-    """
-    probs = predict_proba(model, vector)
-    chosen, low_confidence = label_positions(model, list(probs.values()))
-    labels = model.catalog.labels
-    return Prediction(probs, frozenset([labels[j] for j in chosen]), low_confidence)
-
-
 def predict_conversation(
     model: MultiLabelModel, conversation: Conversation
 ) -> list[list[float] | None]:
@@ -701,31 +678,6 @@ def predict_conversation(
     return [next(probabilities) if is_scored else None for is_scored in scored]
 
 
-def tune(
-    examples: Sequence[ModelingExample],
-    catalog: LabelCatalog,
-    grid: Sequence[Hyperparams],
-    config: RunConfig = RunConfig(),
-) -> Hyperparams:
-    """Grid search scored by inner-cross-validated weighted F-measure, over
-    ``config.inner_folds`` folds under ``config.seed``.
-
-    The inner folds re-fit vocabulary, scaling, and SMOTE per fold, so the
-    search never sees its own validation turns. Ties prefer the smaller C,
-    then the earlier grid position.
-
-    Work that does not depend on the grid point runs once: each turn's
-    context once per call, and per inner fold the vocabulary, scaling,
-    matrices and each label's SMOTE. Per grid point only the per-label fits
-    and the scoring of the held-out rows run, so the scores are those of one
-    :func:`~speechacts.evaluate.cross_validate` per point.
-    """
-    from . import evaluate  # deferred: evaluate drives this module's fits
-
-    contexts = example_contexts(examples, config.slen_scope)
-    return evaluate.tune_on_contexts(examples, contexts, catalog, grid, config)
-
-
 def fit_contexts(
     examples: Sequence[ModelingExample],
     contexts: Sequence,
@@ -735,10 +687,10 @@ def fit_contexts(
 ) -> list[MultiLabelModel]:
     """Vocabulary, scaling and one model per point, fit on a training split
     from its precomputed :func:`~speechacts.featurize.example_contexts`: the
-    one path from a split to models, for ``train`` and each CV fold. With
-    config.tune set, an inner search on these examples alone picks the one
-    point instead; without points, config.hyperparams is fit."""
-    if config.tune:
+    one path from a split to models, for ``train`` and each CV fold.
+    Without points, the one point is config.hyperparams, or with config.tune
+    set the one an inner search on these examples alone picks."""
+    if points is None and config.tune:
         from . import evaluate  # deferred: evaluate drives this module's fits
 
         grid = expand_grid(config.tuning_grid, config.hyperparams)
@@ -842,7 +794,7 @@ def load_model(path: Union[str, Path]) -> MultiLabelModel:
         raise ModelCorruptError(str(exc)) from exc
 
 
-def _model_from_json(doc, text: str | None = None) -> MultiLabelModel:
+def _model_from_json(doc, text: str) -> MultiLabelModel:
     """The model of a decoded model-file document: format version,
     checksum and payload checked.
 
@@ -859,7 +811,7 @@ def _model_from_json(doc, text: str | None = None) -> MultiLabelModel:
     if "checksum" not in doc or "payload" not in doc:
         raise ModelCorruptError("model file lacks checksum or payload")
     payload = doc["payload"]
-    if text is not None and text.startswith('{"checksum":"') and text.endswith("}\n"):
+    if text.startswith('{"checksum":"') and text.endswith("}\n"):
         try:
             model = _model_from_payload(payload)
         except Exception:  # judged, with its precedence, by the checks below

@@ -29,7 +29,7 @@ from .synth import SynthSpec, synth_catalog, synth_corpus
 
 
 def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
+    click.echo(f"error: {reports.one_line(message)}", err=True)
     sys.exit(code)
 
 
@@ -86,7 +86,8 @@ class _Commands(click.Group):
 
     def invoke(self, ctx):
         with warnings.catch_warnings():
-            warnings.showwarning = lambda message, *_: click.echo(f"warning: {message}", err=True)
+            warnings.showwarning = lambda message, *_: click.echo(
+                f"warning: {reports.one_line(str(message))}", err=True)
             try:
                 return super().invoke(ctx)
             except ValueError as exc:
@@ -155,16 +156,15 @@ def stats(ctx, transcripts):
 @click.pass_context
 def synth_corpus_cmd(ctx, n_labels, turns_per_label, signal, multi_label_rate, output, catalog_out):
     """Generate a deterministic keyword-separable synthetic corpus."""
-    seed = ctx.obj.get("seed") or 0
-    spec = SynthSpec(n_labels=n_labels, turns_per_label=turns_per_label,
-                     signal=signal, multi_label_rate=multi_label_rate, seed=seed)
+    spec = SynthSpec(n_labels=n_labels, turns_per_label=turns_per_label, signal=signal,
+                     multi_label_rate=multi_label_rate, seed=_effective_config(ctx).seed)
     conversations = synth_corpus(spec)
     corpus_mod.write_document(output, corpus_mod.serialize_transcripts(conversations))
     if catalog_out:
         catalog = corpus_mod.catalog_to_dict(synth_catalog(spec))
         corpus_mod.write_document(catalog_out, json.dumps(catalog) + "\n")
     click.echo(f"wrote {sum(len(c.turns) for c in conversations)} turns "
-               f"({len(conversations)} conversations) to {output}", err=True)
+               f"({len(conversations)} conversations) to {reports.one_line(output)}", err=True)
 
 
 @main.command()
@@ -195,7 +195,7 @@ def train(ctx, transcripts, model_path, tune, smote_k, threshold, slen_scope):
                        f"after {clf.iterations} Newton steps", err=True)
     save_model(model, model_path)
     click.echo(f"trained {len(model.classifiers)} classifiers "
-               f"({len(model.skipped)} skipped) -> {model_path}", err=True)
+               f"({len(model.skipped)} skipped) -> {reports.one_line(model_path)}", err=True)
 
 
 @main.command()

@@ -522,35 +522,17 @@ def corpus_stats(conversations: Iterable[Conversation], catalog: LabelCatalog) -
     return CorpusStats(n_conv, n_turns, label_counts, excluded_counts, speaker_counts)
 
 
-def _qualifying(
-    conversations: Iterable[Conversation], catalog: LabelCatalog
-) -> Iterator[tuple[Conversation, int]]:
-    """(conversation, position in its turns) of each turn usable for
-    modeling, in corpus order: one the participant spoke that carries at
-    least one non-excluded catalog label."""
-    for conv in conversations:
-        for position, turn in enumerate(conv.turns):
-            if turn.speaker == PARTICIPANT and turn.labels & catalog.label_set:
-                yield conv, position
-
-
-def select_examples(
-    conversations: Iterable[Conversation], catalog: LabelCatalog
-) -> list[tuple[str, int]]:
-    """(conversation_id, turn_index) of each turn usable for modeling, in
-    corpus order (see :func:`_qualifying`)."""
-    return [(conv.conversation_id, conv.turns[position].turn_index)
-            for conv, position in _qualifying(conversations, catalog)]
-
-
 def modeling_examples(
     conversations: Iterable[Conversation], catalog: LabelCatalog
 ) -> list[ModelingExample]:
-    """The turns :func:`select_examples` picks, as examples with context
-    attached. Each is found by its position, so a conversation whose
-    turn_index values have gaps still yields its own turns."""
-    return [ModelingExample(conv, position, conv.turns[position].labels & catalog.label_set)
-            for conv, position in _qualifying(conversations, catalog)]
+    """Each turn usable for modeling, in corpus order, as an example with
+    context attached: one the participant spoke that carries at least one
+    non-excluded catalog label. Each is found by its position, so a
+    conversation whose turn_index values have gaps still yields its own
+    turns."""
+    return [ModelingExample(conv, position, turn.labels & catalog.label_set)
+            for conv in conversations for position, turn in enumerate(conv.turns)
+            if turn.speaker == PARTICIPANT and turn.labels & catalog.label_set]
 
 
 def offsets_from_absolute(conversations: Iterable[Conversation]) -> list[Conversation]:

@@ -289,7 +289,7 @@ def cross_validate(
     """
     examples = list(examples)
     contexts = example_contexts(examples, config.slen_scope)
-    return cross_validate_grid(examples, contexts, catalog, config, [config.hyperparams])[0]
+    return cross_validate_grid(examples, contexts, catalog, config)[0]
 
 
 def tune_on_contexts(
@@ -299,19 +299,24 @@ def tune_on_contexts(
     grid: Sequence[Hyperparams],
     config: RunConfig,
 ) -> Hyperparams:
-    """:func:`~speechacts.classifier.tune` on the examples' precomputed
-    :func:`~speechacts.featurize.example_contexts`, over ``config.inner_folds``
-    folds planned with ``config.seed``.
+    """The grid point whose inner cross-validation scores the highest
+    weighted F-measure, over ``config.inner_folds`` folds planned with
+    ``config.seed``, from the examples' precomputed
+    :func:`~speechacts.featurize.example_contexts`. Ties prefer the smaller
+    C, then the earlier grid point.
 
-    One :func:`cross_validate_grid` over the inner folds scores every
-    distinct grid point; a point listed twice is scored once.
+    The inner folds re-fit vocabulary, scaling and SMOTE per fold, so the
+    search never sees its own validation turns. One
+    :func:`cross_validate_grid` over them scores every distinct grid point
+    (a point listed twice is scored once), so per point only the per-label
+    fits and the scoring of the held-out rows run.
     """
     if not grid:
         raise ValueError("empty hyperparameter grid")
     if len(examples) < config.inner_folds:
         raise ValueError(f"{len(examples)} examples cannot form {config.inner_folds} inner folds")
     points = list(dict.fromkeys(grid))
-    inner = replace(config, n_folds=config.inner_folds, tune=False)
+    inner = replace(config, n_folds=config.inner_folds)
     reports = cross_validate_grid(examples, contexts, catalog, inner, points)
     score = {point: report.average_row.f_measure for point, report in zip(points, reports)}
     best = max(range(len(grid)), key=lambda pos: (score[grid[pos]], -grid[pos].C, -pos))
@@ -323,7 +328,7 @@ def cross_validate_grid(
     contexts: Sequence,
     catalog: LabelCatalog,
     config: RunConfig,
-    points: Sequence[Hyperparams],
+    points: Sequence[Hyperparams] | None = None,
 ) -> list[MetricsReport]:
     """One :func:`cross_validate` report per hyperparameter point, in order,
     from the examples' precomputed :func:`~speechacts.featurize.example_contexts`.
@@ -333,11 +338,10 @@ def cross_validate_grid(
     held-out rows, are built once for all points; per point only the
     per-label fits and one :func:`~speechacts.classifier.score_rows` call
     run, whose rows :func:`~speechacts.classifier.label_positions` labels.
-    With config.tune set (nested cross-validation) each fold fits the point
-    its inner search picks instead, so ``points`` must then be a single point.
+    Without points there is one report, of the point each fold's
+    :func:`~speechacts.classifier.fit_contexts` picks: config.hyperparams,
+    or with config.tune set (nested cross-validation) its inner search's.
     """
-    if config.tune and len(points) != 1:
-        raise ValueError("nested cross-validation reports on a single point")
     plan = stratified_kfold([ex.labels for ex in examples], config.n_folds, config.seed)
     for v in plan.violations:
         warnings.warn(
@@ -346,7 +350,7 @@ def cross_validate_grid(
             RuntimeWarning,
             stacklevel=3,
         )
-    fold_rows: list[list[list[MetricsRow]]] = [[] for _ in points]
+    fold_rows: list[list[list[MetricsRow]]] = [[] for _ in points or [None]]
     names = catalog.labels
     for fold in range(config.n_folds):
         train, test = _split(plan, fold, examples)

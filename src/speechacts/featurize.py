@@ -78,16 +78,15 @@ class ContextState:
     """Running context of one conversation, constant in size.
 
     Holds what the causal shallow features of the next turn need: word-count
-    sums and turn counts per speaker and in total, and the last timestamp.
-    The sums are ints, so ``words / turns`` is exactly the mean of the prior
-    word counts. Batch featurization and serve sessions both advance one.
+    sums and turn counts per speaker, and the last timestamp. The ``any``
+    scope sums them over the speakers. The sums are ints, so ``words /
+    turns`` is exactly the mean of the prior word counts. Batch
+    featurization and serve sessions both advance one.
     """
 
     scope: str = SAME_SPEAKER
     speaker_words: dict[str, int] = field(default_factory=dict)
     speaker_turns: dict[str, int] = field(default_factory=dict)
-    total_words: int = 0
-    total_turns: int = 0
     last_ts: float | None = None
 
     def __post_init__(self):
@@ -99,7 +98,8 @@ class ContextState:
         ``(slen, float(wc), ppau)``; the state is left as it is."""
         ppau = timestamp_s - self.last_ts if self.last_ts is not None else 0.0
         if self.scope == ANY_SPEAKER:
-            words, turns = self.total_words, self.total_turns
+            words = sum(self.speaker_words.values())
+            turns = sum(self.speaker_turns.values())
         else:
             words = self.speaker_words.get(speaker, 0)
             turns = self.speaker_turns.get(speaker, 0)
@@ -114,15 +114,7 @@ class ContextState:
         """Count this turn into the context."""
         self.speaker_words[speaker] = self.speaker_words.get(speaker, 0) + wc
         self.speaker_turns[speaker] = self.speaker_turns.get(speaker, 0) + 1
-        self.total_words += wc
-        self.total_turns += 1
         self.last_ts = timestamp_s
-
-    def observe(self, speaker: str, timestamp_s: float, wc: int) -> tuple[float, float, float]:
-        """Shallow features of this turn from the turns before it, then add it."""
-        shallow = self.features(speaker, timestamp_s, wc)
-        self.add(speaker, timestamp_s, wc)
-        return shallow
 
 
 def conversation_context(
@@ -141,7 +133,9 @@ def _advance(turns,
              state: ContextState) -> Iterator[tuple[list[str], tuple[float, float, float]]]:
     for turn in turns:
         tokens = tokenize(turn.text)
-        yield tokens, state.observe(turn.speaker, turn.timestamp_s, len(tokens))
+        shallow = state.features(turn.speaker, turn.timestamp_s, len(tokens))
+        state.add(turn.speaker, turn.timestamp_s, len(tokens))
+        yield tokens, shallow
 
 
 def example_contexts(

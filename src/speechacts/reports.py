@@ -21,8 +21,9 @@ MACHINE = "machine"
 FORMATS = (TABLE, MACHINE)
 # the answer's members for a turn that is not scored (an assistant turn)
 UNCLASSIFIED = '"labels": [], "probabilities": {}, "low_confidence": false}'
-# U+0085, U+2028 and U+2029, which JSON leaves raw and str.splitlines breaks at
-_LINE_BREAKS = {0x85: "\\u0085", 0x2028: "\\u2028", 0x2029: "\\u2029"}
+# every character str.splitlines breaks at, as its \uXXXX escape
+_LINE_BREAKS = {c: f"\\u{c:04x}" for c in (0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x85,
+                                           0x2028, 0x2029)}
 
 
 def _machine(doc: dict) -> str:
@@ -41,9 +42,15 @@ class AnswerText:
         self.keys = [f"{quoted}: " for quoted in self.quoted]
 
 
+def one_line(text: str) -> str:
+    """The text with each line break escaped as ``\\uXXXX``, so it prints as one line."""
+    return text.translate(_LINE_BREAKS)
+
+
 def line_id(text: str) -> str:
-    """The text JSON-escaped without its quotes, and _LINE_BREAKS escaped: no line breaks."""
-    return encode_basestring(text)[1:-1].translate(_LINE_BREAKS)
+    """The text JSON-escaped without its quotes, and held on one line
+    (:func:`one_line`: JSON leaves U+0085, U+2028 and U+2029 raw)."""
+    return one_line(encode_basestring(text)[1:-1])
 
 
 def violation_line(v: Violation) -> str:

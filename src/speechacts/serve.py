@@ -16,9 +16,8 @@ drops ends without a word.
 
 Sessions are keyed by conversation_id, of at most 256 characters (a longer
 one is an {error}). Each is a constant-size
-``ContextState``: running word-count sums and turn counts per speaker and in
-total, and the last timestamp, which is all the causal shallow features
-need. Batch prediction advances the same state, so the same request stream
+``ContextState``: running word-count sums and turn counts per speaker, and
+the last timestamp, which is all the causal shallow features need. Batch prediction advances the same state, so the same request stream
 reproduces its predictions exactly. The engine keeps at most
 ``MAX_SESSIONS`` of them in one table under one lock; a new conversation
 past the cap drops the least recently used one, which starts again from an
@@ -53,8 +52,8 @@ _NOT_AN_OBJECT = _error("request is not an object")
 _NOT_FINITE = _error("the turn's label probabilities are not finite numbers")
 _UNCLASSIFIED = "{" + UNCLASSIFIED
 # live conversations held: a two-speaker session, its id of at most 256
-# characters included, takes 0.9 KB (ASCII id) to 1.7 KB (4-byte characters)
-# by tracemalloc, so the table stays under 7 MB at the cap
+# characters included, takes 0.97 KiB (ASCII id) to 1.74 KiB (4-byte
+# characters) by tracemalloc, so the table stays under 7 MiB at the cap
 MAX_SESSIONS = 4096
 # open TCP connections served, one handler thread each; one more is refused
 MAX_CONNECTIONS = 64

@@ -20,7 +20,6 @@ from speechacts.classifier import (
     ModelCorruptError,
     ModelVersionError,
     MultiLabelModel,
-    Prediction,
     TrainingData,
     fit_binary,
     fit_multilabel,
@@ -31,13 +30,11 @@ from speechacts.classifier import (
     model_from_document,
     model_to_document,
     predict_conversation,
-    predict_labels,
     predict_proba,
     save_model,
     score_rows,
     sigmoid,
     train_model,
-    tune,
 )
 from speechacts.config import DEFAULT_GRID, Hyperparams, RunConfig, expand_grid
 from speechacts.corpus import PARTICIPANT, LabelCatalog, modeling_examples
@@ -47,6 +44,7 @@ from speechacts.evaluate import (
     featurize_fold,
     per_label_metrics,
     stratified_kfold,
+    tune_on_contexts,
     weighted_average,
 )
 from speechacts.featurize import (
@@ -1020,6 +1018,13 @@ class TestBalancedRowsOracle:
         assert design.dense_columns.tolist() == [537, 538, 539]
 
 
+def dense_labels(model, vector):
+    """The label set and low-confidence flag of a dense row: the labelling
+    rule (label_positions) over the dense route's probabilities."""
+    chosen, low_confidence = label_positions(model, list(predict_proba(model, vector).values()))
+    return frozenset(model.catalog.labels[j] for j in chosen), low_confidence
+
+
 def zero_model(labels=("a", "b"), threshold=0.5):
     catalog = LabelCatalog(labels=tuple(labels))
     vocab = Vocabulary.from_tokens(["w0", "w1"])
@@ -1078,27 +1083,21 @@ class TestPredict:
         model = zero_model()
         model.classifiers["a"].bias = 1.0   # p ~ 0.73
         model.classifiers["b"].bias = -0.5  # p ~ 0.38
-        pred = predict_labels(model, np.zeros(5))
-        assert pred.labels == frozenset({"a"})
-        assert pred.low_confidence is False
+        assert dense_labels(model, np.zeros(5)) == (frozenset({"a"}), False)
 
     def test_fallback_argmax(self):
         model = zero_model()
         model.classifiers["a"].bias = -0.8
         model.classifiers["b"].bias = -1.5
         model.config = RunConfig(fallback=True)
-        pred = predict_labels(model, np.zeros(5))
-        assert pred.labels == frozenset({"a"})
-        assert pred.low_confidence is True
+        assert dense_labels(model, np.zeros(5)) == (frozenset({"a"}), True)
 
     def test_no_fallback_empty(self):
         model = zero_model()
         model.classifiers["a"].bias = -0.8
         model.classifiers["b"].bias = -1.5
         model.config = RunConfig(fallback=False)
-        pred = predict_labels(model, np.zeros(5))
-        assert pred.labels == frozenset()
-        assert pred.low_confidence is True
+        assert dense_labels(model, np.zeros(5)) == (frozenset(), True)
 
     def test_threshold_monotonicity(self):
         model = zero_model()
@@ -1109,7 +1108,7 @@ class TestPredict:
         previous = None
         for threshold in (0.1, 0.3, 0.5, 0.7, 0.9):
             model.config = RunConfig(threshold=threshold)
-            labels = predict_labels(model, vector).labels
+            labels, _ = dense_labels(model, vector)
             if previous is not None:
                 assert labels <= previous
             previous = labels
@@ -1235,7 +1234,7 @@ class TestScoreRows:
             positions, low = label_positions(model, batch[i])
             assert [labels[j] for j in positions] == sorted(chosen)
             assert low == low_confidence
-            assert predict_labels(model, dense) == Prediction(probs, frozenset(chosen), low)
+            assert dense_labels(model, dense) == (frozenset(chosen), low)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     @settings(max_examples=150, deadline=None)
@@ -1392,7 +1391,7 @@ def reference_cross_validate(examples, catalog, config):
             yb = np.concatenate([np.ones(len(bal_pos)), np.zeros(len(bal_neg))])
             classifiers[name] = fit_binary(Xb, yb, config.hyperparams, seed, label=name)
         model = MultiLabelModel(classifiers, vocabulary, scaling, catalog, config=config)
-        predicted = [predict_labels(model, x).labels for x in X_test]
+        predicted = [dense_labels(model, x)[0] for x in X_test]
         fold_rows.append(per_label_metrics([ex.labels for ex in test], predicted, catalog))
     return weighted_average(average_rows_across_folds(fold_rows)).f_measure
 
@@ -1442,6 +1441,13 @@ def tuning_problems(draw):
     config = RunConfig(seed=draw(st.integers(0, 50)), smote_k=draw(st.integers(1, 5)),
                        fallback=draw(st.booleans()))
     return examples, catalog, grid, inner_folds, draw(st.integers(0, 50)), config
+
+
+def tune(examples, catalog, grid, config=RunConfig()):
+    """The grid search as ``train --tune`` runs it on a training set: each
+    example's context, then tune_on_contexts."""
+    contexts = example_contexts(examples, config.slen_scope)
+    return tune_on_contexts(examples, contexts, catalog, grid, config)
 
 
 class TestTune:
@@ -1506,11 +1512,16 @@ class TestTune:
 
     def test_searches_under_the_config_seed_and_inner_folds(self, monkeypatch):
         seen = []
-        monkeypatch.setattr(evaluate_mod, "tune_on_contexts",
-                            lambda examples, contexts, catalog, grid, config: seen.append(config))
+        plan = evaluate_mod.stratified_kfold
+
+        def spy(label_sets, n_folds, seed):
+            seen.append((seed, n_folds))
+            return plan(label_sets, n_folds, seed)
+
+        monkeypatch.setattr(evaluate_mod, "stratified_kfold", spy)
         examples, catalog = keyword_examples()
         tune(examples, catalog, [Hyperparams()], RunConfig(seed=7, inner_folds=4))
-        assert [(c.seed, c.inner_folds) for c in seen] == [(7, 4)]
+        assert seen == [(7, 4)]
 
     def test_empty_grid(self):
         examples, catalog = keyword_examples()

@@ -256,6 +256,23 @@ class TestSynthCorpus:
         assert "'--seed'" in result.stderr
         assert not out.exists()
 
+    def test_seed_from_the_config_file(self, runner, tmp_path):
+        # the flag beats the file, which beats the default seed 0
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"seed": 5}))
+
+        def corpus(*args):
+            out = tmp_path / f"{len(list(tmp_path.iterdir()))}.jsonl"
+            result = runner.invoke(main, [*args, "synth-corpus", "--labels", "3",
+                                          "--turns-per-label", "5", "--output", str(out)])
+            assert result.exit_code == 0, result.output
+            return out.read_bytes()
+
+        from_file = corpus("--config", str(config))
+        assert from_file == corpus("--seed", "5")
+        assert from_file != corpus()
+        assert corpus("--config", str(config), "--seed", "0") == corpus()
+
     def test_catalog_out_usable(self, runner, separable_corpus_files):
         corpus, catalog = separable_corpus_files
         runner2 = CliRunner()
@@ -930,6 +947,35 @@ class TestErrorBoundary:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert result.stderr == "error: cannot build this corpus\n"
+
+    @pytest.mark.parametrize("case, content, prefix", [
+        pytest.param("validate", "not json\n", "error: ", id="validate"),
+        pytest.param("config", "[", "error: ", id="config"),
+        pytest.param("model", "{}", "error: ", id="model"),
+        pytest.param("train", None, "trained ", id="train"),
+        pytest.param("synth-corpus", None, "wrote ", id="synth-corpus"),
+    ])
+    def test_a_path_with_line_breaks_stays_on_its_line(self, runner, tiny_corpus, tmp_path,
+                                                       case, content, prefix):
+        # each a line boundary to str.splitlines, escaped where a line names the path
+        path = tmp_path / "bad\nna\rme\u2028.json"
+        escaped = f"{tmp_path}/bad\\u000ana\\u000dme\\u2028.json"
+        if content is not None:
+            path.write_text(content)
+        transcript, catalog = tiny_corpus
+        args = {"validate": ["--catalog", catalog, "validate", str(path)],
+                "config": ["--catalog", catalog, "--config", str(path), "stats", transcript],
+                "model": ["predict", transcript, "--model", str(path)],
+                "train": ["--catalog", catalog, "train", transcript, "--output", str(path)],
+                "synth-corpus": ["synth-corpus", "--labels", "2", "--turns-per-label", "2",
+                                 "--output", str(path)]}[case]
+        result = runner.invoke(main, args)
+        assert result.exit_code == (1 if prefix == "error: " else 0), result.output
+        lines = result.stderr.splitlines()
+        (line,) = [line for line in lines if escaped in line]
+        assert line.startswith(prefix)
+        assert all(line.startswith(("error: ", "warning: ", "trained ", "wrote "))
+                   for line in lines)
 
     @pytest.mark.parametrize("command", [["train", "--output", "m.json"], ["evaluate"]])
     def test_timestamps_near_the_float_limit_exit_1(self, runner, tiny_corpus, tmp_path, command):

@@ -20,7 +20,6 @@ from speechacts.corpus import (
     modeling_examples,
     offsets_from_absolute,
     parse_transcripts,
-    select_examples,
     serialize_transcripts,
     validate,
 )
@@ -463,6 +462,12 @@ class TestStats:
             len(t.labels & catalog_ab.label_set) for c in convs for t in c.turns
         )
         assert sum(stats.label_counts.values()) == expected
+
+
+def select_examples(conversations, catalog):
+    """(conversation_id, turn_index) of each turn modeling_examples selects."""
+    return [(ex.conversation.conversation_id, ex.turn.turn_index)
+            for ex in modeling_examples(conversations, catalog)]
 
 
 class TestSelect:

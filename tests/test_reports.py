@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 from json.encoder import encode_basestring_ascii as _json_str
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from speechacts import serve
-from speechacts.classifier import MultiLabelModel, Prediction, label_positions
+from speechacts.classifier import MultiLabelModel, label_positions
 from speechacts.config import RunConfig
 from speechacts.corpus import Conversation, LabelCatalog, Turn, encode_record
 from speechacts.featurize import ScalingParams, Vocabulary
@@ -98,6 +99,9 @@ def test_finite_probabilities_whose_sum_overflows_are_written():
 # The labelling rule and the writer as they were before predict and serve
 # answered from the probability row: a Prediction built from a dict, and
 # written from it.
+
+Prediction = collections.namedtuple("Prediction", "probabilities labels low_confidence")
+
 
 def reference_prediction(model, probs):
     chosen = frozenset(name for name, p in probs.items() if p >= model.config.threshold)

@@ -394,7 +394,7 @@ class TestStreamEquivalence:
                 assert set(value) <= set(SPEAKERS), name
             else:
                 assert isinstance(value, (int, float, str)), name
-        assert context.total_turns == len(conv.turns)
+        assert sum(context.speaker_turns.values()) == len(conv.turns)
 
     @pytest.mark.parametrize("fallback", [False, True], ids=["no-fallback", "fallback"])
     def test_serve_replies_are_predict_record_bodies_byte_for_byte(self, tmp_path, fallback):
@@ -595,14 +595,15 @@ class TestSessionTable:
             engine = ServeEngine(model)
             replies, _ = replay(engine)
             assert replies == sequential
-            assert {cid: context.total_turns for cid, context in engine._sessions.items()} == {
+            assert {cid: sum(context.speaker_turns.values())
+                    for cid, context in engine._sessions.items()} == {
                 cid: len(stream) for cid, stream in streams.items()}
 
             # four threads on one conversation: every update lands
             shared = request_line("shared", "assistant", 0.0, "three short words")
             run_threads([lambda: [engine.handle_line(shared) for _ in range(1500)]] * 4)
             context = engine._sessions["shared"]
-            assert context.speaker_turns == {"assistant": 6000} and context.total_turns == 6000
+            assert context.speaker_turns == {"assistant": 6000}
             assert context.speaker_words == {"assistant": 18000}
 
             monkeypatch.setattr(serve, "MAX_SESSIONS", 4)
