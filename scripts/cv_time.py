@@ -10,12 +10,16 @@ Each corpus is built by ``bench/inputs.py`` from a fixed seed:
 The run uses the default config with the corpus's fold seed (``paper`` uses
 study's); ``--tune`` turns tuning on, which makes it the nested CV of
 ``evaluate --tune`` that the benchmark does not time. It prints the wall time,
-the process's peak resident set size and the sha256 of the machine-format
-report, which ends the line, and writes the report when ``--report`` names a
-file. Its ``peak_rss_mb`` is comparable across commits only under a fixed
-``MALLOC_MMAP_THRESHOLD_`` (say 131072): otherwise glibc raises its mmap
-threshold when a large temporary is freed, and the figure follows that
-allocator layout as much as the arrays a fit holds. A report path it cannot
+the process's peak resident set size, the memory the cross-validation held
+and the sha256 of the machine-format report, which ends the line, and writes
+the report when ``--report`` names a file. Its ``peak_rss_mb`` is comparable
+across commits only under a fixed ``MALLOC_MMAP_THRESHOLD_`` (say 131072):
+otherwise glibc raises its mmap threshold when a large temporary is freed,
+and the figure follows that allocator layout as much as the arrays a fit
+holds. ``held_mb`` does not depend on the allocator: it is the ``tracemalloc``
+peak of a second cross-validation of the same corpus, run after the timed one
+and after ``peak_rss_mb`` is read, since tracing slows the run and its
+records take memory of their own. A report path it cannot
 write, an existing directory included, fails before the cross-validation,
 with one ``error:`` line and exit code 2, as the CLI's I/O errors do.
 
@@ -40,6 +44,7 @@ import json
 import resource
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from typing import NamedTuple
 
@@ -99,6 +104,18 @@ def cross_validate_corpus(corpus: str, tune: bool) -> CVRun:
     return CVRun(len(examples), elapsed, reports.metrics_machine(report, config.as_dict()))
 
 
+def held_mb(corpus: str, tune: bool) -> float:
+    """The ``tracemalloc`` peak, in MiB, of the cross-validation that
+    :func:`cross_validate_corpus` times, the corpus built before tracing."""
+    examples, catalog = bench_corpus(corpus)
+    tracemalloc.start()
+    try:
+        cross_validate(examples, catalog, RunConfig(seed=fold_seed(corpus), tune=tune))
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--corpus", choices=CORPORA, required=True)
@@ -117,7 +134,8 @@ def main(argv=None) -> int:
         return 2
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # Linux: KiB
     print(f"corpus {args.corpus}  tune {args.tune}  examples {run.examples}  "
-          f"cv_s {run.cv_s:.2f}  peak_rss_mb {peak_rss_mb:.1f}  report_sha256 {run.digest}")
+          f"cv_s {run.cv_s:.2f}  peak_rss_mb {peak_rss_mb:.1f}  "
+          f"held_mb {held_mb(args.corpus, args.tune):.2f}  report_sha256 {run.digest}")
     return 0
 
 

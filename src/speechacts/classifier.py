@@ -444,13 +444,13 @@ def fit_multilabel_grid(
     label is SMOTE-balanced once for all points, since balancing depends on
     ``smote_k`` and the seed but not on ``C`` or ``fit_bias``.
 
-    X's operator is built once, and its kernel rule picks the route for
-    every label, which fits on its :class:`_SmoteView` over that operator:
-    on the bincount route no synthetic row is built, and the weights differ
-    from a dense build's in their last bits; on the BLAS route, as on narrow
-    vocabularies, the views write the balanced rows, each label's in turn
-    in one buffer whose pages are reused (a fresh matrix per label took four
-    times the page faults of a study ``train``).
+    X's operator is built once, and its kernel rule picks the kernel for
+    every label, which fits on its :class:`_SmoteView` over that operator.
+    When X has more than _PRODUCT_OVERHEAD entries no synthetic row is
+    built, whichever the kernel, and the weights differ from a dense
+    build's in their last bits; a smaller X, as acceptance criterion 08's
+    toy data and the folds of a nested CV on a few dozen turns have, has
+    each label's balanced rows written and multiplied by BLAS.
     """
     n = data.X.shape[0]
     if n == 0:
@@ -460,8 +460,6 @@ def fit_multilabel_grid(
 
     X = np.asarray(data.X, dtype=np.float64)
     shared = _Design(X)
-    # holds any label's n + |need| balanced rows
-    buffer = None if shared.sparse else np.empty((2 * n, X.shape[1]))
     fits: dict[str, list[BinaryClassifier]] = {}
     skipped: list[SkippedLabel] = []
     for name in data.catalog.labels:
@@ -472,10 +470,10 @@ def fit_multilabel_grid(
         elif n_pos == n:
             skipped.append(SkippedLabel(name, "no negative training examples"))
         else:
-            view = _SmoteView(shared, member, config.smote_k, derive_seed(config.seed, name), buffer)
+            view = _SmoteView(shared, member, config.smote_k, derive_seed(config.seed, name))
             # one operator for every point
             fits[name] = [_newton_fit(view, view.y, point, name) for point in points]
-            del view  # freed before the next label's rows are written
+            del view  # freed before the next label's draws
     return [
         MultiLabelModel(
             classifiers={name: fitted[j] for name, fitted in fits.items()},
@@ -496,17 +494,18 @@ class _SmoteView:
     :func:`~speechacts.balance.smote_balance` returns them, with targets ``y``.
 
     A synthetic row is x_s + r * (x_nb - x_s) over two minority rows of X,
-    drawn as :func:`~speechacts.balance.oversample` draws them. X's operator
-    ``design`` picks the route. On the BLAS route the rows are written in
-    ``buffer``, bit for bit as oversample builds them, and multiplied by
-    BLAS. On the bincount route none is built: ``dot(v)`` takes z = X v once
-    and gives z_s + r * (z_nb - z_s), and ``tdot(c)`` folds a synthetic
-    row's entry of c into its start and its neighbour, (1 - r) c and r c,
-    before one product with X.T. Both equal the rows' products up to rounding.
+    drawn as :func:`~speechacts.balance.oversample` draws them. When X has
+    more than _PRODUCT_OVERHEAD entries none is built, whichever kernel X's
+    operator ``design`` runs: ``dot(v)`` takes z = X v once and gives
+    z_s + r * (z_nb - z_s), and ``tdot(c)`` folds a synthetic row's entry of
+    c into its start and its neighbour, (1 - r) c and r c, before one
+    product with X.T. Both equal the rows' products up to rounding. A
+    smaller X's operator is BLAS's; there the rows are written, bit for bit
+    as oversample builds them, and multiplied by BLAS, so a fit equals
+    :func:`fit_binary` on them wherever that takes BLAS too.
     """
 
-    def __init__(self, design: _Design, member: np.ndarray, smote_k: int, seed: int,
-                 buffer: np.ndarray | None):
+    def __init__(self, design: _Design, member: np.ndarray, smote_k: int, seed: int):
         positives, negatives = np.flatnonzero(member), np.flatnonzero(~member)
         need = len(negatives) - len(positives)
         minority, at = (positives, len(positives)) if need > 0 else (negatives, len(member))
@@ -525,22 +524,20 @@ class _SmoteView:
         self.y = np.zeros(len(self.rows))
         self.y[: max(len(positives), len(negatives))] = 1.0
         self.design, self.shape = design, (len(self.rows), design.shape[1])
-        del positives, negatives, minority, starts, neighbors  # freed before the rows are written
-        if design.sparse:
+        del positives, negatives, minority, starts, neighbors  # freed before the layout's arrays
+        self.X = None if design.X.size > _PRODUCT_OVERHEAD else design.X[self.rows]
+        if self.X is None:
             # row i's entry of c, times keep[i], goes to X's row rows[i], and a
             # synthetic row's, times r, also to its neighbour
             self.keep = np.ones(len(self.rows))
             self.keep[self.synthetic] -= r
             self.targets = np.concatenate([self.rows, self.neighbors])
-        else:
-            # the rows are in range; take's default mode, "raise", buffers its output
-            self.X = np.take(design.X, self.rows, axis=0, out=buffer[: len(self.rows)], mode="clip")
-            if drawn:
-                start = self.X[self.synthetic]
-                start += r[:, None] * (design.X[self.neighbors] - start)
+        elif drawn:
+            start = self.X[self.synthetic]
+            start += r[:, None] * (design.X[self.neighbors] - start)
 
     def dot(self, v: np.ndarray) -> np.ndarray:
-        if not self.design.sparse:
+        if self.X is not None:
             return self.X @ v
         z = self.design.dot(v)
         out = z[self.rows]
@@ -549,7 +546,7 @@ class _SmoteView:
         return out
 
     def tdot(self, c: np.ndarray) -> np.ndarray:
-        if not self.design.sparse:
+        if self.X is not None:
             return self.X.T @ c
         weights = np.concatenate([c * self.keep, self.r * c[self.synthetic]])
         return self.design.tdot(np.bincount(self.targets, weights, self.design.shape[0]))
@@ -814,30 +811,33 @@ def _model_from_json(doc, text: str) -> MultiLabelModel:
     if text.startswith('{"checksum":"') and text.endswith("}\n"):
         try:
             model = _model_from_payload(payload)
+            if model_to_document(model) == text:
+                return model
         except Exception:  # judged, with its precedence, by the checks below
-            model = None
-        if model is not None and model_to_document(model) == text:
-            return model
+            pass
     canonical = _canonical(payload)
     if hashlib.sha256(canonical.encode("utf-8")).hexdigest() != doc["checksum"]:
         raise ModelCorruptError("model file checksum mismatch")
     try:
         model = _model_from_payload(payload)
+        for name, clf in model.classifiers.items():  # a null weight reads as NaN
+            if not np.isfinite(clf.weights).all():
+                raise ValueError(f"classifier {name!r} has a weight that is not a finite number")
         # a field the loader coerced (a true bias, a string flag) writes back changed
         if _canonical(_payload(model)) != canonical:
             raise ValueError("it does not re-encode as written")
         return model
     except ModelFormatError:
         raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelCorruptError(f"model payload malformed: {exc}") from exc
 
 
 def _model_from_payload(payload) -> MultiLabelModel:
     """The model a model file's payload describes; a malformed payload
-    raises a KeyError, TypeError or ValueError, or an OverflowError for a
-    number past the float range (a ModelCorruptError for a weight vector of
-    the wrong width)."""
+    raises an AttributeError (a list where an object belongs), KeyError,
+    TypeError or ValueError, or an OverflowError for a number past the float
+    range (a ModelCorruptError for a weight vector of the wrong width)."""
     catalog = catalog_from_dict(payload["catalog"])
     if not all(isinstance(token, str) for token in payload["vocabulary"]):
         raise ValueError("vocabulary tokens must be strings")

@@ -1,10 +1,13 @@
 import dataclasses
 import errno
+import functools
 import hashlib
 import json
 import math
 import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -18,6 +21,7 @@ from speechacts.balance import DenseExample, derive_seed, oversample, smote_bala
 from speechacts.classifier import (
     BinaryClassifier,
     ModelCorruptError,
+    ModelFormatError,
     ModelVersionError,
     MultiLabelModel,
     TrainingData,
@@ -818,9 +822,9 @@ def assert_view_matches_balanced_rows(view, X, member, smote_k, seed, rng):
 class TestBalancedRowsOracle:
     """Each label fits on its view over X's one operator, whose products
     are held to the balanced rows that reference_balanced_matrix
-    materializes: on the bincount route the view interpolates X's products;
-    on the dense route it writes those rows bit for bit and multiplies by
-    them."""
+    materializes: above _PRODUCT_OVERHEAD entries of X the view
+    interpolates X's products, whichever its kernel; at or below it the
+    view writes those rows bit for bit and multiplies by them."""
 
     POINTS = [Hyperparams(C=1.0), Hyperparams(C=0.1, fit_bias=False)]
 
@@ -833,22 +837,24 @@ class TestBalancedRowsOracle:
         share=st.sampled_from([0.05, 0.2, 0.6]),
         n_dense=st.integers(0, 3),
         smote_k=st.integers(1, 6),
-        sparse=st.booleans(),
+        route=st.sampled_from(["bincount", "blas", "written"]),
         zero_weights=st.booleans(),
         crowded=st.booleans(),
     )
-    @example(seed=0, member=[True] + [False] * 9, d=5, share=0.2, n_dense=1, smote_k=5, sparse=True,
-             zero_weights=False, crowded=False)  # a one-row positive minority
-    @example(seed=1, member=[True] * 9 + [False], d=5, share=0.2, n_dense=1, smote_k=5, sparse=True,
-             zero_weights=False, crowded=False)  # a one-row negative minority
-    @example(seed=2, member=[True, False] * 5, d=5, share=0.2, n_dense=1, smote_k=2, sparse=True,
-             zero_weights=False, crowded=False)  # need = 0
+    @example(seed=0, member=[True] + [False] * 9, d=5, share=0.2, n_dense=1, smote_k=5,
+             route="bincount", zero_weights=False, crowded=False)  # a one-row positive minority
+    @example(seed=1, member=[True] * 9 + [False], d=5, share=0.2, n_dense=1, smote_k=5,
+             route="blas", zero_weights=False, crowded=False)  # a one-row negative minority
+    @example(seed=2, member=[True, False] * 5, d=5, share=0.2, n_dense=1, smote_k=2,
+             route="bincount", zero_weights=False, crowded=False)  # need = 0
     @example(seed=3, member=[True] * 4 + [False] * 20, d=8, share=0.2, n_dense=1, smote_k=2,
-             sparse=True, zero_weights=True, crowded=True)
+             route="bincount", zero_weights=True, crowded=True)
     @example(seed=4, member=[True] * 20 + [False] * 4, d=8, share=0.2, n_dense=1, smote_k=2,
-             sparse=False, zero_weights=True, crowded=False)
+             route="written", zero_weights=True, crowded=False)
+    @example(seed=5, member=[True] * 20 + [False] * 4, d=8, share=0.2, n_dense=1, smote_k=2,
+             route="blas", zero_weights=True, crowded=False)
     def test_view_products_match_the_balanced_rows(self, seed, member, d, share, n_dense, smote_k,
-                                                   sparse, zero_weights, crowded):
+                                                   route, zero_weights, crowded):
         rng = np.random.default_rng(seed)
         member = np.array(member)
         n = len(member)
@@ -857,14 +863,19 @@ class TestBalancedRowsOracle:
         if crowded:  # on every positive and a sixth of the negatives: dense in the balanced rows
             X[:, 0] = member | (np.arange(n) % 6 == 0)
         with pytest.MonkeyPatch.context() as patch:
-            # both kernels of X's operator, whatever the size
-            patch.setattr(classifier_mod, "_PRODUCT_OVERHEAD", -np.inf if sparse else np.inf)
+            # whatever the size: interpolated on either kernel of X's
+            # operator, or the rows written
+            patch.setattr(classifier_mod, "_PRODUCT_OVERHEAD",
+                          np.inf if route == "written" else -np.inf)
+            if route == "blas":  # the rule's dense columns, and BLAS's products
+                kernel = classifier_mod._kernel
+                patch.setattr(classifier_mod, "_kernel", lambda *shape: (kernel(*shape)[0], False))
             design = classifier_mod._Design(X)
             if zero_weights:  # r = 0.0 makes a synthetic row its start row
                 patch.setattr(np.random, "default_rng", ZeroEveryOtherWeight)
-            # the dense route writes the rows here; the bincount route builds none
-            view = classifier_mod._SmoteView(design, member, smote_k, seed, np.empty((2 * n, d)))
-            assert design.sparse is sparse
+            view = classifier_mod._SmoteView(design, member, smote_k, seed)
+            assert design.sparse is (route == "bincount")
+            assert (view.X is None) is (route != "written")
             assert_view_matches_balanced_rows(view, X, member, smote_k, seed, rng)
 
     def fit_views(self, data, monkeypatch, config=RunConfig(seed=3)):
@@ -879,11 +890,10 @@ class TestBalancedRowsOracle:
                 built.append(self)
 
         class ViewSpy(classifier_mod._SmoteView):
-            def __init__(self, design, member, smote_k, seed, buffer):
-                super().__init__(design, member, smote_k, seed, buffer)
+            def __init__(self, design, member, smote_k, seed):
+                super().__init__(design, member, smote_k, seed)
                 views.append(self)
                 assert self.design is built[0]
-                # before the next label's rows overwrite the buffer
                 assert_view_matches_balanced_rows(self, design.X, member, smote_k, seed, rng)
 
         with monkeypatch.context() as patch:
@@ -914,19 +924,15 @@ class TestBalancedRowsOracle:
         fit_multilabel_grid(data, RunConfig(seed=3), self.POINTS)
         assert shapes == [data.X.shape]
 
-    def test_narrow_fold_keeps_the_dense_matrix(self, monkeypatch):
+    def test_narrow_fold_interpolates_on_blas(self, monkeypatch):
         data = shaped_training_data(400, 111, 0.10, [30, 70, 140])
-        built, views, models = self.fit_views(data, monkeypatch)
-        # X's operator, which picks the route; each label fits on the rows its
-        # view writes
+        built, views, _ = self.fit_views(data, monkeypatch)
+        # X's operator takes BLAS, and no label writes its rows
         [design] = built
         assert not design.sparse and len(views) == 3
-        # fit on the balanced rows themselves, so the dense route keeps its bits
-        reference = reference_fit_multilabel_grid(data, RunConfig(seed=3), self.POINTS)
-        for got, want in zip(models, reference, strict=True):
-            assert model_to_document(got) == model_to_document(want)
+        assert all(view.X is None for view in views)
 
-    def test_narrow_fold_edge_cases_keep_the_reference_rows(self, monkeypatch):
+    def test_narrow_fold_edge_cases_interpolate(self, monkeypatch):
         # l0 has one positive and l2 one negative, each row with -0.0 entries,
         # which oversample copies without interpolating; l1 needs no row
         data = shaped_training_data(400, 111, 0.10, [1, 200, 399])
@@ -935,55 +941,29 @@ class TestBalancedRowsOracle:
         for i in (lone_pos, lone_neg):
             data.X[i, data.X[i] == 0.0] = -0.0
         assert np.signbit(data.X[lone_pos]).sum() > 10
-        got, matrices = [], []  # copies: the buffer is rewritten per label
+        built, views, models = self.fit_views(data, monkeypatch)
+        assert not built[0].sparse and all(view.X is None for view in views)
+        # each lone row's 398 copies start and end at it, with r = 0
+        for view, lone in zip(views[::2], (lone_pos, lone_neg)):
+            assert view.synthetic.stop - view.synthetic.start == 398
+            assert (view.rows[view.synthetic] == lone).all() and (view.neighbors == lone).all()
+            assert view.r.tobytes() == np.zeros(398).tobytes()
+        assert views[1].synthetic.start == views[1].synthetic.stop == 400
+        assert all(clf.converged for model in models for clf in model.classifiers.values())
 
-        class ViewSpy(classifier_mod._SmoteView):
-            def __init__(self, *args):
-                super().__init__(*args)
-                got.append(self.X.copy())
-
-        class DesignSpy(classifier_mod._Design):
-            def __init__(self, X):
-                super().__init__(X)
-                matrices.append(X.copy())
-
-        monkeypatch.setattr(classifier_mod, "_SmoteView", ViewSpy)
-        models = fit_multilabel_grid(data, RunConfig(seed=3), self.POINTS)
-        monkeypatch.setattr(classifier_mod, "_Design", DesignSpy)
-        reference = reference_fit_multilabel_grid(data, RunConfig(seed=3), self.POINTS)
-        assert len(got) == len(matrices) == 3
-        for rows, want in zip(got, matrices):
-            assert rows.tobytes() == want.tobytes()
-        # the lone rows' copies, -0.0 entries included
-        assert got[0][:399].tobytes() == np.tile(data.X[lone_pos], (399, 1)).tobytes()
-        assert got[2][399:].tobytes() == np.tile(data.X[lone_neg], (399, 1)).tobytes()
-        for a, b in zip(models, reference, strict=True):
-            assert model_to_document(a) == model_to_document(b)
-
-    def test_former_third_product_form_keeps_blas(self, monkeypatch):
-        # X's rule takes BLAS, where each label's balanced rows (180 x 500 and
-        # 140 x 500) would take the bincount products by their own rule
-        data, config = shaped_training_data(100, 500, 0.01, (10, 30)), RunConfig(seed=3)
-        for name in data.catalog.labels:
-            member = np.array([name in ls for ls in data.label_sets])
-            rows = reference_balanced_matrix(data.X, member, config.smote_k,
-                                             derive_seed(config.seed, name), np.empty((200, 500)))
-            assert classifier_mod._Design(rows).sparse
-        shapes, kernel = [], classifier_mod._kernel
-
-        def spy(counts, n, d):
-            shapes.append((n, d))
-            return kernel(counts, n, d)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(classifier_mod, "_kernel", spy)
-            models = fit_multilabel_grid(data, config, self.POINTS)
-        assert shapes == [data.X.shape]
-        # the reference's per-label designs, held to BLAS
-        monkeypatch.setattr(classifier_mod, "_PRODUCT_OVERHEAD", np.inf)
-        reference = reference_fit_multilabel_grid(data, config, self.POINTS)
-        for got, want in zip(models, reference, strict=True):
-            assert model_to_document(got) == model_to_document(want)
+    # the size at and one entry past which X's views stop writing their rows
+    @pytest.mark.parametrize("n, d, written", [(400, 100, True), (181, 221, False)],
+                             ids=["at-the-size", "one-entry-more"])
+    def test_rows_written_up_to_the_size(self, monkeypatch, n, d, written):
+        assert n * d == classifier_mod._PRODUCT_OVERHEAD + (not written)
+        data, config = shaped_training_data(n, d, 0.10, [30, 70, n // 2]), RunConfig(seed=3)
+        built, views, models = self.fit_views(data, monkeypatch, config)
+        assert not built[0].sparse
+        assert [view.X is not None for view in views] == [written] * 3
+        if written:  # the rows themselves, multiplied as fit_binary multiplies them
+            reference = reference_fit_multilabel_grid(data, config, self.POINTS)
+            for got, want in zip(models, reference, strict=True):
+                assert model_to_document(got) == model_to_document(want)
 
     def test_negatives_as_the_minority(self, monkeypatch):
         data = shaped_training_data(380, 540, 0.02, [250, 300, 379])
@@ -1336,6 +1316,50 @@ OUT_OF_RANGE_PAYLOADS = {
     "final-loss": lambda p: first_classifier(p).update(final_loss=10**400),
     "scaling-mean": lambda p: p["scaling"]["means"].__setitem__(1, 10**400),
 }
+
+
+DELETED = object()  # a payload edit that removes the field
+
+
+@functools.cache
+def skipping_payload_text() -> str:
+    return json.dumps(json.loads(model_to_document(skipping_model()))["payload"])
+
+
+def field_paths(value, path=()):
+    """The path to every field under a decoded JSON value, as keys and
+    indices."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(
+        value, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from field_paths(child, path + (key,))
+
+
+def edited(payload, edits):
+    """payload with each (path, value) edit made in turn, a value of DELETED
+    removing the field; an edit whose path an earlier one removed is dropped."""
+    for path, value in edits:
+        try:
+            parent = functools.reduce(lambda node, key: node[key], path[:-1], payload)
+            parent[path[-1]]  # the field must still be there
+        except (KeyError, IndexError, TypeError):
+            continue
+        if value is DELETED:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return payload
+
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-(10**400), 10**400),
+    st.floats(-1e308, 1e308), st.text(max_size=4),
+    st.lists(st.one_of(st.none(), st.integers(-3, 3), st.text(max_size=2)), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.one_of(st.none(), st.integers(-3, 3)), max_size=2),
+    st.just(DELETED))
+PAYLOAD_EDITS = st.lists(st.tuples(st.deferred(lambda: st.sampled_from(
+    list(field_paths(json.loads(skipping_payload_text()))))), JSON_VALUES), min_size=1, max_size=2)
 
 
 def keyword_examples(n_per_label=10):
@@ -1761,6 +1785,31 @@ class TestPersistence:
         with pytest.raises(ModelCorruptError,
                            match="^model payload malformed: int too large to convert to float"):
             model_from_document(layout(payload))
+
+    @settings(max_examples=300, deadline=None)
+    @given(edits=PAYLOAD_EDITS, layout=st.sampled_from([rechecksummed, spliced]))
+    @example(edits=[(("classifiers",), [1, 2])], layout=spliced)
+    @example(edits=[(("classifiers",), "ab")], layout=rechecksummed)
+    @example(edits=[(("classifiers", "a", "weights", 2), None)], layout=spliced)
+    @example(edits=[(("classifiers", "b", "weights", 0), None)], layout=rechecksummed)
+    def test_checksummed_payload_loads_or_fails_naming_the_file(self, edits, layout):
+        # a payload whose checksum matches leaves only the payload checks to
+        # reject it: a model that loads must score, and any other outcome is
+        # a ModelFormatError that starts with the path
+        payload = edited(json.loads(skipping_payload_text()), edits)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            path.write_text(layout(payload))
+            try:
+                model = load_model(path)
+            except ModelFormatError as exc:
+                assert str(exc).startswith(f"{path}: ")
+                return
+        n_words = len(model.vocabulary)
+        rows = score_rows(model, [([], (0.0, 0.0, 0.0)), (list(range(n_words)), (1.0, -2.0, 0.5))])
+        assert len(rows) == 2
+        assert all(len(row) == len(model.catalog.labels) for row in rows)
+        assert all(0.0 <= p <= 1.0 for row in rows for p in row)
 
     def test_model_bytes_deterministic(self):
         model_a, _ = self.trained_model(seed=6)

@@ -5,6 +5,7 @@ record, byte for byte; a model's fallback holds with and without the flag;
 and a failing command exits with its code and one ``error:`` line, never a
 traceback. Each corpus and model is built once per module."""
 
+import hashlib
 import json
 import re
 import signal
@@ -173,15 +174,29 @@ def test_no_fallback_leaves_turns_unlabelled(weak):
     assert unlabelled(bare.stdout) > 0
 
 
+def checksummed(payload):
+    """A model file in the writer's layout holding payload under a checksum
+    made anew, so only the loader's payload checks can reject it."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    checksum = hashlib.sha256(canonical.encode()).hexdigest()
+    return f'{{"checksum":"{checksum}","format_version":2,"payload":{canonical}}}\n'
+
+
 @pytest.fixture(scope="module")
 def bad_inputs(three_labels):
     """Next to the 3-label corpus: a line that is not JSON, a model file that
-    is not UTF-8, and a valid transcript whose last participant turn and
-    those after it are timed near the float limit, so the pause feature's
-    spread overflows."""
+    is not UTF-8, two checksummed model files whose classifiers are a list
+    and whose first weight is null, and a valid transcript whose last
+    participant turn and those after it are timed near the float limit, so
+    the pause feature's spread overflows."""
     d = three_labels.dir
     (d / "bad.jsonl").write_text("not json\n")
     (d / "bad_model.json").write_bytes(b"\xff{}")
+    payload = json.loads(three_labels.model.read_text())["payload"]
+    listed = {**payload, "classifiers": list(payload["classifiers"].values())}
+    (d / "list_model.json").write_text(checksummed(listed))
+    next(iter(payload["classifiers"].values()))["weights"][0] = None
+    (d / "null_weight_model.json").write_text(checksummed(payload))
     turns = [json.loads(line) for line in three_labels.corpus.read_text().splitlines()]
     last = max(i for i, turn in enumerate(turns) if turn["speaker"] == "participant")
     for turn in turns[last:]:
@@ -195,7 +210,7 @@ def test_validate_accepts_timestamps_near_the_float_limit(three_labels, bad_inpu
 
 
 # each command's arguments, in which {dir} is the bad inputs' directory, its
-# exit code and the pattern its first stderr line matches
+# exit code and the pattern its one stderr line matches
 FAILURES = {
     "validate-not-json": (["validate", "{dir}/bad.jsonl"], 1, r"error: {dir}/bad\.jsonl:1:"),
     "train-unwritable": (["--catalog", "{dir}/catalog.json", "train", "{dir}/corpus.jsonl",
@@ -203,6 +218,12 @@ FAILURES = {
                          r"error: .*No such file or directory: '{dir}/missing/m\.json'"),
     "predict-not-utf8-model": (["predict", "{dir}/corpus.jsonl", "--model",
                                 "{dir}/bad_model.json"], 1, r"error: {dir}/bad_model\.json: "),
+    **{f"{command}-{name}-model": ([command, *head, "--model", f"{{dir}}/{name}_model.json"], 1,
+                                   rf"error: {{dir}}/{name}_model\.json: model payload malformed: "
+                                   + reason)
+       for command, head in (("predict", ["{dir}/corpus.jsonl"]), ("serve", []))
+       for name, reason in (("list", "'list' object has no attribute 'items'$"),
+                            ("null_weight", "classifier 'act0' has a weight that is not a finite"))},
     "train-overflow": (["--catalog", "{dir}/catalog.json", "train", "{dir}/big_times.jsonl",
                         "--output", "{dir}/big_model.json"], 1, r"error: .*ppau_sf"),
     "evaluate-overflow": (["--catalog", "{dir}/catalog.json", "evaluate",
@@ -216,5 +237,6 @@ def test_failure_exits_with_its_code_and_an_error_line(bad_inputs, case):
     result = run_cli(*[arg.format(dir=bad_inputs) for arg in args])
     stderr = result.stderr.decode(errors="replace")
     assert result.returncode == code, stderr
-    assert re.match(first_line.format(dir=re.escape(str(bad_inputs))), stderr.splitlines()[0])
+    [line] = stderr.splitlines()
+    assert re.match(first_line.format(dir=re.escape(str(bad_inputs))), line)
     assert "Traceback" not in stderr
