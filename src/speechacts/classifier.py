@@ -22,7 +22,7 @@ import numpy as np
 from .balance import _draws, derive_seed
 from .config import Hyperparams, RunConfig, config_from_dict, expand_grid, hyperparams_from_dict
 from .corpus import (PARTICIPANT, Conversation, LabelCatalog, ModelingExample, catalog_from_dict,
-                     catalog_to_dict, decode_record, read_document_text, write_document)
+                     catalog_to_dict, decode_record, write_document)
 from .featurize import (
     N_SHALLOW,
     ScalingParams,
@@ -750,17 +750,18 @@ def _canonical(obj: dict) -> str:
                       allow_nan=False)
 
 
-def model_to_document(model: MultiLabelModel) -> str:
-    """Serialize to the checksummed model-file document (byte-stable).
-
-    The document is ``_canonical`` of ``{"format_version", "checksum",
-    "payload"}``. Its keys sort as checksum, format_version, payload, and a
-    nested value encodes as it does alone, so the payload is encoded once,
-    hashed and spliced in."""
-    payload = _canonical(_payload(model))
+def _document(payload: str) -> str:
+    """The model file holding a payload's canonical text: ``_canonical`` of
+    ``{"format_version", "checksum", "payload"}``, whose keys sort as
+    checksum, format_version, payload, with the payload hashed and spliced in."""
     checksum = hashlib.sha256(payload.encode("utf-8")).hexdigest()
     return (f'{{"checksum":"{checksum}","format_version":{MODEL_FORMAT_VERSION},'
             f'"payload":{payload}}}\n')
+
+
+def model_to_document(model: MultiLabelModel) -> str:
+    """Serialize to the checksummed model-file document (byte-stable)."""
+    return _document(_canonical(_payload(model)))
 
 
 def save_model(model: MultiLabelModel, path: Union[str, Path]) -> None:
@@ -770,36 +771,18 @@ def save_model(model: MultiLabelModel, path: Union[str, Path]) -> None:
 
 
 def model_from_document(text: str) -> MultiLabelModel:
-    """The model a model-file document holds, checked as a file is."""
+    """The model a model-file document holds. The payload builds one model,
+    encoded once; if ``text`` is what :func:`model_to_document` writes for
+    that encoding, as every saved file is, that model is the answer. Other
+    text is judged from the same two, in order: the checksum, a failed
+    build, a weight that is not finite, a payload that does not re-encode as
+    written. Text that is not JSON, tampered or malformed is a
+    :class:`ModelCorruptError`, of another format version a
+    :class:`ModelVersionError`; neither names a file."""
     try:
         doc = decode_record(text)
     except ValueError as exc:
-        raise ModelCorruptError(f"model file is {exc}") from exc
-    return _model_from_json(doc, text)
-
-
-def load_model(path: Union[str, Path]) -> MultiLabelModel:
-    """The model in the file at path, read with
-    :func:`~speechacts.corpus.read_document`. A file that is not UTF-8 or
-    JSON, or is tampered or malformed, is a :class:`ModelCorruptError`, one
-    of another format version a :class:`ModelVersionError`; both name it."""
-    try:
-        return _model_from_json(*read_document_text(path))
-    except ModelFormatError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
-    except ValueError as exc:  # read_document's, which names the path
         raise ModelCorruptError(str(exc)) from exc
-
-
-def _model_from_json(doc, text: str) -> MultiLabelModel:
-    """The model of a decoded model-file document: format version,
-    checksum and payload checked.
-
-    When ``text``, the document as written, is exactly what
-    :func:`model_to_document` writes for the model its payload builds, that
-    model is the answer, for one payload encode: the full checks would pass
-    it, since canonical JSON decodes and re-encodes to itself. Any other
-    outcome, a failed build included, goes through the full checks."""
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise ModelCorruptError("model file lacks a format_version")
     version = doc["format_version"]
@@ -808,29 +791,42 @@ def _model_from_json(doc, text: str) -> MultiLabelModel:
     if "checksum" not in doc or "payload" not in doc:
         raise ModelCorruptError("model file lacks checksum or payload")
     payload = doc["payload"]
-    if text.startswith('{"checksum":"') and text.endswith("}\n"):
-        try:
-            model = _model_from_payload(payload)
-            if model_to_document(model) == text:
-                return model
-        except Exception:  # judged, with its precedence, by the checks below
-            pass
+    model = encoded = failure = None
+    try:
+        model = _model_from_payload(payload)
+        encoded = _canonical(_payload(model))  # fails on a weight that is not finite
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        failure = exc
+    if failure is None and _document(encoded) == text:
+        return model
     canonical = _canonical(payload)
     if hashlib.sha256(canonical.encode("utf-8")).hexdigest() != doc["checksum"]:
         raise ModelCorruptError("model file checksum mismatch")
+    if isinstance(failure, ModelFormatError):
+        raise failure
+    if model is not None:
+        for name, clf in model.classifiers.items():
+            if not np.isfinite(clf.weights).all():  # a null weight reads as NaN
+                failure = ValueError(f"classifier {name!r} has a weight that is not a finite number")
+                break
+    # a field the build coerced (a true bias, a string flag) writes back changed
+    if failure is None and encoded != canonical:
+        failure = ValueError("it does not re-encode as written")
+    if failure is not None:
+        raise ModelCorruptError(f"model payload malformed: {failure}") from failure
+    return model
+
+
+def load_model(path: Union[str, Path]) -> MultiLabelModel:
+    """The model in the file at path, by :func:`model_from_document`, whose
+    errors, and a file that is not UTF-8 (a ModelCorruptError), name it."""
     try:
-        model = _model_from_payload(payload)
-        for name, clf in model.classifiers.items():  # a null weight reads as NaN
-            if not np.isfinite(clf.weights).all():
-                raise ValueError(f"classifier {name!r} has a weight that is not a finite number")
-        # a field the loader coerced (a true bias, a string flag) writes back changed
-        if _canonical(_payload(model)) != canonical:
-            raise ValueError("it does not re-encode as written")
-        return model
-    except ModelFormatError:
-        raise
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ModelCorruptError(f"model payload malformed: {exc}") from exc
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        return model_from_document(text)
+    except ValueError as exc:  # a ModelFormatError, or a UnicodeDecodeError
+        kind = type(exc) if isinstance(exc, ModelFormatError) else ModelCorruptError
+        raise kind(f"{path}: {exc}") from exc
 
 
 def _model_from_payload(payload) -> MultiLabelModel:
@@ -873,6 +869,8 @@ def _model_from_payload(payload) -> MultiLabelModel:
     unknown = set(classifiers).union(s.label for s in skipped) - set(catalog.labels)
     if unknown:
         raise ValueError(f"labels {sorted(unknown)} are not in the catalog")
+    if len(vocabulary) != len(payload["vocabulary"]):  # a repeated token has no column of its own
+        raise ValueError("vocabulary tokens must be distinct")
     return MultiLabelModel(
         classifiers=classifiers,
         vocabulary=vocabulary,

@@ -59,20 +59,27 @@ DEFAULT_GRID = {
 }
 
 
-def expand_grid(grid: dict, base: Hyperparams = Hyperparams()) -> list[Hyperparams]:
-    """Cartesian product of a {field: [values]} grid, in grid order."""
+def _check_grid(grid: dict, base: Hyperparams) -> None:
+    """Reject a bad grid. A Hyperparams check reads each field alone, so
+    each value is checked once, not once per point of the grid."""
     if not isinstance(grid, dict) or not grid:
         raise ValueError("tuning grid must be a non-empty JSON object")
-    names = list(grid.keys())
-    for name in names:
+    for name, values in grid.items():
         if name not in Hyperparams.__dataclass_fields__:
             raise ValueError(f"unknown hyperparameter {name!r}")
-        if not isinstance(grid[name], list) or not grid[name]:
+        if not isinstance(values, list) or not values:
             raise ValueError(f"hyperparameter {name!r} needs a non-empty list of values")
-    points = []
-    for combo in itertools.product(*(grid[name] for name in names)):
-        points.append(replace(base, **dict(zip(names, combo))))
-    return points
+    for name, values in grid.items():
+        for value in values:
+            replace(base, **{name: value})
+
+
+def expand_grid(grid: dict, base: Hyperparams = Hyperparams()) -> list[Hyperparams]:
+    """Cartesian product of a {field: [values]} grid, in grid order."""
+    _check_grid(grid, base)
+    names = list(grid)
+    return [replace(base, **dict(zip(names, combo)))
+            for combo in itertools.product(*grid.values())]
 
 
 @dataclass(frozen=True)
@@ -113,7 +120,7 @@ class RunConfig:
             raise ValueError("threshold must lie in (0, 1)")
         if self.slen_scope not in SLEN_SCOPES:
             raise ValueError(f"slen_scope must be one of {SLEN_SCOPES}")
-        expand_grid(self.tuning_grid, self.hyperparams)  # rejects a bad grid before any run
+        _check_grid(self.tuning_grid, self.hyperparams)  # rejects a bad grid before any run
 
     def as_dict(self) -> dict:
         return asdict(self)

@@ -129,15 +129,9 @@ def read_document(path: Union[str, Path]):
     """The JSON value a whole file holds, decoded as strictly as a
     transcript line (:func:`decode_record`); a file that is not UTF-8 or
     not valid JSON is a ValueError that names the path."""
-    return read_document_text(path)[0]
-
-
-def read_document_text(path: Union[str, Path]) -> tuple[object, str]:
-    """:func:`read_document`'s value, and the text it was decoded from."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        return decode_record(text), text
+            return decode_record(fh.read())
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

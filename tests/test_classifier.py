@@ -41,7 +41,7 @@ from speechacts.classifier import (
     train_model,
 )
 from speechacts.config import DEFAULT_GRID, Hyperparams, RunConfig, expand_grid
-from speechacts.corpus import PARTICIPANT, LabelCatalog, modeling_examples
+from speechacts.corpus import PARTICIPANT, LabelCatalog, decode_record, modeling_examples
 from speechacts.evaluate import (
     average_rows_across_folds,
     cross_validate_grid,
@@ -1293,6 +1293,14 @@ def spliced(payload) -> str:
     return f'{{"checksum":"{checksum}","format_version":2,"payload":{canonical}}}\n'
 
 
+def stale(payload) -> str:
+    """payload in the model writer's layout under the checksum of the
+    unedited :func:`skipping_payload_text`, as a file edited by hand is."""
+    head = '{"checksum":"'
+    original = spliced(json.loads(skipping_payload_text()))[len(head):len(head) + 64]
+    return head + original + spliced(payload)[len(head) + 64:]
+
+
 def first_classifier(payload) -> dict:
     return next(iter(payload["classifiers"].values()))
 
@@ -1562,6 +1570,53 @@ def parent_model_document(model) -> str:
     return classifier_mod._canonical(doc) + "\n"
 
 
+def parent_model_from_document(text):
+    """The reader that tried a fast path and then ran the full checks, kept as
+    the oracle for :func:`model_from_document`. It builds and encodes with
+    the package's own ``_model_from_payload``, ``_payload`` and
+    ``_canonical``, so their checks are not differences."""
+    doc = decode_record(text)
+    if not isinstance(doc, dict) or "format_version" not in doc:
+        raise ModelCorruptError("model file lacks a format_version")
+    version = doc["format_version"]
+    if version != classifier_mod.MODEL_FORMAT_VERSION:
+        raise ModelVersionError(f"unsupported model format_version {version!r}")
+    if "checksum" not in doc or "payload" not in doc:
+        raise ModelCorruptError("model file lacks checksum or payload")
+    payload = doc["payload"]
+    if text.startswith('{"checksum":"') and text.endswith("}\n"):
+        try:
+            model = classifier_mod._model_from_payload(payload)
+            if parent_model_document(model) == text:
+                return model
+        except Exception:
+            pass
+    canonical = classifier_mod._canonical(payload)
+    if hashlib.sha256(canonical.encode("utf-8")).hexdigest() != doc["checksum"]:
+        raise ModelCorruptError("model file checksum mismatch")
+    try:
+        model = classifier_mod._model_from_payload(payload)
+        for name, clf in model.classifiers.items():
+            if not np.isfinite(clf.weights).all():
+                raise ValueError(f"classifier {name!r} has a weight that is not a finite number")
+        if classifier_mod._canonical(classifier_mod._payload(model)) != canonical:
+            raise ValueError("it does not re-encode as written")
+        return model
+    except ModelFormatError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ModelCorruptError(f"model payload malformed: {exc}") from exc
+
+
+def outcome(read, text):
+    """What a model-file reader makes of text: the loaded model's document,
+    or the class and message of what it raised."""
+    try:
+        return model_to_document(read(text))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 def bench_model(corpus):
     """The model ``train`` fits on a bench corpus, whose examples
     ``scripts/cv_time.py`` builds, under the corpus's fold seed."""
@@ -1810,6 +1865,55 @@ class TestPersistence:
         assert len(rows) == 2
         assert all(len(row) == len(model.catalog.labels) for row in rows)
         assert all(0.0 <= p <= 1.0 for row in rows for p in row)
+
+    @pytest.mark.parametrize("layout", [rechecksummed, spliced], ids=["loose", "writer"])
+    def test_repeated_vocabulary_token_is_corrupt(self, layout):
+        # each classifier one weight short, so the width fits the distinct tokens
+        payload = json.loads(model_to_document(self.trained_model()[0]))["payload"]
+        payload["vocabulary"][-1] = payload["vocabulary"][0]
+        for blob in payload["classifiers"].values():
+            del blob["weights"][0]
+        with pytest.raises(ModelCorruptError, match="^model payload malformed: vocabulary "
+                                                    "tokens must be distinct$"):
+            model_from_document(layout(payload))
+
+    @settings(max_examples=300, deadline=None)
+    @given(edits=PAYLOAD_EDITS, layout=st.sampled_from([rechecksummed, spliced, stale]))
+    @example(edits=[(("classifiers",), [1, 2])], layout=spliced)
+    @example(edits=[(("classifiers", "a", "bias"), True)], layout=spliced)
+    @example(edits=[(("classifiers", "b", "weights", 0), None)], layout=stale)
+    @example(edits=[(("classifiers", "b", "weights", 0), None)], layout=rechecksummed)
+    @example(edits=[(("vocabulary", 0), 7)], layout=rechecksummed)
+    def test_one_path_reader_answers_as_the_fast_path_and_full_checks(self, edits, layout):
+        text = layout(edited(json.loads(skipping_payload_text()), edits))
+        assert outcome(model_from_document, text) == outcome(parent_model_from_document, text)
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: spliced(p),
+        lambda p: json.dumps(json.loads(spliced(p)), indent=2),
+        lambda p: first_classifier(p).update(bias=True) or spliced(p),
+        lambda p: spliced({**p, "classifiers": list(p["classifiers"].values())}),
+        lambda p: p.update(threshold=0.25) or stale(p),
+    ], ids=["writer", "pretty", "bias-true", "classifiers-list", "stale-checksum"])
+    def test_a_document_builds_once_and_encodes_at_most_once(self, monkeypatch, edit):
+        text = edit(json.loads(skipping_payload_text()))
+        counts = {"_model_from_payload": 0, "_payload": 0}
+        for name in counts:
+            def counted(arg, name=name, real=getattr(classifier_mod, name)):
+                counts[name] += 1
+                return real(arg)
+            monkeypatch.setattr(classifier_mod, name, counted)
+        finite = np.isfinite
+        finite_calls = []
+        monkeypatch.setattr(np, "isfinite", lambda *a: finite_calls.append(1) or finite(*a))
+        try:
+            model_from_document(text)
+        except ModelCorruptError:
+            pass
+        assert counts["_model_from_payload"] == 1
+        assert counts["_payload"] <= 1
+        if text == spliced(json.loads(skipping_payload_text())):
+            assert finite_calls == []
 
     def test_model_bytes_deterministic(self):
         model_a, _ = self.trained_model(seed=6)

@@ -698,6 +698,22 @@ class TestTuning:
         assert len(set(points)) == len(points) == 8
         assert set(Hyperparams().as_dict()) == {"C", "max_iterations", "tolerance", "fit_bias"}
 
+    def test_a_grid_checks_each_value_once(self, monkeypatch):
+        # 60 x 60 x 60 x 2 = 432,000 points, which a check per point would build
+        from speechacts.config import Hyperparams, RunConfig
+
+        grid = {"C": [0.01 * (i + 1) for i in range(60)],
+                "tolerance": [1e-6 * (i + 1) for i in range(60)],
+                "max_iterations": list(range(1, 61)), "fit_bias": [True, False]}
+        calls = []
+        check = Hyperparams.__post_init__
+        monkeypatch.setattr(Hyperparams, "__post_init__", lambda hp: calls.append(1) or check(hp))
+        assert RunConfig(tuning_grid=grid).tuning_grid == grid
+        assert 0 < len(calls) <= sum(map(len, grid.values())) + 2
+        with pytest.raises(ValueError, match=r"^tolerance must be a finite positive number, "
+                                             r"got -1\.0$"):
+            RunConfig(tuning_grid={**grid, "tolerance": [*grid["tolerance"], -1.0]})
+
 
 class TestConfigPrecedence:
     def test_flag_beats_config_file(self, runner, separable_corpus_files, tmp_path):

@@ -185,16 +185,22 @@ def checksummed(payload):
 @pytest.fixture(scope="module")
 def bad_inputs(three_labels):
     """Next to the 3-label corpus: a line that is not JSON, a model file that
-    is not UTF-8, two checksummed model files whose classifiers are a list
-    and whose first weight is null, and a valid transcript whose last
-    participant turn and those after it are timed near the float limit, so
-    the pause feature's spread overflows."""
+    is not UTF-8, three checksummed model files whose classifiers are a list,
+    whose vocabulary repeats a token (each classifier one weight short, to
+    fit the distinct tokens) and whose first weight is null, and a valid
+    transcript whose last participant turn and those after it are timed near
+    the float limit, so the pause feature's spread overflows."""
     d = three_labels.dir
     (d / "bad.jsonl").write_text("not json\n")
     (d / "bad_model.json").write_bytes(b"\xff{}")
     payload = json.loads(three_labels.model.read_text())["payload"]
     listed = {**payload, "classifiers": list(payload["classifiers"].values())}
     (d / "list_model.json").write_text(checksummed(listed))
+    repeated = json.loads(json.dumps(payload))
+    repeated["vocabulary"][-1] = repeated["vocabulary"][0]
+    for blob in repeated["classifiers"].values():
+        del blob["weights"][0]
+    (d / "repeated_token_model.json").write_text(checksummed(repeated))
     next(iter(payload["classifiers"].values()))["weights"][0] = None
     (d / "null_weight_model.json").write_text(checksummed(payload))
     turns = [json.loads(line) for line in three_labels.corpus.read_text().splitlines()]
@@ -223,7 +229,8 @@ FAILURES = {
                                    + reason)
        for command, head in (("predict", ["{dir}/corpus.jsonl"]), ("serve", []))
        for name, reason in (("list", "'list' object has no attribute 'items'$"),
-                            ("null_weight", "classifier 'act0' has a weight that is not a finite"))},
+                            ("null_weight", "classifier 'act0' has a weight that is not a finite"),
+                            ("repeated_token", "vocabulary tokens must be distinct$"))},
     "train-overflow": (["--catalog", "{dir}/catalog.json", "train", "{dir}/big_times.jsonl",
                         "--output", "{dir}/big_model.json"], 1, r"error: .*ppau_sf"),
     "evaluate-overflow": (["--catalog", "{dir}/catalog.json", "evaluate",
