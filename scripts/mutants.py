@@ -10,17 +10,13 @@ because ``tests/conftest.py`` starts the CLI from its own checkout's
 pass. An entry whose old text does not occur exactly once in its file is an
 error, so a refactor of the code a mutant edits must update the entry.
 
-    python scripts/mutants.py                     # every entry
-    python scripts/mutants.py label-rule-strict   # the named entries
+    python scripts/mutants.py
 
-It prints one line per entry and exits 0 when every entry is killed, 1
+It runs every entry, prints one line per entry and exits 0 when every entry is killed, 1
 otherwise. It needs the test dependencies only (numpy, click, pytest,
 hypothesis).
 """
 
-from __future__ import annotations
-
-import argparse
 import os
 import shutil
 import subprocess
@@ -145,21 +141,14 @@ def caught(test: str, failed: set[str]) -> bool:
     return any(node == test or node.startswith((test + "[", test + "::")) for node in failed)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="entries to run (default: all)")
-    args = parser.parse_args(argv)
-    unknown = set(args.names) - {m.name for m in MUTANTS}
-    if unknown:
-        parser.error(f"no such entries: {sorted(unknown)}")
-    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
-    stale = [p for m in chosen for p in problems(m)]
+def main() -> int:
+    stale = [p for m in MUTANTS for p in problems(m)]
     if stale:
         print("\n".join(f"error: {p}" for p in stale), file=sys.stderr)
         return 1
     start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
-        tests = sorted({t for m in chosen for t in m.tests})
+        tests = sorted({t for m in MUTANTS for t in m.tests})
         code, failed = run_tests(copy_checkout(Path(tmp)), tests)
         if code != 0:
             print(f"error: the unmutated checkout fails {sorted(failed) or tests}",
@@ -167,7 +156,7 @@ def main(argv=None) -> int:
             return 1
         print(f"unmutated: {len(tests)} ids pass ({time.perf_counter() - start:.1f} s)")
     survivors = []
-    for mutant in chosen:
+    for mutant in MUTANTS:
         began = time.perf_counter()
         with tempfile.TemporaryDirectory() as tmp:
             copy = copy_checkout(Path(tmp))
@@ -180,7 +169,7 @@ def main(argv=None) -> int:
         print(f"{mutant.name}: {verdict} ({time.perf_counter() - began:.1f} s)")
         if missed:
             survivors.append(mutant.name)
-    print(f"{len(chosen) - len(survivors)} of {len(chosen)} killed in "
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} killed in "
           f"{time.perf_counter() - start:.1f} s")
     return 1 if survivors else 0
 

@@ -15,10 +15,7 @@ staleness: each entry's old text occurs once and its test files exist."""
 import ast
 import importlib
 import importlib.util
-import sys
 from pathlib import Path
-
-import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL_FILES = sorted([*ROOT.glob("bench/*.py"), *ROOT.glob("scripts/*.py")])
@@ -98,11 +95,9 @@ def test_every_package_name_the_bench_and_scripts_use_exists():
 def test_every_mutant_applies_once_and_names_existing_test_files():
     # scripts/mutants.py runs in CI; a refactor that moves the code an entry
     # edits, or a test file it names, fails here at once
-    with pytest.MonkeyPatch.context() as patch:
-        spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
-        mutants = importlib.util.module_from_spec(spec)
-        patch.setitem(sys.modules, "mutants", mutants)  # which its dataclass looks up
-        spec.loader.exec_module(mutants)
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
     assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS) >= 12
     assert all(m.tests and m.old != m.new for m in mutants.MUTANTS)
     assert [p for m in mutants.MUTANTS for p in mutants.problems(m)] == []
