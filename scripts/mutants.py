@@ -41,9 +41,11 @@ class Mutant:
 
 
 CLASSIFIER, CONFIG = "src/speechacts/classifier.py", "src/speechacts/config.py"
+CLI, CORPUS = "src/speechacts/cli.py", "src/speechacts/corpus.py"
 PERSISTENCE = "tests/test_classifier.py::TestPersistence::"
 VIEWS = "tests/test_classifier.py::TestBalancedRowsOracle::"
 FAILURES = "tests/test_end_to_end.py::test_failure_exits_with_its_code_and_an_error_line"
+COLLECTOR = "tests/test_cli.py::TestCollector::"
 
 MUTANTS = [
     # the model-file reader
@@ -94,13 +96,26 @@ MUTANTS = [
            ("tests/test_evaluate.py::TestOutputDigests::test_output_matches_its_pin"
             "[cv-row-two-labels]",)),
     # the command line and serve
-    Mutant("conversation-id-cap-257", "src/speechacts/corpus.py",
+    Mutant("conversation-id-cap-257", CORPUS,
            "MAX_CONVERSATION_ID = 256", "MAX_CONVERSATION_ID = 257",
            ("tests/test_end_to_end.py::"
             "test_serve_on_stdin_answers_a_long_id_with_an_error_then_the_next_line",)),
-    Mutant("os-error-exits-1", "src/speechacts/cli.py",
+    Mutant("os-error-exits-1", CLI,
            "_fail(2, str(exc))", "_fail(1, str(exc))",
            (FAILURES + "[train-unwritable]",)),
+    # the cyclic collector: paused around batch commands, and shared label sets
+    Mutant("collector-not-paused", CLI,
+           "gc.disable()", "pass",
+           (COLLECTOR + "test_batch_commands_run_with_it_paused",)),
+    Mutant("serve-collector-paused", CLI,
+           'if name != "serve":', "if True:",
+           (COLLECTOR + "test_serve_keeps_it_on",)),
+    Mutant("collector-left-off-after-an-error-exit", CLI,
+           "if collecting:", "if collecting and not isinstance(sys.exc_info()[1], SystemExit):",
+           (COLLECTOR + "test_it_is_back_on_after_every_way_out[malformed-corpus]",)),
+    Mutant("label-sets-keyed-by-length", CORPUS,
+           "key = tuple(raw_labels)", "key = len(raw_labels)",
+           ("tests/test_corpus.py::TestParse::test_equal_label_lists_share_one_set",)),
 ]
 
 

@@ -9,6 +9,7 @@ stderr for record streams).
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import signal
 import sys
@@ -82,9 +83,24 @@ class _Commands(click.Group):
     """Runs every command inside the one error boundary: a ``ValueError``
     (transcript, catalog, model-file and config errors included) exits 1, an
     ``OSError`` exits 2, each with one ``error:`` line, and a warning the
-    package raises prints as one ``warning:`` line."""
+    package raises prints as one ``warning:`` line.
+
+    Every command but ``serve`` runs with the cyclic garbage collector
+    paused: a batch command's turns, examples and matrices form no
+    reference cycles, so reference counting frees them and the collector's
+    passes over them are only cost. ``serve`` is long-lived and keeps it on.
+    The caller's collector state is put back on every way out, and no
+    collection is forced."""
+
+    def resolve_command(self, ctx, args):
+        # the one place inside invoke where the command's name is known
+        name, command, args = super().resolve_command(ctx, args)
+        if name != "serve":
+            gc.disable()
+        return name, command, args
 
     def invoke(self, ctx):
+        collecting = gc.isenabled()
         with warnings.catch_warnings():
             warnings.showwarning = lambda message, *_: click.echo(
                 f"warning: {reports.one_line(str(message))}", err=True)
@@ -96,6 +112,9 @@ class _Commands(click.Group):
                 raise  # click exits quietly when the reader of stdout goes away
             except OSError as exc:
                 _fail(2, str(exc))
+            finally:  # runs after the arms above, so _fail's exit restores it too
+                if collecting:
+                    gc.enable()
 
 
 @click.group(cls=_Commands)

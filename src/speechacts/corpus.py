@@ -353,7 +353,10 @@ class ModelingExample:
         return self.conversation.turns[self.turn_index]
 
 
-def _parse_record(line: str, source: str, line_no: int, catalog: LabelCatalog) -> Turn:
+def _parse_record(line: str, source: str, line_no: int, catalog: LabelCatalog,
+                  label_sets: dict[tuple, frozenset[str]]) -> Turn:
+    """The turn on one line; its labels come from label_sets, the one set
+    per distinct raw label list that one parse call shares."""
     try:
         obj = decode_record(line)
     except ValueError as exc:
@@ -375,7 +378,10 @@ def _parse_record(line: str, source: str, line_no: int, catalog: LabelCatalog) -
     try:
         if not isinstance(raw_labels, list):
             raise TypeError
-        labels = frozenset(map(str.lower, raw_labels))  # a TypeError on a non-string
+        key = tuple(raw_labels)
+        labels = label_sets.get(key)  # a TypeError on an unhashable element
+        if labels is None:
+            labels = frozenset(map(str.lower, raw_labels))  # a TypeError on a non-string
     except TypeError:
         raise TranscriptError("labels must be an array of strings", source, line_no) from None
     if not labels <= catalog.label_set:
@@ -384,6 +390,7 @@ def _parse_record(line: str, source: str, line_no: int, catalog: LabelCatalog) -
             raise TranscriptError(
                 f"labels not in catalog or excluded set: {_quoted(unknown)}", source, line_no
             )
+    label_sets[key] = labels
 
     extra = {}
     if len(obj) > len(_REQUIRED_KEYS):
@@ -392,7 +399,8 @@ def _parse_record(line: str, source: str, line_no: int, catalog: LabelCatalog) -
 
 
 def _records(
-    stream: Union[IO, Iterable], source: str, catalog: LabelCatalog
+    stream: Union[IO, Iterable], source: str, catalog: LabelCatalog,
+    label_sets: dict[tuple, frozenset[str]],
 ) -> Iterator[tuple[Turn, str, int]]:
     """(turn, source, line number) of each non-blank line; a line may be str
     or UTF-8 bytes."""
@@ -406,7 +414,7 @@ def _records(
                     source, line_no,
                 ) from exc
         if line and not line.isspace():  # what str.strip() would empty
-            yield _parse_record(line, source, line_no, catalog), source, line_no
+            yield _parse_record(line, source, line_no, catalog, label_sets), source, line_no
 
 
 def _group(records: list[tuple[Turn, str, int]]) -> list[Conversation]:
@@ -439,16 +447,22 @@ def parse_transcripts(
     unknown speakers, out-of-catalog labels, or duplicate (conversation_id,
     turn_index) pairs. Structural invariants that are a matter of data
     quality rather than parseability are left to :func:`validate`.
+
+    Turns whose raw ``labels`` lists are equal share one label set; the
+    table that pairs them lives for this call only.
     """
-    return _group(list(_records(stream, source, catalog)))
+    return _group(list(_records(stream, source, catalog, {})))
 
 
 def load_transcripts(paths: Iterable[Union[str, Path]], catalog: LabelCatalog) -> list[Conversation]:
-    """Parse several transcript files; conversations may span files."""
+    """Parse several transcript files; conversations may span files. As in
+    :func:`parse_transcripts`, turns whose raw ``labels`` lists are equal
+    share one label set, across the files of the call."""
     records = []
+    label_sets: dict[tuple, frozenset[str]] = {}
     for path in paths:
         with open(path, "rb") as fh:
-            records.extend(_records(fh, str(path), catalog))
+            records.extend(_records(fh, str(path), catalog, label_sets))
     return _group(records)
 
 
@@ -523,10 +537,11 @@ def modeling_examples(
     context attached: one the participant spoke that carries at least one
     non-excluded catalog label. Each is found by its position, so a
     conversation whose turn_index values have gaps still yields its own
-    turns."""
-    return [ModelingExample(conv, position, turn.labels & catalog.label_set)
+    turns. Examples whose label sets are equal share one set."""
+    shared: dict[frozenset[str], frozenset[str]] = {}
+    return [ModelingExample(conv, position, shared.setdefault(labels, labels))
             for conv in conversations for position, turn in enumerate(conv.turns)
-            if turn.speaker == PARTICIPANT and turn.labels & catalog.label_set]
+            if turn.speaker == PARTICIPANT and (labels := turn.labels & catalog.label_set)]
 
 
 def offsets_from_absolute(conversations: Iterable[Conversation]) -> list[Conversation]:

@@ -1,4 +1,5 @@
 import errno
+import gc
 import hashlib
 import json
 from pathlib import Path
@@ -6,8 +7,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from speechacts import corpus as corpus_mod
 from speechacts.cli import main
 from speechacts.corpus import MAX_CONVERSATION_ID
+from speechacts.serve import ServeEngine
 
 from conftest import record_line, run_cli
 
@@ -654,6 +657,101 @@ class TestServeCommand:
         assert "act0" in lines[0]["labels"]
         assert lines[1] == {"labels": [], "probabilities": {}, "low_confidence": False}
         assert "error" in lines[2]
+
+
+class TestCollector:
+    """Batch commands run with the cyclic garbage collector paused, serve
+    keeps it on, and the caller's state is back after every way out."""
+
+    @pytest.fixture(autouse=True)
+    def collecting(self):
+        gc.enable()
+        yield
+        gc.enable()
+
+    @pytest.fixture
+    def model_path(self, runner, separable_corpus_files, tmp_path):
+        corpus, catalog = separable_corpus_files
+        model_path = tmp_path / "model.json"
+        train = runner.invoke(main, ["--catalog", catalog, "train", corpus,
+                                     "--output", str(model_path)])
+        assert train.exit_code == 0, train.output
+        return str(model_path)
+
+    @staticmethod
+    def spy(monkeypatch):
+        """gc.isenabled() at each transcript load from here on."""
+        seen = []
+        real = corpus_mod.load_transcripts
+        monkeypatch.setattr(corpus_mod, "load_transcripts",
+                            lambda *args: seen.append(gc.isenabled()) or real(*args))
+        return seen
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
+    def test_batch_commands_run_with_it_paused(self, runner, separable_corpus_files, model_path,
+                                               tmp_path, monkeypatch, command):
+        corpus, catalog = separable_corpus_files
+        args = {"train": ["--catalog", catalog, "train", corpus,
+                          "--output", str(tmp_path / "again.json")],
+                "evaluate": ["--catalog", catalog, "evaluate", corpus, "--folds", "3"],
+                "predict": ["predict", corpus, "--model", model_path]}[command]
+        seen = self.spy(monkeypatch)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert seen == [False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("case", ["success", "malformed-corpus", "missing-model",
+                                      "unwritable-output", "broken-pipe", "interrupt"])
+    def test_it_is_back_on_after_every_way_out(self, runner, separable_corpus_files, tmp_path,
+                                               monkeypatch, case):
+        corpus, catalog = separable_corpus_files
+        bad = write_lines(tmp_path / "bad.jsonl", ["not json"])
+        code, args = {
+            "success": (0, ["--catalog", catalog, "stats", corpus]),
+            "malformed-corpus": (1, ["--catalog", catalog, "evaluate", bad]),
+            "missing-model": (2, ["predict", corpus, "--model", str(tmp_path / "none.json")]),
+            "unwritable-output": (2, ["--catalog", catalog, "train", corpus,
+                                      "--output", str(tmp_path / "missing" / "m.json")]),
+            "broken-pipe": (1, ["--catalog", catalog, "stats", corpus]),
+            "interrupt": (1, ["--catalog", catalog, "stats", corpus]),
+        }[case]
+        raised = {"broken-pipe": BrokenPipeError(errno.EPIPE, "Broken pipe"),
+                  "interrupt": KeyboardInterrupt()}.get(case)
+        if raised is not None:
+            def fail(*_):
+                raise raised
+
+            monkeypatch.setattr(corpus_mod, "load_transcripts", fail)
+        result = runner.invoke(main, args)
+        assert result.exit_code == code, result.output
+        assert gc.isenabled()
+
+    def test_a_caller_that_turned_it_off_keeps_it_off(self, runner, separable_corpus_files,
+                                                      tmp_path, monkeypatch):
+        corpus, catalog = separable_corpus_files
+        seen = self.spy(monkeypatch)
+        gc.disable()
+        result = runner.invoke(main, ["--catalog", catalog, "train", corpus,
+                                      "--output", str(tmp_path / "model.json")])
+        assert result.exit_code == 0, result.output
+        assert seen == [False]
+        assert not gc.isenabled()
+
+    def test_serve_keeps_it_on(self, runner, model_path, monkeypatch):
+        seen = []
+        real = ServeEngine.handle_line
+        monkeypatch.setattr(ServeEngine, "handle_line",
+                            lambda engine, line: seen.append(gc.isenabled())
+                            or real(engine, line))
+        requests = "\n".join(json.dumps({"conversation_id": "s", "speaker": speaker,
+                                         "timestamp_s": float(i), "text": "act0kw0 filler1"})
+                             for i, speaker in enumerate(["participant", "assistant"])) + "\n"
+        result = runner.invoke(main, ["serve", "--model", model_path], input=requests)
+        assert result.exit_code == 0, result.output
+        assert len(result.stdout.splitlines()) == 2
+        assert seen == [True, True]
+        assert gc.isenabled()
 
 
 class TestTuning:

@@ -94,6 +94,38 @@ class TestParse:
     def test_empty_stream(self, catalog_ab):
         assert parse_transcripts(io.StringIO(""), catalog_ab) == []
 
+    def test_equal_label_lists_share_one_set(self, catalog_ab):
+        label_lists = [["a", "b"], [], ["a", "b"], [], ["b"], ["a"], ["b", "a"], ["A"]]
+        lines = [record_line("c1", i, "participant", float(i), "q", labels)
+                 for i, labels in enumerate(label_lists)]
+        (conv,) = parse_transcripts(lines, catalog_ab)
+        turns = conv.turns
+        assert [t.labels for t in turns] == [frozenset(x.lower() for x in labels)
+                                             for labels in label_lists]
+        assert turns[0].labels is turns[2].labels and turns[1].labels is turns[3].labels
+        assert len({id(t.labels) for t in turns}) == 6  # one per distinct raw list
+        (again,) = parse_transcripts(lines, catalog_ab)  # no table outlives a call
+        assert all(a.labels is not b.labels for a, b in zip(turns, again.turns))
+
+    def test_files_of_one_load_share_label_sets(self, catalog_ab, tmp_path):
+        paths = []
+        for cid in ("c1", "c2"):
+            paths.append(tmp_path / f"{cid}.jsonl")
+            paths[-1].write_text(record_line(cid, 0, "participant", 0.0, "q", ["a"]) + "\n")
+        first, second = load_transcripts(paths, catalog_ab)
+        assert first.turns[0].labels is second.turns[0].labels
+        (again, _) = load_transcripts(paths, catalog_ab)
+        assert again.turns[0].labels is not first.turns[0].labels
+
+    @pytest.mark.parametrize("labels", [[["a"]], [{}], [1], ["a", None], "a"])
+    def test_bad_labels_after_a_shared_set_are_errors(self, catalog_ab, labels):
+        lines = [record_line("c1", 0, "participant", 0.0, "q", ["a"]),
+                 json.dumps({**json.loads(record_line("c1", 1, "participant", 1.0, "u")),
+                             "labels": labels})]
+        with pytest.raises(TranscriptError, match=r"^<stream>:2: labels must be an array of "
+                                                  r"strings$"):
+            parse_transcripts(lines, catalog_ab)
+
     def test_duplicate_index_names_line(self, catalog_ab):
         stream = io.StringIO(
             record_line("c1", 0, "participant", 0.0, "x", ["a"])
@@ -505,6 +537,14 @@ class TestSelect:
         (ex,) = modeling_examples([conv], catalog_ab)
         assert ex.labels == frozenset({"a"})
         assert ex.turn.text == "q"
+
+    def test_equal_catalog_labels_share_one_set(self, catalog_ab):
+        conv = make_conversation("c1", [("participant", 0.0, "q", ["a", "setup"]),
+                                        ("participant", 1.0, "u", ["a"]),
+                                        ("participant", 2.0, "v", ["b"])])
+        first, second, third = modeling_examples([conv], catalog_ab)
+        assert first.labels == frozenset({"a"}) and third.labels == frozenset({"b"})
+        assert first.labels is second.labels
 
     def test_turn_index_gaps_select_by_position(self, catalog_ab):
         # an unvalidated corpus, as load_transcripts gives it
